@@ -46,6 +46,17 @@ def _policy(name: str) -> TiePolicy:
     return TiePolicy.STRICT if name == "strict" else TiePolicy.LEX
 
 
+def _max_len(text: str) -> int:
+    """Argument type of --max-len: a cycle has at least two edges."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
+    return value
+
+
 def all_cycles(graph, max_len: int):
     """Every simple cycle of the graph, deduplicated up to rotation."""
     seen = set()
@@ -145,9 +156,10 @@ def cmd_cycles(args) -> int:
         cycles = all_cycles(graph, max_len)
     report = _base_report(args, "cycles")
     report["cycles"] = [[node_id(g, n) for n in c.nodes] for c in cycles]
-    lines = ["cycles:"] + [
-        "  " + " -> ".join(node_id(g, n) for n in c.nodes) for c in cycles
-    ] or ["no cycles"]
+    if cycles:
+        lines = ["cycles:"] + ["  " + " -> ".join(node_id(g, n) for n in c.nodes) for c in cycles]
+    else:
+        lines = ["no cycles"]
     _emit(args, report, lines, dot=export_dot(graph, g, cycles))
     return EXIT_OK
 
@@ -295,13 +307,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", help="periodic actions, survivors, cycles, type counts")
     common(p)
-    p.add_argument("--max-len", type=int, default=None)
+    p.add_argument("--max-len", type=_max_len, default=None)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("cycles", help="enumerate simple cycles of the periodicity graph")
     common(p)
     p.add_argument("--through", help="node as player:action-label", default=None)
-    p.add_argument("--max-len", type=int, default=None)
+    p.add_argument("--max-len", type=_max_len, default=None)
     p.set_defaults(func=cmd_cycles)
 
     p = sub.add_parser("mixed", help="payoff-equalizing mixtures and invariance spread")

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import CertificateError
 from .game import Game
 from .lp import zero_sum_value
 from .mixed import require_bimatrix
@@ -81,13 +82,20 @@ def max_combined_payoff(g: Game) -> tuple[Fraction, tuple[int, int], tuple[tuple
 def coco_solution(g: Game) -> CocoSolution:
     """Full cooperative-competitive solution of a bimatrix game."""
     require_bimatrix(g)
-    a, _ = _payoff_matrices(g)
+    a, b = _payoff_matrices(g)
     split = decompose(g)
     vsharp, profile, tied = max_combined_payoff(g)
     vs, row_strategy, col_strategy = zero_sum_value(split.competitive)
     final = (vsharp / 2 + vs, vsharp / 2 - vs)
     side_payment = final[0] - a[profile[0]][profile[1]]
-    solution = CocoSolution(
+    # Defining identities; cheap and worth re-checking on every call.
+    if sum(final) != vsharp:
+        raise CertificateError(f"final payoffs {final} do not add up to the joint maximum {vsharp}")
+    if b[profile[0]][profile[1]] - side_payment != final[1]:
+        raise CertificateError(
+            f"side payment {side_payment} at profile {profile} does not yield payoff {final[1]}"
+        )
+    return CocoSolution(
         vsharp=vsharp,
         vs=vs,
         profile=profile,
@@ -96,8 +104,3 @@ def coco_solution(g: Game) -> CocoSolution:
         final_payoffs=final,
         zero_sum_strategies=(row_strategy, col_strategy),
     )
-    # Defining identities; cheap and worth re-checking on every call.
-    assert sum(final) == vsharp
-    b_matrix = _payoff_matrices(g)[1]
-    assert b_matrix[profile[0]][profile[1]] - side_payment == final[1]
-    return solution

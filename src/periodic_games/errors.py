@@ -56,6 +56,14 @@ class SizeLimit(GameError):
     pass
 
 
+class BadParameter(GameError):
+    """A numeric argument of a library call is out of its documented range."""
+
+
+class CertificateError(GameError):
+    """A computed solution failed one of its own defining identities."""
+
+
 class ZeroProbabilityType(GameError):
     pass
 

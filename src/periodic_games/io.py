@@ -54,7 +54,10 @@ def _parse_actions(doc: dict, players: Sequence[str]) -> tuple[tuple[str, ...], 
     for p in players:
         if p not in actions_doc:
             raise ParseError(f"no action list for player {p!r}")
-        out.append(tuple(str(a) for a in actions_doc[p]))
+        labels = actions_doc[p]
+        if not isinstance(labels, list):
+            raise ParseError(f"actions of player {p!r} must be a JSON list, got {labels!r}")
+        out.append(tuple(str(a) for a in labels))
     return tuple(out)
 
 

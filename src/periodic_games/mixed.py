@@ -11,13 +11,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import BadDimension, Infeasible, SizeLimit
 from .game import Game, expected_utility, validate_game
-from .linalg import affine_dimension, polytope_vertices
+from .linalg import affine_dimension, polytope_vertices, solve_exact
 
 Vector = tuple[Fraction, ...]
+# (own support, opponent support) -> the equalizing mixture with exactly that
+# opponent support, or None; see _indifference_vertices.
+VertexMemo = dict[tuple[tuple[int, ...], tuple[int, ...]], Optional[Vector]]
 
 MAX_SUPPORT_ACTIONS = 6
 
@@ -141,6 +144,8 @@ def nash_support_enumeration(g: Game) -> list[EquilibriumReport]:
     n_row, n_col = g.shape
 
     found: dict[tuple[Vector, Vector], EquilibriumReport] = {}
+    row_memo: VertexMemo = {}
+    col_memo: VertexMemo = {}
     row_supports = [
         s for size in range(1, n_row + 1) for s in itertools.combinations(range(n_row), size)
     ]
@@ -151,10 +156,10 @@ def nash_support_enumeration(g: Game) -> list[EquilibriumReport]:
         for sb in col_supports:
             # q makes the row player indifferent across sa; p the column
             # player indifferent across sb.
-            q_candidates = _indifference_vertices(m_row, sa, sb, n_col)
+            q_candidates = _indifference_vertices(m_row, sa, sb, n_col, row_memo)
             if not q_candidates:
                 continue
-            p_candidates = _indifference_vertices(m_col, sb, sa, n_row)
+            p_candidates = _indifference_vertices(m_col, sb, sa, n_row, col_memo)
             for p in p_candidates:
                 for q in q_candidates:
                     key = (p, q)
@@ -180,30 +185,47 @@ def _indifference_vertices(
     own_support: tuple[int, ...],
     opp_support: tuple[int, ...],
     opp_size: int,
+    memo: VertexMemo,
 ) -> list[Vector]:
-    """Vertices of opponent mixtures on opp_support equalizing own_support payoffs."""
-    system: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    row0 = [Fraction(0)] * opp_size
-    for b in opp_support:
-        row0[b] = Fraction(1)
-    system.append(row0)
-    rhs.append(Fraction(1))
-    base = own_support[0]
-    for a in own_support[1:]:
-        row = [Fraction(0)] * opp_size
-        for b in opp_support:
-            row[b] = matrix[a][b] - matrix[base][b]
-        system.append(row)
-        rhs.append(Fraction(0))
-    # Force zero outside the support.
-    for b in range(opp_size):
-        if b not in opp_support:
-            row = [Fraction(0)] * opp_size
-            row[b] = Fraction(1)
-            system.append(row)
-            rhs.append(Fraction(0))
-    return polytope_vertices(system, rhs, opp_size)
+    """Vertices of opponent mixtures on opp_support equalizing own_support payoffs.
+
+    A vertex is the unique nonnegative solution on some column subset T of
+    opp_support, padded with zeros; unique solutions need |T| <= the
+    len(own_support) equations. A vertex with a zero inside T is also the
+    unique solution on its own support, so each vertex is taken only from
+    the T where it is positive, once. It depends only on (own_support, T),
+    and ``memo`` keeps it for every opp_support that contains T.
+    """
+    vertices = []
+    for size in range(1, min(len(opp_support), len(own_support)) + 1):
+        for cols in itertools.combinations(opp_support, size):
+            key = (own_support, cols)
+            if key not in memo:
+                memo[key] = _positive_indifference_vertex(matrix, own_support, cols, opp_size)
+            vertex = memo[key]
+            if vertex is not None:
+                vertices.append(vertex)
+    return sorted(vertices)
+
+
+def _positive_indifference_vertex(
+    matrix: Sequence[Sequence[Fraction]],
+    own_support: tuple[int, ...],
+    cols: tuple[int, ...],
+    opp_size: int,
+) -> Optional[Vector]:
+    """The opponent mixture with support exactly ``cols`` equalizing own_support, if unique."""
+    base = matrix[own_support[0]]
+    system = [[Fraction(1)] * len(cols)]
+    system.extend([matrix[a][b] - base[b] for b in cols] for a in own_support[1:])
+    rhs = [Fraction(1)] + [Fraction(0)] * (len(own_support) - 1)
+    kind, sol = solve_exact(system, rhs)
+    if kind != "unique" or any(v <= 0 for v in sol):
+        return None
+    full = [Fraction(0)] * opp_size
+    for b, v in zip(cols, sol):
+        full[b] = v
+    return tuple(full)
 
 
 def periodic_profile_report(g: Game) -> EquilibriumReport:

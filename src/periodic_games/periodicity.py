@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence, Union
 
-from .errors import AnchorNotOnCycle, DegenerateArgmax
+from .errors import AnchorNotOnCycle, BadParameter, DegenerateArgmax
 from .game import Game
 from .game import payoff as game_payoff
 
@@ -149,7 +149,7 @@ def enumerate_cycles(graph: PeriodicityGraph, through: Node, max_len: int) -> li
     length then node sequence.
     """
     if max_len < 2:
-        raise ValueError("max_len must be at least 2")
+        raise BadParameter(f"max_len must be at least 2, got {max_len}")
     if through not in graph.edges:
         raise AnchorNotOnCycle(f"node {through} not in graph")
     cycles: list[Cycle] = []

@@ -128,3 +128,34 @@ def test_strict_tie_policy_exit_code(tmp_path, capsys):
     capsys.readouterr()
     assert main(["analyze", path, "--tie-policy", "lex"]) == 0
     capsys.readouterr()
+
+
+def test_max_len_below_two_is_a_usage_error(capsys):
+    for command in ("cycles", "analyze"):
+        for value in ("1", "0", "-3", "x"):
+            assert main([command, BOS, "--max-len", value]) == 1
+            err = capsys.readouterr().err
+            assert "--max-len" in err and "Traceback" not in err
+    assert main(["cycles", BOS, "--max-len", "2"]) == 0
+    assert "A:a1 -> B:b1" in capsys.readouterr().out
+
+
+def test_cycles_text_reports_no_cycles(capsys):
+    # A2 (defect) is not on the prisoner's dilemma's only cycle.
+    assert main(["cycles", PD, "--through", "A:A2"]) == 0
+    assert capsys.readouterr().out == "no cycles\n"
+    assert main(["cycles", PD, "--through", "A:A1"]) == 0
+    assert capsys.readouterr().out == "cycles:\n  A:A1 -> B:B1\n"
+
+
+def test_bad_action_list_exit_code(tmp_path, capsys):
+    for labels in ("xy", 5):
+        doc = {
+            "players": ["A", "B"],
+            "actions": {"A": labels, "B": ["l"]},
+            "payoffs": [[[1, 1]], [[0, 0]]],
+        }
+        path = tmp_path / "bad_actions.json"
+        path.write_text(json.dumps(doc))
+        assert main(["nash", str(path)]) == 2
+        assert "must be a JSON list" in capsys.readouterr().err

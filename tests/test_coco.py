@@ -1,6 +1,9 @@
 from fractions import Fraction
 
-from periodic_games import coco_solution, decompose, max_combined_payoff
+import pytest
+
+from periodic_games import coco, coco_solution, decompose, max_combined_payoff
+from periodic_games.errors import CertificateError
 
 F = Fraction
 
@@ -71,3 +74,17 @@ def test_zero_sum_strategies_certify_value(bos, prisoners, four_by_four):
             assert sum(row[r] * m[r][c] for r in range(rows)) >= s.vs
         for r in range(rows):
             assert sum(col[c] * m[r][c] for c in range(cols)) <= s.vs
+
+
+def test_solution_checks_its_identities_without_assert(prisoners, monkeypatch):
+    # A joint maximum that no profile attains breaks the side-payment identity;
+    # the check must raise a typed error, which python -O cannot strip.
+    true_max = coco.max_combined_payoff
+
+    def inflated(g):
+        value, profile, tied = true_max(g)
+        return value + 1, profile, tied
+
+    monkeypatch.setattr(coco, "max_combined_payoff", inflated)
+    with pytest.raises(CertificateError, match="side payment"):
+        coco_solution(prisoners)

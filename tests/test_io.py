@@ -78,6 +78,25 @@ def test_parse_game_rejects_ragged_payoffs():
         parse_game(json.dumps(doc))
 
 
+@pytest.mark.parametrize("labels", ["xy", 5, {"x": 1}, None])
+def test_parse_game_requires_a_list_of_action_labels(labels):
+    doc = {
+        "players": ["A", "B"],
+        "actions": {"A": labels, "B": ["l"]},
+        "payoffs": [[[1, 1]], [[0, 0]]],
+    }
+    with pytest.raises(ParseError, match="actions of player 'A' must be a JSON list"):
+        parse_game(json.dumps(doc))
+
+
+@pytest.mark.parametrize("labels", ["LR", 5])
+def test_parse_bayes_requires_a_list_of_action_labels(labels):
+    doc = json.loads((FIXTURES / "two_type.bayes.json").read_text())
+    doc["actions"]["2"] = labels
+    with pytest.raises(ParseError, match="actions of player '2' must be a JSON list"):
+        parse_bayes(json.dumps(doc))
+
+
 def test_parse_bayes_round_values(two_type_bayes):
     assert two_type_bayes.prior == {
         (0, (0, 0)): Fraction(1, 2),

@@ -14,7 +14,7 @@ from periodic_games import (
     periodicity_number,
     reach_cycle,
 )
-from periodic_games.errors import AnchorNotOnCycle, DegenerateArgmax
+from periodic_games.errors import AnchorNotOnCycle, BadParameter, DegenerateArgmax
 from conftest import brute_force_deviation, random_game
 
 
@@ -82,7 +82,7 @@ def test_reach_cycle_walks_into_cycle(four_by_four):
 def test_enumerate_cycles_min_length():
     flat = make_game(["A", "B"], [["x"], ["l"]], [[(0, 0)]])
     graph = build_periodicity_graph(flat)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameter):
         enumerate_cycles(graph, Node(0, 0), max_len=1)
 
 
