@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .coco import coco_solution, decompose
+from .coco import coco_solution
 from .errors import DegenerateArgmax, GameError, ParseError, ValidationError
 from .game import Game, expected_utility, make_game
 from .io import dump_report, export_dot, node_id, parse_bayes, parse_game, serialize_game
@@ -28,7 +28,7 @@ from .periodicity import (
     periodic_actions,
     reach_cycle,
 )
-from .rationalizability import DominanceMode, iesds, rationalizable_periodic, type_count
+from .rationalizability import DominanceMode, iesds, type_count
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -109,7 +109,8 @@ def cmd_analyze(args) -> int:
     graph = build_periodicity_graph(g, policy)
     periodic = periodic_actions(g, policy)
     survivors = iesds(g, DominanceMode.ALLOW_MIXED).survivors
-    rationalizable = rationalizable_periodic(g, policy)
+    # What rationalizable_periodic computes, from the sets already at hand.
+    rationalizable = tuple(p & s for p, s in zip(periodic, survivors))
     max_len = args.max_len or len(graph.nodes)
     cycles = all_cycles(graph, max_len)
     report = _base_report(args, "analyze")
@@ -224,8 +225,8 @@ def cmd_nash(args) -> int:
 
 def cmd_coco(args) -> int:
     g = parse_game(_read(args.game))
-    split = decompose(g)
     solution = coco_solution(g)
+    split = solution.decomposition
     report = _base_report(args, "coco")
     report["cooperative_matrix"] = [list(row) for row in split.cooperative]
     report["competitive_matrix"] = [list(row) for row in split.competitive]

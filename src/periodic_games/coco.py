@@ -33,6 +33,7 @@ class CocoSolution:
     side_payment: Fraction  # paid by the column player to the row player
     final_payoffs: tuple[Fraction, Fraction]
     zero_sum_strategies: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
+    decomposition: Decomposition
 
 
 def _payoff_matrices(g: Game) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
@@ -65,33 +66,33 @@ def max_combined_payoff(g: Game) -> tuple[Fraction, tuple[int, int], tuple[tuple
     Returns (value, lexicographically first argmax, all tied argmax profiles).
     """
     require_bimatrix(g)
-    a, b = _payoff_matrices(g)
+    cols = g.shape[1]
     best = None
-    tied: list[tuple[int, int]] = []
-    for r in range(g.shape[0]):
-        for c in range(g.shape[1]):
-            combined = a[r][c] + b[r][c]
-            if best is None or combined > best:
-                best = combined
-                tied = [(r, c)]
-            elif combined == best:
-                tied.append((r, c))
-    return best, tied[0], tuple(tied)
+    tied: list[int] = []
+    # Payoffs are stored row-major, so index k is the profile divmod(k, cols).
+    for k, u in enumerate(g.payoffs):
+        combined = u[0] + u[1]
+        if best is None or combined > best:
+            best = combined
+            tied = [k]
+        elif combined == best:
+            tied.append(k)
+    profiles = tuple(divmod(k, cols) for k in tied)
+    return best, profiles[0], profiles
 
 
 def coco_solution(g: Game) -> CocoSolution:
     """Full cooperative-competitive solution of a bimatrix game."""
-    require_bimatrix(g)
-    a, b = _payoff_matrices(g)
     split = decompose(g)
     vsharp, profile, tied = max_combined_payoff(g)
     vs, row_strategy, col_strategy = zero_sum_value(split.competitive)
     final = (vsharp / 2 + vs, vsharp / 2 - vs)
-    side_payment = final[0] - a[profile[0]][profile[1]]
+    row_payoff, col_payoff = g.payoffs[g.profile_index(profile)]
+    side_payment = final[0] - row_payoff
     # Defining identities; cheap and worth re-checking on every call.
     if sum(final) != vsharp:
         raise CertificateError(f"final payoffs {final} do not add up to the joint maximum {vsharp}")
-    if b[profile[0]][profile[1]] - side_payment != final[1]:
+    if col_payoff - side_payment != final[1]:
         raise CertificateError(
             f"side payment {side_payment} at profile {profile} does not yield payoff {final[1]}"
         )
@@ -103,4 +104,5 @@ def coco_solution(g: Game) -> CocoSolution:
         side_payment=side_payment,
         final_payoffs=final,
         zero_sum_strategies=(row_strategy, col_strategy),
+        decomposition=split,
     )

@@ -46,6 +46,13 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _labels(value, what: str) -> tuple[str, ...]:
+    """A JSON list of labels; a string or number there is a ParseError."""
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a JSON list, got {value!r}")
+    return tuple(str(v) for v in value)
+
+
 def _parse_actions(doc: dict, players: Sequence[str]) -> tuple[tuple[str, ...], ...]:
     actions_doc = _require(doc, "actions")
     if not isinstance(actions_doc, dict):
@@ -54,10 +61,7 @@ def _parse_actions(doc: dict, players: Sequence[str]) -> tuple[tuple[str, ...], 
     for p in players:
         if p not in actions_doc:
             raise ParseError(f"no action list for player {p!r}")
-        labels = actions_doc[p]
-        if not isinstance(labels, list):
-            raise ParseError(f"actions of player {p!r} must be a JSON list, got {labels!r}")
-        out.append(tuple(str(a) for a in labels))
+        out.append(_labels(actions_doc[p], f"actions of player {p!r}"))
     return tuple(out)
 
 
@@ -78,7 +82,7 @@ def _parse_tensor(node, shape: Sequence[int], n: int, path=()) -> list:
 def parse_game(text: str) -> Game:
     """Parse and validate a game document."""
     doc = _load_json(text)
-    players = tuple(str(p) for p in _require(doc, "players"))
+    players = _labels(_require(doc, "players"), "'players'")
     actions = _parse_actions(doc, players)
     shape = [len(a) for a in actions]
     flat = _parse_tensor(_require(doc, "payoffs"), shape, len(players))
@@ -109,9 +113,9 @@ def serialize_game(g: Game) -> str:
 def parse_bayes(text: str) -> BayesianGame:
     """Parse and validate a Bayesian game document."""
     doc = _load_json(text)
-    players = tuple(str(p) for p in _require(doc, "players"))
+    players = _labels(_require(doc, "players"), "'players'")
     actions = _parse_actions(doc, players)
-    thetas = tuple(str(t) for t in _require(doc, "thetas"))
+    thetas = _labels(_require(doc, "thetas"), "'thetas'")
     types_doc = _require(doc, "types")
     if not isinstance(types_doc, dict):
         raise ParseError("'types' must map player names to type label lists")
@@ -119,18 +123,21 @@ def parse_bayes(text: str) -> BayesianGame:
     for p in players:
         if p not in types_doc:
             raise ParseError(f"no type list for player {p!r}")
-        types.append(tuple(str(t) for t in types_doc[p]))
+        types.append(_labels(types_doc[p], f"types of player {p!r}"))
     types = tuple(types)
 
     prior: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-    for entry in _require(doc, "prior"):
+    prior_doc = _require(doc, "prior")
+    if not isinstance(prior_doc, list):
+        raise ParseError(f"'prior' must be a JSON list of entries, got {prior_doc!r}")
+    for entry in prior_doc:
         if not isinstance(entry, list) or len(entry) != 3:
             raise ParseError(f"prior entries are [theta, [types...], probability], got {entry!r}")
         theta_label, type_labels, prob = entry
         if theta_label not in thetas:
             raise ParseError(f"unknown parameter label {theta_label!r}")
         theta = thetas.index(theta_label)
-        if len(type_labels) != len(players):
+        if not isinstance(type_labels, list) or len(type_labels) != len(players):
             raise ParseError(f"type profile {type_labels!r} must name one type per player")
         tp = []
         for i, label in enumerate(type_labels):

@@ -1,20 +1,67 @@
-"""Exact rational simplex and the zero-sum matrix game value.
+"""Exact simplex on an integer tableau, and the zero-sum matrix game value.
 
-The pivot rule is Bland's rule, so the solver terminates on degenerate
-inputs. Everything is a Fraction; strong duality is verified before any
-result is returned.
+``simplex_max`` scales ``a`` and ``b`` by one lcm of their denominators and
+``c`` by the lcm of its own, then pivots on an integer tableau that shares
+one positive denominator ``det`` (integer pivoting, as in Edmonds 1967 and
+Avis's lrs). Every entry stays an integer, a minor of the scaled data, so
+each division by ``det`` is exact; a remainder would mean a broken kernel
+and raises ``ArithmeticError``. Fractions are formed once, from the final
+tableau.
+
+The pivot rule is Bland's rule: the first negative reduced cost enters, and
+the ratio test, done by cross-multiplication, breaks ties by the smallest
+basis variable. Positive scaling of the data changes no pivot, so the
+results equal those of the textbook Fraction tableau. ``zero_sum_value``
+re-checks its duality certificate in integers before it returns.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
+
+from .errors import BadParameter, CertificateError
 
 Vector = tuple[Fraction, ...]
 
 
-class SimplexInternalError(AssertionError):
+class SimplexInternalError(CertificateError):
     """Strong duality or feasibility check failed; indicates a solver bug."""
+
+
+def _common_denominator(values) -> int:
+    return math.lcm(*(v.denominator for v in values))
+
+
+def _scaled(values, scale: int) -> list[int]:
+    """Rationals times ``scale``, a multiple of each of their denominators."""
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _pivot(tableau: list[list[int]], r: int, e: int, det: int) -> int:
+    """Integer pivot on (r, e); returns the new common denominator.
+
+    Row ``r`` stays as it is; every other row ``i`` becomes
+    ``(p * T[i] - T[i][e] * T[r]) / det`` with ``p = T[r][e]``.
+    """
+    top = tableau[r]
+    p = top[e]
+    for i, row in enumerate(tableau):
+        if i == r:
+            continue
+        f = row[e]
+        if det == 1:
+            tableau[i] = [p * x - f * y for x, y in zip(row, top)]
+            continue
+        reduced = []
+        for x, y in zip(row, top):
+            q, rem = divmod(p * x - f * y, det)
+            if rem:
+                raise ArithmeticError(f"inexact division by {det} in simplex pivot")
+            reduced.append(q)
+        tableau[i] = reduced
+    return p
 
 
 def simplex_max(
@@ -24,98 +71,112 @@ def simplex_max(
 ) -> tuple[Fraction, Vector, Vector]:
     """Maximize c.x subject to a x <= b, x >= 0, with all b >= 0.
 
-    Returns (optimal value, primal x, dual y). The all-slack basis is
-    feasible because b >= 0; the objective must be bounded on the feasible
-    region (always the case for the game LPs built here).
+    Entries may be Fractions or ints. Returns (optimal value, primal x,
+    dual y). The all-slack basis is feasible because b >= 0; the objective
+    must be bounded on the feasible region (always the case for the game
+    LPs built here).
     """
     m = len(a)
     n = len(c)
     if any(bi < 0 for bi in b):
-        raise ValueError("simplex_max requires b >= 0")
+        raise BadParameter("simplex_max requires b >= 0")
+    scale_ab = _common_denominator([v for row in a for v in row] + list(b))
+    scale_c = _common_denominator(c)
+    scaled_b = _scaled(b, scale_ab)
     # Tableau: columns = n structural + m slack + rhs; last row = objective.
     tableau = [
-        [Fraction(v) for v in a[i]]
-        + [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-        + [Fraction(b[i])]
-        for i in range(m)
+        _scaled(a[i], scale_ab) + [int(j == i) for j in range(m)] + [scaled_b[i]] for i in range(m)
     ]
-    tableau.append([-Fraction(v) for v in c] + [Fraction(0)] * (m + 1))
+    tableau.append([-v for v in _scaled(c, scale_c)] + [0] * (m + 1))
+    objective = tableau[-1]
     basis = list(range(n, n + m))
+    det = 1
 
     while True:
-        obj = tableau[-1]
-        entering = next((j for j in range(n + m) if obj[j] < 0), None)
+        entering = next((j for j in range(n + m) if objective[j] < 0), None)
         if entering is None:
             break
-        # Ratio test, ties broken by smallest basis variable (Bland).
+        # Ratio test rhs_i / coef_i by cross-multiplication (coefficients are
+        # positive), ties broken by smallest basis variable (Bland).
         leaving = None
-        best = None
         for i in range(m):
             coef = tableau[i][entering]
-            if coef > 0:
-                ratio = tableau[i][-1] / coef
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
-                    leaving = i
+            if coef <= 0:
+                continue
+            if leaving is None:
+                leaving = i
+                continue
+            lhs = tableau[i][-1] * tableau[leaving][entering]
+            rhs = tableau[leaving][-1] * coef
+            if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                leaving = i
         if leaving is None:
             raise SimplexInternalError("objective unbounded")
-        pivot = tableau[leaving][entering]
-        tableau[leaving] = [v / pivot for v in tableau[leaving]]
-        for i in range(m + 1):
-            if i != leaving and tableau[i][entering] != 0:
-                factor = tableau[i][entering]
-                tableau[i] = [v - factor * w for v, w in zip(tableau[i], tableau[leaving])]
+        det = _pivot(tableau, leaving, entering, det)
+        objective = tableau[-1]
         basis[leaving] = entering
 
+    # The scaled LP has the same x; its duals are scale_c / scale_ab times
+    # the original ones and its value is scale_c times the original one.
     x = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = tableau[i][-1]
-    y = tuple(tableau[-1][n + i] for i in range(m))
-    value = tableau[-1][-1]
+            x[var] = Fraction(tableau[i][-1], det)
+    y = tuple(Fraction(objective[n + i] * scale_ab, det * scale_c) for i in range(m))
+    value = Fraction(objective[-1], det * scale_c)
     return value, tuple(x), y
 
 
 def zero_sum_value(matrix: Sequence[Sequence[Fraction]]) -> tuple[Fraction, Vector, Vector]:
     """Exact minimax value of a zero-sum matrix game (row player maximizes).
 
-    Returns (value, optimal row mixture, optimal column mixture). Strong
-    duality (row maximin == column minimax) is re-checked against every pure
-    response before returning.
+    Entries may be Fractions or ints. Returns (value, optimal row mixture,
+    optimal column mixture). Strong duality (row maximin == column minimax)
+    is re-checked against every pure response before returning.
     """
     rows = len(matrix)
     if rows == 0 or len(matrix[0]) == 0:
-        raise ValueError("empty payoff matrix")
+        raise BadParameter("empty payoff matrix")
     cols = len(matrix[0])
     if any(len(row) != cols for row in matrix):
-        raise ValueError("ragged payoff matrix")
-    m = [[Fraction(v) for v in row] for row in matrix]
+        raise BadParameter("ragged payoff matrix")
+    scale = _common_denominator([v for row in matrix for v in row])
+    ints = [_scaled(row, scale) for row in matrix]
 
-    # Shift all entries positive so the value is > 0 and the LP below is sound.
-    shift = Fraction(1) - min(min(row) for row in m)
-    shifted = [[v + shift for v in row] for row in m]
+    # Shift all entries to at least 1 so the value is > 0 and the LP below is
+    # sound. In units of 1/scale the shift 1 - min(m) is an integer.
+    shift = scale - min(min(row) for row in ints)
+    shifted = [[v + shift for v in row] for row in ints]
 
-    # Column player's normalized LP: max sum(w) s.t. shifted w <= 1, w >= 0.
-    ones = [Fraction(1)] * rows
-    total, w, y = simplex_max(shifted, ones, [Fraction(1)] * cols)
+    # Column player's normalized LP: max sum(w) s.t. shifted w <= 1, w >= 0,
+    # here with both sides times scale, which changes no pivot.
+    total, w, y = simplex_max(shifted, [scale] * rows, [1] * cols)
     if total <= 0:
         raise SimplexInternalError("normalized LP returned a nonpositive optimum")
     value_shifted = 1 / total
     col_strategy = tuple(wi * value_shifted for wi in w)
     dual_total = sum(y)
-    if dual_total != total:
+    if dual_total * scale != total:
         raise SimplexInternalError("primal and dual optima differ")
     row_strategy = tuple(yi / dual_total for yi in y)
-    value = value_shifted - shift
+    value = value_shifted - Fraction(shift, scale)
 
-    # Certify: the row mixture guarantees >= value against every column and
-    # the column mixture concedes <= value against every row.
+    # Certify: both mixtures are distributions, the row mixture guarantees
+    # >= value against every column and the column mixture concedes <= value
+    # against every row. The inequalities are checked in integers, multiplied
+    # through by the positive common denominators.
+    row_den = _common_denominator(row_strategy)
+    col_den = _common_denominator(col_strategy)
+    p = _scaled(row_strategy, row_den)
+    q = _scaled(col_strategy, col_den)
+    if min(p) < 0 or min(q) < 0 or sum(p) != row_den or sum(q) != col_den:
+        raise SimplexInternalError("optimal strategies are not distributions")
+    guaranteed = value.numerator * scale * row_den
     for j in range(cols):
-        got = sum(row_strategy[i] * m[i][j] for i in range(rows))
-        if got < value:
+        if sum(p[i] * ints[i][j] for i in range(rows)) * value.denominator < guaranteed:
             raise SimplexInternalError("row strategy fails to guarantee the value")
+    conceded = value.numerator * scale * col_den
     for i in range(rows):
-        got = sum(m[i][j] * col_strategy[j] for j in range(cols))
-        if got > value:
+        if sum(v * qj for v, qj in zip(ints[i], q)) * value.denominator > conceded:
             raise SimplexInternalError("column strategy fails to guarantee the value")
     return value, row_strategy, col_strategy

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from periodic_games import cli, coco, lp
 from periodic_games.cli import main
 
 from conftest import FIXTURES
@@ -159,3 +162,76 @@ def test_bad_action_list_exit_code(tmp_path, capsys):
         path.write_text(json.dumps(doc))
         assert main(["nash", str(path)]) == 2
         assert "must be a JSON list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("thetas", "ab"), ("types", 5), ("prior", 5)],
+)
+def test_bad_bayes_label_lists_exit_code(tmp_path, capsys, key, value):
+    doc = json.loads(open(BAYES).read())
+    if key == "types":
+        doc["types"]["1"] = value
+    else:
+        doc[key] = value
+    path = tmp_path / "bad.bayes.json"
+    path.write_text(json.dumps(doc))
+    assert main(["bayes", str(path), "--to", "interim"]) == 2
+    assert "invalid input: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("players", ["AB", 5])
+def test_bad_players_exit_code(tmp_path, capsys, players):
+    doc = json.loads(open(PD).read())
+    doc["players"] = players
+    path = tmp_path / "bad_players.json"
+    path.write_text(json.dumps(doc))
+    assert main(["coco", str(path)]) == 2
+    assert "'players' must be a JSON list" in capsys.readouterr().err
+
+
+def test_failed_certificate_is_an_error_not_a_traceback(capsys, monkeypatch):
+    true_simplex = lp.simplex_max
+
+    def broken(a, b, c):
+        total, w, y = true_simplex(a, b, c)
+        return total, w, tuple(2 * v for v in y)
+
+    monkeypatch.setattr(lp, "simplex_max", broken)
+    assert main(["coco", PD]) == 2
+    assert "primal and dual optima differ" in capsys.readouterr().err
+
+
+def test_analyze_runs_iesds_once_and_intersects_its_survivors(capsys, monkeypatch):
+    calls = []
+    true_iesds = cli.iesds
+
+    def counted(*args):
+        calls.append(args)
+        return true_iesds(*args)
+
+    monkeypatch.setattr(cli, "iesds", counted)
+    monkeypatch.setattr("periodic_games.rationalizability.iesds", counted)
+    assert main(["analyze", PD, "--format", "machine"]) == 0
+    assert len(calls) == 1
+    doc = json.loads(capsys.readouterr().out)
+    # Periodic actions are the cooperative ones, survivors the defecting ones.
+    assert doc["periodic_actions"] == {"A": ["A1"], "B": ["B1"]}
+    assert doc["iesds_survivors"] == {"A": ["A2"], "B": ["B2"]}
+    assert doc["rationalizable_periodic"] == {"A": [], "B": []}
+
+
+def test_coco_builds_the_payoff_matrices_once(capsys, monkeypatch):
+    calls = []
+    true_matrices = coco._payoff_matrices
+
+    def counted(g):
+        calls.append(g)
+        return true_matrices(g)
+
+    monkeypatch.setattr(coco, "_payoff_matrices", counted)
+    assert main(["coco", BOS, "--format", "machine"]) == 0
+    assert len(calls) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["cooperative_matrix"] == [["3/2", "0"], ["0", "3/2"]]
+    assert doc["competitive_matrix"] == [["1/2", "0"], ["0", "-1/2"]]

@@ -97,6 +97,38 @@ def test_parse_bayes_requires_a_list_of_action_labels(labels):
         parse_bayes(json.dumps(doc))
 
 
+@pytest.mark.parametrize("players", ["AB", 5, {"A": 1}])
+def test_parse_game_requires_a_list_of_players(players):
+    doc = {
+        "players": players,
+        "actions": {"A": ["x"], "B": ["l"]},
+        "payoffs": [[[1, 1]]],
+    }
+    with pytest.raises(ParseError, match="'players' must be a JSON list"):
+        parse_game(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.__setitem__("players", "12"), "'players' must be a JSON list"),
+        (lambda doc: doc.__setitem__("players", 5), "'players' must be a JSON list"),
+        (lambda doc: doc.__setitem__("thetas", "ab"), "'thetas' must be a JSON list"),
+        (lambda doc: doc.__setitem__("thetas", 5), "'thetas' must be a JSON list"),
+        (lambda doc: doc["types"].__setitem__("1", "ab"), "types of player '1' must be a JSON list"),
+        (lambda doc: doc["types"].__setitem__("1", 5), "types of player '1' must be a JSON list"),
+        (lambda doc: doc["prior"][0].__setitem__(1, 5), "must name one type per player"),
+        (lambda doc: doc["prior"][0].__setitem__(1, "ab"), "must name one type per player"),
+        (lambda doc: doc.__setitem__("prior", 5), "'prior' must be a JSON list"),
+    ],
+)
+def test_parse_bayes_requires_lists_of_labels(edit, message):
+    doc = json.loads((FIXTURES / "two_type.bayes.json").read_text())
+    edit(doc)
+    with pytest.raises(ParseError, match=message):
+        parse_bayes(json.dumps(doc))
+
+
 def test_parse_bayes_round_values(two_type_bayes):
     assert two_type_bayes.prior == {
         (0, (0, 0)): Fraction(1, 2),

@@ -1,12 +1,16 @@
 from fractions import Fraction
 
+import pytest
+
+from periodic_games import lp
+from periodic_games.errors import BadParameter, CertificateError
 from periodic_games.linalg import (
     affine_dimension,
     matrix_rank,
     polytope_vertices,
     solve_exact,
 )
-from periodic_games.lp import simplex_max, zero_sum_value
+from periodic_games.lp import SimplexInternalError, simplex_max, zero_sum_value
 
 F = Fraction
 
@@ -82,3 +86,61 @@ def test_zero_sum_shift_invariance():
     value, _, _ = zero_sum_value(matrix)
     shifted_value, _, _ = zero_sum_value(shifted)
     assert shifted_value == value + 10
+
+
+def test_simplex_max_duals_and_scaled_inputs():
+    # max (2x + 3y) / 5 subject to (x + y) / 2 <= 2, (x + 3y) / 3 <= 2:
+    # optimum (3, 1); the duals of x + y <= 4, x + 3y <= 6 are (3/2, 1/2).
+    value, x, y = simplex_max(
+        [[F(1, 2), F(1, 2)], [F(1, 3), F(1)]], [F(2), F(2)], [F(2, 5), F(3, 5)]
+    )
+    assert value == F(9, 5)
+    assert x == (F(3), F(1))
+    assert y == (F(3, 5), F(3, 10))
+    assert sum(yi * bi for yi, bi in zip(y, [F(2), F(2)])) == value
+
+
+def test_simplex_max_rejects_negative_rhs():
+    with pytest.raises(BadParameter, match="b >= 0"):
+        simplex_max([[F(1)]], [F(-1)], [F(1)])
+
+
+def test_simplex_max_reports_unbounded_objective_as_certificate_error():
+    with pytest.raises(SimplexInternalError, match="unbounded"):
+        simplex_max([[F(-1)]], [F(1)], [F(1)])
+
+
+@pytest.mark.parametrize("matrix", [[], [[]], [[F(1), F(2)], [F(3)]]])
+def test_zero_sum_value_rejects_empty_and_ragged_matrices(matrix):
+    with pytest.raises(BadParameter):
+        zero_sum_value(matrix)
+
+
+def test_simplex_internal_error_is_a_typed_certificate_error():
+    assert issubclass(SimplexInternalError, CertificateError)
+    assert not issubclass(SimplexInternalError, AssertionError)
+
+
+def test_pivot_raises_on_inexact_division():
+    # (2 * 1 - 1 * 1) / 3 leaves a remainder: no integer tableau gives this.
+    tableau = [[2, 1], [1, 1]]
+    with pytest.raises(ArithmeticError, match="inexact division"):
+        lp._pivot(tableau, 0, 0, 3)
+
+
+@pytest.mark.parametrize("check", ["primal and dual", "row strategy", "column strategy"])
+def test_zero_sum_value_certificate_failures_are_typed(monkeypatch, check):
+    matrix = [[F(3), F(-1)], [F(-2), F(4)]]
+    true_simplex = lp.simplex_max
+
+    def broken(a, b, c):
+        total, w, y = true_simplex(a, b, c)
+        if check == "primal and dual":
+            return total, w, tuple(2 * v for v in y)
+        if check == "row strategy":  # a pure row mixture cannot hold the value
+            return total, w, (sum(y), F(0))
+        return total, (sum(w), F(0)), y
+
+    monkeypatch.setattr(lp, "simplex_max", broken)
+    with pytest.raises(SimplexInternalError, match=check):
+        zero_sum_value(matrix)

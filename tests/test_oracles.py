@@ -1,13 +1,18 @@
-"""Differential tests of the integer elimination kernel and of Nash support
-enumeration against slow, independent reference implementations kept here."""
+"""Differential tests of the integer elimination and pivoting kernels and of
+Nash support enumeration against slow, independent reference implementations
+kept here, plus metamorphic tests under positive payoff scaling."""
 
 import itertools
 import random
 from fractions import Fraction
 
-from periodic_games import expected_utility, make_game, nash_support_enumeration
+import pytest
+
+from periodic_games import expected_utility, iesds, make_game, nash_support_enumeration
 from periodic_games.linalg import polytope_vertices, rref, solve_exact
+from periodic_games.lp import SimplexInternalError, simplex_max, zero_sum_value
 from periodic_games.mixed import own_payoff_matrix
+from periodic_games.rationalizability import DominanceMode
 
 F = Fraction
 
@@ -167,3 +172,135 @@ def test_nash_matches_unrestricted_support_enumeration():
         assert [(e.row_strategy, e.col_strategy) for e in equilibria] == reference_nash(g)
         for e in equilibria:
             assert e.utilities == expected_utility(g, (e.row_strategy, e.col_strategy))
+
+
+class Unbounded(Exception):
+    pass
+
+
+def reference_simplex(a, b, c):
+    """Textbook Bland simplex on a Fraction tableau."""
+    m, n = len(a), len(c)
+    tableau = [
+        [F(v) for v in a[i]] + [F(int(j == i)) for j in range(m)] + [F(b[i])]
+        for i in range(m)
+    ]
+    tableau.append([-F(v) for v in c] + [F(0)] * (m + 1))
+    basis = list(range(n, n + m))
+    while True:
+        obj = tableau[-1]
+        entering = next((j for j in range(n + m) if obj[j] < 0), None)
+        if entering is None:
+            break
+        leaving = best = None
+        for i in range(m):
+            coef = tableau[i][entering]
+            if coef > 0:
+                ratio = tableau[i][-1] / coef
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                    best, leaving = ratio, i
+        if leaving is None:
+            raise Unbounded()
+        pivot = tableau[leaving][entering]
+        tableau[leaving] = [v / pivot for v in tableau[leaving]]
+        for i in range(m + 1):
+            if i != leaving and tableau[i][entering] != 0:
+                factor = tableau[i][entering]
+                tableau[i] = [v - factor * w for v, w in zip(tableau[i], tableau[leaving])]
+        basis[leaving] = entering
+    x = [F(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = tableau[i][-1]
+    return tableau[-1][-1], tuple(x), tuple(tableau[-1][n + i] for i in range(m))
+
+
+def reference_zero_sum_value(matrix):
+    """The normalized column LP on the Fraction matrix shifted to entries >= 1."""
+    shift = 1 - min(min(row) for row in matrix)
+    shifted = [[v + shift for v in row] for row in matrix]
+    total, w, y = reference_simplex(shifted, [F(1)] * len(matrix), [F(1)] * len(matrix[0]))
+    return 1 / total - shift, tuple(v / sum(y) for v in y), tuple(v / total for v in w)
+
+
+def _entry_maker(rng, kind):
+    if kind == "int":
+        return lambda: F(rng.randint(-9, 9))
+    if kind == "binary":
+        return lambda: F(rng.randint(0, 1))
+    return lambda: F(rng.randint(-12, 12), rng.randint(1, 12))
+
+
+def _kernel_outcome(a, b, c):
+    try:
+        return simplex_max(a, b, c)
+    except SimplexInternalError as exc:
+        assert "unbounded" in str(exc)
+        return "unbounded"
+
+
+def _reference_outcome(a, b, c):
+    try:
+        return reference_simplex(a, b, c)
+    except Unbounded:
+        return "unbounded"
+
+
+def test_simplex_matches_reference_on_random_lps():
+    # Equal (value, x, y) pins the pivot sequence, not just the optimum.
+    rng = random.Random(19680)
+    outcomes = set()
+    for _ in range(1200):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        entry = _entry_maker(rng, rng.choice(("int", "binary", "rational")))
+        a = [[entry() for _ in range(cols)] for _ in range(rows)]
+        b = [abs(entry()) for _ in range(rows)]  # zeros make degenerate vertices
+        c = [entry() for _ in range(cols)]
+        got = _kernel_outcome(a, b, c)
+        assert got == _reference_outcome(a, b, c), (a, b, c)
+        outcomes.add(got == "unbounded")
+    assert outcomes == {True, False}
+
+
+def test_simplex_matches_reference_on_game_lps():
+    rng = random.Random(2005)
+    for _ in range(800):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        entry = _entry_maker(rng, rng.choice(("int", "binary", "rational")))
+        matrix = [[entry() for _ in range(cols)] for _ in range(rows)]
+        shift = 1 - min(min(row) for row in matrix)
+        shifted = [[v + shift for v in row] for row in matrix]
+        ones_b, ones_c = [F(1)] * rows, [F(1)] * cols
+        assert simplex_max(shifted, ones_b, ones_c) == reference_simplex(shifted, ones_b, ones_c)
+        assert zero_sum_value(matrix) == reference_zero_sum_value(matrix), matrix
+
+
+def _scaled_game(g, factors):
+    """Player i's payoffs times factors[i]; payoffs are stored row-major."""
+    cols = g.shape[1]
+    scaled = [tuple(k * v for k, v in zip(factors, u)) for u in g.payoffs]
+    return make_game(g.players, g.actions, [scaled[r : r + cols] for r in range(0, len(scaled), cols)])
+
+
+@pytest.mark.parametrize("factors", [(F(2), F(1, 3)), (F(7, 5), F(12))])
+def test_positive_scaling_leaves_iesds_and_zero_sum_strategies_unchanged(factors):
+    rng = random.Random(1968)
+    mixed_eliminations = 0
+    for _ in range(40):
+        rows, cols = rng.randint(2, 5), rng.randint(2, 5)
+        entry = _entry_maker(rng, rng.choice(("int", "rational")))
+        g = make_game(
+            ["R", "C"],
+            [[f"r{k}" for k in range(rows)], [f"c{k}" for k in range(cols)]],
+            [[(entry(), entry()) for _ in range(cols)] for _ in range(rows)],
+        )
+        scaled = _scaled_game(g, factors)
+        trace = iesds(g, DominanceMode.ALLOW_MIXED).trace
+        assert iesds(scaled, DominanceMode.ALLOW_MIXED).trace == trace
+        mixed_eliminations += sum(e.dominator[0] == "mixed" for e in trace)
+
+        k = factors[0]
+        matrix = [[g.payoffs[r * cols + c][0] for c in range(cols)] for r in range(rows)]
+        value, row, col = zero_sum_value(matrix)
+        assert zero_sum_value([[k * v for v in line] for line in matrix]) == (k * value, row, col)
+    assert mixed_eliminations > 0
