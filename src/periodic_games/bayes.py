@@ -3,8 +3,8 @@
 A Bayesian game stores state-dependent payoff tensors plus a prior over
 (state, type profile). The module derives interim beliefs and builds the
 complete-information companions: the ex-ante game over type-contingent
-strategies, the interim game over player-type pairs, and the interim game
-with correlated conditioning on joint types.
+strategies and the interim game over player-type pairs. The interim game
+with correlated conditioning on joint types equals one of the two.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .errors import BadDimension, SizeLimit, ValidationError, ZeroProbabilityType
-from .game import Game, validate_game
+from .game import Game, label_index, validate_game
 
 TypeProfile = tuple[int, ...]
 PriorKey = tuple[int, TypeProfile]  # (theta index, type profile)
@@ -42,12 +42,6 @@ class BayesianGame:
     def action_shape(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.actions)
 
-    def action_profiles(self):
-        return itertools.product(*(range(n) for n in self.action_shape))
-
-    def type_profiles(self):
-        return itertools.product(*(range(len(t)) for t in self.types))
-
     def profile_index(self, profile: Sequence[int]) -> int:
         index = 0
         for size, a in zip(self.action_shape, profile):
@@ -55,14 +49,10 @@ class BayesianGame:
         return index
 
     def player_index(self, player: Union[int, str]) -> int:
-        if isinstance(player, str):
-            return self.players.index(player)
-        return player
+        return label_index(self.players, player, "player", "")
 
     def type_index(self, player: int, t: Union[int, str]) -> int:
-        if isinstance(t, str):
-            return self.types[player].index(t)
-        return t
+        return label_index(self.types[player], t, "type", f" for player {self.players[player]!r}")
 
     def state_payoff(self, theta: int, profile: Sequence[int]) -> tuple[Fraction, ...]:
         return self.payoffs[theta][self.profile_index(profile)]
@@ -102,13 +92,6 @@ def validate_bayesian_game(bg: BayesianGame) -> None:
                 raise BadDimension("payoff vector length must equal the number of players")
 
 
-def type_marginal(bg: BayesianGame, player: int, t: int) -> Fraction:
-    return sum(
-        (prob for (theta, tp), prob in bg.prior.items() if tp[player] == t),
-        Fraction(0),
-    )
-
-
 @dataclass(frozen=True)
 class InterimBelief:
     """Prior conditioned on one player's type; keys are (theta, opponent types)."""
@@ -121,7 +104,7 @@ class InterimBelief:
 def conditional_belief(bg: BayesianGame, player: Union[int, str], t: Union[int, str]) -> InterimBelief:
     i = bg.player_index(player)
     ti = bg.type_index(i, t)
-    marginal = type_marginal(bg, i, ti)
+    marginal = sum((prob for (_, tp), prob in bg.prior.items() if tp[i] == ti), Fraction(0))
     if marginal == 0:
         raise ZeroProbabilityType(
             f"type {bg.types[i][ti]!r} of player {bg.players[i]!r} has zero prior probability"
@@ -227,38 +210,6 @@ def _player_type_labels(bg: BayesianGame) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _type_pair_game(bg: BayesianGame, node_payoff) -> Game:
-    """Shared construction for the two interim representations."""
-    validate_bayesian_game(bg)
-    for i in range(bg.num_players):
-        for t in range(len(bg.types[i])):
-            if type_marginal(bg, i, t) == 0:
-                raise ZeroProbabilityType(
-                    f"type {bg.types[i][t]!r} of player {bg.players[i]!r} has zero prior probability"
-                )
-    ids = _player_type_ids(bg)
-    actions = tuple(bg.actions[i] for i, _ in ids)
-    flat: list[tuple[Fraction, ...]] = []
-    for joint in itertools.product(*(range(len(a)) for a in actions)):
-        chosen = {node: joint[k] for k, node in enumerate(ids)}
-        flat.append(tuple(node_payoff(node, chosen) for node in ids))
-    game = Game(players=_player_type_labels(bg), actions=actions, payoffs=tuple(flat))
-    validate_game(game)
-    return game
-
-
-def _realized_profile(
-    bg: BayesianGame, node: tuple[int, int], chosen: dict, opp_types: TypeProfile
-) -> tuple[int, ...]:
-    i, _ = node
-    others = [j for j in range(bg.num_players) if j != i]
-    profile = [0] * bg.num_players
-    profile[i] = chosen[node]
-    for j, tj in zip(others, opp_types):
-        profile[j] = chosen[(j, tj)]
-    return tuple(profile)
-
-
 def interim_game(bg: BayesianGame) -> Game:
     """Complete-information game whose players are all (player, type) pairs.
 
@@ -266,58 +217,42 @@ def interim_game(bg: BayesianGame) -> Game:
     the type-conditional expectation of the original utility, with opponent
     actions taken from the realized opponent types' choices.
     """
-
-    def node_payoff(node, chosen):
-        i, t = node
-        belief = conditional_belief(bg, i, t)
-        total = Fraction(0)
-        for (theta, opp_types), prob in belief.distribution.items():
-            profile = _realized_profile(bg, node, chosen, opp_types)
-            total += prob * bg.state_payoff(theta, profile)[i]
-        return total
-
-    return _type_pair_game(bg, node_payoff)
+    validate_bayesian_game(bg)
+    ids = _player_type_ids(bg)
+    position = {node: k for k, node in enumerate(ids)}
+    # Each pair's belief, once: (probability, theta, the positions in the
+    # joint choice of the pairs whose actions make up the realized profile).
+    beliefs = []
+    for i, t in ids:
+        terms = []
+        for (theta, opp_types), prob in conditional_belief(bg, i, t).distribution.items():
+            types = opp_types[:i] + (t,) + opp_types[i:]
+            terms.append((prob, theta, tuple(position[node] for node in enumerate(types))))
+        beliefs.append(terms)
+    actions = tuple(bg.actions[i] for i, _ in ids)
+    flat: list[tuple[Fraction, ...]] = []
+    for joint in itertools.product(*(range(len(a)) for a in actions)):
+        vector = []
+        for (i, _), terms in zip(ids, beliefs):
+            total = Fraction(0)
+            for prob, theta, where in terms:
+                total += prob * bg.state_payoff(theta, [joint[k] for k in where])[i]
+            vector.append(total)
+        flat.append(tuple(vector))
+    game = Game(players=_player_type_labels(bg), actions=actions, payoffs=tuple(flat))
+    validate_game(game)
+    return game
 
 
 def interim_correlated_game(bg: BayesianGame) -> Game:
     """Interim representation conditioning on joint type profiles.
 
-    Payoffs are expectations over the parameter conditional on the full type
-    profile, averaged over opponent types. With a single type per player
-    this collapses to the expected game over the parameter, and the result
-    is returned over the original player set.
+    Under a common prior, the interim mass of the opponents' types times the
+    parameter's conditional given the full type profile is the interim
+    belief itself, so with several types this is ``interim_game``. With a
+    single type per player it is the expected game over the parameter on
+    the original players, which is ``ex_ante_game``.
     """
     if all(len(t) == 1 for t in bg.types):
-        validate_bayesian_game(bg)
-        flat: list[tuple[Fraction, ...]] = []
-        for profile in bg.action_profiles():
-            totals = [Fraction(0)] * bg.num_players
-            for (theta, _), prob in bg.prior.items():
-                if prob == 0:
-                    continue
-                u = bg.state_payoff(theta, profile)
-                for i in range(bg.num_players):
-                    totals[i] += prob * u[i]
-            flat.append(tuple(totals))
-        game = Game(players=bg.players, actions=bg.actions, payoffs=tuple(flat))
-        validate_game(game)
-        return game
-
-    def node_payoff(node, chosen):
-        i, t = node
-        belief = conditional_belief(bg, i, t)
-        # Split the interim belief into a marginal over opponent types and,
-        # per joint type, a conditional over the parameter.
-        opp_marginal: dict[TypeProfile, Fraction] = {}
-        for (theta, opp_types), prob in belief.distribution.items():
-            opp_marginal[opp_types] = opp_marginal.get(opp_types, Fraction(0)) + prob
-        total = Fraction(0)
-        for opp_types, mass in opp_marginal.items():
-            profile = _realized_profile(bg, node, chosen, opp_types)
-            for (theta, ot), prob in belief.distribution.items():
-                if ot != opp_types:
-                    continue
-                total += mass * (prob / mass) * bg.state_payoff(theta, profile)[i]
-        return total
-
-    return _type_pair_game(bg, node_payoff)
+        return ex_ante_game(bg)
+    return interim_game(bg)

@@ -9,12 +9,12 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .coco import coco_solution
 from .errors import DegenerateArgmax, GameError, ParseError, ValidationError
-from .game import Game, expected_utility, make_game
+from .game import Game, expected_utility
+from .generate import random_game
 from .io import dump_report, export_dot, node_id, parse_bayes, parse_game, serialize_game
 from .mixed import invariance_check, nash_support_enumeration, periodic_mixed
 from .bayes import ex_ante_game, interim_correlated_game, interim_game
@@ -22,6 +22,7 @@ from .errors import Infeasible
 from .periodicity import (
     Node,
     TiePolicy,
+    all_cycles,
     build_periodicity_graph,
     enumerate_cycles,
     nodes_on_cycles,
@@ -55,21 +56,6 @@ def _max_len(text: str) -> int:
     if value < 2:
         raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
     return value
-
-
-def all_cycles(graph, max_len: int):
-    """Every simple cycle of the graph, deduplicated up to rotation."""
-    seen = set()
-    out = []
-    for node in sorted(graph.nodes):
-        for cycle in enumerate_cycles(graph, node, max_len):
-            rotated = min(
-                tuple(cycle.nodes[k:] + cycle.nodes[:k]) for k in range(len(cycle.nodes))
-            )
-            if rotated not in seen:
-                seen.add(rotated)
-                out.append(cycle)
-    return out
 
 
 def _read(path: str) -> str:
@@ -269,17 +255,7 @@ def cmd_check(args) -> int:
     rng = random.Random(args.seed)
     checked = 0
     for _ in range(args.count):
-        n = rng.randint(2, 4)
-        shape = [rng.randint(2, 4) for _ in range(n)]
-        players = [f"P{i + 1}" for i in range(n)]
-        actions = [[f"s{k + 1}" for k in range(size)] for size in shape]
-
-        def table(depth, _shape=shape, _n=n):
-            if depth == _n:
-                return [Fraction(rng.randint(-9, 9)) for _ in range(_n)]
-            return [table(depth + 1) for _ in range(_shape[depth])]
-
-        g = make_game(players, actions, table(0))
+        g = random_game(rng)
         graph = build_periodicity_graph(g, TiePolicy.LEX)
         cyclic = nodes_on_cycles(graph)
         if not cyclic:

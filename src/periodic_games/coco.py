@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CertificateError
-from .game import Game
+from .game import Game, own_payoff_matrix, payoff
 from .lp import zero_sum_value
 from .mixed import require_bimatrix
 
@@ -36,21 +36,11 @@ class CocoSolution:
     decomposition: Decomposition
 
 
-def _payoff_matrices(g: Game) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
-    rows, cols = g.shape
-    a = [[Fraction(0)] * cols for _ in range(rows)]
-    b = [[Fraction(0)] * cols for _ in range(rows)]
-    for r in range(rows):
-        for c in range(cols):
-            u = g.payoffs[g.profile_index((r, c))]
-            a[r][c], b[r][c] = u[0], u[1]
-    return a, b
-
-
 def decompose(g: Game) -> Decomposition:
     """Entrywise half-sum / half-difference split of the two payoff matrices."""
     require_bimatrix(g)
-    a, b = _payoff_matrices(g)
+    a = own_payoff_matrix(g, 0)
+    b = list(zip(*own_payoff_matrix(g, 1)))
     cooperative = tuple(
         tuple((x + y) / 2 for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
     )
@@ -87,7 +77,7 @@ def coco_solution(g: Game) -> CocoSolution:
     vsharp, profile, tied = max_combined_payoff(g)
     vs, row_strategy, col_strategy = zero_sum_value(split.competitive)
     final = (vsharp / 2 + vs, vsharp / 2 - vs)
-    row_payoff, col_payoff = g.payoffs[g.profile_index(profile)]
+    row_payoff, col_payoff = payoff(g, profile)
     side_payment = final[0] - row_payoff
     # Defining identities; cheap and worth re-checking on every call.
     if sum(final) != vsharp:

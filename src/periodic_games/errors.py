@@ -77,3 +77,7 @@ class ParseError(GameError):
         if line is not None:
             message = f"{message} (line {line}, column {column})"
         super().__init__(message)
+
+
+class BadLiteral(ParseError, ValidationError):
+    """Not an exact rational literal, whether read from a file or given in code."""

@@ -8,12 +8,14 @@ Game objects are immutable and safe to share between threads.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
     BadDimension,
+    BadLiteral,
     DimensionMismatch,
     DuplicateLabel,
     IndexOutOfRange,
@@ -27,14 +29,19 @@ MixedProfile = tuple[tuple[Fraction, ...], ...]
 RationalLike = Union[int, str, Fraction]
 
 
-def as_fraction(value: RationalLike) -> Fraction:
-    """Convert an exact representation (int, Fraction, or string) to Fraction.
+def parse_fraction(token: RationalLike) -> Fraction:
+    """The exact value of an int, a Fraction or a rational string ("-1/2", "0.25").
 
-    Floats are rejected: binary floats would silently break exactness.
+    ``bool`` and ``float`` are rejected: ``True`` is not a payoff, and binary
+    floats would silently break exactness. A bad literal raises BadLiteral,
+    which is both a ParseError and a ValidationError.
     """
-    if isinstance(value, float):
-        raise ValidationError(f"float payoff {value!r} rejected; use a string or Fraction")
-    return Fraction(value)
+    if isinstance(token, (bool, float)):
+        raise BadLiteral(f"payoff entries must be integers or strings, got {token!r}")
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise BadLiteral(f"bad rational literal {token!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -69,25 +76,26 @@ class Game:
         return index
 
     def player_index(self, player: Union[int, str]) -> int:
-        if isinstance(player, str):
-            try:
-                return self.players.index(player)
-            except ValueError:
-                raise IndexOutOfRange(f"unknown player {player!r}") from None
-        if not 0 <= player < self.num_players:
-            raise IndexOutOfRange(f"player index {player} out of range")
-        return player
+        return label_index(self.players, player, "player", "")
 
     def action_index(self, player: Union[int, str], action: Union[int, str]) -> int:
         i = self.player_index(player)
-        if isinstance(action, str):
-            try:
-                return self.actions[i].index(action)
-            except ValueError:
-                raise IndexOutOfRange(f"unknown action {action!r} for player {self.players[i]!r}") from None
-        if not 0 <= action < self.shape[i]:
-            raise IndexOutOfRange(f"action index {action} out of range for player {self.players[i]!r}")
-        return action
+        return label_index(self.actions[i], action, "action", f" for player {self.players[i]!r}")
+
+
+def label_index(labels: Sequence[str], key: Union[int, str], what: str, where: str) -> int:
+    """Index of a label in ``labels``, or ``key`` itself if it is an index in range.
+
+    Anything else raises IndexOutOfRange naming ``what`` and ``where``.
+    """
+    if isinstance(key, str):
+        try:
+            return labels.index(key)
+        except ValueError:
+            raise IndexOutOfRange(f"unknown {what} {key!r}{where}") from None
+    if not 0 <= key < len(labels):
+        raise IndexOutOfRange(f"{what} index {key} out of range{where}")
+    return key
 
 
 def make_game(
@@ -113,7 +121,7 @@ def make_game(
         if depth == n:
             if not isinstance(node, (list, tuple)) or len(node) != n:
                 raise BadDimension(f"payoff vector at profile {path} must have length {n}")
-            flat.append(tuple(as_fraction(v) for v in node))
+            flat.append(tuple(parse_fraction(v) for v in node))
             return
         if not isinstance(node, (list, tuple)):
             raise MissingProfile(f"expected {shape[depth]} entries at depth {depth}, profile prefix {path}")
@@ -152,6 +160,8 @@ def validate_game(g: Game) -> None:
     for k, vec in enumerate(g.payoffs):
         if len(vec) != n:
             raise BadDimension(f"payoff vector at flat index {k} has length {len(vec)}, expected {n}")
+        if not all(isinstance(v, Fraction) for v in vec):
+            raise ValidationError(f"payoff vector at flat index {k} has an entry that is not a Fraction")
 
 
 def payoff(g: Game, profile: Sequence[int]) -> tuple[Fraction, ...]:
@@ -159,6 +169,33 @@ def payoff(g: Game, profile: Sequence[int]) -> tuple[Fraction, ...]:
     if len(profile) != g.num_players:
         raise IndexOutOfRange(f"profile length {len(profile)} != {g.num_players} players")
     return g.payoffs[g.profile_index(profile)]
+
+
+def own_payoff_matrix(g: Game, i: int) -> list[list[Fraction]]:
+    """Player i's own payoffs: one row per own action, one column per opponent
+    profile, columns in the order of ``opponent_profiles(g, i)``."""
+    i = g.player_index(i)
+    size = g.shape[i]
+    # Row-major layout: the players before i vary slowest, those after i
+    # fastest, so own action a owns one run of ``after`` profiles in each of
+    # ``before`` blocks.
+    before = math.prod(g.shape[:i])
+    after = math.prod(g.shape[i + 1:])
+    return [
+        [
+            g.payoffs[k][i]
+            for block in range(before)
+            for k in range((block * size + a) * after, (block * size + a + 1) * after)
+        ]
+        for a in range(size)
+    ]
+
+
+def opponent_profiles(g: Game, i: int) -> list[Profile]:
+    """Column labels of ``own_payoff_matrix(g, i)``: the opponents' action
+    indices in player order, i left out, enumerated in row-major order."""
+    i = g.player_index(i)
+    return list(itertools.product(*(range(n) for j, n in enumerate(g.shape) if j != i)))
 
 
 def validate_mixed(g: Game, mixed: MixedProfile) -> None:
@@ -179,7 +216,7 @@ def expected_utility(g: Game, mixed: MixedProfile) -> tuple[Fraction, ...]:
     """Exact expected utility vector of an independent mixed profile."""
     validate_mixed(g, mixed)
     totals = [Fraction(0)] * g.num_players
-    for profile in g.profiles():
+    for profile, vec_u in zip(g.profiles(), g.payoffs):
         prob = Fraction(1)
         for vec, a in zip(mixed, profile):
             prob *= vec[a]
@@ -187,7 +224,6 @@ def expected_utility(g: Game, mixed: MixedProfile) -> tuple[Fraction, ...]:
                 break
         if prob == 0:
             continue
-        vec_u = g.payoffs[g.profile_index(profile)]
         for i in range(g.num_players):
             totals[i] += prob * vec_u[i]
     return tuple(totals)

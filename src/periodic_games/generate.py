@@ -1,0 +1,26 @@
+"""Seeded random games shared by ``perigame check`` and the tests."""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from typing import Optional
+
+from .game import Game, make_game
+
+
+def random_game(rng: random.Random, num_players: Optional[int] = None) -> Game:
+    """Random integer-payoff game: 2-4 players unless given, 2-4 actions
+    each, payoffs uniform in [-9, 9]. The draws from ``rng`` are part of the
+    contract: a seed names the same games in every release."""
+    n = num_players if num_players is not None else rng.randint(2, 4)
+    shape = [rng.randint(2, 4) for _ in range(n)]
+    players = [f"P{i + 1}" for i in range(n)]
+    actions = [[f"s{k + 1}" for k in range(size)] for size in shape]
+
+    def table(depth):
+        if depth == n:
+            return [Fraction(rng.randint(-9, 9)) for _ in range(n)]
+        return [table(depth + 1) for _ in range(shape[depth])]
+
+    return make_game(players, actions, table(0))

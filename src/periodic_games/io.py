@@ -9,21 +9,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .bayes import BayesianGame, validate_bayesian_game
-from .errors import ParseError, ValidationError
-from .game import Game, validate_game
+from .errors import ParseError
+from .game import Game, parse_fraction, validate_game
 from .periodicity import Cycle, Node, PeriodicityGraph
-
-
-def parse_fraction(token: Union[int, str]) -> Fraction:
-    if isinstance(token, bool) or isinstance(token, float):
-        raise ParseError(f"payoff entries must be integers or strings, got {token!r}")
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational literal {token!r}: {exc}") from None
 
 
 def format_fraction(value: Fraction) -> str:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import BadDimension, Infeasible, SizeLimit
-from .game import Game, expected_utility, validate_game
+from .game import Game, expected_utility, own_payoff_matrix, validate_game
 from .linalg import affine_dimension, polytope_vertices, solve_exact
 
 Vector = tuple[Fraction, ...]
@@ -54,17 +54,6 @@ def require_bimatrix(g: Game) -> None:
     validate_game(g)
     if g.num_players != 2:
         raise BadDimension(f"operation requires a 2-player game, got {g.num_players}")
-
-
-def own_payoff_matrix(g: Game, i: int) -> list[list[Fraction]]:
-    """Player i's payoffs as rows indexed by own action, columns by opponent action."""
-    rows, cols = g.shape if i == 0 else (g.shape[1], g.shape[0])
-    matrix = [[Fraction(0)] * cols for _ in range(rows)]
-    for a in range(rows):
-        for b in range(cols):
-            profile = (a, b) if i == 0 else (b, a)
-            matrix[a][b] = g.payoffs[g.profile_index(profile)][i]
-    return matrix
 
 
 def _equalizer_vertices(matrix: Sequence[Sequence[Fraction]]) -> list[Vector]:

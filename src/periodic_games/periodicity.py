@@ -10,14 +10,13 @@ periodic actions.
 from __future__ import annotations
 
 import enum
-import itertools
+import functools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Union
 
 from .errors import AnchorNotOnCycle, BadParameter, DegenerateArgmax
-from .game import Game
-from .game import payoff as game_payoff
+from .game import Game, opponent_profiles, own_payoff_matrix
 
 
 class TiePolicy(enum.Enum):
@@ -56,6 +55,24 @@ class PeriodicityGraph:
         targets = self.edges[node]
         return tuple(targets[j] for j in sorted(targets))
 
+    @functools.cached_property
+    def cyclic_nodes(self) -> frozenset[Node]:
+        """Nodes reachable from themselves; computed once per graph."""
+        result = set()
+        for node in self.nodes:
+            seen = set()
+            frontier = deque(self.successors(node))
+            while frontier:
+                current = frontier.popleft()
+                if current == node:
+                    result.add(node)
+                    break
+                if current in seen:
+                    continue
+                seen.add(current)
+                frontier.extend(self.successors(current))
+        return frozenset(result)
+
 
 def _opponents(g: Game, i: int) -> tuple[int, ...]:
     return tuple(j for j in range(g.num_players) if j != i)
@@ -73,20 +90,9 @@ def best_deviation_profile(
     """
     i = g.player_index(player)
     a = g.action_index(i, action)
-    others = _opponents(g, i)
-    best_value = None
-    best_profiles: list[tuple[int, ...]] = []
-    for opp in itertools.product(*(range(g.shape[j]) for j in others)):
-        full = [0] * g.num_players
-        full[i] = a
-        for j, b in zip(others, opp):
-            full[j] = b
-        value = game_payoff(g, full)[i]
-        if best_value is None or value > best_value:
-            best_value = value
-            best_profiles = [opp]
-        elif value == best_value:
-            best_profiles.append(opp)
+    row = own_payoff_matrix(g, i)[a]
+    best_value = max(row)
+    best_profiles = [opp for opp, value in zip(opponent_profiles(g, i), row) if value == best_value]
     strict = len(best_profiles) == 1
     if not strict and policy is TiePolicy.STRICT:
         raise DegenerateArgmax(Node(i, a), best_profiles)
@@ -114,23 +120,7 @@ def build_periodicity_graph(g: Game, policy: TiePolicy = TiePolicy.LEX) -> Perio
 
 def nodes_on_cycles(graph: PeriodicityGraph) -> frozenset[Node]:
     """Nodes lying on at least one directed cycle (reachable from themselves)."""
-    result = set()
-    for node in graph.nodes:
-        seen = set()
-        frontier = deque(graph.successors(node))
-        found = False
-        while frontier:
-            current = frontier.popleft()
-            if current == node:
-                found = True
-                break
-            if current in seen:
-                continue
-            seen.add(current)
-            frontier.extend(graph.successors(current))
-        if found:
-            result.add(node)
-    return frozenset(result)
+    return graph.cyclic_nodes
 
 
 def periodic_actions(g: Game, policy: TiePolicy = TiePolicy.LEX) -> tuple[frozenset[int], ...]:
@@ -173,6 +163,21 @@ def enumerate_cycles(graph: PeriodicityGraph, through: Node, max_len: int) -> li
     extend(through)
     cycles.sort(key=lambda c: (c.length, c.nodes))
     return cycles
+
+
+def all_cycles(graph: PeriodicityGraph, max_len: int) -> list[Cycle]:
+    """Every simple cycle of the graph, deduplicated up to rotation."""
+    seen = set()
+    out = []
+    for node in sorted(graph.nodes):
+        for cycle in enumerate_cycles(graph, node, max_len):
+            rotated = min(
+                tuple(cycle.nodes[k:] + cycle.nodes[:k]) for k in range(len(cycle.nodes))
+            )
+            if rotated not in seen:
+                seen.add(rotated)
+                out.append(cycle)
+    return out
 
 
 def reach_cycle(graph: PeriodicityGraph, start: Node) -> tuple[Node, ...]:

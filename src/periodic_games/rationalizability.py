@@ -8,13 +8,11 @@ correlated variant (independent rationalizability can be strictly smaller).
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import NotTwoPlayer
-from .game import Game, validate_game
+from .game import Game, opponent_profiles, own_payoff_matrix, validate_game
 from .lp import zero_sum_value
 from .periodicity import Cycle, TiePolicy, periodic_actions, periodicity_number
 
@@ -39,20 +37,6 @@ class SurvivorSet:
     trace: tuple[Elimination, ...]
 
 
-def _opponent_profiles(g: Game, i: int, alive: Sequence[frozenset[int]]):
-    others = [j for j in range(g.num_players) if j != i]
-    for opp in itertools.product(*(sorted(alive[j]) for j in others)):
-        yield dict(zip(others, opp))
-
-
-def _payoff_against(g: Game, i: int, action: int, opp: dict) -> Fraction:
-    profile = [0] * g.num_players
-    profile[i] = action
-    for j, b in opp.items():
-        profile[j] = b
-    return g.payoffs[g.profile_index(profile)][i]
-
-
 def _find_dominator(
     g: Game, i: int, action: int, alive: Sequence[frozenset[int]], mode: DominanceMode
 ):
@@ -60,23 +44,21 @@ def _find_dominator(
     others_alive = sorted(alive[i] - {action})
     if not others_alive:
         return None
-    profiles = list(_opponent_profiles(g, i, alive))
+    others = [j for j in range(g.num_players) if j != i]
+    columns = [
+        k
+        for k, opp in enumerate(opponent_profiles(g, i))
+        if all(b in alive[j] for j, b in zip(others, opp))
+    ]
+    matrix = own_payoff_matrix(g, i)
+    base = matrix[action]
     for b in others_alive:
-        if all(
-            _payoff_against(g, i, b, opp) > _payoff_against(g, i, action, opp)
-            for opp in profiles
-        ):
+        if all(matrix[b][k] > base[k] for k in columns):
             return ("pure", b)
     if mode is DominanceMode.ALLOW_MIXED and len(others_alive) >= 2:
         # action is dominated by a mixture iff the row player of the gain
         # matrix can guarantee a strictly positive value.
-        gains = [
-            [
-                _payoff_against(g, i, b, opp) - _payoff_against(g, i, action, opp)
-                for opp in profiles
-            ]
-            for b in others_alive
-        ]
+        gains = [[matrix[b][k] - base[k] for k in columns] for b in others_alive]
         value, row_strategy, _ = zero_sum_value(gains)
         if value > 0:
             mixture = tuple(

@@ -1,12 +1,9 @@
 import itertools
 import pathlib
-import random
 import sys
-from fractions import Fraction
 
 import pytest
 
-from periodic_games import make_game
 from periodic_games.io import parse_bayes, parse_game
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -57,21 +54,6 @@ def two_type_bayes():
 @pytest.fixture
 def matching_bayes():
     return load_bayes("matching.bayes.json")
-
-
-def random_game(rng: random.Random, num_players=None, max_actions=4):
-    """Random integer-payoff game, payoffs uniform in [-9, 9]."""
-    n = num_players if num_players is not None else rng.randint(2, 4)
-    shape = [rng.randint(2, max_actions) for _ in range(n)]
-    players = [f"P{i + 1}" for i in range(n)]
-    actions = [[f"s{k + 1}" for k in range(size)] for size in shape]
-
-    def table(depth):
-        if depth == n:
-            return [Fraction(rng.randint(-9, 9)) for _ in range(n)]
-        return [table(depth + 1) for _ in range(shape[depth])]
-
-    return make_game(players, actions, table(0))
 
 
 def brute_force_deviation(g, i, a):

@@ -34,10 +34,11 @@ from periodic_games import (
     zero_sum_value,
 )
 from periodic_games.errors import Infeasible
+from periodic_games.generate import random_game
 from periodic_games.mixed import own_payoff_matrix
 from periodic_games.rationalizability import DominanceMode, _find_dominator
 
-from conftest import brute_force_deviation, random_game
+from conftest import brute_force_deviation
 
 F = Fraction
 

@@ -12,7 +12,7 @@ from periodic_games import (
     second_order_belief,
     validate_bayesian_game,
 )
-from periodic_games.errors import SizeLimit, ValidationError, ZeroProbabilityType
+from periodic_games.errors import IndexOutOfRange, SizeLimit, ValidationError, ZeroProbabilityType
 
 F = Fraction
 
@@ -142,3 +142,17 @@ def test_zero_probability_type_rejected(two_type_bayes):
         conditional_belief(extended, 0, 2)
     with pytest.raises(ZeroProbabilityType):
         interim_game(extended)
+
+
+@pytest.mark.parametrize(
+    "player, t",
+    [("nobody", "t1"), (0, 7), (0, -1), (2, 0), (-1, 0), ("1", "t2"), ("2", "nope")],
+)
+def test_unknown_players_and_types_raise_index_out_of_range(two_type_bayes, player, t):
+    with pytest.raises(IndexOutOfRange):
+        conditional_belief(two_type_bayes, player, t)
+
+
+def test_labels_and_indices_name_the_same_belief(two_type_bayes):
+    by_label = conditional_belief(two_type_bayes, "1", "t1p")
+    assert by_label == conditional_belief(two_type_bayes, 0, 1)

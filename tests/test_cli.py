@@ -223,15 +223,15 @@ def test_analyze_runs_iesds_once_and_intersects_its_survivors(capsys, monkeypatc
 
 def test_coco_builds_the_payoff_matrices_once(capsys, monkeypatch):
     calls = []
-    true_matrices = coco._payoff_matrices
+    true_matrix = coco.own_payoff_matrix
 
-    def counted(g):
-        calls.append(g)
-        return true_matrices(g)
+    def counted(g, i):
+        calls.append(i)
+        return true_matrix(g, i)
 
-    monkeypatch.setattr(coco, "_payoff_matrices", counted)
+    monkeypatch.setattr(coco, "own_payoff_matrix", counted)
     assert main(["coco", BOS, "--format", "machine"]) == 0
-    assert len(calls) == 1
+    assert calls == [0, 1]
     doc = json.loads(capsys.readouterr().out)
     assert doc["cooperative_matrix"] == [["3/2", "0"], ["0", "3/2"]]
     assert doc["competitive_matrix"] == [["1/2", "0"], ["0", "-1/2"]]

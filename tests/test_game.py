@@ -1,17 +1,29 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from periodic_games import expected_utility, make_game, payoff, pure_profile, restrict_game
+from periodic_games import (
+    Game,
+    expected_utility,
+    make_game,
+    payoff,
+    pure_profile,
+    restrict_game,
+    validate_game,
+)
 from periodic_games.errors import (
     BadDimension,
+    BadLiteral,
     DimensionMismatch,
     DuplicateLabel,
     IndexOutOfRange,
     MissingProfile,
+    ParseError,
     ValidationError,
 )
-from periodic_games.game import validate_mixed
+from periodic_games.game import opponent_profiles, own_payoff_matrix, validate_mixed
 
 
 def small():
@@ -36,6 +48,61 @@ def test_payoffs_are_fractions():
 def test_float_payoff_rejected():
     with pytest.raises(ValidationError):
         make_game(["A", "B"], [["x"], ["l"]], [[(0.5, 1)]])
+
+
+@pytest.mark.parametrize("entry", [True, False, 0.5, "abc", "1/0", None, [1]])
+def test_make_game_rejects_bad_literals_with_one_typed_error(entry):
+    # The same parser as the file reader: BadLiteral is a ValidationError
+    # here and a ParseError there.
+    with pytest.raises(BadLiteral) as info:
+        make_game(["A", "B"], [["x"], ["l"]], [[(entry, 1)]])
+    assert isinstance(info.value, ValidationError)
+    assert isinstance(info.value, ParseError)
+
+
+def test_directly_built_game_with_inexact_payoffs_rejected():
+    for entry in (0.5, 1, True):
+        g = Game(players=("A", "B"), actions=(("x",), ("l",)), payoffs=((entry, Fraction(1)),))
+        with pytest.raises(ValidationError):
+            validate_game(g)
+
+
+def _random_shape_game(rng, one_action):
+    n = rng.randint(2, 4)
+    shape = [rng.randint(1, 3) for _ in range(n)]
+    if one_action:
+        shape[rng.randrange(n)] = 1
+    players = [f"P{i}" for i in range(n)]
+    actions = [[f"a{k}" for k in range(size)] for size in shape]
+    payoffs = tuple(
+        tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n))
+        for _ in itertools.product(*(range(size) for size in shape))
+    )
+    g = Game(players=tuple(players), actions=tuple(map(tuple, actions)), payoffs=payoffs)
+    validate_game(g)
+    return g
+
+
+def test_own_payoff_matrix_matches_payoff_lookup():
+    rng = random.Random(404)
+    for k in range(60):
+        g = _random_shape_game(rng, one_action=k % 3 == 0)
+        for i in range(g.num_players):
+            others = [j for j in range(g.num_players) if j != i]
+            columns = opponent_profiles(g, i)
+            assert columns == list(itertools.product(*(range(g.shape[j]) for j in others)))
+            matrix = own_payoff_matrix(g, i)
+            assert len(matrix) == g.shape[i]
+            for a, row in enumerate(matrix):
+                assert len(row) == len(columns)
+                for opp, value in zip(columns, row):
+                    profile = [0] * g.num_players
+                    profile[i] = a
+                    for j, b in zip(others, opp):
+                        profile[j] = b
+                    assert value == payoff(g, profile)[i]
+    with pytest.raises(IndexOutOfRange):
+        own_payoff_matrix(small(), 2)
 
 
 def test_duplicate_player_label():

@@ -68,6 +68,25 @@ def test_parse_game_rejects_float_payoff():
         parse_game(json.dumps(doc))
 
 
+@pytest.mark.parametrize("entry", [True, None, [1], "1/0", "abc"])
+def test_parse_game_rejects_every_inexact_or_bad_payoff_literal(entry):
+    doc = {
+        "players": ["A", "B"],
+        "actions": {"A": ["x"], "B": ["l"]},
+        "payoffs": [[[entry, 1]]],
+    }
+    with pytest.raises(ParseError):
+        parse_game(json.dumps(doc))
+
+
+@pytest.mark.parametrize("prob", [0.5, True, None, "1/0"])
+def test_parse_bayes_rejects_inexact_prior_entries(prob):
+    doc = json.loads((FIXTURES / "two_type.bayes.json").read_text())
+    doc["prior"][0][2] = prob
+    with pytest.raises(ParseError):
+        parse_bayes(json.dumps(doc))
+
+
 def test_parse_game_rejects_ragged_payoffs():
     doc = {
         "players": ["A", "B"],

@@ -1,6 +1,7 @@
-"""Differential tests of the integer elimination and pivoting kernels and of
-Nash support enumeration against slow, independent reference implementations
-kept here, plus metamorphic tests under positive payoff scaling."""
+"""Differential tests of the integer elimination and pivoting kernels, of
+Nash support enumeration, of the dominance check and of the correlated
+interim game against slow, independent reference implementations kept here,
+plus metamorphic tests under positive payoff scaling."""
 
 import itertools
 import random
@@ -8,11 +9,25 @@ from fractions import Fraction
 
 import pytest
 
-from periodic_games import expected_utility, iesds, make_game, nash_support_enumeration
+from periodic_games import (
+    BayesianGame,
+    Game,
+    conditional_belief,
+    expected_utility,
+    iesds,
+    interim_correlated_game,
+    interim_game,
+    make_game,
+    nash_support_enumeration,
+    validate_bayesian_game,
+    validate_game,
+)
+from periodic_games.errors import ZeroProbabilityType
+from periodic_games.generate import random_game
 from periodic_games.linalg import polytope_vertices, rref, solve_exact
 from periodic_games.lp import SimplexInternalError, simplex_max, zero_sum_value
 from periodic_games.mixed import own_payoff_matrix
-from periodic_games.rationalizability import DominanceMode
+from periodic_games.rationalizability import DominanceMode, _find_dominator
 
 F = Fraction
 
@@ -304,3 +319,154 @@ def test_positive_scaling_leaves_iesds_and_zero_sum_strategies_unchanged(factors
         value, row, col = zero_sum_value(matrix)
         assert zero_sum_value([[k * v for v in line] for line in matrix]) == (k * value, row, col)
     assert mixed_eliminations > 0
+
+
+def reference_find_dominator(g, i, action, alive, mode):
+    """The dominance check with one profile lookup per payoff, surviving
+    opponent profiles enumerated in row-major order over sorted survivors."""
+    others_alive = sorted(alive[i] - {action})
+    if not others_alive:
+        return None
+    others = [j for j in range(g.num_players) if j != i]
+    profiles = [dict(zip(others, opp)) for opp in itertools.product(*(sorted(alive[j]) for j in others))]
+
+    def payoff_against(b, opp):
+        profile = [0] * g.num_players
+        profile[i] = b
+        for j, c in opp.items():
+            profile[j] = c
+        return g.payoffs[g.profile_index(profile)][i]
+
+    for b in others_alive:
+        if all(payoff_against(b, opp) > payoff_against(action, opp) for opp in profiles):
+            return ("pure", b)
+    if mode is DominanceMode.ALLOW_MIXED and len(others_alive) >= 2:
+        gains = [[payoff_against(b, opp) - payoff_against(action, opp) for opp in profiles] for b in others_alive]
+        value, row_strategy, _ = zero_sum_value(gains)
+        if value > 0:
+            return ("mixed", tuple((b, w) for b, w in zip(others_alive, row_strategy) if w > 0))
+    return None
+
+
+def test_find_dominator_matches_reference_on_random_survivor_sets():
+    rng = random.Random(1996)
+    found = {"pure": 0, "mixed": 0}
+    for _ in range(150):
+        g = random_game(rng)
+        alive = [frozenset(a for a in range(n) if rng.random() < 0.8) or frozenset({0}) for n in g.shape]
+        for i in range(g.num_players):
+            for action in sorted(alive[i]):
+                for mode in DominanceMode:
+                    got = _find_dominator(g, i, action, alive, mode)
+                    assert got == reference_find_dominator(g, i, action, alive, mode)
+                    if got is not None:
+                        found[got[0]] += 1
+    assert found["pure"] > 0 and found["mixed"] > 0
+
+
+def reference_interim_correlated_game(bg):
+    """The correlated-conditioning interim game as first written: each
+    (player, type) belief is split into a marginal over opponent types and,
+    per joint type, a conditional over the parameter, recomputed for every
+    profile; with one type per player, the expected game over the parameter."""
+    validate_bayesian_game(bg)
+    n = bg.num_players
+    if all(len(t) == 1 for t in bg.types):
+        flat = []
+        for profile in itertools.product(*(range(len(a)) for a in bg.actions)):
+            totals = [F(0)] * n
+            for (theta, _), prob in bg.prior.items():
+                if prob == 0:
+                    continue
+                u = bg.state_payoff(theta, profile)
+                for i in range(n):
+                    totals[i] += prob * u[i]
+            flat.append(tuple(totals))
+        game = Game(players=bg.players, actions=bg.actions, payoffs=tuple(flat))
+        validate_game(game)
+        return game
+    for i in range(n):
+        for t in range(len(bg.types[i])):
+            if sum((p for (_, tp), p in bg.prior.items() if tp[i] == t), F(0)) == 0:
+                raise ZeroProbabilityType(
+                    f"type {bg.types[i][t]!r} of player {bg.players[i]!r} has zero prior probability"
+                )
+    ids = [(i, t) for i in range(n) for t in range(len(bg.types[i]))]
+    flat_labels = [label for labels in bg.types for label in labels]
+    unique = len(set(flat_labels)) == len(flat_labels)
+    labels = tuple(bg.types[i][t] if unique else f"{bg.players[i]}.{bg.types[i][t]}" for i, t in ids)
+    actions = tuple(bg.actions[i] for i, _ in ids)
+    flat = []
+    for joint in itertools.product(*(range(len(a)) for a in actions)):
+        chosen = {node: joint[k] for k, node in enumerate(ids)}
+        vector = []
+        for i, t in ids:
+            belief = conditional_belief(bg, i, t)
+            opp_marginal = {}
+            for (theta, opp_types), prob in belief.distribution.items():
+                opp_marginal[opp_types] = opp_marginal.get(opp_types, F(0)) + prob
+            total = F(0)
+            for opp_types, mass in opp_marginal.items():
+                profile = [0] * n
+                profile[i] = chosen[(i, t)]
+                for j, tj in zip([j for j in range(n) if j != i], opp_types):
+                    profile[j] = chosen[(j, tj)]
+                for (theta, ot), prob in belief.distribution.items():
+                    if ot == opp_types:
+                        total += mass * (prob / mass) * bg.state_payoff(theta, profile)[i]
+            vector.append(total)
+        flat.append(tuple(vector))
+    game = Game(players=labels, actions=actions, payoffs=tuple(flat))
+    validate_game(game)
+    return game
+
+
+def _random_bayesian_game(rng, k):
+    """2 players with 1-3 types each, or 3 players with 1-2; every fifth
+    game has one type per player. Type labels clash across players in every
+    other game; prior entries of mass zero are kept in the prior."""
+    n = 3 if k % 4 == 3 else 2
+    one_type = k % 5 == 0
+    types = [1 if one_type else rng.randint(1, 3 if n == 2 else 2) for _ in range(n)]
+    size = 3 if sum(types) <= 4 else 2
+    players = tuple(f"P{i}" for i in range(n))
+    actions = tuple(tuple(f"{players[i]}a{a}" for a in range(size)) for i in range(n))
+    clash = k % 2 == 0
+    type_labels = tuple(
+        tuple(f"t{t}" if clash else f"{players[i]}t{t}" for t in range(types[i])) for i in range(n)
+    )
+    thetas = tuple(f"th{s}" for s in range(rng.randint(1, 2)))
+    keys = [(s, tp) for s in range(len(thetas)) for tp in itertools.product(*(range(c) for c in types))]
+    weights = {key: rng.choice((0, 0, 1, 2, 3)) for key in keys if rng.random() < 0.8}
+    if not any(weights.values()):
+        weights[keys[0]] = 1
+    total = sum(weights.values())
+    prior = {key: F(w, total) for key, w in weights.items()}
+    profiles = list(itertools.product(range(size), repeat=n))
+    payoffs = {
+        s: tuple(tuple(F(rng.randint(-5, 5), rng.randint(1, 2)) for _ in range(n)) for _ in profiles)
+        for s in range(len(thetas))
+    }
+    return BayesianGame(players, actions, thetas, type_labels, prior, payoffs)
+
+
+def _outcome(build, bg):
+    try:
+        return build(bg)
+    except ZeroProbabilityType as exc:
+        return ("ZeroProbabilityType", str(exc))
+
+
+def test_interim_correlated_game_matches_the_reference():
+    rng = random.Random(2005)
+    kinds = {"game": 0, "one type": 0, "zero type": 0, "zero entry": 0}
+    for k in range(200):
+        bg = _random_bayesian_game(rng, k)
+        expected = _outcome(reference_interim_correlated_game, bg)
+        assert _outcome(interim_correlated_game, bg) == expected, k
+        if not all(len(t) == 1 for t in bg.types):
+            assert _outcome(interim_game, bg) == expected, k
+        kinds["game" if isinstance(expected, Game) else "zero type"] += 1
+        kinds["one type"] += all(len(t) == 1 for t in bg.types)
+        kinds["zero entry"] += 0 in bg.prior.values()
+    assert min(kinds.values()) >= 10, kinds

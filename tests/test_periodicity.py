@@ -15,7 +15,9 @@ from periodic_games import (
     reach_cycle,
 )
 from periodic_games.errors import AnchorNotOnCycle, BadParameter, DegenerateArgmax
-from conftest import brute_force_deviation, random_game
+from periodic_games.generate import random_game
+
+from conftest import brute_force_deviation
 
 
 def test_best_deviation_bos(bos):
@@ -51,6 +53,24 @@ def test_strict_policy_raises_on_tie():
     flat = make_game(["A", "B"], [["x", "y"], ["l", "r"]], [[(0, 0)] * 2] * 2)
     with pytest.raises(DegenerateArgmax):
         best_deviation_profile(flat, 0, 0, TiePolicy.STRICT)
+
+
+def test_tied_profiles_come_in_lexicographic_order_on_three_players():
+    # The middle player's action b1 ties at four (A, C) profiles; every other
+    # entry is lower. The tie list and the lex choice follow (A, C) order.
+    ties = {(0, 1), (1, 0), (1, 2), (2, 1)}
+
+    def vector(a, b, c):
+        own = 9 if b == 1 and (a, c) in ties else a - b - c
+        return (a + c, own, b * c)
+
+    table = [[[vector(a, b, c) for c in range(3)] for b in range(3)] for a in range(3)]
+    g = make_game(["A", "B", "C"], [["a0", "a1", "a2"], ["b0", "b1", "b2"], ["c0", "c1", "c2"]], table)
+    with pytest.raises(DegenerateArgmax) as info:
+        best_deviation_profile(g, "B", "b1", TiePolicy.STRICT)
+    assert info.value.node == Node(1, 1)
+    assert info.value.tied_profiles == ((0, 1), (1, 0), (1, 2), (2, 1))
+    assert best_deviation_profile(g, "B", "b1", TiePolicy.LEX) == ((0, 1), False)
 
 
 def test_lex_policy_flags_ties():
