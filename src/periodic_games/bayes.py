@@ -10,8 +10,10 @@ with correlated conditioning on joint types equals one of the two.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping, Sequence, Union
 
 from .errors import BadDimension, SizeLimit, ValidationError, ZeroProbabilityType
@@ -75,6 +77,8 @@ def validate_bayesian_game(bg: BayesianGame) -> None:
         for i, t in enumerate(type_profile):
             if not 0 <= t < len(bg.types[i]):
                 raise ValidationError(f"prior references unknown type index {t} of player {i}")
+        if not isinstance(prob, Fraction):
+            raise ValidationError(f"prior probability of {(theta, type_profile)} is not a Fraction")
         if prob < 0:
             raise ValidationError("negative prior probability")
         total += prob
@@ -90,6 +94,16 @@ def validate_bayesian_game(bg: BayesianGame) -> None:
         for vec in tensor:
             if len(vec) != n:
                 raise BadDimension("payoff vector length must equal the number of players")
+            if not all(isinstance(v, Fraction) for v in vec):
+                raise ValidationError(
+                    f"payoff tensor for parameter index {theta} has an entry that is not a Fraction"
+                )
+
+
+def _zero_probability_type(bg: BayesianGame, i: int, t: int) -> ZeroProbabilityType:
+    return ZeroProbabilityType(
+        f"type {bg.types[i][t]!r} of player {bg.players[i]!r} has zero prior probability"
+    )
 
 
 @dataclass(frozen=True)
@@ -106,9 +120,7 @@ def conditional_belief(bg: BayesianGame, player: Union[int, str], t: Union[int, 
     ti = bg.type_index(i, t)
     marginal = sum((prob for (_, tp), prob in bg.prior.items() if tp[i] == ti), Fraction(0))
     if marginal == 0:
-        raise ZeroProbabilityType(
-            f"type {bg.types[i][ti]!r} of player {bg.players[i]!r} has zero prior probability"
-        )
+        raise _zero_probability_type(bg, i, ti)
     dist: dict[tuple[int, TypeProfile], Fraction] = {}
     for (theta, tp), prob in bg.prior.items():
         if tp[i] != ti or prob == 0:
@@ -153,6 +165,47 @@ def second_order_belief(
     return out
 
 
+def _integer_expectation(bg: BayesianGame):
+    """The prior and the payoffs of a validated game, scaled to integers and
+    indexed by one action per (player, type) pair.
+
+    Returns ``(cells, dp, du, choices)``. ``dp`` is the lcm of the
+    denominators of the positive prior probabilities and ``du`` the lcm of
+    every payoff denominator. ``choices[k]`` lists the actions of the k-th
+    pair of ``_player_type_ids`` times its player's row-major stride, so a
+    joint choice (one entry per pair) realizes, at a type profile, the
+    payoff entry whose flat index is the sum of the chosen entries of the
+    pairs in that profile. ``cells`` holds, per prior entry of positive mass
+    in prior order, ``(w, U, type profile, where)``: ``w = prob * dp``,
+    ``U`` the parameter's payoff vectors times ``du`` and ``where`` picks the
+    profile's pairs out of a joint choice. A sum of ``prob * u`` over prior
+    entries is then the integer sum of ``w * U`` over ``dp * du``: one
+    Fraction per result instead of a Fraction product per term.
+    """
+    ids = _player_type_ids(bg)
+    position = {node: k for k, node in enumerate(ids)}
+    shape = bg.action_shape
+    choices = [[a * math.prod(shape[i + 1:]) for a in range(shape[i])] for i, _ in ids]
+    positive = [(theta, tp, prob) for (theta, tp), prob in bg.prior.items() if prob > 0]
+    dp = math.lcm(*(prob.denominator for _, _, prob in positive))
+    tensors = {theta: bg.payoffs[theta] for theta in range(len(bg.thetas))}
+    du = math.lcm(*(v.denominator for tensor in tensors.values() for vec in tensor for v in vec))
+    payoffs = {
+        theta: tuple(tuple(v.numerator * (du // v.denominator) for v in vec) for vec in tensor)
+        for theta, tensor in tensors.items()
+    }
+    cells = [
+        (
+            prob.numerator * (dp // prob.denominator),
+            payoffs[theta],
+            tp,
+            itemgetter(*(position[node] for node in enumerate(tp))),
+        )
+        for theta, tp, prob in positive
+    ]
+    return cells, dp, du, choices
+
+
 def _strategy_label(bg: BayesianGame, player: int, choice: TypeProfile) -> str:
     return "".join(bg.actions[player][a] for a in choice)
 
@@ -162,7 +215,8 @@ def ex_ante_game(bg: BayesianGame, max_profiles: int = DEFAULT_MAX_PROFILES) -> 
 
     A strategy assigns an action to each of the player's types; its label is
     the concatenation of the chosen action labels in type order. Payoffs are
-    prior expectations.
+    prior expectations, summed exactly in integers (prior and payoffs scaled
+    by the lcm of their denominators) and divided once per payoff entry.
     """
     validate_bayesian_game(bg)
     n = bg.num_players
@@ -178,17 +232,18 @@ def ex_ante_game(bg: BayesianGame, max_profiles: int = DEFAULT_MAX_PROFILES) -> 
     labels = tuple(
         tuple(_strategy_label(bg, i, choice) for choice in strategy_sets[i]) for i in range(n)
     )
+    cells, dp, du, choices = _integer_expectation(bg)
+    denominator = dp * du
     flat: list[tuple[Fraction, ...]] = []
-    for joint in itertools.product(*strategy_sets):
-        totals = [Fraction(0)] * n
-        for (theta, tp), prob in bg.prior.items():
-            if prob == 0:
-                continue
-            action_profile = tuple(joint[i][tp[i]] for i in range(n))
-            u = bg.state_payoff(theta, action_profile)
+    # A strategy profile is one action per (player, type) pair, and the
+    # pairs' product runs through the profiles in row-major order.
+    for joint in itertools.product(*choices):
+        totals = [0] * n
+        for w, table, _, where in cells:
+            u = table[sum(where(joint))]
             for i in range(n):
-                totals[i] += prob * u[i]
-        flat.append(tuple(totals))
+                totals[i] += w * u[i]
+        flat.append(tuple(Fraction(t, denominator) for t in totals))
     game = Game(players=bg.players, actions=labels, payoffs=tuple(flat))
     validate_game(game)
     return game
@@ -215,30 +270,30 @@ def interim_game(bg: BayesianGame) -> Game:
 
     Each pair chooses from the original player's action set; its payoff is
     the type-conditional expectation of the original utility, with opponent
-    actions taken from the realized opponent types' choices.
+    actions taken from the realized opponent types' choices. A pair's
+    expectation is an integer sum over its prior entries (scaled as in
+    ``ex_ante_game``) divided once by ``du`` times the pair's integer mass.
     """
     validate_bayesian_game(bg)
+    cells, _, du, choices = _integer_expectation(bg)
     ids = _player_type_ids(bg)
-    position = {node: k for k, node in enumerate(ids)}
-    # Each pair's belief, once: (probability, theta, the positions in the
-    # joint choice of the pairs whose actions make up the realized profile).
     beliefs = []
     for i, t in ids:
-        terms = []
-        for (theta, opp_types), prob in conditional_belief(bg, i, t).distribution.items():
-            types = opp_types[:i] + (t,) + opp_types[i:]
-            terms.append((prob, theta, tuple(position[node] for node in enumerate(types))))
-        beliefs.append(terms)
-    actions = tuple(bg.actions[i] for i, _ in ids)
+        own = [(w, table, where) for w, table, tp, where in cells if tp[i] == t]
+        mass = sum(w for w, _, _ in own)
+        if mass == 0:
+            raise _zero_probability_type(bg, i, t)
+        beliefs.append((i, du * mass, own))
     flat: list[tuple[Fraction, ...]] = []
-    for joint in itertools.product(*(range(len(a)) for a in actions)):
+    for joint in itertools.product(*choices):
         vector = []
-        for (i, _), terms in zip(ids, beliefs):
-            total = Fraction(0)
-            for prob, theta, where in terms:
-                total += prob * bg.state_payoff(theta, [joint[k] for k in where])[i]
-            vector.append(total)
+        for i, denominator, own in beliefs:
+            total = 0
+            for w, table, where in own:
+                total += w * table[sum(where(joint))][i]
+            vector.append(Fraction(total, denominator))
         flat.append(tuple(vector))
+    actions = tuple(bg.actions[i] for i, _ in ids)
     game = Game(players=_player_type_labels(bg), actions=actions, payoffs=tuple(flat))
     validate_game(game)
     return game

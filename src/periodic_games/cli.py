@@ -125,7 +125,8 @@ def cmd_analyze(args) -> int:
             lines.append(f"  types={doc['types']} errors={doc['errors']}")
     report["cycles"] = cycle_docs
     report["degenerate_nodes"] = sorted(node_id(g, n) for n in graph.degenerate_flags)
-    _emit(args, report, lines, dot=export_dot(graph, g, cycles))
+    dot = export_dot(graph, g, cycles) if args.format == "dot" else None
+    _emit(args, report, lines, dot=dot)
     return EXIT_OK
 
 
@@ -147,7 +148,8 @@ def cmd_cycles(args) -> int:
         lines = ["cycles:"] + ["  " + " -> ".join(node_id(g, n) for n in c.nodes) for c in cycles]
     else:
         lines = ["no cycles"]
-    _emit(args, report, lines, dot=export_dot(graph, g, cycles))
+    dot = export_dot(graph, g, cycles) if args.format == "dot" else None
+    _emit(args, report, lines, dot=dot)
     return EXIT_OK
 
 

@@ -86,13 +86,16 @@ class Game:
 def label_index(labels: Sequence[str], key: Union[int, str], what: str, where: str) -> int:
     """Index of a label in ``labels``, or ``key`` itself if it is an index in range.
 
-    Anything else raises IndexOutOfRange naming ``what`` and ``where``.
+    Only a ``str`` or an ``int`` (not a ``bool``) is a key. Anything else
+    raises IndexOutOfRange naming ``what`` and ``where``.
     """
     if isinstance(key, str):
         try:
             return labels.index(key)
         except ValueError:
             raise IndexOutOfRange(f"unknown {what} {key!r}{where}") from None
+    if not isinstance(key, int) or isinstance(key, bool):
+        raise IndexOutOfRange(f"{what} key {key!r} is neither a label nor an index{where}")
     if not 0 <= key < len(labels):
         raise IndexOutOfRange(f"{what} index {key} out of range{where}")
     return key

@@ -52,8 +52,14 @@ class PeriodicityGraph:
     degenerate_flags: frozenset[Node] = frozenset()
 
     def successors(self, node: Node) -> tuple[Node, ...]:
-        targets = self.edges[node]
-        return tuple(targets[j] for j in sorted(targets))
+        """Targets of a node's edges, in opponent order."""
+        return self._successors[node]
+
+    @functools.cached_property
+    def _successors(self) -> dict[Node, tuple[Node, ...]]:
+        return {
+            node: tuple(targets[j] for j in sorted(targets)) for node, targets in self.edges.items()
+        }
 
     @functools.cached_property
     def cyclic_nodes(self) -> frozenset[Node]:
@@ -132,27 +138,26 @@ def periodic_actions(g: Game, policy: TiePolicy = TiePolicy.LEX) -> tuple[frozen
     )
 
 
-def enumerate_cycles(graph: PeriodicityGraph, through: Node, max_len: int) -> list[Cycle]:
-    """All simple cycles through a node with length <= max_len edges.
-
-    Each cycle is reported once, rotated to start at ``through``. Sorted by
-    length then node sequence.
-    """
+def _check_max_len(max_len: int) -> None:
     if max_len < 2:
         raise BadParameter(f"max_len must be at least 2, got {max_len}")
-    if through not in graph.edges:
-        raise AnchorNotOnCycle(f"node {through} not in graph")
+
+
+def _cycles_from(graph: PeriodicityGraph, start: Node, max_len: int, allowed) -> list[Cycle]:
+    """Simple cycles through ``start`` of at most ``max_len`` edges whose
+    other nodes all lie in ``allowed``, each starting at ``start``, sorted
+    by length then node sequence (depth-first search)."""
     cycles: list[Cycle] = []
-    path: list[Node] = [through]
-    on_path = {through}
+    path: list[Node] = [start]
+    on_path = {start}
 
     def extend(node: Node) -> None:
         for nxt in graph.successors(node):
-            if nxt == through:
+            if nxt == start:
                 if 2 <= len(path) <= max_len:
                     cycles.append(Cycle(tuple(path)))
                 continue
-            if nxt in on_path or len(path) >= max_len:
+            if nxt in on_path or len(path) >= max_len or nxt not in allowed:
                 continue
             path.append(nxt)
             on_path.add(nxt)
@@ -160,23 +165,38 @@ def enumerate_cycles(graph: PeriodicityGraph, through: Node, max_len: int) -> li
             path.pop()
             on_path.remove(nxt)
 
-    extend(through)
+    extend(start)
     cycles.sort(key=lambda c: (c.length, c.nodes))
     return cycles
 
 
+def enumerate_cycles(graph: PeriodicityGraph, through: Node, max_len: int) -> list[Cycle]:
+    """All simple cycles through a node with length <= max_len edges.
+
+    Each cycle is reported once, rotated to start at ``through``. Sorted by
+    length then node sequence.
+    """
+    _check_max_len(max_len)
+    if through not in graph.edges:
+        raise AnchorNotOnCycle(f"node {through} not in graph")
+    # Every node of a cycle is in the cyclic set, so the search skips the rest.
+    return _cycles_from(graph, through, max_len, graph.cyclic_nodes)
+
+
 def all_cycles(graph: PeriodicityGraph, max_len: int) -> list[Cycle]:
-    """Every simple cycle of the graph, deduplicated up to rotation."""
-    seen = set()
-    out = []
-    for node in sorted(graph.nodes):
-        for cycle in enumerate_cycles(graph, node, max_len):
-            rotated = min(
-                tuple(cycle.nodes[k:] + cycle.nodes[:k]) for k in range(len(cycle.nodes))
-            )
-            if rotated not in seen:
-                seen.add(rotated)
-                out.append(cycle)
+    """Every simple cycle of the graph with length <= max_len edges, once.
+
+    Each cycle starts at its smallest node. Cycles are grouped by that node
+    in increasing order and sorted by length then node sequence within a
+    group. The search from a node visits only larger cyclic nodes, so each
+    cycle is walked once, from its smallest node (as in Johnson's circuit
+    enumeration, SIAM J. Comput. 1975).
+    """
+    _check_max_len(max_len)
+    cyclic = graph.cyclic_nodes
+    out: list[Cycle] = []
+    for node in sorted(cyclic):
+        out.extend(_cycles_from(graph, node, max_len, {n for n in cyclic if n > node}))
     return out
 
 

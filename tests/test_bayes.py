@@ -156,3 +156,49 @@ def test_unknown_players_and_types_raise_index_out_of_range(two_type_bayes, play
 def test_labels_and_indices_name_the_same_belief(two_type_bayes):
     by_label = conditional_belief(two_type_bayes, "1", "t1p")
     assert by_label == conditional_belief(two_type_bayes, 0, 1)
+
+
+@pytest.mark.parametrize("key", [True, False, 1.0, 0.0, None, [0], (0,), F(1)], ids=repr)
+def test_only_strings_and_ints_are_player_or_type_keys(two_type_bayes, key):
+    bg = two_type_bayes
+    with pytest.raises(IndexOutOfRange):
+        bg.player_index(key)
+    with pytest.raises(IndexOutOfRange):
+        bg.type_index(0, key)
+    with pytest.raises(IndexOutOfRange):
+        conditional_belief(bg, key, 0)
+
+
+def _one_state_game(prior, entry=F(1)):
+    return BayesianGame(
+        players=("A", "B"),
+        actions=(("a0", "a1"), ("b0", "b1")),
+        thetas=("s",),
+        types=(("t0", "t1"), ("u",)),
+        prior=prior,
+        payoffs={0: ((entry, F(0)), (F(0), F(1)), (F(2), F(-1)), (F(1, 2), F(3)))},
+    )
+
+
+@pytest.mark.parametrize(
+    "bg",
+    [
+        _one_state_game({(0, (0, 0)): 0.5, (0, (1, 0)): 0.5}),
+        _one_state_game({(0, (0, 0)): F(1, 2), (0, (1, 0)): F(1, 2)}, entry=0.5),
+        _one_state_game({(0, (0, 0)): F(1, 2), (0, (1, 0)): F(1, 2)}, entry=1),
+    ],
+    ids=["float prior", "float payoff", "int payoff"],
+)
+def test_inexact_prior_and_payoff_entries_rejected(bg):
+    with pytest.raises(ValidationError):
+        validate_bayesian_game(bg)
+    for build in (ex_ante_game, interim_game, interim_correlated_game):
+        with pytest.raises(ValidationError):
+            build(bg)
+
+
+def test_fraction_prior_game_builds():
+    bg = _one_state_game({(0, (0, 0)): F(1, 2), (0, (1, 0)): F(1, 2)})
+    validate_bayesian_game(bg)
+    assert first_order_belief(bg, 0, 0) == {0: F(1)}
+    assert interim_game(bg).payoffs[0] == (F(1), F(1), F(0))

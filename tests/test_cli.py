@@ -235,3 +235,21 @@ def test_coco_builds_the_payoff_matrices_once(capsys, monkeypatch):
     doc = json.loads(capsys.readouterr().out)
     assert doc["cooperative_matrix"] == [["3/2", "0"], ["0", "3/2"]]
     assert doc["competitive_matrix"] == [["1/2", "0"], ["0", "-1/2"]]
+
+
+@pytest.mark.parametrize("command", ["analyze", "cycles"])
+def test_dot_is_rendered_only_for_the_dot_format(capsys, monkeypatch, command):
+    rendered = []
+    export_dot = cli.export_dot
+
+    def counted(*args):
+        rendered.append(export_dot(*args))
+        return rendered[-1]
+
+    monkeypatch.setattr(cli, "export_dot", counted)
+    for fmt in ("text", "machine"):
+        assert main([command, BOS, "--format", fmt]) == 0
+    assert rendered == []
+    capsys.readouterr()
+    assert main([command, BOS, "--format", "dot"]) == 0
+    assert [capsys.readouterr().out] == rendered

@@ -141,6 +141,20 @@ def test_label_and_index_access():
         g.action_index("A", "r")
 
 
+NOT_KEYS = [True, False, 1.0, 0.0, None, [0], (0,), Fraction(1)]
+
+
+@pytest.mark.parametrize("key", NOT_KEYS, ids=repr)
+def test_only_strings_and_ints_are_player_or_action_keys(key):
+    g = small()
+    with pytest.raises(IndexOutOfRange):
+        g.player_index(key)
+    with pytest.raises(IndexOutOfRange):
+        g.action_index(0, key)
+    with pytest.raises(IndexOutOfRange):
+        g.action_index(key, 0)
+
+
 def test_expected_utility_pure_matches_payoff():
     g = small()
     for profile in g.profiles():

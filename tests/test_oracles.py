@@ -1,7 +1,8 @@
 """Differential tests of the integer elimination and pivoting kernels, of
-Nash support enumeration, of the dominance check and of the correlated
-interim game against slow, independent reference implementations kept here,
-plus metamorphic tests under positive payoff scaling."""
+Nash support enumeration, of the dominance check, of the Bayesian companion
+games and of the cycle search against slow, independent reference
+implementations kept here, plus metamorphic tests under positive payoff
+scaling."""
 
 import itertools
 import random
@@ -12,7 +13,10 @@ import pytest
 from periodic_games import (
     BayesianGame,
     Game,
+    build_periodicity_graph,
     conditional_belief,
+    enumerate_cycles,
+    ex_ante_game,
     expected_utility,
     iesds,
     interim_correlated_game,
@@ -27,6 +31,7 @@ from periodic_games.generate import random_game
 from periodic_games.linalg import polytope_vertices, rref, solve_exact
 from periodic_games.lp import SimplexInternalError, simplex_max, zero_sum_value
 from periodic_games.mixed import own_payoff_matrix
+from periodic_games.periodicity import Cycle, all_cycles
 from periodic_games.rationalizability import DominanceMode, _find_dominator
 
 F = Fraction
@@ -470,3 +475,190 @@ def test_interim_correlated_game_matches_the_reference():
         kinds["one type"] += all(len(t) == 1 for t in bg.types)
         kinds["zero entry"] += 0 in bg.prior.values()
     assert min(kinds.values()) >= 10, kinds
+
+
+def reference_ex_ante_game(bg):
+    """The ex-ante game with one Fraction product per prior entry and payoff."""
+    validate_bayesian_game(bg)
+    n = bg.num_players
+    strategy_sets = [
+        list(itertools.product(range(len(bg.actions[i])), repeat=len(bg.types[i])))
+        for i in range(n)
+    ]
+    labels = tuple(
+        tuple("".join(bg.actions[i][a] for a in choice) for choice in strategy_sets[i])
+        for i in range(n)
+    )
+    flat = []
+    for joint in itertools.product(*strategy_sets):
+        totals = [F(0)] * n
+        for (theta, tp), prob in bg.prior.items():
+            if prob == 0:
+                continue
+            u = bg.state_payoff(theta, tuple(joint[i][tp[i]] for i in range(n)))
+            for i in range(n):
+                totals[i] += prob * u[i]
+        flat.append(tuple(totals))
+    game = Game(players=bg.players, actions=labels, payoffs=tuple(flat))
+    validate_game(game)
+    return game
+
+
+COPRIME = (3, 5, 7, 11, 13, 17, 19, 23)  # sum of reciprocals < 1
+
+
+def _coprime_prior_game(rng, k):
+    """2 players with 1-3 types or 3 with 1-2, and 2 thetas. The prior puts
+    1/p on distinct entries for a few distinct primes p and the rest on one
+    more entry, keeps mass-zero entries, and so may leave a type without
+    mass; payoffs are k/d with d up to 12."""
+    n = 3 if k % 3 == 2 else 2
+    types = [rng.randint(1, 3 if n == 2 else 2) for _ in range(n)]
+    size = 3 if sum(types) <= 4 else 2
+    players = tuple(f"P{i}" for i in range(n))
+    actions = tuple(tuple(f"{players[i]}a{a}" for a in range(size)) for i in range(n))
+    type_labels = tuple(tuple(f"{players[i]}t{t}" for t in range(types[i])) for i in range(n))
+    thetas = ("th0", "th1")
+    keys = [(s, tp) for s in range(2) for tp in itertools.product(*(range(c) for c in types))]
+    rng.shuffle(keys)
+    primes = rng.sample(COPRIME, rng.randint(1, min(len(COPRIME), len(keys) - 1)))
+    prior = {key: F(1, p) for key, p in zip(keys, primes)}
+    prior[keys[len(primes)]] = 1 - sum(prior.values())
+    for key in keys[len(primes) + 1:]:
+        if rng.random() < 0.3:
+            prior[key] = F(0)
+    profiles = list(itertools.product(range(size), repeat=n))
+    payoffs = {
+        s: tuple(tuple(F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)) for _ in profiles)
+        for s in range(2)
+    }
+    return BayesianGame(players, actions, thetas, type_labels, prior, payoffs)
+
+
+def test_bayesian_builders_match_the_references_on_coprime_priors():
+    rng = random.Random(1975)
+    kinds = {"3 players": 0, "several types": 0, "zero type": 0, "zero entry": 0}
+    for k in range(120):
+        bg = _coprime_prior_game(rng, k)
+        assert ex_ante_game(bg) == reference_ex_ante_game(bg), k
+        expected = _outcome(reference_interim_correlated_game, bg)
+        if not all(len(t) == 1 for t in bg.types):
+            assert _outcome(interim_game, bg) == expected, k
+            kinds["several types"] += 1
+        kinds["3 players"] += bg.num_players == 3
+        kinds["zero type"] += not isinstance(expected, Game)
+        kinds["zero entry"] += 0 in bg.prior.values()
+    assert min(kinds.values()) >= 10, kinds
+
+
+def reference_enumerate_cycles(graph, through, max_len):
+    """Depth-first search over every node, with no pruning."""
+    cycles = []
+    path = [through]
+
+    def extend(node):
+        for nxt in graph.successors(node):
+            if nxt == through:
+                if 2 <= len(path) <= max_len:
+                    cycles.append(Cycle(tuple(path)))
+            elif nxt not in path and len(path) < max_len:
+                path.append(nxt)
+                extend(nxt)
+                path.pop()
+
+    extend(through)
+    cycles.sort(key=lambda c: (c.length, c.nodes))
+    return cycles
+
+
+def reference_all_cycles(graph, max_len):
+    """The cycles through every node, kept the first time their smallest
+    rotation is seen."""
+    seen = set()
+    out = []
+    for node in sorted(graph.nodes):
+        for cycle in reference_enumerate_cycles(graph, node, max_len):
+            rotated = min(cycle.nodes[k:] + cycle.nodes[:k] for k in range(cycle.length))
+            if rotated not in seen:
+                seen.add(rotated)
+                out.append(cycle)
+    return out
+
+
+def _cycle_test_games(rng, count):
+    """2-4 players with 2-3 actions; every other game has {0,1} payoffs, so
+    best deviations tie and resolve lexicographically."""
+    for k in range(count):
+        n = 2 + k % 3
+        shape = [rng.randint(2, 3) for _ in range(n)]
+        players = [f"P{i}" for i in range(n)]
+        actions = [[f"s{a}" for a in range(size)] for size in shape]
+        binary = k % 2 == 0
+
+        def table(depth):
+            if depth == n:
+                return [rng.randint(0, 1) if binary else rng.randint(-9, 9) for _ in range(n)]
+            return [table(depth + 1) for _ in range(shape[depth])]
+
+        yield make_game(players, actions, table(0))
+
+
+def _count_expanded(graph):
+    """Record every node whose successors the search asks for."""
+    expanded = []
+    successors = graph.successors
+
+    def counting(node):
+        expanded.append(node)
+        return successors(node)
+
+    object.__setattr__(graph, "successors", counting)
+    return expanded
+
+
+def test_cycle_search_matches_the_rotate_and_dedupe_reference():
+    rng = random.Random(1972)
+    cycles_seen = degenerate = 0
+    for g in _cycle_test_games(rng, 60):
+        graph = build_periodicity_graph(g)
+        degenerate += bool(graph.degenerate_flags)
+        for max_len in range(2, len(graph.nodes) + 1):
+            expected = reference_all_cycles(graph, max_len)
+            assert all_cycles(graph, max_len) == expected
+            cycles_seen += len(expected)
+        for node in graph.nodes:
+            assert enumerate_cycles(graph, node, 4) == reference_enumerate_cycles(graph, node, 4)
+    assert cycles_seen > 500 and degenerate >= 10, (cycles_seen, degenerate)
+
+
+def _cycle_exits(graph):
+    """Edges from a node on a cycle to a node on none."""
+    cyclic = graph.cyclic_nodes
+    return [(v, w) for v in cyclic for w in graph.successors(v) if w not in cyclic]
+
+
+def test_cycle_search_expands_only_cyclic_nodes_and_each_cycle_once():
+    # With 3 or 4 players a node on a cycle can point off every cycle; one
+    # random game in about seventy does, so the first five are kept.
+    rng = random.Random(1975)
+    graphs = []
+    for _ in range(2000):
+        graph = build_periodicity_graph(random_game(rng, rng.randint(3, 4)))
+        if _cycle_exits(graph):
+            graphs.append(graph)
+            if len(graphs) == 5:
+                break
+    assert len(graphs) == 5
+    for graph in graphs:
+        cyclic = graph.cyclic_nodes
+        expanded = _count_expanded(graph)
+        for node in graph.nodes:
+            expanded.clear()
+            enumerate_cycles(graph, node, len(graph.nodes))
+            assert set(expanded) - {node} <= cyclic
+        expanded.clear()
+        cycles = all_cycles(graph, len(graph.nodes))
+        assert set(expanded) <= cyclic
+        assert cycles == reference_all_cycles(graph, len(graph.nodes))
+        assert all(min(c.nodes) == c.nodes[0] for c in cycles)
+        assert len({c.nodes for c in cycles}) == len(cycles)

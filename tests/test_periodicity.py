@@ -16,6 +16,7 @@ from periodic_games import (
 )
 from periodic_games.errors import AnchorNotOnCycle, BadParameter, DegenerateArgmax
 from periodic_games.generate import random_game
+from periodic_games.periodicity import all_cycles
 
 from conftest import brute_force_deviation
 
@@ -104,6 +105,12 @@ def test_enumerate_cycles_min_length():
     graph = build_periodicity_graph(flat)
     with pytest.raises(BadParameter):
         enumerate_cycles(graph, Node(0, 0), max_len=1)
+
+
+@pytest.mark.parametrize("max_len", [1, 0, -3])
+def test_all_cycles_min_length(bos, max_len):
+    with pytest.raises(BadParameter):
+        all_cycles(build_periodicity_graph(bos), max_len)
 
 
 def test_periodicity_number(bos):
