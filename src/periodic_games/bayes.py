@@ -18,6 +18,7 @@ from typing import Mapping, Sequence, Union
 
 from .errors import BadDimension, SizeLimit, ValidationError, ZeroProbabilityType
 from .game import Game, label_index, validate_game
+from .linalg import common_denominator, scaled
 
 TypeProfile = tuple[int, ...]
 PriorKey = tuple[int, TypeProfile]  # (theta index, type profile)
@@ -186,22 +187,15 @@ def _integer_expectation(bg: BayesianGame):
     position = {node: k for k, node in enumerate(ids)}
     shape = bg.action_shape
     choices = [[a * math.prod(shape[i + 1:]) for a in range(shape[i])] for i, _ in ids]
-    positive = [(theta, tp, prob) for (theta, tp), prob in bg.prior.items() if prob > 0]
-    dp = math.lcm(*(prob.denominator for _, _, prob in positive))
-    tensors = {theta: bg.payoffs[theta] for theta in range(len(bg.thetas))}
-    du = math.lcm(*(v.denominator for tensor in tensors.values() for vec in tensor for v in vec))
-    payoffs = {
-        theta: tuple(tuple(v.numerator * (du // v.denominator) for v in vec) for vec in tensor)
-        for theta, tensor in tensors.items()
-    }
+    positive = [(key, prob) for key, prob in bg.prior.items() if prob > 0]
+    probs = [prob for _, prob in positive]
+    dp = common_denominator(probs)
+    tensors = [bg.payoffs[theta] for theta in range(len(bg.thetas))]
+    du = common_denominator(v for tensor in tensors for vec in tensor for v in vec)
+    payoffs = [[scaled(vec, du) for vec in tensor] for tensor in tensors]
     cells = [
-        (
-            prob.numerator * (dp // prob.denominator),
-            payoffs[theta],
-            tp,
-            itemgetter(*(position[node] for node in enumerate(tp))),
-        )
-        for theta, tp, prob in positive
+        (w, payoffs[theta], tp, itemgetter(*(position[node] for node in enumerate(tp))))
+        for ((theta, tp), _), w in zip(positive, scaled(probs, dp))
     ]
     return cells, dp, du, choices
 

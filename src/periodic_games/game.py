@@ -28,16 +28,43 @@ MixedProfile = tuple[tuple[Fraction, ...], ...]
 
 RationalLike = Union[int, str, Fraction]
 
+# CPython's default limit on the digits of an int-string conversion. A
+# string literal may have at most this many mantissa digits plus exponent
+# magnitude, so no literal makes a longer numerator or denominator.
+MAX_LITERAL_DIGITS = 4300
+
+
+def _too_long(token: str) -> bool:
+    """Whether a string literal's mantissa digits plus exponent magnitude
+    exceed ``MAX_LITERAL_DIGITS``, decided without computing a power of ten."""
+    if len(token) <= MAX_LITERAL_DIGITS and "e" not in token and "E" not in token:
+        return False
+    mantissa, _, exponent = token.replace("E", "e").partition("e")
+    digits = sum(ch.isdigit() for ch in mantissa)
+    magnitude = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if not magnitude.isdecimal():
+        return digits > MAX_LITERAL_DIGITS  # no exponent, or one Fraction rejects
+    if len(magnitude) > len(str(MAX_LITERAL_DIGITS)):
+        return True
+    return digits + int(magnitude) > MAX_LITERAL_DIGITS
+
 
 def parse_fraction(token: RationalLike) -> Fraction:
     """The exact value of an int, a Fraction or a rational string ("-1/2", "0.25").
 
     ``bool`` and ``float`` are rejected: ``True`` is not a payoff, and binary
-    floats would silently break exactness. A bad literal raises BadLiteral,
-    which is both a ParseError and a ValidationError.
+    floats would silently break exactness. A string whose mantissa digits
+    plus exponent magnitude exceed ``MAX_LITERAL_DIGITS`` is rejected before
+    any work. A bad literal raises BadLiteral, which is both a ParseError
+    and a ValidationError.
     """
     if isinstance(token, (bool, float)):
         raise BadLiteral(f"payoff entries must be integers or strings, got {token!r}")
+    if isinstance(token, str) and _too_long(token):
+        raise BadLiteral(
+            f"rational literal has more than {MAX_LITERAL_DIGITS} digits"
+            " (mantissa digits plus exponent magnitude)"
+        )
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
@@ -174,24 +201,29 @@ def payoff(g: Game, profile: Sequence[int]) -> tuple[Fraction, ...]:
     return g.payoffs[g.profile_index(profile)]
 
 
-def own_payoff_matrix(g: Game, i: int) -> list[list[Fraction]]:
-    """Player i's own payoffs: one row per own action, one column per opponent
-    profile, columns in the order of ``opponent_profiles(g, i)``."""
+def own_payoff_row(g: Game, i: Union[int, str], a: Union[int, str]) -> list[Fraction]:
+    """Player i's own payoffs at own action a, one per opponent profile, in
+    the order of ``opponent_profiles(g, i)``."""
     i = g.player_index(i)
-    size = g.shape[i]
+    a = g.action_index(i, a)
+    shape = g.shape
+    size = shape[i]
     # Row-major layout: the players before i vary slowest, those after i
     # fastest, so own action a owns one run of ``after`` profiles in each of
     # ``before`` blocks.
-    before = math.prod(g.shape[:i])
-    after = math.prod(g.shape[i + 1:])
+    before = math.prod(shape[:i])
+    after = math.prod(shape[i + 1:])
     return [
-        [
-            g.payoffs[k][i]
-            for block in range(before)
-            for k in range((block * size + a) * after, (block * size + a + 1) * after)
-        ]
-        for a in range(size)
+        g.payoffs[k][i]
+        for block in range(before)
+        for k in range((block * size + a) * after, (block * size + a + 1) * after)
     ]
+
+
+def own_payoff_matrix(g: Game, i: int) -> list[list[Fraction]]:
+    """Player i's own payoffs: one ``own_payoff_row`` per own action."""
+    i = g.player_index(i)
+    return [own_payoff_row(g, i, a) for a in range(g.shape[i])]
 
 
 def opponent_profiles(g: Game, i: int) -> list[Profile]:

@@ -1,11 +1,15 @@
-"""Exact linear algebra helpers over Fractions.
+"""Exact linear algebra over Fractions, and the package's one integer kernel.
+
+Only this module turns rationals into integers (``common_denominator`` and
+``scaled``) and divides integers exactly (``pivot``, the fraction-free step
+of Bareiss 1968 elimination and of Edmonds 1967 integer pivoting); ``lp``
+and ``bayes`` use these helpers.
 
 Desk-scale only: systems here have at most a handful of variables. Every
-solve goes through one elimination kernel, ``rref``. It scales each row to
-integers by the lcm of its denominators and runs fraction-free Gauss-Jordan
-elimination with Bareiss exact division (Bareiss 1968), so intermediate
-entries stay integers, bounded by minors of the scaled matrix. Fractions
-are formed once, when each pivot row is divided by its pivot at the end.
+solve goes through ``rref``: each row is scaled to integers by the lcm of
+its denominators and eliminated Gauss-Jordan with ``pivot``, so entries
+stay integers, bounded by minors of the scaled matrix. Fractions are formed
+once, when each pivot row is divided by its pivot at the end.
 
 Vertex enumeration tries the column subsets of size at most the number of
 equations, since a larger subset cannot have a unique solution.
@@ -22,52 +26,65 @@ Matrix = list[list[Fraction]]
 Vector = tuple[Fraction, ...]
 
 
-def _integer_rows(matrix: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """Each row times the lcm of its denominators; the row space is unchanged."""
-    out = []
-    for row in matrix:
-        scale = math.lcm(*(v.denominator for v in row))
-        out.append([v.numerator * (scale // v.denominator) for v in row])
-    return out
+def common_denominator(values) -> int:
+    """The lcm of the denominators of some rationals (ints count as n/1)."""
+    return math.lcm(*(v.denominator for v in values))
+
+
+def scaled(values, scale: int) -> list[int]:
+    """Rationals times ``scale``, a multiple of each of their denominators."""
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def pivot(rows: list[list[int]], r: int, c: int, det: int) -> int:
+    """Fraction-free pivot on (r, c) in place; returns the new divisor.
+
+    Row ``r`` stays as it is; every other row ``i`` becomes
+    ``(p * rows[i] - rows[i][c] * rows[r]) / det`` with ``p = rows[r][c]``,
+    and ``p`` is the ``det`` of the next step. When every entry is a minor
+    of the integer data, as in Bareiss elimination and integer pivoting, the
+    division is exact; a remainder would mean a broken kernel and raises
+    ``ArithmeticError``.
+    """
+    top = rows[r]
+    p = top[c]
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        f = row[c]
+        if det == 1:
+            rows[i] = [p * x - f * y for x, y in zip(row, top)]
+            continue
+        reduced = []
+        for x, y in zip(row, top):
+            q, rem = divmod(p * x - f * y, det)
+            if rem:
+                raise ArithmeticError(f"inexact division by {det} in an integer pivot step")
+            reduced.append(q)
+        rows[i] = reduced
+    return p
 
 
 def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (rref matrix, pivot column list).
 
-    After each pivot step every entry is a minor of the integer-scaled
-    matrix, so the division by the previous pivot is exact; a remainder
-    would mean a broken kernel and raises ``ArithmeticError``.
+    Each row is scaled to integers by the lcm of its denominators, which
+    leaves the row space unchanged, and eliminated with ``pivot``.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     # Zero rows stay zero and end up at the bottom; leave them out.
-    m = [row for row in _integer_rows(matrix) if any(row)]
+    m = [ints for ints in (scaled(row, common_denominator(row)) for row in matrix) if any(ints)]
     live = len(m)
     pivots: list[int] = []
-    previous = 1
+    det = 1
     r = 0
     for c in range(cols):
         pivot_row = next((i for i in range(r, live) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        top = m[r]
-        pivot = top[c]
-        for i in range(live):
-            if i == r:
-                continue
-            factor = m[i][c]
-            if previous == 1:
-                m[i] = [pivot * x - factor * y for x, y in zip(m[i], top)]
-                continue
-            reduced = []
-            for x, y in zip(m[i], top):
-                q, rem = divmod(pivot * x - factor * y, previous)
-                if rem:
-                    raise ArithmeticError(f"inexact division by pivot {previous} in rref")
-                reduced.append(q)
-            m[i] = reduced
-        previous = pivot
+        det = pivot(m, r, c, det)
         pivots.append(c)
         r += 1
         if r == live:

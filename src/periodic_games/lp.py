@@ -1,11 +1,12 @@
 """Exact simplex on an integer tableau, and the zero-sum matrix game value.
 
 ``simplex_max`` scales ``a`` and ``b`` by one lcm of their denominators and
-``c`` by the lcm of its own, then pivots on an integer tableau that shares
-one positive denominator ``det`` (integer pivoting, as in Edmonds 1967 and
-Avis's lrs). Every entry stays an integer, a minor of the scaled data, so
-each division by ``det`` is exact; a remainder would mean a broken kernel
-and raises ``ArithmeticError``. Fractions are formed once, from the final
+``c`` by the lcm of its own (``linalg.common_denominator`` and
+``linalg.scaled``), then pivots on an integer tableau that shares one
+positive denominator ``det`` with ``linalg.pivot``, the fraction-free step
+that ``rref`` also uses (integer pivoting, as in Edmonds 1967 and Avis's
+lrs). Every entry stays an integer, a minor of the scaled data, so each
+division by ``det`` is exact. Fractions are formed once, from the final
 tableau.
 
 The pivot rule is Bland's rule: the first negative reduced cost enters, and
@@ -17,51 +18,17 @@ re-checks its duality certificate in integers before it returns.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import BadParameter, CertificateError
+from .linalg import common_denominator, pivot, scaled
 
 Vector = tuple[Fraction, ...]
 
 
 class SimplexInternalError(CertificateError):
     """Strong duality or feasibility check failed; indicates a solver bug."""
-
-
-def _common_denominator(values) -> int:
-    return math.lcm(*(v.denominator for v in values))
-
-
-def _scaled(values, scale: int) -> list[int]:
-    """Rationals times ``scale``, a multiple of each of their denominators."""
-    return [v.numerator * (scale // v.denominator) for v in values]
-
-
-def _pivot(tableau: list[list[int]], r: int, e: int, det: int) -> int:
-    """Integer pivot on (r, e); returns the new common denominator.
-
-    Row ``r`` stays as it is; every other row ``i`` becomes
-    ``(p * T[i] - T[i][e] * T[r]) / det`` with ``p = T[r][e]``.
-    """
-    top = tableau[r]
-    p = top[e]
-    for i, row in enumerate(tableau):
-        if i == r:
-            continue
-        f = row[e]
-        if det == 1:
-            tableau[i] = [p * x - f * y for x, y in zip(row, top)]
-            continue
-        reduced = []
-        for x, y in zip(row, top):
-            q, rem = divmod(p * x - f * y, det)
-            if rem:
-                raise ArithmeticError(f"inexact division by {det} in simplex pivot")
-            reduced.append(q)
-        tableau[i] = reduced
-    return p
 
 
 def simplex_max(
@@ -80,14 +47,14 @@ def simplex_max(
     n = len(c)
     if any(bi < 0 for bi in b):
         raise BadParameter("simplex_max requires b >= 0")
-    scale_ab = _common_denominator([v for row in a for v in row] + list(b))
-    scale_c = _common_denominator(c)
-    scaled_b = _scaled(b, scale_ab)
+    scale_ab = common_denominator([v for row in a for v in row] + list(b))
+    scale_c = common_denominator(c)
+    scaled_b = scaled(b, scale_ab)
     # Tableau: columns = n structural + m slack + rhs; last row = objective.
     tableau = [
-        _scaled(a[i], scale_ab) + [int(j == i) for j in range(m)] + [scaled_b[i]] for i in range(m)
+        scaled(a[i], scale_ab) + [int(j == i) for j in range(m)] + [scaled_b[i]] for i in range(m)
     ]
-    tableau.append([-v for v in _scaled(c, scale_c)] + [0] * (m + 1))
+    tableau.append([-v for v in scaled(c, scale_c)] + [0] * (m + 1))
     objective = tableau[-1]
     basis = list(range(n, n + m))
     det = 1
@@ -112,7 +79,7 @@ def simplex_max(
                 leaving = i
         if leaving is None:
             raise SimplexInternalError("objective unbounded")
-        det = _pivot(tableau, leaving, entering, det)
+        det = pivot(tableau, leaving, entering, det)
         objective = tableau[-1]
         basis[leaving] = entering
 
@@ -140,8 +107,8 @@ def zero_sum_value(matrix: Sequence[Sequence[Fraction]]) -> tuple[Fraction, Vect
     cols = len(matrix[0])
     if any(len(row) != cols for row in matrix):
         raise BadParameter("ragged payoff matrix")
-    scale = _common_denominator([v for row in matrix for v in row])
-    ints = [_scaled(row, scale) for row in matrix]
+    scale = common_denominator([v for row in matrix for v in row])
+    ints = [scaled(row, scale) for row in matrix]
 
     # Shift all entries to at least 1 so the value is > 0 and the LP below is
     # sound. In units of 1/scale the shift 1 - min(m) is an integer.
@@ -165,10 +132,10 @@ def zero_sum_value(matrix: Sequence[Sequence[Fraction]]) -> tuple[Fraction, Vect
     # >= value against every column and the column mixture concedes <= value
     # against every row. The inequalities are checked in integers, multiplied
     # through by the positive common denominators.
-    row_den = _common_denominator(row_strategy)
-    col_den = _common_denominator(col_strategy)
-    p = _scaled(row_strategy, row_den)
-    q = _scaled(col_strategy, col_den)
+    row_den = common_denominator(row_strategy)
+    col_den = common_denominator(col_strategy)
+    p = scaled(row_strategy, row_den)
+    q = scaled(col_strategy, col_den)
     if min(p) < 0 or min(q) < 0 or sum(p) != row_den or sum(q) != col_den:
         raise SimplexInternalError("optimal strategies are not distributions")
     guaranteed = value.numerator * scale * row_den

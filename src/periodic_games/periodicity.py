@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
 from .errors import AnchorNotOnCycle, BadParameter, DegenerateArgmax
-from .game import Game, opponent_profiles, own_payoff_matrix
+from .game import Game, opponent_profiles, own_payoff_row
 
 
 class TiePolicy(enum.Enum):
@@ -96,7 +96,7 @@ def best_deviation_profile(
     """
     i = g.player_index(player)
     a = g.action_index(i, action)
-    row = own_payoff_matrix(g, i)[a]
+    row = own_payoff_row(g, i, a)
     best_value = max(row)
     best_profiles = [opp for opp, value in zip(opponent_profiles(g, i), row) if value == best_value]
     strict = len(best_profiles) == 1

@@ -74,10 +74,15 @@ def iesds(g: Game, mode: DominanceMode = DominanceMode.PURE_ONLY) -> SurvivorSet
     alive: list[frozenset[int]] = [frozenset(range(size)) for size in g.shape]
     trace: list[Elimination] = []
     round_number = 0
+    shrunk = set(range(g.num_players))  # players who lost an action last round
     while True:
         round_number += 1
         doomed: list[Elimination] = []
         for i in range(g.num_players):
+            if not shrunk - {i}:
+                # i's columns are unchanged and its dominators only shrank,
+                # so none of its actions can have become dominated.
+                continue
             for action in sorted(alive[i]):
                 dominator = _find_dominator(g, i, action, alive, mode)
                 if dominator is not None:
@@ -86,6 +91,7 @@ def iesds(g: Game, mode: DominanceMode = DominanceMode.PURE_ONLY) -> SurvivorSet
             break
         for e in doomed:
             alive[e.player] = alive[e.player] - {e.action}
+        shrunk = {e.player for e in doomed}
         trace.extend(doomed)
     return SurvivorSet(survivors=tuple(alive), trace=tuple(trace))
 

@@ -253,3 +253,14 @@ def test_dot_is_rendered_only_for_the_dot_format(capsys, monkeypatch, command):
     capsys.readouterr()
     assert main([command, BOS, "--format", "dot"]) == 0
     assert [capsys.readouterr().out] == rendered
+
+
+def test_coco_rejects_an_oversized_literal_as_invalid_input(tmp_path, capsys):
+    doc = json.loads(open(PD, encoding="utf-8").read())
+    doc["payoffs"][0][0][0] = "1e5000"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["coco", str(path), "--format", "machine"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input:")

@@ -23,7 +23,8 @@ from periodic_games.errors import (
     ParseError,
     ValidationError,
 )
-from periodic_games.game import opponent_profiles, own_payoff_matrix, validate_mixed
+from periodic_games.game import opponent_profiles, own_payoff_matrix, own_payoff_row, validate_mixed
+from periodic_games.generate import random_game
 
 
 def small():
@@ -188,3 +189,20 @@ def test_restrict_game_keeps_labels_and_payoffs():
 def test_restrict_game_rejects_empty_subset():
     with pytest.raises(BadDimension):
         restrict_game(small(), [[], [0]])
+
+
+def test_own_payoff_row_is_the_matrix_row():
+    rng = random.Random(1967)
+    for _ in range(30):
+        g = random_game(rng)
+        for i in range(g.num_players):
+            matrix = own_payoff_matrix(g, i)
+            assert [own_payoff_row(g, i, a) for a in range(g.shape[i])] == matrix
+            label = g.actions[i][-1]
+            assert own_payoff_row(g, g.players[i], label) == matrix[-1]
+
+
+@pytest.mark.parametrize("action", [-1, 2, "z", True, 0.0])
+def test_own_payoff_row_rejects_an_unknown_action(action):
+    with pytest.raises(IndexOutOfRange):
+        own_payoff_row(small(), 1, action)

@@ -1,10 +1,12 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
 from periodic_games import build_periodicity_graph, enumerate_cycles, export_dot
-from periodic_games.errors import ParseError
+from periodic_games.errors import BadLiteral, ParseError
+from periodic_games.game import MAX_LITERAL_DIGITS
 from periodic_games.io import (
     dump_report,
     format_fraction,
@@ -33,6 +35,22 @@ def test_parse_fraction_rejects_floats_and_bools():
         parse_fraction("1/0")
     with pytest.raises(ParseError):
         parse_fraction("abc")
+
+
+@pytest.mark.parametrize("text", ["1e5000", "1e-5000", "2.5E+3000000", "1" * (MAX_LITERAL_DIGITS + 1)])
+def test_parse_fraction_bounds_a_literal_before_any_power_of_ten(text):
+    start = time.perf_counter()
+    with pytest.raises(BadLiteral, match=f"more than {MAX_LITERAL_DIGITS} digits"):
+        parse_fraction(text)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_parse_fraction_keeps_literals_within_the_bound():
+    assert parse_fraction("1e10") == 10**10
+    assert parse_fraction("0.25") == Fraction(1, 4)
+    assert parse_fraction(" -1.5E+0003 ") == -1500
+    assert parse_fraction("1" * MAX_LITERAL_DIGITS) == (10**MAX_LITERAL_DIGITS - 1) // 9
+    assert parse_fraction("1e4299") == 10**4299
 
 
 def test_format_round_trip():

@@ -7,6 +7,7 @@ from periodic_games.errors import BadParameter, CertificateError
 from periodic_games.linalg import (
     affine_dimension,
     matrix_rank,
+    pivot,
     polytope_vertices,
     solve_exact,
 )
@@ -125,7 +126,7 @@ def test_pivot_raises_on_inexact_division():
     # (2 * 1 - 1 * 1) / 3 leaves a remainder: no integer tableau gives this.
     tableau = [[2, 1], [1, 1]]
     with pytest.raises(ArithmeticError, match="inexact division"):
-        lp._pivot(tableau, 0, 0, 3)
+        pivot(tableau, 0, 0, 3)
 
 
 @pytest.mark.parametrize("check", ["primal and dual", "row strategy", "column strategy"])

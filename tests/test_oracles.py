@@ -21,6 +21,7 @@ from periodic_games import (
     iesds,
     interim_correlated_game,
     interim_game,
+    linalg,
     make_game,
     nash_support_enumeration,
     validate_bayesian_game,
@@ -28,11 +29,11 @@ from periodic_games import (
 )
 from periodic_games.errors import ZeroProbabilityType
 from periodic_games.generate import random_game
-from periodic_games.linalg import polytope_vertices, rref, solve_exact
+from periodic_games.linalg import pivot, polytope_vertices, rref, solve_exact
 from periodic_games.lp import SimplexInternalError, simplex_max, zero_sum_value
 from periodic_games.mixed import own_payoff_matrix
 from periodic_games.periodicity import Cycle, all_cycles
-from periodic_games.rationalizability import DominanceMode, _find_dominator
+from periodic_games.rationalizability import DominanceMode, Elimination, SurvivorSet, _find_dominator
 
 F = Fraction
 
@@ -124,6 +125,55 @@ def test_kernel_handles_zero_and_rank_deficient_matrices():
     assert rref(zero) == (zero, [])
     assert rref([[F(2), F(4)], [F(1), F(2)]]) == ([[F(1), F(2)], [F(0), F(0)]], [0])
     assert rref([]) == ([], [])
+
+
+def reference_determinant(matrix):
+    """Fraction Gaussian elimination, tracking row swaps."""
+    m = [list(row) for row in matrix]
+    det = F(1)
+    for c in range(len(m)):
+        r = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if r is None:
+            return F(0)
+        if r != c:
+            m[c], m[r] = m[r], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            factor = m[i][c] / m[c][c]
+            m[i] = [x - factor * y for x, y in zip(m[i], m[c])]
+    return det
+
+
+def test_rref_pivots_are_leading_minors(monkeypatch):
+    """Bareiss elimination: each pivot is a minor of the scaled matrix, so
+    the last one of a nonsingular integer matrix is its determinant up to
+    sign. An elimination that does not divide by the previous pivot still
+    finds the right echelon form, but with entries far larger than that."""
+    steps = []
+
+    def recorded(rows, r, c, det):
+        steps.append(det)
+        p = pivot(rows, r, c, det)
+        steps.append(p)
+        return p
+
+    monkeypatch.setattr(linalg, "pivot", recorded)
+    rng = random.Random(1968)
+    checked = 0
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        matrix = [[F(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]
+        det = reference_determinant(matrix)
+        steps.clear()
+        reduced, pivots = rref(matrix)
+        assert (reduced, pivots) == reference_rref(matrix)
+        # Each step divides by the pivot of the step before it.
+        assert steps[0] == 1 and steps[1::2][:-1] == steps[2::2]
+        if det:
+            assert abs(steps[-1]) == abs(det)
+            checked += 1
+    assert checked > 200
 
 
 def _is_best_response(matrix, own, opp):
@@ -367,6 +417,69 @@ def test_find_dominator_matches_reference_on_random_survivor_sets():
                     if got is not None:
                         found[got[0]] += 1
     assert found["pure"] > 0 and found["mixed"] > 0
+
+
+def reference_iesds(g, mode, find_dominator=_find_dominator):
+    """The elimination loop that re-checks every player in every round."""
+    alive = [frozenset(range(size)) for size in g.shape]
+    trace = []
+    round_number = 0
+    while True:
+        round_number += 1
+        doomed = []
+        for i in range(g.num_players):
+            for action in sorted(alive[i]):
+                dominator = find_dominator(g, i, action, alive, mode)
+                if dominator is not None:
+                    doomed.append(Elimination(round_number, i, action, dominator))
+        if not doomed:
+            break
+        for e in doomed:
+            alive[e.player] = alive[e.player] - {e.action}
+        trace.extend(doomed)
+    return SurvivorSet(survivors=tuple(alive), trace=tuple(trace))
+
+
+def _dominance_solvable_game(rng, n):
+    """Payoffs in [0, 3] plus a per-action bonus in [0, 5], so eliminations
+    chain over several rounds and across players."""
+    shape = [rng.randint(2, 4) for _ in range(n)]
+    players = [f"P{i}" for i in range(n)]
+    actions = [[f"s{a}" for a in range(size)] for size in shape]
+    bonus = [[rng.randint(0, 5) for _ in range(size)] for size in shape]
+
+    def table(depth, profile):
+        if depth == n:
+            return [rng.randint(0, 3) + bonus[i][profile[i]] for i in range(n)]
+        return [table(depth + 1, profile + (a,)) for a in range(shape[depth])]
+
+    return make_game(players, actions, table(0, ()))
+
+
+def test_iesds_skipping_unchanged_players_matches_the_every_player_loop(monkeypatch):
+    import periodic_games.rationalizability as rationalizability
+
+    checks = {"kernel": 0, "reference": 0}
+
+    def counting(key):
+        def find_dominator(*args):
+            checks[key] += 1
+            return _find_dominator(*args)
+
+        return find_dominator
+
+    monkeypatch.setattr(rationalizability, "_find_dominator", counting("kernel"))
+    rng = random.Random(1968)
+    games = [random_game(rng) for _ in range(20)]
+    games += [_dominance_solvable_game(rng, 2 + k % 3) for k in range(60)]
+    late_rounds = 0
+    for g in games:
+        for mode in DominanceMode:
+            want = reference_iesds(g, mode, counting("reference"))
+            assert iesds(g, mode) == want
+            late_rounds += any(e.round >= 3 for e in want.trace)
+    assert late_rounds > 0
+    assert checks["kernel"] < checks["reference"]
 
 
 def reference_interim_correlated_game(bg):
