@@ -15,7 +15,15 @@ from .coco import coco_solution
 from .errors import DegenerateArgmax, GameError, ParseError, ValidationError
 from .game import Game, expected_utility
 from .generate import random_game
-from .io import dump_report, export_dot, node_id, parse_bayes, parse_game, serialize_game
+from .io import (
+    dump_report,
+    export_dot,
+    format_fraction,
+    node_id,
+    parse_bayes,
+    parse_game,
+    serialize_game,
+)
 from .mixed import invariance_check, nash_support_enumeration, periodic_mixed
 from .bayes import ex_ante_game, interim_correlated_game, interim_game
 from .errors import Infeasible
@@ -80,6 +88,10 @@ def _emit(args, report: dict, text_lines: list[str], dot: str = None) -> None:
         sys.stdout.write(dot)
     else:
         sys.stdout.write("\n".join(text_lines) + "\n")
+
+
+def _strs(values) -> list[str]:
+    return [format_fraction(v) for v in values]
 
 
 def _action_sets(g: Game, sets) -> dict:
@@ -176,14 +188,14 @@ def cmd_mixed(args) -> int:
         }
         vectors.append(result.probabilities)
         lines.append(
-            f"{player}: p={[str(v) for v in result.probabilities]} "
-            f"value={result.value} spread={spread}"
+            f"{player}: p={_strs(result.probabilities)} "
+            f"value={format_fraction(result.value)} spread={format_fraction(spread)}"
         )
     report["periodic_mixed"] = components
     if all(v is not None for v in vectors):
         utils = expected_utility(g, tuple(vectors))
         report["joint_expected_utilities"] = list(utils)
-        lines.append("joint expected utilities: " + str([str(u) for u in utils]))
+        lines.append("joint expected utilities: " + str(_strs(utils)))
     _emit(args, report, lines)
     return EXIT_OK
 
@@ -204,8 +216,8 @@ def cmd_nash(args) -> int:
     lines = [f"{len(equilibria)} equilibria"]
     for e in equilibria:
         lines.append(
-            f"  p={[str(v) for v in e.row_strategy]} q={[str(v) for v in e.col_strategy]} "
-            f"utilities=({e.utilities[0]}, {e.utilities[1]})"
+            f"  p={_strs(e.row_strategy)} q={_strs(e.col_strategy)} "
+            f"utilities=({', '.join(_strs(e.utilities))})"
         )
     _emit(args, report, lines)
     return EXIT_OK
@@ -231,10 +243,10 @@ def cmd_coco(args) -> int:
     report["final_payoffs"] = list(solution.final_payoffs)
     report["zero_sum_strategies"] = [list(s) for s in solution.zero_sum_strategies]
     lines = [
-        f"joint maximum: {solution.vsharp} at {tuple(report['profile'])}",
-        f"zero-sum value: {solution.vs}",
-        f"side payment (column pays row): {solution.side_payment}",
-        f"final payoffs: ({solution.final_payoffs[0]}, {solution.final_payoffs[1]})",
+        f"joint maximum: {format_fraction(solution.vsharp)} at {tuple(report['profile'])}",
+        f"zero-sum value: {format_fraction(solution.vs)}",
+        f"side payment (column pays row): {format_fraction(solution.side_payment)}",
+        f"final payoffs: ({', '.join(_strs(solution.final_payoffs))})",
     ]
     _emit(args, report, lines)
     return EXIT_OK

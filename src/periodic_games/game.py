@@ -233,18 +233,29 @@ def opponent_profiles(g: Game, i: int) -> list[Profile]:
     return list(itertools.product(*(range(n) for j, n in enumerate(g.shape) if j != i)))
 
 
+def validate_mixture(g: Game, i: int, vec: Sequence[Fraction]) -> None:
+    """Check that ``vec`` is an exact distribution over player i's actions.
+
+    Entries must be Fractions or ints (not bools), so a float never enters
+    a result; they must be nonnegative and sum to 1.
+    """
+    if len(vec) != g.shape[i]:
+        raise DimensionMismatch(
+            f"player {g.players[i]!r} mixture has {len(vec)} entries, expected {g.shape[i]}"
+        )
+    if not all(isinstance(p, (Fraction, int)) and not isinstance(p, bool) for p in vec):
+        raise ValidationError(f"mixture of player {g.players[i]!r} has an entry that is not exact")
+    if any(p < 0 for p in vec):
+        raise ValidationError(f"negative probability in mixture of player {g.players[i]!r}")
+    if sum(vec) != 1:
+        raise ValidationError(f"mixture of player {g.players[i]!r} sums to {sum(vec)}, not 1")
+
+
 def validate_mixed(g: Game, mixed: MixedProfile) -> None:
     if len(mixed) != g.num_players:
         raise DimensionMismatch(f"{len(mixed)} mixture vectors for {g.num_players} players")
     for i, vec in enumerate(mixed):
-        if len(vec) != g.shape[i]:
-            raise DimensionMismatch(
-                f"player {g.players[i]!r} mixture has {len(vec)} entries, expected {g.shape[i]}"
-            )
-        if any(p < 0 for p in vec):
-            raise ValidationError(f"negative probability in mixture of player {g.players[i]!r}")
-        if sum(vec) != 1:
-            raise ValidationError(f"mixture of player {g.players[i]!r} sums to {sum(vec)}, not 1")
+        validate_mixture(g, i, vec)
 
 
 def expected_utility(g: Game, mixed: MixedProfile) -> tuple[Fraction, ...]:

@@ -8,17 +8,27 @@ identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .bayes import BayesianGame, validate_bayesian_game
-from .errors import ParseError
+from .errors import ParseError, SizeLimit
 from .game import Game, parse_fraction, validate_game
 from .periodicity import Cycle, Node, PeriodicityGraph
 
 
 def format_fraction(value: Fraction) -> str:
-    return str(value)
+    """The one way a value is printed: ``str(value)``, or SizeLimit when a
+    numerator or denominator has more digits than the interpreter converts
+    (``sys.get_int_max_str_digits()``)."""
+    try:
+        return str(value)
+    except ValueError:
+        raise SizeLimit(
+            f"a computed value has more than {sys.get_int_max_str_digits()} digits"
+            " in its numerator or denominator, too long to print"
+        ) from None
 
 
 def _load_json(text: str) -> dict:

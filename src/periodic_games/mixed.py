@@ -1,9 +1,14 @@
 """Mixed periodic strategies and Nash equilibria of bimatrix games.
 
-A periodic mixture for a player equalizes that player's own expected payoff
-across every opponent pure action, so the opponent's choice cannot move it.
-Nash equilibria are found by exact support enumeration; degenerate
-indifference systems contribute the vertices of their solution segments.
+Both rest on one indifference system: a mixture q on the simplex such that
+some rows of a payoff matrix pay the same against q. At a mixed Nash
+equilibrium the opponent's mixture makes a player's payoff the same across
+the player's own support, rows of the player's own payoff matrix. A
+periodic mixture of a player makes the player's own payoff the same across
+every opponent pure action, the rows of the transpose of that matrix.
+``_equalizer_vertices`` solves the system for both. Nash equilibria are
+found by exact support enumeration; degenerate indifference systems
+contribute the vertices of their solution segments.
 """
 
 from __future__ import annotations
@@ -11,16 +16,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .errors import BadDimension, Infeasible, SizeLimit
-from .game import Game, expected_utility, own_payoff_matrix, validate_game
-from .linalg import affine_dimension, polytope_vertices, solve_exact
+from .game import Game, expected_utility, own_payoff_matrix, validate_game, validate_mixture
+from .linalg import affine_dimension, polytope_vertices
 
 Vector = tuple[Fraction, ...]
-# (own support, opponent support) -> the equalizing mixture with exactly that
-# opponent support, or None; see _indifference_vertices.
-VertexMemo = dict[tuple[tuple[int, ...], tuple[int, ...]], Optional[Vector]]
 
 MAX_SUPPORT_ACTIONS = 6
 
@@ -56,16 +58,19 @@ def require_bimatrix(g: Game) -> None:
         raise BadDimension(f"operation requires a 2-player game, got {g.num_players}")
 
 
-def _equalizer_vertices(matrix: Sequence[Sequence[Fraction]]) -> list[Vector]:
-    """Vertices of {p on the simplex : p . column is equal for all columns}."""
-    n = len(matrix)
-    cols = len(matrix[0])
-    system = [[Fraction(1)] * n]
-    rhs = [Fraction(1)]
-    for k in range(1, cols):
-        system.append([matrix[a][k] - matrix[a][0] for a in range(n)])
-        rhs.append(Fraction(0))
-    return polytope_vertices(system, rhs, n)
+def _equalizer_vertices(
+    matrix: Sequence[Sequence[Fraction]], rows: Sequence[int]
+) -> list[tuple[Vector, frozenset[int]]]:
+    """Vertices of {q on the simplex : (matrix q)_a is equal for every a in
+    rows}, sorted, each with its support."""
+    base = matrix[rows[0]]
+    system = [[Fraction(1)] * len(base)]
+    system.extend([x - y for x, y in zip(matrix[a], base)] for a in rows[1:])
+    rhs = [Fraction(1)] + [Fraction(0)] * (len(rows) - 1)
+    return [
+        (q, frozenset(b for b, v in enumerate(q) if v))
+        for q in polytope_vertices(system, rhs, len(base))
+    ]
 
 
 def periodic_mixed(g: Game, player: Union[int, str]) -> PeriodicMixed:
@@ -77,7 +82,8 @@ def periodic_mixed(g: Game, player: Union[int, str]) -> PeriodicMixed:
     require_bimatrix(g)
     i = g.player_index(player)
     matrix = own_payoff_matrix(g, i)
-    vertices = _equalizer_vertices(matrix)
+    columns = list(zip(*matrix))
+    vertices = [p for p, _ in _equalizer_vertices(columns, range(len(columns)))]
     if not vertices:
         raise Infeasible(
             f"no mixture of player {g.players[i]!r} equalizes payoffs across opponent actions"
@@ -90,15 +96,15 @@ def periodic_mixed(g: Game, player: Union[int, str]) -> PeriodicMixed:
 def invariance_check(g: Game, player: Union[int, str], p: Sequence[Fraction]) -> Fraction:
     """Spread (max - min over opponent pure actions) of the player's payoff at p.
 
-    Zero certifies that p is a periodic mixture.
+    Zero certifies that p is a periodic mixture. ``p`` must be an exact
+    distribution over the player's actions (see ``validate_mixture``).
     """
     require_bimatrix(g)
     i = g.player_index(player)
+    validate_mixture(g, i, p)
     matrix = own_payoff_matrix(g, i)
-    if len(p) != len(matrix):
-        raise BadDimension(f"mixture length {len(p)} != {len(matrix)} actions")
     payoffs = [
-        sum(matrix[a][b] * Fraction(p[a]) for a in range(len(matrix)))
+        sum(matrix[a][b] * p[a] for a in range(len(matrix)))
         for b in range(len(matrix[0]))
     ]
     return max(payoffs) - min(payoffs)
@@ -117,104 +123,69 @@ def _is_best_response(matrix: Sequence[Sequence[Fraction]], own: Vector, opp: Ve
     return all(payoffs[a] == best for a in _support(own))
 
 
+def _supports(n: int) -> list[tuple[int, ...]]:
+    return [s for size in range(1, n + 1) for s in itertools.combinations(range(n), size)]
+
+
+def _support_pair_candidates(
+    m_row: Sequence[Sequence[Fraction]], m_col: Sequence[Sequence[Fraction]]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], list[Vector], list[Vector]]]:
+    """For every support pair (sa, sb): the row mixtures on sa that make the
+    column player indifferent across sb, and the column mixtures on sb that
+    make the row player indifferent across sa, each sorted.
+
+    The mixtures on sb form a face of the polytope of ``_equalizer_vertices``
+    (every q_b >= 0 is a valid inequality), and the vertices of a face are
+    the polytope's vertices inside it; so each side is solved once per own
+    support and filtered by support per pair.
+    """
+    col_side = [(sb, frozenset(sb), _equalizer_vertices(m_col, sb)) for sb in _supports(len(m_col))]
+    for sa in _supports(len(m_row)):
+        q_all = _equalizer_vertices(m_row, sa)
+        within_sa = frozenset(sa)
+        for sb, within_sb, p_all in col_side:
+            yield (
+                sa,
+                sb,
+                [p for p, support in p_all if support <= within_sa],
+                [q for q, support in q_all if support <= within_sb],
+            )
+
+
 def nash_support_enumeration(g: Game) -> list[EquilibriumReport]:
     """All extreme Nash equilibria of a bimatrix game, canonically sorted.
 
-    For each support pair the exact indifference system is solved on the
-    simplex; rank-deficient systems yield every vertex of their solution
-    segment. Candidates are kept iff neither player has a profitable pure
-    deviation.
+    For each support pair the candidates are the vertices of the exact
+    indifference systems on the simplex (``_support_pair_candidates``);
+    rank-deficient systems yield every vertex of their solution segment.
+    Candidates are kept iff neither player has a profitable pure deviation.
     """
     require_bimatrix(g)
     if max(g.shape) > MAX_SUPPORT_ACTIONS:
         raise SizeLimit(f"support enumeration limited to {MAX_SUPPORT_ACTIONS} actions per player")
     m_row = own_payoff_matrix(g, 0)
     m_col = own_payoff_matrix(g, 1)
-    n_row, n_col = g.shape
 
     found: dict[tuple[Vector, Vector], EquilibriumReport] = {}
-    row_memo: VertexMemo = {}
-    col_memo: VertexMemo = {}
-    row_supports = [
-        s for size in range(1, n_row + 1) for s in itertools.combinations(range(n_row), size)
-    ]
-    col_supports = [
-        s for size in range(1, n_col + 1) for s in itertools.combinations(range(n_col), size)
-    ]
-    for sa in row_supports:
-        for sb in col_supports:
-            # q makes the row player indifferent across sa; p the column
-            # player indifferent across sb.
-            q_candidates = _indifference_vertices(m_row, sa, sb, n_col, row_memo)
-            if not q_candidates:
-                continue
-            p_candidates = _indifference_vertices(m_col, sb, sa, n_row, col_memo)
-            for p in p_candidates:
-                for q in q_candidates:
-                    key = (p, q)
-                    if key in found:
-                        continue
-                    if not _is_best_response(m_row, p, q):
-                        continue
-                    if not _is_best_response(m_col, q, p):
-                        continue
-                    utils = expected_utility(g, (p, q))
-                    found[key] = EquilibriumReport(
-                        kind=NASH,
-                        row_strategy=p,
-                        col_strategy=q,
-                        utilities=(utils[0], utils[1]),
-                        support=(_support(p), _support(q)),
-                    )
+    for _, _, p_candidates, q_candidates in _support_pair_candidates(m_row, m_col):
+        for p in p_candidates:
+            for q in q_candidates:
+                key = (p, q)
+                if key in found:
+                    continue
+                if not _is_best_response(m_row, p, q):
+                    continue
+                if not _is_best_response(m_col, q, p):
+                    continue
+                utils = expected_utility(g, (p, q))
+                found[key] = EquilibriumReport(
+                    kind=NASH,
+                    row_strategy=p,
+                    col_strategy=q,
+                    utilities=(utils[0], utils[1]),
+                    support=(_support(p), _support(q)),
+                )
     return [found[key] for key in sorted(found)]
-
-
-def _indifference_vertices(
-    matrix: Sequence[Sequence[Fraction]],
-    own_support: tuple[int, ...],
-    opp_support: tuple[int, ...],
-    opp_size: int,
-    memo: VertexMemo,
-) -> list[Vector]:
-    """Vertices of opponent mixtures on opp_support equalizing own_support payoffs.
-
-    A vertex is the unique nonnegative solution on some column subset T of
-    opp_support, padded with zeros; unique solutions need |T| <= the
-    len(own_support) equations. A vertex with a zero inside T is also the
-    unique solution on its own support, so each vertex is taken only from
-    the T where it is positive, once. It depends only on (own_support, T),
-    and ``memo`` keeps it for every opp_support that contains T.
-    """
-    vertices = []
-    for size in range(1, min(len(opp_support), len(own_support)) + 1):
-        for cols in itertools.combinations(opp_support, size):
-            key = (own_support, cols)
-            if key not in memo:
-                memo[key] = _positive_indifference_vertex(matrix, own_support, cols, opp_size)
-            vertex = memo[key]
-            if vertex is not None:
-                vertices.append(vertex)
-    return sorted(vertices)
-
-
-def _positive_indifference_vertex(
-    matrix: Sequence[Sequence[Fraction]],
-    own_support: tuple[int, ...],
-    cols: tuple[int, ...],
-    opp_size: int,
-) -> Optional[Vector]:
-    """The opponent mixture with support exactly ``cols`` equalizing own_support, if unique."""
-    base = matrix[own_support[0]]
-    system = [[Fraction(1)] * len(cols)]
-    system.extend([matrix[a][b] - base[b] for b in cols] for a in own_support[1:])
-    rhs = [Fraction(1)] + [Fraction(0)] * (len(own_support) - 1)
-    kind, sol = solve_exact(system, rhs)
-    if kind != "unique" or any(v <= 0 for v in sol):
-        return None
-    full = [Fraction(0)] * opp_size
-    for b, v in zip(cols, sol):
-        full[b] = v
-    return tuple(full)
 
 
 def periodic_profile_report(g: Game) -> EquilibriumReport:

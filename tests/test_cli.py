@@ -264,3 +264,24 @@ def test_coco_rejects_an_oversized_literal_as_invalid_input(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("invalid input:")
+
+
+@pytest.mark.parametrize("fmt", ["machine", "text"])
+def test_a_value_too_long_to_print_is_an_error_not_a_traceback(tmp_path, capsys, fmt):
+    # Each literal is within the parse bound, but the CO-CO values and the
+    # periodic mixtures combine them into numerators or denominators of over
+    # 4,300 digits; the equilibria and the graph of this game print none.
+    doc = json.loads(open(PD, encoding="utf-8").read())
+    doc["payoffs"][0][0][0] = "1e-4000"
+    doc["payoffs"][0][1][0] = "1e4000"
+    path = tmp_path / "long_values.json"
+    path.write_text(json.dumps(doc))
+    for command in ("coco", "mixed"):
+        assert main([command, str(path), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: a computed value has more than")
+        assert "Traceback" not in captured.err
+    for command in ("nash", "analyze"):
+        assert main([command, str(path), "--format", fmt]) == 0
+        assert capsys.readouterr().err == ""

@@ -179,6 +179,17 @@ def test_validate_mixed_rejects_bad_vectors():
         validate_mixed(g, ((Fraction(1),),))
 
 
+def test_expected_utility_reads_only_exact_mixtures():
+    g = small()
+    for bad in ((0.5, 0.5), (True, False), ("1/2", "1/2")):
+        with pytest.raises(ValidationError):
+            expected_utility(g, (bad, (Fraction(1, 2), Fraction(1, 2))))
+    half = Fraction(1, 2)
+    assert expected_utility(g, ((1, 0), (half, half))) == expected_utility(
+        g, ((Fraction(1), Fraction(0)), (half, half))
+    )
+
+
 def test_restrict_game_keeps_labels_and_payoffs():
     g = small()
     r = restrict_game(g, [[1], [0, 1]])

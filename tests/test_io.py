@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from periodic_games import build_periodicity_graph, enumerate_cycles, export_dot
-from periodic_games.errors import BadLiteral, ParseError
+from periodic_games.errors import BadLiteral, ParseError, SizeLimit
 from periodic_games.game import MAX_LITERAL_DIGITS
 from periodic_games.io import (
     dump_report,
@@ -210,3 +210,10 @@ def test_export_dot_marks_degenerate_nodes():
 def test_dump_report_renders_fractions():
     doc = json.loads(dump_report({"value": Fraction(1, 3), "set": frozenset({2, 1})}))
     assert doc == {"value": "1/3", "set": [1, 2]}
+
+
+def test_a_value_too_long_to_print_is_a_size_limit():
+    assert format_fraction(Fraction(-10**4000 - 1, 3)) == "-" + "1" + "0" * 3999 + "1/3"
+    for value in (Fraction(10**4300), Fraction(1, 10**4300), Fraction(-(10**5000) - 1, 7)):
+        with pytest.raises(SizeLimit):
+            format_fraction(value)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from periodic_games import (
     periodic_mixed,
     periodic_profile_report,
 )
-from periodic_games.errors import BadDimension, Infeasible, SizeLimit
+from periodic_games.errors import BadDimension, Infeasible, SizeLimit, ValidationError
 
 F = Fraction
 
@@ -118,3 +119,92 @@ def test_requires_two_players():
     )
     with pytest.raises(BadDimension):
         periodic_mixed(g, 0)
+
+
+def test_invariance_check_reads_only_exact_distributions(bos):
+    # A zero spread for a non-mixture would be a false certificate.
+    for p in ([0, 0], [F(1, 2), F(1, 3)], [F(2), F(-1)], [0.1, 0.9], [True, False], ["1", "0"]):
+        with pytest.raises(ValidationError):
+            invariance_check(bos, 0, p)
+    assert invariance_check(bos, 0, [1, 0]) == invariance_check(bos, 0, [F(1), F(0)]) == F(2)
+
+
+def _bimatrix(rng, rows, cols, binary):
+    def entry():
+        return rng.randint(0, 1) if binary else F(rng.randint(-9, 9), rng.randint(1, 3))
+
+    return make_game(
+        ["R", "C"],
+        [[f"r{k}" for k in range(rows)], [f"c{k}" for k in range(cols)]],
+        [[(entry(), entry()) for _ in range(cols)] for _ in range(rows)],
+    )
+
+
+def _seeded_games(seed, count=60):
+    """Seeded 1x1 to 4x4 bimatrix games; every third one has {0,1} payoffs."""
+    rng = random.Random(seed)
+    return [_bimatrix(rng, rng.randint(1, 4), rng.randint(1, 4), k % 3 == 0) for k in range(count)]
+
+
+def _remade(g, players, actions, payoff, transpose=False):
+    """A bimatrix game whose payoff vector at (r, c) of ``g``'s shape is
+    ``payoff(g.payoffs at (r, c))``, the table transposed if asked."""
+    rows, cols = g.shape
+    at = [[payoff(g.payoffs[g.profile_index((r, c))]) for c in range(cols)] for r in range(rows)]
+    table = [list(col) for col in zip(*at)] if transpose else at
+    return make_game(players, actions, table)
+
+
+def _equilibria(g):
+    return sorted((e.row_strategy, e.col_strategy, e.utilities) for e in nash_support_enumeration(g))
+
+
+def _periodic(g, i):
+    try:
+        return periodic_mixed(g, i)
+    except Infeasible:
+        return None
+
+
+def test_swapping_the_players_swaps_equilibria_and_periodic_mixtures():
+    for g in _seeded_games(31):
+        swapped = _remade(g, ["C", "R"], [g.actions[1], g.actions[0]], lambda u: (u[1], u[0]), True)
+        assert _equilibria(swapped) == sorted((q, p, (u1, u0)) for p, q, (u0, u1) in _equilibria(g))
+        assert _periodic(swapped, 0) == _periodic(g, 1)
+        assert _periodic(swapped, 1) == _periodic(g, 0)
+
+
+def test_permuting_a_players_actions_permutes_the_equilibria():
+    rng = random.Random(32)
+    for g in _seeded_games(32):
+        for i in (0, 1):
+            # Action k of player i in the permuted game is its action perm[k].
+            perm = list(range(g.shape[i]))
+            rng.shuffle(perm)
+            keep = [list(range(n)) for n in g.shape]
+            keep[i] = perm
+            actions = [[g.actions[j][k] for k in keep[j]] for j in (0, 1)]
+            table = [[g.payoffs[g.profile_index((r, c))] for c in keep[1]] for r in keep[0]]
+            permuted = make_game(g.players, actions, table)
+
+            def relabel(equilibrium):
+                moved = list(equilibrium)
+                moved[i] = tuple(equilibrium[i][k] for k in perm)
+                return tuple(moved)
+
+            assert _equilibria(permuted) == sorted(relabel(e) for e in _equilibria(g))
+
+
+@pytest.mark.parametrize("a, b", [(F(3), F(-2)), (F(1, 7), F(5, 2)), (F(1), F(1))])
+def test_a_positive_affine_map_of_one_players_payoffs(a, b):
+    """Equilibria and the player's own periodic mixture are unchanged;
+    the player's utilities and periodic value follow the map."""
+    for g in _seeded_games(33):
+        mapped = _remade(g, g.players, g.actions, lambda u: (a * u[0] + b, u[1]))
+        assert _equilibria(mapped) == [(p, q, (a * u0 + b, u1)) for p, q, (u0, u1) in _equilibria(g)]
+        before, after = _periodic(g, 0), _periodic(mapped, 0)
+        assert (before is None) == (after is None)
+        if before is not None:
+            assert after.probabilities == before.probabilities
+            assert after.dimension == before.dimension
+            assert after.value == a * before.value + b

@@ -1,5 +1,6 @@
 """Differential tests of the integer elimination and pivoting kernels, of
-Nash support enumeration, of the dominance check, of the Bayesian companion
+Nash support enumeration and the indifference vertices it shares with
+periodic mixtures, of the dominance check, of the Bayesian companion
 games and of the cycle search against slow, independent reference
 implementations kept here, plus metamorphic tests under positive payoff
 scaling."""
@@ -27,11 +28,16 @@ from periodic_games import (
     validate_bayesian_game,
     validate_game,
 )
-from periodic_games.errors import ZeroProbabilityType
+from periodic_games.errors import Infeasible, ZeroProbabilityType
 from periodic_games.generate import random_game
-from periodic_games.linalg import pivot, polytope_vertices, rref, solve_exact
+from periodic_games.linalg import affine_dimension, pivot, polytope_vertices, rref, solve_exact
 from periodic_games.lp import SimplexInternalError, simplex_max, zero_sum_value
-from periodic_games.mixed import own_payoff_matrix
+from periodic_games.mixed import (
+    PeriodicMixed,
+    _support_pair_candidates,
+    own_payoff_matrix,
+    periodic_mixed,
+)
 from periodic_games.periodicity import Cycle, all_cycles
 from periodic_games.rationalizability import DominanceMode, Elimination, SurvivorSet, _find_dominator
 
@@ -242,6 +248,69 @@ def test_nash_matches_unrestricted_support_enumeration():
         assert [(e.row_strategy, e.col_strategy) for e in equilibria] == reference_nash(g)
         for e in equilibria:
             assert e.utilities == expected_utility(g, (e.row_strategy, e.col_strategy))
+
+
+def reference_indifference_vertices(matrix, own_support, opp_support, opp_size):
+    """Opponent mixtures on opp_support equalizing the own_support rows,
+    searched per column subset T of opp_support: a vertex is the unique,
+    strictly positive solution on its own support T, with |T| <= the
+    len(own_support) equations."""
+    base = matrix[own_support[0]]
+    vertices = []
+    for size in range(1, min(len(opp_support), len(own_support)) + 1):
+        for cols in itertools.combinations(opp_support, size):
+            system = [[F(1)] * len(cols)]
+            system += [[matrix[a][b] - base[b] for b in cols] for a in own_support[1:]]
+            rhs = [F(1)] + [F(0)] * (len(own_support) - 1)
+            kind, sol = solve_exact(system, rhs)
+            if kind == "unique" and all(v > 0 for v in sol):
+                full = [F(0)] * opp_size
+                for b, v in zip(cols, sol):
+                    full[b] = v
+                vertices.append(tuple(full))
+    return sorted(vertices)
+
+
+def reference_periodic_vertices(matrix):
+    """Mixtures p on the simplex with p . column equal for all columns, one
+    column-difference equation per column after the first."""
+    n, cols = len(matrix), len(matrix[0])
+    system = [[F(1)] * n]
+    system += [[matrix[a][k] - matrix[a][0] for a in range(n)] for k in range(1, cols)]
+    return polytope_vertices(system, [F(1)] + [F(0)] * (cols - 1), n)
+
+
+def test_one_equalizer_matches_the_per_subset_search_and_the_column_system():
+    """Nash candidates come from one vertex list per own support, filtered by
+    support per pair; periodic mixtures from the same routine on the
+    transpose. Both must equal the separate searches they replace."""
+    rng = random.Random(2010)
+    pairs = infeasible = 0
+    for k in range(150):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        g = _random_bimatrix(rng, rows, cols, binary=k % 3 == 0)
+        m_row, m_col = own_payoff_matrix(g, 0), own_payoff_matrix(g, 1)
+        seen = []
+        for sa, sb, p_candidates, q_candidates in _support_pair_candidates(m_row, m_col):
+            assert q_candidates == reference_indifference_vertices(m_row, sa, sb, cols), (g, sa, sb)
+            assert p_candidates == reference_indifference_vertices(m_col, sb, sa, rows), (g, sa, sb)
+            seen.append((sa, sb))
+        assert len(seen) == len(set(seen)) == (2**rows - 1) * (2**cols - 1)
+        pairs += len(seen)
+        for i, matrix in enumerate((m_row, m_col)):
+            reference = reference_periodic_vertices(matrix)
+            if not reference:
+                with pytest.raises(Infeasible):
+                    periodic_mixed(g, i)
+                infeasible += 1
+                continue
+            best = reference[0]
+            assert periodic_mixed(g, i) == PeriodicMixed(
+                probabilities=best,
+                value=sum(matrix[a][0] * best[a] for a in range(len(best))),
+                dimension=affine_dimension(reference),
+            )
+    assert pairs > 12000 and 50 < infeasible < 250
 
 
 class Unbounded(Exception):
