@@ -17,6 +17,12 @@ from .errors import ParseError, SizeLimit
 from .game import Game, parse_fraction, validate_game
 from .periodicity import Cycle, Node, PeriodicityGraph
 
+# Lists and objects nested deeper than this are a ParseError. A game's
+# payoffs nest one level per player plus one, so only documents with
+# absurdly many players come near it, while the recursive readers and
+# writers here stay far from the interpreter's recursion limit.
+MAX_NESTING = 100
+
 
 def format_fraction(value: Fraction) -> str:
     """The one way a value is printed: ``str(value)``, or SizeLimit when a
@@ -31,14 +37,30 @@ def format_fraction(value: Fraction) -> str:
         ) from None
 
 
+def _too_deep() -> ParseError:
+    return ParseError(f"document nests lists and objects deeper than {MAX_NESTING} levels")
+
+
 def _load_json(text: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
+    except RecursionError:  # the decoder recursed past the interpreter's limit
+        raise _too_deep() from None
     if not isinstance(doc, dict):
         raise ParseError("top-level document must be an object")
-    return doc
+    level = [doc]  # the containers at one depth, walked without recursion
+    for _ in range(MAX_NESTING):
+        level = [
+            child
+            for node in level
+            for child in (node.values() if isinstance(node, dict) else node)
+            if isinstance(child, (dict, list))
+        ]
+        if not level:
+            return doc
+    raise _too_deep()
 
 
 def _require(doc: dict, key: str):

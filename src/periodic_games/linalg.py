@@ -2,17 +2,17 @@
 
 Only this module turns rationals into integers (``common_denominator`` and
 ``scaled``) and divides integers exactly (``pivot``, the fraction-free step
-of Bareiss 1968 elimination and of Edmonds 1967 integer pivoting); ``lp``
-and ``bayes`` use these helpers.
+of Bareiss 1968 elimination and of Edmonds 1967 integer pivoting); ``lp``,
+``bayes`` and ``mixed`` use these helpers.
 
-Desk-scale only: systems here have at most a handful of variables. Every
-solve goes through ``rref``: each row is scaled to integers by the lcm of
-its denominators and eliminated Gauss-Jordan with ``pivot``, so entries
-stay integers, bounded by minors of the scaled matrix. Fractions are formed
-once, when each pivot row is divided by its pivot at the end.
+Desk-scale only: systems here have at most a handful of variables. Each row
+is scaled to integers by the lcm of its denominators and eliminated
+Gauss-Jordan with ``pivot`` (``_eliminate``), so entries stay integers,
+bounded by minors of the scaled matrix. Fractions are formed once, when a
+pivot row is divided by its pivot at the end.
 
-Vertex enumeration tries the column subsets of size at most the number of
-equations, since a larger subset cannot have a unique solution.
+Vertex enumeration eliminates ``[a | b]`` once and solves only the bases:
+the column subsets of size rank(a), on the rank(a) independent rows.
 """
 
 from __future__ import annotations
@@ -65,33 +65,44 @@ def pivot(rows: list[list[int]], r: int, c: int, det: int) -> int:
     return p
 
 
-def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (rref matrix, pivot column list).
+def _integer_rows(matrix) -> list[list[int]]:
+    """Each row scaled to integers by the lcm of its denominators, which
+    leaves the row space unchanged; zero rows are left out."""
+    return [ints for ints in (scaled(row, common_denominator(row)) for row in matrix) if any(ints)]
 
-    Each row is scaled to integers by the lcm of its denominators, which
-    leaves the row space unchanged, and eliminated with ``pivot``.
+
+def _eliminate(m: list[list[int]], cols: int) -> list[int]:
+    """Gauss-Jordan elimination of integer rows in place with ``pivot``,
+    over the first ``cols`` columns; returns the pivot columns.
+
+    Row k ends up holding the k-th pivot, and every pivot entry equals the
+    last pivot, a minor of the input.
     """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    # Zero rows stay zero and end up at the bottom; leave them out.
-    m = [ints for ints in (scaled(row, common_denominator(row)) for row in matrix) if any(ints)]
-    live = len(m)
     pivots: list[int] = []
     det = 1
-    r = 0
     for c in range(cols):
-        pivot_row = next((i for i in range(r, live) if m[i][c]), None)
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
         det = pivot(m, r, c, det)
         pivots.append(c)
-        r += 1
-        if r == live:
+        if r + 1 == len(m):
             break
+    return pivots
+
+
+def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form; returns (rref matrix, pivot column list)."""
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    # Zero rows stay zero and end up at the bottom.
+    m = _integer_rows(matrix)
+    pivots = _eliminate(m, cols)
     zero = Fraction(0)
     out = [[Fraction(v, m[k][c]) if v else zero for v in m[k]] for k, c in enumerate(pivots)]
-    out.extend([zero] * cols for _ in range(rows - r))
+    out.extend([zero] * cols for _ in range(rows - len(pivots)))
     return out, pivots
 
 
@@ -102,15 +113,14 @@ def solve_exact(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> tuple
     ('many', particular_solution) when underdetermined.
     """
     n = len(a[0]) if a else 0
-    aug = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    if not aug:
-        return ("many", tuple(Fraction(0) for _ in range(n)))
-    reduced, pivots = rref(aug)
+    m = _integer_rows([list(row) + [rhs] for row, rhs in zip(a, b)])
+    pivots = _eliminate(m, n + 1)
     if n in pivots:
         return ("none", None)  # pivot in augmented column: 0 = nonzero
+    # Only the right-hand side of each pivot row is divided out.
     x = [Fraction(0)] * n
-    for r, c in enumerate(pivots):
-        x[c] = reduced[r][-1]
+    for k, c in enumerate(pivots):
+        x[c] = Fraction(m[k][-1], m[k][c])
     kind = "unique" if len(pivots) == n else "many"
     return (kind, tuple(x))
 
@@ -127,23 +137,31 @@ def polytope_vertices(
 ) -> list[Vector]:
     """All vertices of {x in R^n : a x = b, x >= 0}, sorted lexicographically.
 
-    Enumerates support subsets; a support yields a vertex iff the restricted
-    system has a unique nonnegative solution, which needs no more columns
-    than there are equations. Intended for n <= ~8.
+    ``a`` and ``b`` hold Fractions or ints. One ``rref`` of ``[a | b]``
+    gives the rank r of ``a`` and r independent rows, kept scaled to
+    integers, or shows the system inconsistent (no vertex). Every vertex is
+    the basic solution of a basis, r columns independent on those rows,
+    with x zero off them: its support is independent, so it extends to such
+    a basis. Only the r-column subsets are solved, and a degenerate vertex
+    that several bases reach is kept once. A system of rank 0 has no basis
+    and no vertex. Intended for n <= ~8.
     """
+    reduced, pivots = rref([list(row) + [rhs] for row, rhs in zip(a, b)])
+    if not pivots or pivots[-1] == n:  # rank 0, or a row reading 0 = nonzero
+        return []
+    rows = _integer_rows(reduced[: len(pivots)])
+    rhs = [row[-1] for row in rows]
+    zero = Fraction(0)
     vertices: set[Vector] = set()
-    for size in range(1, min(n, len(a)) + 1):
-        for support in itertools.combinations(range(n), size):
-            sub = [[row[j] for j in support] for row in a]
-            kind, sol = solve_exact(sub, b)
-            if kind != "unique" or sol is None:
-                continue
-            if any(v < 0 for v in sol):
-                continue
-            full = [Fraction(0)] * n
-            for j, v in zip(support, sol):
-                full[j] = v
-            vertices.add(tuple(full))
+    for basis in itertools.combinations(range(n), len(pivots)):
+        kind, solution = solve_exact([[row[j] for j in basis] for row in rows], rhs)
+        # A Fraction has the sign of its numerator.
+        if kind != "unique" or any(v.numerator < 0 for v in solution):
+            continue
+        full = [zero] * n
+        for j, v in zip(basis, solution):
+            full[j] = v
+        vertices.add(tuple(full))
     return sorted(vertices)
 
 

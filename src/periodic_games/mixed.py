@@ -6,9 +6,12 @@ equilibrium the opponent's mixture makes a player's payoff the same across
 the player's own support, rows of the player's own payoff matrix. A
 periodic mixture of a player makes the player's own payoff the same across
 every opponent pure action, the rows of the transpose of that matrix.
-``_equalizer_vertices`` solves the system for both. Nash equilibria are
-found by exact support enumeration; degenerate indifference systems
-contribute the vertices of their solution segments.
+``_equalizer_vertices`` solves the system for both, on the payoff matrix
+scaled to integers once per call. Nash equilibria are found by exact
+support enumeration; degenerate indifference systems contribute the
+vertices of their solution segments. Each Nash candidate vertex carries
+the opponent's best-response set and best payoff, computed once by integer
+dot products, so a support pair is tested by set inclusion alone.
 """
 
 from __future__ import annotations
@@ -16,11 +19,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 from .errors import BadDimension, Infeasible, SizeLimit
-from .game import Game, expected_utility, own_payoff_matrix, validate_game, validate_mixture
-from .linalg import affine_dimension, polytope_vertices
+from .game import Game, own_payoff_matrix, validate_game, validate_mixture
+from .linalg import affine_dimension, common_denominator, polytope_vertices, scaled
 
 Vector = tuple[Fraction, ...]
 
@@ -58,19 +61,23 @@ def require_bimatrix(g: Game) -> None:
         raise BadDimension(f"operation requires a 2-player game, got {g.num_players}")
 
 
-def _equalizer_vertices(
-    matrix: Sequence[Sequence[Fraction]], rows: Sequence[int]
-) -> list[tuple[Vector, frozenset[int]]]:
+def _integer_matrix(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """A payoff matrix times the lcm of all its denominators, and that lcm.
+
+    A positive common scale changes no indifference and no best response.
+    """
+    scale = common_denominator(v for row in matrix for v in row)
+    return [scaled(row, scale) for row in matrix], scale
+
+
+def _equalizer_vertices(matrix: Sequence[Sequence[int]], rows: Sequence[int]) -> list[Vector]:
     """Vertices of {q on the simplex : (matrix q)_a is equal for every a in
-    rows}, sorted, each with its support."""
+    rows}, sorted."""
     base = matrix[rows[0]]
-    system = [[Fraction(1)] * len(base)]
+    system = [[1] * len(base)]
     system.extend([x - y for x, y in zip(matrix[a], base)] for a in rows[1:])
-    rhs = [Fraction(1)] + [Fraction(0)] * (len(rows) - 1)
-    return [
-        (q, frozenset(b for b, v in enumerate(q) if v))
-        for q in polytope_vertices(system, rhs, len(base))
-    ]
+    rhs = [1] + [0] * (len(rows) - 1)
+    return polytope_vertices(system, rhs, len(base))
 
 
 def periodic_mixed(g: Game, player: Union[int, str]) -> PeriodicMixed:
@@ -82,8 +89,8 @@ def periodic_mixed(g: Game, player: Union[int, str]) -> PeriodicMixed:
     require_bimatrix(g)
     i = g.player_index(player)
     matrix = own_payoff_matrix(g, i)
-    columns = list(zip(*matrix))
-    vertices = [p for p, _ in _equalizer_vertices(columns, range(len(columns)))]
+    columns = list(zip(*_integer_matrix(matrix)[0]))
+    vertices = _equalizer_vertices(columns, range(len(columns)))
     if not vertices:
         raise Infeasible(
             f"no mixture of player {g.players[i]!r} equalizes payoffs across opponent actions"
@@ -114,13 +121,35 @@ def _support(vec: Vector) -> tuple[int, ...]:
     return tuple(a for a, v in enumerate(vec) if v > 0)
 
 
-def _is_best_response(matrix: Sequence[Sequence[Fraction]], own: Vector, opp: Vector) -> bool:
-    """Every own support action must attain the maximal payoff against opp."""
-    payoffs = [
-        sum(matrix[a][b] * opp[b] for b in range(len(opp))) for a in range(len(own))
-    ]
-    best = max(payoffs)
-    return all(payoffs[a] == best for a in _support(own))
+class _Candidate(NamedTuple):
+    """A vertex of an indifference system, with the best responses to it of
+    the matrix's owner (the rows paying most against ``mixture``) and their
+    payoff."""
+
+    mixture: Vector
+    support: frozenset[int]
+    replies: frozenset[int]
+    best: Fraction
+
+
+def _candidates(matrix: Sequence[Sequence[int]], scale: int, rows: Sequence[int]) -> list[_Candidate]:
+    """``_equalizer_vertices(matrix, rows)``, each vertex with its best
+    responses; ``matrix`` is a payoff matrix times ``scale``."""
+    out = []
+    for q in _equalizer_vertices(matrix, rows):
+        den = common_denominator(q)
+        weights = [(b, w) for b, w in enumerate(scaled(q, den)) if w]
+        payoffs = [sum(row[b] * w for b, w in weights) for row in matrix]
+        best = max(payoffs)
+        replies = frozenset(a for a, v in enumerate(payoffs) if v == best)
+        support = frozenset(b for b, _ in weights)
+        out.append(_Candidate(q, support, replies, Fraction(best, scale * den)))
+    return out
+
+
+def _mutual_best_responses(p: _Candidate, q: _Candidate) -> bool:
+    """Each mixture of the pair is supported on best responses to the other."""
+    return p.support <= q.replies and q.support <= p.replies
 
 
 def _supports(n: int) -> list[tuple[int, ...]]:
@@ -129,26 +158,30 @@ def _supports(n: int) -> list[tuple[int, ...]]:
 
 def _support_pair_candidates(
     m_row: Sequence[Sequence[Fraction]], m_col: Sequence[Sequence[Fraction]]
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], list[Vector], list[Vector]]]:
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], list[_Candidate], list[_Candidate]]]:
     """For every support pair (sa, sb): the row mixtures on sa that make the
     column player indifferent across sb, and the column mixtures on sb that
-    make the row player indifferent across sa, each sorted.
+    make the row player indifferent across sa, each sorted and carrying the
+    other player's best responses.
 
     The mixtures on sb form a face of the polytope of ``_equalizer_vertices``
     (every q_b >= 0 is a valid inequality), and the vertices of a face are
     the polytope's vertices inside it; so each side is solved once per own
-    support and filtered by support per pair.
+    support, on the matrices scaled to integers once, and filtered by
+    support per pair.
     """
-    col_side = [(sb, frozenset(sb), _equalizer_vertices(m_col, sb)) for sb in _supports(len(m_col))]
+    row_ints, row_scale = _integer_matrix(m_row)
+    col_ints, col_scale = _integer_matrix(m_col)
+    col_side = [(sb, frozenset(sb), _candidates(col_ints, col_scale, sb)) for sb in _supports(len(m_col))]
     for sa in _supports(len(m_row)):
-        q_all = _equalizer_vertices(m_row, sa)
+        q_all = _candidates(row_ints, row_scale, sa)
         within_sa = frozenset(sa)
         for sb, within_sb, p_all in col_side:
             yield (
                 sa,
                 sb,
-                [p for p, support in p_all if support <= within_sa],
-                [q for q, support in q_all if support <= within_sb],
+                [p for p in p_all if p.support <= within_sa],
+                [q for q in q_all if q.support <= within_sb],
             )
 
 
@@ -158,46 +191,43 @@ def nash_support_enumeration(g: Game) -> list[EquilibriumReport]:
     For each support pair the candidates are the vertices of the exact
     indifference systems on the simplex (``_support_pair_candidates``);
     rank-deficient systems yield every vertex of their solution segment.
-    Candidates are kept iff neither player has a profitable pure deviation.
+    Candidates are kept iff each is supported on best responses to the
+    other; the utilities are then the two best payoffs.
     """
     require_bimatrix(g)
     if max(g.shape) > MAX_SUPPORT_ACTIONS:
         raise SizeLimit(f"support enumeration limited to {MAX_SUPPORT_ACTIONS} actions per player")
-    m_row = own_payoff_matrix(g, 0)
-    m_col = own_payoff_matrix(g, 1)
-
-    found: dict[tuple[Vector, Vector], EquilibriumReport] = {}
-    for _, _, p_candidates, q_candidates in _support_pair_candidates(m_row, m_col):
+    pairs = _support_pair_candidates(own_payoff_matrix(g, 0), own_payoff_matrix(g, 1))
+    found: dict[tuple[Vector, Vector], tuple[Fraction, Fraction]] = {}
+    for _, _, p_candidates, q_candidates in pairs:
         for p in p_candidates:
             for q in q_candidates:
-                key = (p, q)
-                if key in found:
-                    continue
-                if not _is_best_response(m_row, p, q):
-                    continue
-                if not _is_best_response(m_col, q, p):
-                    continue
-                utils = expected_utility(g, (p, q))
-                found[key] = EquilibriumReport(
-                    kind=NASH,
-                    row_strategy=p,
-                    col_strategy=q,
-                    utilities=(utils[0], utils[1]),
-                    support=(_support(p), _support(q)),
-                )
-    return [found[key] for key in sorted(found)]
+                if _mutual_best_responses(p, q):
+                    found[p.mixture, q.mixture] = (q.best, p.best)
+    return [
+        EquilibriumReport(
+            kind=NASH,
+            row_strategy=p,
+            col_strategy=q,
+            utilities=utilities,
+            support=(_support(p), _support(q)),
+        )
+        for (p, q), utilities in sorted(found.items())
+    ]
 
 
 def periodic_profile_report(g: Game) -> EquilibriumReport:
-    """Joint report when both players admit a periodic mixture."""
+    """Joint report when both players admit a periodic mixture.
+
+    Each player's payoff is its mixture's value whatever the opponent plays.
+    """
     require_bimatrix(g)
     p = periodic_mixed(g, 0)
     q = periodic_mixed(g, 1)
-    utils = expected_utility(g, (p.probabilities, q.probabilities))
     return EquilibriumReport(
         kind=PERIODIC,
         row_strategy=p.probabilities,
         col_strategy=q.probabilities,
-        utilities=(utils[0], utils[1]),
+        utilities=(p.value, q.value),
         support=(_support(p.probabilities), _support(q.probabilities)),
     )

@@ -6,6 +6,7 @@ from periodic_games import cli, coco, lp
 from periodic_games.cli import main
 
 from conftest import FIXTURES
+from test_io import deep_payoffs_game, deep_prior_bayes, one_action_game
 
 BOS = str(FIXTURES / "battle_of_sexes.game.json")
 PD = str(FIXTURES / "prisoners_dilemma.game.json")
@@ -285,3 +286,23 @@ def test_a_value_too_long_to_print_is_an_error_not_a_traceback(tmp_path, capsys,
     for command in ("nash", "analyze"):
         assert main([command, str(path), "--format", fmt]) == 0
         assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        (["nash"], deep_payoffs_game(1200)),
+        (["nash"], one_action_game(985)),
+        (["analyze"], one_action_game(985)),
+        (["bayes", "--to", "interim"], deep_prior_bayes(1200)),
+    ],
+    ids=["nash-1200-levels", "nash-985-players", "analyze-985-players", "bayes-1200-levels"],
+)
+def test_a_deeply_nested_document_is_invalid_input_not_a_traceback(tmp_path, capsys, command, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert main([command[0], str(path), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: document nests lists and objects deeper than")
+    assert "Traceback" not in captured.err

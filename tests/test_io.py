@@ -8,6 +8,7 @@ from periodic_games import build_periodicity_graph, enumerate_cycles, export_dot
 from periodic_games.errors import BadLiteral, ParseError, SizeLimit
 from periodic_games.game import MAX_LITERAL_DIGITS
 from periodic_games.io import (
+    MAX_NESTING,
     dump_report,
     format_fraction,
     parse_bayes,
@@ -217,3 +218,46 @@ def test_a_value_too_long_to_print_is_a_size_limit():
     for value in (Fraction(10**4300), Fraction(1, 10**4300), Fraction(-(10**5000) - 1, 7)):
         with pytest.raises(SizeLimit):
             format_fraction(value)
+
+
+# Deep documents are written as strings, because json.dumps itself recurses.
+def deep_payoffs_game(levels):
+    """A 2x2 game whose payoffs are ``levels`` nested empty lists."""
+    actions = '{"A": ["x", "y"], "B": ["l", "r"]}'
+    return f'{{"players": ["A", "B"], "actions": {actions}, "payoffs": {"[" * levels}{"]" * levels}}}'
+
+
+def one_action_game(players):
+    """A game of ``players`` players with one action each: its payoffs nest
+    ``players + 1`` lists inside the top-level object."""
+    names = ", ".join(f'"p{k}"' for k in range(players))
+    actions = ", ".join(f'"p{k}": ["a"]' for k in range(players))
+    vector = "[" + ", ".join(['"0"'] * players) + "]"
+    return f'{{"players": [{names}], "actions": {{{actions}}}, "payoffs": {"[" * players}{vector}{"]" * players}}}'
+
+
+def deep_prior_bayes(levels):
+    doc = json.loads((FIXTURES / "two_type.bayes.json").read_text())
+    doc["prior"] = "DEEP"
+    return json.dumps(doc).replace('"DEEP"', "[" * levels + "]" * levels)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [deep_payoffs_game(1200), deep_payoffs_game(100_000), one_action_game(985), one_action_game(MAX_NESTING - 1)],
+    ids=["1200-levels", "100000-levels", "985-players", "just-too-many-players"],
+)
+def test_parse_game_bounds_the_nesting_depth(text):
+    with pytest.raises(ParseError, match=f"nests lists and objects deeper than {MAX_NESTING} levels"):
+        parse_game(text)
+
+
+def test_parse_game_reads_a_document_at_the_nesting_bound():
+    g = parse_game(one_action_game(MAX_NESTING - 2))
+    assert g.num_players == MAX_NESTING - 2 and g.payoffs == ((Fraction(0),) * (MAX_NESTING - 2),)
+
+
+@pytest.mark.parametrize("levels", [MAX_NESTING, 1200])
+def test_parse_bayes_bounds_the_nesting_depth(levels):
+    with pytest.raises(ParseError, match=f"deeper than {MAX_NESTING} levels"):
+        parse_bayes(deep_prior_bayes(levels))

@@ -1,0 +1,136 @@
+"""Vertex enumeration by bases: ``polytope_vertices`` eliminates ``[a | b]``
+once and solves only the column subsets of size rank(a). Edge cases of that
+reduction, and a comparison with the search over every column subset on
+systems wider than the kernel oracle in ``test_oracles.py`` reaches."""
+
+import itertools
+import random
+from fractions import Fraction
+
+from periodic_games import linalg
+from periodic_games.linalg import polytope_vertices, solve_exact
+
+F = Fraction
+
+
+def all_subsets_vertices(a, b, n):
+    """Every column subset of every size: a vertex is the unique,
+    nonnegative solution on its subset, zero elsewhere."""
+    vertices = set()
+    for size in range(1, n + 1):
+        for cols in itertools.combinations(range(n), size):
+            kind, sol = solve_exact([[row[j] for j in cols] for row in a], b)
+            if kind == "unique" and all(v >= 0 for v in sol):
+                full = [F(0)] * n
+                for j, v in zip(cols, sol):
+                    full[j] = v
+                vertices.add(tuple(full))
+    return sorted(vertices)
+
+
+def test_inconsistent_system_has_no_vertex():
+    assert polytope_vertices([[F(1), F(1)], [F(1), F(1)]], [F(1), F(2)], 2) == []
+    assert polytope_vertices([[F(0), F(0)]], [F(3)], 2) == []
+
+
+def test_empty_system_has_no_vertex():
+    assert polytope_vertices([], [], 3) == []
+    assert polytope_vertices([[F(0)] * 3, [F(0)] * 3], [F(0), F(0)], 3) == []
+
+
+def test_duplicated_zero_and_sum_rows_leave_the_vertices_unchanged():
+    a = [[F(1), F(1), F(1)], [F(1), F(-1), F(0)]]
+    b = [F(1), F(0)]
+    expected = [(F(0), F(0), F(1)), (F(1, 2), F(1, 2), F(0))]
+    assert polytope_vertices(a, b, 3) == expected
+    redundant = [
+        a[0],
+        [F(0)] * 3,
+        [F(-2) * v for v in a[1]],  # a rescaled duplicate
+        a[1],
+        [x + y for x, y in zip(a[0], a[1])],  # the sum of two rows
+        a[0],
+    ]
+    rhs = [b[0], F(0), F(0), b[1], b[0] + b[1], b[0]]
+    assert polytope_vertices(redundant, rhs, 3) == expected
+
+
+def test_rank_below_the_row_count():
+    # Three equations of rank 2 on four columns: bases are column pairs.
+    a = [[F(1), F(1), F(1), F(1)], [F(1), F(2), F(0), F(3)], [F(2), F(3), F(1), F(4)]]
+    b = [F(1), F(1), F(2)]
+    assert polytope_vertices(a, b, 4) == all_subsets_vertices(a, b, 4) == [
+        (F(0), F(0), F(2, 3), F(1, 3)),
+        (F(0), F(1, 2), F(1, 2), F(0)),
+        (F(1), F(0), F(0), F(0)),
+    ]
+
+
+def test_degenerate_vertex_reached_by_several_bases_is_reported_once(monkeypatch):
+    # (0, 0, 1) is the basic solution of bases {0, 2} and {1, 2}.
+    a = [[F(1), F(1), F(1)], [F(1), F(-1), F(0)]]
+    b = [F(1), F(0)]
+    solved = []
+
+    def recorded(sub, rhs):
+        result = solve(sub, rhs)
+        solved.append(result)
+        return result
+
+    solve = linalg.solve_exact
+    monkeypatch.setattr(linalg, "solve_exact", recorded)
+    assert polytope_vertices(a, b, 3) == [(F(0), F(0), F(1)), (F(1, 2), F(1, 2), F(0))]
+    # One solve per basis of size rank 2, in combination order.
+    assert solved == [
+        ("unique", (F(1, 2), F(1, 2))),
+        ("unique", (F(0), F(1))),
+        ("unique", (F(0), F(1))),
+    ]
+
+
+def _redundant_system(rng):
+    """A system on 6 or 7 columns with rows repeated, rescaled, summed or
+    zero, often with the simplex row and a right-hand side a x0 for some
+    x0 >= 0, so that many systems have vertices."""
+    cols = rng.randint(6, 7)
+    kind = rng.choice(("int", "binary", "rational"))
+
+    def entry():
+        if kind == "int":
+            return F(rng.randint(-9, 9))
+        if kind == "binary":
+            return F(rng.randint(0, 1))
+        return F(rng.randint(-12, 12), rng.randint(1, 12))
+
+    a = [[entry() for _ in range(cols)] for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.5:
+        a.insert(0, [F(1)] * cols)
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.randrange(len(a)), rng.randrange(len(a))
+        choice = rng.random()
+        if choice < 0.4:
+            scale = rng.choice((F(1), F(-2), F(1, 3)))
+            a.append([scale * v for v in a[i]])
+        elif choice < 0.8:
+            a.append([x + y for x, y in zip(a[i], a[j])])
+        else:
+            a.append([F(0)] * cols)
+    rng.shuffle(a)
+    if rng.random() < 0.8:
+        x0 = [F(rng.randint(0, 3)) if rng.random() < 0.5 else F(0) for _ in range(cols)]
+        b = [sum(v * x for v, x in zip(row, x0)) for row in a]
+    else:
+        b = [entry() for _ in a]
+    return a, b, cols
+
+
+def test_bases_match_every_column_subset_on_wide_redundant_systems():
+    rng = random.Random(1992)
+    with_vertices = rank_deficient = 0
+    for _ in range(300):
+        a, b, n = _redundant_system(rng)
+        vertices = polytope_vertices(a, b, n)
+        assert vertices == all_subsets_vertices(a, b, n), (a, b)
+        with_vertices += bool(vertices)
+        rank_deficient += linalg.matrix_rank(a) < len(a)
+    assert with_vertices > 150 and rank_deficient > 250

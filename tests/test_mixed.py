@@ -166,6 +166,22 @@ def _periodic(g, i):
         return None
 
 
+def test_periodic_profile_utilities_are_the_values_against_any_opponent_action():
+    checked = 0
+    for g in _seeded_games(33, count=400):
+        p, q = _periodic(g, 0), _periodic(g, 1)
+        if p is None or q is None:
+            continue
+        report = periodic_profile_report(g)
+        assert report.utilities == (p.value, q.value)
+        assert report.utilities == expected_utility(g, (p.probabilities, q.probabilities))
+        for b in range(g.shape[1]):
+            pure = tuple(F(int(k == b)) for k in range(g.shape[1]))
+            assert expected_utility(g, (p.probabilities, pure))[0] == p.value
+        checked += 1
+    assert checked > 20
+
+
 def test_swapping_the_players_swaps_equilibria_and_periodic_mixtures():
     for g in _seeded_games(31):
         swapped = _remade(g, ["C", "R"], [g.actions[1], g.actions[0]], lambda u: (u[1], u[0]), True)

@@ -34,6 +34,7 @@ from periodic_games.linalg import affine_dimension, pivot, polytope_vertices, rr
 from periodic_games.lp import SimplexInternalError, simplex_max, zero_sum_value
 from periodic_games.mixed import (
     PeriodicMixed,
+    _mutual_best_responses,
     _support_pair_candidates,
     own_payoff_matrix,
     periodic_mixed,
@@ -183,6 +184,7 @@ def test_rref_pivots_are_leading_minors(monkeypatch):
 
 
 def _is_best_response(matrix, own, opp):
+    """Every action in the support of ``own`` pays the most against ``opp``."""
     payoffs = [sum(row[b] * opp[b] for b in range(len(opp))) for row in matrix]
     return all(payoffs[a] == max(payoffs) for a, v in enumerate(own) if v > 0)
 
@@ -280,20 +282,54 @@ def reference_periodic_vertices(matrix):
     return polytope_vertices(system, [F(1)] + [F(0)] * (cols - 1), n)
 
 
+def _pure(n, a):
+    return tuple(F(int(k == a)) for k in range(n))
+
+
+def reference_best_responses(g, owner, mixture):
+    """The actions of player ``owner`` that pay most against the other
+    player's ``mixture``, by ``_is_best_response`` on each pure action, and
+    their payoff, by ``expected_utility``."""
+    n = g.shape[owner]
+    matrix = own_payoff_matrix(g, owner)
+    replies = frozenset(a for a in range(n) if _is_best_response(matrix, _pure(n, a), mixture))
+    reply = _pure(n, min(replies))
+    return replies, expected_utility(g, (reply, mixture) if owner == 0 else (mixture, reply))[owner]
+
+
 def test_one_equalizer_matches_the_per_subset_search_and_the_column_system():
     """Nash candidates come from one vertex list per own support, filtered by
     support per pair; periodic mixtures from the same routine on the
-    transpose. Both must equal the separate searches they replace."""
+    transpose. Both must equal the separate searches they replace. Each
+    candidate's best-response set and best payoff, computed once in
+    integers, and each pair's accept/reject decision must equal the Fraction
+    best-response test and ``expected_utility``."""
     rng = random.Random(2010)
-    pairs = infeasible = 0
+    pairs = infeasible = accepted = rejected = 0
     for k in range(150):
         rows, cols = rng.randint(1, 4), rng.randint(1, 5)
         g = _random_bimatrix(rng, rows, cols, binary=k % 3 == 0)
         m_row, m_col = own_payoff_matrix(g, 0), own_payoff_matrix(g, 1)
+        reference = {}  # (owner of the replies, mixture) -> (replies, best payoff)
         seen = []
         for sa, sb, p_candidates, q_candidates in _support_pair_candidates(m_row, m_col):
-            assert q_candidates == reference_indifference_vertices(m_row, sa, sb, cols), (g, sa, sb)
-            assert p_candidates == reference_indifference_vertices(m_col, sb, sa, rows), (g, sa, sb)
+            assert [q.mixture for q in q_candidates] == reference_indifference_vertices(m_row, sa, sb, cols), (g, sa, sb)
+            assert [p.mixture for p in p_candidates] == reference_indifference_vertices(m_col, sb, sa, rows), (g, sa, sb)
+            for owner, candidates in ((0, q_candidates), (1, p_candidates)):
+                for c in candidates:
+                    key = (owner, c.mixture)
+                    if key not in reference:
+                        reference[key] = reference_best_responses(g, owner, c.mixture)
+                    assert c.support == frozenset(b for b, v in enumerate(c.mixture) if v)
+                    assert (c.replies, c.best) == reference[key], (g, owner, c)
+            for p in p_candidates:
+                for q in q_candidates:
+                    expected = _is_best_response(m_row, p.mixture, q.mixture) and _is_best_response(
+                        m_col, q.mixture, p.mixture
+                    )
+                    assert _mutual_best_responses(p, q) == expected, (g, p, q)
+                    accepted += expected
+                    rejected += not expected
             seen.append((sa, sb))
         assert len(seen) == len(set(seen)) == (2**rows - 1) * (2**cols - 1)
         pairs += len(seen)
@@ -310,7 +346,7 @@ def test_one_equalizer_matches_the_per_subset_search_and_the_column_system():
                 value=sum(matrix[a][0] * best[a] for a in range(len(best))),
                 dimension=affine_dimension(reference),
             )
-    assert pairs > 12000 and 50 < infeasible < 250
+    assert pairs > 12000 and 50 < infeasible < 250 and accepted > 1000 and rejected > 1000
 
 
 class Unbounded(Exception):
