@@ -204,6 +204,18 @@ def _strategy_label(bg: BayesianGame, player: int, choice: TypeProfile) -> str:
     return "".join(bg.actions[player][a] for a in choice)
 
 
+def _check_profile_count(bg: BayesianGame, what: str, max_profiles: int) -> None:
+    """SizeLimit when a companion game, one action per (player, type) pair,
+    would have more than ``max_profiles`` profiles; checked before anything
+    of that size is built, stopping at the first pair past the limit."""
+    total = 1
+    for actions, types in zip(bg.actions, bg.types):
+        for _ in types:
+            total *= len(actions)
+            if total > max_profiles:
+                raise SizeLimit(f"{what} game would have more than {max_profiles} profiles")
+
+
 def ex_ante_game(bg: BayesianGame, max_profiles: int = DEFAULT_MAX_PROFILES) -> Game:
     """Complete-information game over type-contingent strategies.
 
@@ -213,16 +225,12 @@ def ex_ante_game(bg: BayesianGame, max_profiles: int = DEFAULT_MAX_PROFILES) -> 
     by the lcm of their denominators) and divided once per payoff entry.
     """
     validate_bayesian_game(bg)
+    _check_profile_count(bg, "ex-ante", max_profiles)
     n = bg.num_players
     strategy_sets = [
         list(itertools.product(range(len(bg.actions[i])), repeat=len(bg.types[i])))
         for i in range(n)
     ]
-    total = 1
-    for s in strategy_sets:
-        total *= len(s)
-    if total > max_profiles:
-        raise SizeLimit(f"ex-ante game would have {total} profiles (limit {max_profiles})")
     labels = tuple(
         tuple(_strategy_label(bg, i, choice) for choice in strategy_sets[i]) for i in range(n)
     )
@@ -269,6 +277,7 @@ def interim_game(bg: BayesianGame) -> Game:
     ``ex_ante_game``) divided once by ``du`` times the pair's integer mass.
     """
     validate_bayesian_game(bg)
+    _check_profile_count(bg, "interim", DEFAULT_MAX_PROFILES)
     cells, _, du, choices = _integer_expectation(bg)
     ids = _player_type_ids(bg)
     beliefs = []

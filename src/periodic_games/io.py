@@ -70,9 +70,13 @@ def _require(doc: dict, key: str):
 
 
 def _labels(value, what: str) -> tuple[str, ...]:
-    """A JSON list of labels; a string or number there is a ParseError."""
+    """A JSON list of labels, each a string or an integer (kept as its
+    text); anything else, there or in place of the list, is a ParseError."""
     if not isinstance(value, list):
         raise ParseError(f"{what} must be a JSON list, got {value!r}")
+    for v in value:
+        if not isinstance(v, (str, int)) or isinstance(v, bool):
+            raise ParseError(f"{what} must be strings or integers, got the label {json.dumps(v)}")
     return tuple(str(v) for v in value)
 
 

@@ -7,11 +7,14 @@ the player's own support, rows of the player's own payoff matrix. A
 periodic mixture of a player makes the player's own payoff the same across
 every opponent pure action, the rows of the transpose of that matrix.
 ``_equalizer_vertices`` solves the system for both, on the payoff matrix
-scaled to integers once per call. Nash equilibria are found by exact
-support enumeration; degenerate indifference systems contribute the
-vertices of their solution segments. Each Nash candidate vertex carries
-the opponent's best-response set and best payoff, computed once by integer
-dot products, so a support pair is tested by set inclusion alone.
+scaled to integers once per call. Nash equilibria are the completely
+labelled pairs of vertices of the two best-response polyhedra; a mixture
+is such a vertex iff it is a vertex of the indifference system on its own
+best-response rows (Mangasarian 1964), so each own support is solved once
+and each vertex kept from exactly one support. Degenerate indifference
+systems contribute the vertices of their solution segments. Each vertex
+carries the owner's best-response set and best payoff, computed once by
+integer dot products, so a pair is tested by set inclusion alone.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .errors import BadDimension, Infeasible, SizeLimit
 from .game import Game, own_payoff_matrix, validate_game, validate_mixture
@@ -132,78 +135,58 @@ class _Candidate(NamedTuple):
     best: Fraction
 
 
-def _candidates(matrix: Sequence[Sequence[int]], scale: int, rows: Sequence[int]) -> list[_Candidate]:
-    """``_equalizer_vertices(matrix, rows)``, each vertex with its best
-    responses; ``matrix`` is a payoff matrix times ``scale``."""
-    out = []
-    for q in _equalizer_vertices(matrix, rows):
-        den = common_denominator(q)
-        weights = [(b, w) for b, w in enumerate(scaled(q, den)) if w]
-        payoffs = [sum(row[b] * w for b, w in weights) for row in matrix]
-        best = max(payoffs)
-        replies = frozenset(a for a, v in enumerate(payoffs) if v == best)
-        support = frozenset(b for b, _ in weights)
-        out.append(_Candidate(q, support, replies, Fraction(best, scale * den)))
-    return out
-
-
 def _mutual_best_responses(p: _Candidate, q: _Candidate) -> bool:
     """Each mixture of the pair is supported on best responses to the other."""
     return p.support <= q.replies and q.support <= p.replies
 
 
-def _supports(n: int) -> list[tuple[int, ...]]:
-    return [s for size in range(1, n + 1) for s in itertools.combinations(range(n), size)]
+def _best_response_vertices(matrix: Sequence[Sequence[Fraction]]) -> list[_Candidate]:
+    """The opponent mixtures q at the vertices of the owner's best-response
+    polyhedron {(q, v) : q on the simplex, matrix q <= v}, each with the
+    owner's best responses to it and their payoff.
 
-
-def _support_pair_candidates(
-    m_row: Sequence[Sequence[Fraction]], m_col: Sequence[Sequence[Fraction]]
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], list[_Candidate], list[_Candidate]]]:
-    """For every support pair (sa, sb): the row mixtures on sa that make the
-    column player indifferent across sb, and the column mixtures on sb that
-    make the row player indifferent across sa, each sorted and carrying the
-    other player's best responses.
-
-    The mixtures on sb form a face of the polytope of ``_equalizer_vertices``
-    (every q_b >= 0 is a valid inequality), and the vertices of a face are
-    the polytope's vertices inside it; so each side is solved once per own
-    support, on the matrices scaled to integers once, and filtered by
-    support per pair.
+    q is such a vertex iff it is a vertex of ``_equalizer_vertices`` on its
+    own best-response rows (Mangasarian 1964). Each own support is solved
+    once, on the matrix scaled to integers once, and a vertex is kept only
+    from the support equal to its best responses, so it is kept once.
     """
-    row_ints, row_scale = _integer_matrix(m_row)
-    col_ints, col_scale = _integer_matrix(m_col)
-    col_side = [(sb, frozenset(sb), _candidates(col_ints, col_scale, sb)) for sb in _supports(len(m_col))]
-    for sa in _supports(len(m_row)):
-        q_all = _candidates(row_ints, row_scale, sa)
-        within_sa = frozenset(sa)
-        for sb, within_sb, p_all in col_side:
-            yield (
-                sa,
-                sb,
-                [p for p in p_all if p.support <= within_sa],
-                [q for q in q_all if q.support <= within_sb],
-            )
+    ints, scale = _integer_matrix(matrix)
+    out = []
+    for size in range(1, len(ints) + 1):
+        for rows in itertools.combinations(range(len(ints)), size):
+            for q in _equalizer_vertices(ints, rows):
+                den = common_denominator(q)
+                weights = [(b, w) for b, w in enumerate(scaled(q, den)) if w]
+                payoffs = [sum(row[b] * w for b, w in weights) for row in ints]
+                best = max(payoffs)
+                replies = frozenset(a for a, v in enumerate(payoffs) if v == best)
+                if replies == frozenset(rows):
+                    support = frozenset(b for b, _ in weights)
+                    out.append(_Candidate(q, support, replies, Fraction(best, scale * den)))
+    return out
 
 
 def nash_support_enumeration(g: Game) -> list[EquilibriumReport]:
     """All extreme Nash equilibria of a bimatrix game, canonically sorted.
 
-    For each support pair the candidates are the vertices of the exact
-    indifference systems on the simplex (``_support_pair_candidates``);
-    rank-deficient systems yield every vertex of their solution segment.
-    Candidates are kept iff each is supported on best responses to the
-    other; the utilities are then the two best payoffs.
+    The extreme equilibria are the completely labelled pairs of vertices of
+    the two best-response polyhedra (Mangasarian 1964): a row mixture p and
+    a column mixture q, each supported on best responses to the other
+    (``_best_response_vertices``, ``_mutual_best_responses``). Degenerate
+    indifference systems contribute every vertex of their solution
+    segments. The utilities are the two best payoffs.
     """
     require_bimatrix(g)
     if max(g.shape) > MAX_SUPPORT_ACTIONS:
         raise SizeLimit(f"support enumeration limited to {MAX_SUPPORT_ACTIONS} actions per player")
-    pairs = _support_pair_candidates(own_payoff_matrix(g, 0), own_payoff_matrix(g, 1))
-    found: dict[tuple[Vector, Vector], tuple[Fraction, Fraction]] = {}
-    for _, _, p_candidates, q_candidates in pairs:
-        for p in p_candidates:
-            for q in q_candidates:
-                if _mutual_best_responses(p, q):
-                    found[p.mixture, q.mixture] = (q.best, p.best)
+    p_vertices = _best_response_vertices(own_payoff_matrix(g, 1))
+    q_vertices = _best_response_vertices(own_payoff_matrix(g, 0))
+    found = sorted(
+        (p.mixture, q.mixture, (q.best, p.best))
+        for p in p_vertices
+        for q in q_vertices
+        if _mutual_best_responses(p, q)
+    )
     return [
         EquilibriumReport(
             kind=NASH,
@@ -212,7 +195,7 @@ def nash_support_enumeration(g: Game) -> list[EquilibriumReport]:
             utilities=utilities,
             support=(_support(p), _support(q)),
         )
-        for (p, q), utilities in sorted(found.items())
+        for p, q, utilities in found
     ]
 
 

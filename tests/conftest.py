@@ -1,4 +1,5 @@
 import itertools
+import json
 import pathlib
 import sys
 
@@ -24,6 +25,21 @@ def load_game(name):
 
 def load_bayes(name):
     return parse_bayes((FIXTURES / name).read_text())
+
+
+def many_types_bayes(types):
+    """A 2x2 Bayesian game document with ``types`` types per player, type k
+    of one player meeting type k of the other with probability 1/types:
+    small, but its interim game has 4**types profiles."""
+    doc = {
+        "players": ["A", "B"],
+        "actions": {"A": ["U", "D"], "B": ["L", "R"]},
+        "thetas": ["th"],
+        "types": {"A": [f"a{k}" for k in range(types)], "B": [f"b{k}" for k in range(types)]},
+        "prior": [["th", [f"a{k}", f"b{k}"], f"1/{types}"] for k in range(types)],
+        "payoffs": {"th": [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]]},
+    }
+    return json.dumps(doc, separators=(",", ":"))
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,9 @@ from periodic_games import (
     validate_bayesian_game,
 )
 from periodic_games.errors import IndexOutOfRange, SizeLimit, ValidationError, ZeroProbabilityType
+from periodic_games.io import parse_bayes
+
+from conftest import many_types_bayes
 
 F = Fraction
 
@@ -85,6 +89,18 @@ def test_ex_ante_game_labels_and_payoffs(two_type_bayes):
 def test_ex_ante_size_limit(two_type_bayes):
     with pytest.raises(SizeLimit):
         ex_ante_game(two_type_bayes, max_profiles=7)
+
+
+def test_interim_games_bound_their_profile_count_before_building():
+    # 12 types of 2 actions each per player: 4**12 interim profiles.
+    bg = parse_bayes(many_types_bayes(12))
+    start = time.perf_counter()
+    for build in (interim_game, interim_correlated_game):
+        with pytest.raises(SizeLimit, match="interim game would have more than 100000 profiles"):
+            build(bg)
+    with pytest.raises(SizeLimit, match="ex-ante game would have more than 100000 profiles"):
+        ex_ante_game(bg)
+    assert time.perf_counter() - start < 1
 
 
 def test_interim_game_three_players(two_type_bayes):

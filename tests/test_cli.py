@@ -1,11 +1,12 @@
 import json
+import time
 
 import pytest
 
 from periodic_games import cli, coco, lp
 from periodic_games.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, many_types_bayes
 from test_io import deep_payoffs_game, deep_prior_bayes, one_action_game
 
 BOS = str(FIXTURES / "battle_of_sexes.game.json")
@@ -306,3 +307,28 @@ def test_a_deeply_nested_document_is_invalid_input_not_a_traceback(tmp_path, cap
     assert captured.out == ""
     assert captured.err.startswith("invalid input: document nests lists and objects deeper than")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("to", ["interim", "interim-correlated", "ex-ante"])
+def test_an_oversized_companion_game_is_an_error_not_a_traceback(tmp_path, capsys, to):
+    path = tmp_path / "many_types.bayes.json"
+    path.write_text(many_types_bayes(12))
+    start = time.perf_counter()
+    assert main(["bayes", str(path), "--to", to]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "profiles" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("label", [["a"], {"b": 1}, None, 1.5])
+def test_a_container_label_is_invalid_input(tmp_path, capsys, label):
+    doc = json.loads(open(PD, encoding="utf-8").read())
+    doc["players"][0] = label
+    path = tmp_path / "bad_label.json"
+    path.write_text(json.dumps(doc))
+    assert main(["nash", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: ") and "got the label" in captured.err

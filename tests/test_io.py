@@ -1,4 +1,5 @@
 import json
+import re
 import time
 from fractions import Fraction
 
@@ -165,6 +166,50 @@ def test_parse_bayes_requires_lists_of_labels(edit, message):
     edit(doc)
     with pytest.raises(ParseError, match=message):
         parse_bayes(json.dumps(doc))
+
+
+BAD_LABELS = [["a"], {"b": 1}, [1], None, True, False, 1.5]
+
+
+def _game_with_label(place, label):
+    doc = {"players": ["A", "B"], "actions": {"A": ["x", "y"], "B": ["l"]}, "payoffs": [[[1, 1]], [[0, 0]]]}
+    if place == "players":
+        doc["players"][1] = label
+    else:
+        doc["actions"]["A"][1] = label
+    return json.dumps(doc)
+
+
+def _bayes_with_label(place, label):
+    doc = json.loads((FIXTURES / "two_type.bayes.json").read_text())
+    if place == "thetas":
+        doc["thetas"].append(label)
+    else:
+        doc["types"]["1"].append(label)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("label", BAD_LABELS, ids=repr)
+@pytest.mark.parametrize(
+    "place, parse, document",
+    [
+        ("players", parse_game, _game_with_label),
+        ("actions", parse_game, _game_with_label),
+        ("thetas", parse_bayes, _bayes_with_label),
+        ("types", parse_bayes, _bayes_with_label),
+    ],
+    ids=["players", "actions", "thetas", "types"],
+)
+def test_a_label_must_be_a_string_or_an_integer(place, parse, document, label):
+    with pytest.raises(ParseError, match=re.escape(f"got the label {json.dumps(label)}")):
+        parse(document(place, label))
+
+
+def test_integer_labels_keep_their_text():
+    doc = {"players": [1, "B"], "actions": {"1": [0, -2], "B": ["l"]}, "payoffs": [[[1, 1]], [[0, 0]]]}
+    g = parse_game(json.dumps(doc))
+    assert g.players == ("1", "B")
+    assert g.actions == (("0", "-2"), ("l",))
 
 
 def test_parse_bayes_round_values(two_type_bayes):

@@ -1,6 +1,7 @@
 """Differential tests of the integer elimination and pivoting kernels, of
-Nash support enumeration and the indifference vertices it shares with
-periodic mixtures, of the dominance check, of the Bayesian companion
+Nash equilibria, the best-response polyhedron vertices they pair and the
+indifference vertices those share with periodic mixtures, of the
+dominance check, of the Bayesian companion
 games and of the cycle search against slow, independent reference
 implementations kept here, plus metamorphic tests under positive payoff
 scaling."""
@@ -34,8 +35,10 @@ from periodic_games.linalg import affine_dimension, pivot, polytope_vertices, rr
 from periodic_games.lp import SimplexInternalError, simplex_max, zero_sum_value
 from periodic_games.mixed import (
     PeriodicMixed,
+    _best_response_vertices,
+    _equalizer_vertices,
+    _integer_matrix,
     _mutual_best_responses,
-    _support_pair_candidates,
     own_payoff_matrix,
     periodic_mixed,
 )
@@ -298,41 +301,48 @@ def reference_best_responses(g, owner, mixture):
 
 
 def test_one_equalizer_matches_the_per_subset_search_and_the_column_system():
-    """Nash candidates come from one vertex list per own support, filtered by
-    support per pair; periodic mixtures from the same routine on the
-    transpose. Both must equal the separate searches they replace. Each
-    candidate's best-response set and best payoff, computed once in
-    integers, and each pair's accept/reject decision must equal the Fraction
-    best-response test and ``expected_utility``."""
+    """Nash vertices come from one vertex list per own support, kept where
+    the support equals the vertex's best responses; periodic mixtures from
+    the same routine on the transpose. Both must equal the separate
+    searches they replace. Each kept vertex's best-response set and best
+    payoff, computed once in integers, and each pair's accept/reject
+    decision must equal the Fraction best-response test and
+    ``expected_utility``."""
     rng = random.Random(2010)
-    pairs = infeasible = accepted = rejected = 0
+    supports = kept = infeasible = accepted = rejected = 0
     for k in range(150):
         rows, cols = rng.randint(1, 4), rng.randint(1, 5)
         g = _random_bimatrix(rng, rows, cols, binary=k % 3 == 0)
         m_row, m_col = own_payoff_matrix(g, 0), own_payoff_matrix(g, 1)
-        reference = {}  # (owner of the replies, mixture) -> (replies, best payoff)
-        seen = []
-        for sa, sb, p_candidates, q_candidates in _support_pair_candidates(m_row, m_col):
-            assert [q.mixture for q in q_candidates] == reference_indifference_vertices(m_row, sa, sb, cols), (g, sa, sb)
-            assert [p.mixture for p in p_candidates] == reference_indifference_vertices(m_col, sb, sa, rows), (g, sa, sb)
-            for owner, candidates in ((0, q_candidates), (1, p_candidates)):
-                for c in candidates:
-                    key = (owner, c.mixture)
-                    if key not in reference:
-                        reference[key] = reference_best_responses(g, owner, c.mixture)
-                    assert c.support == frozenset(b for b, v in enumerate(c.mixture) if v)
-                    assert (c.replies, c.best) == reference[key], (g, owner, c)
-            for p in p_candidates:
-                for q in q_candidates:
-                    expected = _is_best_response(m_row, p.mixture, q.mixture) and _is_best_response(
-                        m_col, q.mixture, p.mixture
-                    )
-                    assert _mutual_best_responses(p, q) == expected, (g, p, q)
-                    accepted += expected
-                    rejected += not expected
-            seen.append((sa, sb))
-        assert len(seen) == len(set(seen)) == (2**rows - 1) * (2**cols - 1)
-        pairs += len(seen)
+        sides = []
+        for owner, matrix in ((0, m_row), (1, m_col)):
+            n, opp = g.shape[owner], g.shape[1 - owner]
+            ints = _integer_matrix(matrix)[0]
+            expected = []
+            for size in range(1, n + 1):
+                for own in itertools.combinations(range(n), size):
+                    vertices = reference_indifference_vertices(matrix, own, range(opp), opp)
+                    assert _equalizer_vertices(ints, own) == vertices, (g, owner, own)
+                    supports += 1
+                    for q in vertices:
+                        replies, best = reference_best_responses(g, owner, q)
+                        if replies == frozenset(own):
+                            expected.append((q, replies, best))
+            got = _best_response_vertices(matrix)
+            assert [(c.mixture, c.replies, c.best) for c in got] == expected, (g, owner)
+            for c in got:
+                assert c.support == frozenset(b for b, v in enumerate(c.mixture) if v)
+            kept += len(got)
+            sides.append(got)
+        q_vertices, p_vertices = sides
+        for p in p_vertices:
+            for q in q_vertices:
+                expected = _is_best_response(m_row, p.mixture, q.mixture) and _is_best_response(
+                    m_col, q.mixture, p.mixture
+                )
+                assert _mutual_best_responses(p, q) == expected, (g, p, q)
+                accepted += expected
+                rejected += not expected
         for i, matrix in enumerate((m_row, m_col)):
             reference = reference_periodic_vertices(matrix)
             if not reference:
@@ -346,7 +356,57 @@ def test_one_equalizer_matches_the_per_subset_search_and_the_column_system():
                 value=sum(matrix[a][0] * best[a] for a in range(len(best))),
                 dimension=affine_dimension(reference),
             )
-    assert pairs > 12000 and 50 < infeasible < 250 and accepted > 1000 and rejected > 1000
+    assert supports > 2500 and kept > 1200 and 50 < infeasible < 250 and accepted > 300 and rejected > 3000
+
+
+def reference_best_response_polytope(matrix):
+    """The vertices of the owner's best-response polyhedron by the slack
+    system: with M the payoff matrix scaled to integers and shifted to
+    entries >= 1, every vertex (y, s) of {(M + shift) y + s = 1, y, s >= 0}
+    with y != 0 gives the opponent mixture y / sum(y), the owner's best
+    responses (the rows with s = 0) and the best payoff (1 / sum(y) - shift)
+    / scale. Sorted as ``_best_response_vertices`` emits them: by best
+    responses in combination order, then by mixture."""
+    ints, scale = _integer_matrix(matrix)
+    n, m = len(ints), len(ints[0])
+    shift = 1 - min(min(row) for row in ints)
+    system = [[v + shift for v in row] + [int(a == k) for k in range(n)] for a, row in enumerate(ints)]
+    out = []
+    for vertex in polytope_vertices(system, [1] * n, m + n):
+        y, s = vertex[:m], vertex[m:]
+        total = sum(y)
+        if total:
+            replies = frozenset(a for a in range(n) if s[a] == 0)
+            out.append((tuple(v / total for v in y), replies, (1 / total - shift) / scale))
+    return sorted(out, key=lambda c: (len(c[1]), sorted(c[1]), c[0]))
+
+
+def test_best_response_vertices_match_the_slack_system_polytope():
+    """``_best_response_vertices`` against the slack-system oracle, and
+    the extreme equilibria against the oracle's completely labelled pairs:
+    every action is unplayed by its owner or a best response to the other
+    mixture."""
+    rng = random.Random(1964)
+    pairs = equilibria = 0
+    for k in range(150):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        g = _random_bimatrix(rng, rows, cols, binary=k % 3 == 0)
+        m_row, m_col = own_payoff_matrix(g, 0), own_payoff_matrix(g, 1)
+        q_side, p_side = reference_best_response_polytope(m_row), reference_best_response_polytope(m_col)
+        for matrix, side in ((m_row, q_side), (m_col, p_side)):
+            assert [(c.mixture, c.replies, c.best) for c in _best_response_vertices(matrix)] == side, g
+        labelled = sorted(
+            (p, q, (q_best, p_best))
+            for p, p_replies, p_best in p_side
+            for q, q_replies, q_best in q_side
+            if all(v == 0 or a in q_replies for a, v in enumerate(p))
+            and all(v == 0 or b in p_replies for b, v in enumerate(q))
+        )
+        got = [(e.row_strategy, e.col_strategy, e.utilities) for e in nash_support_enumeration(g)]
+        assert got == labelled, g
+        pairs += len(p_side) * len(q_side)
+        equilibria += len(labelled)
+    assert pairs > 3500 and equilibria > 250
 
 
 class Unbounded(Exception):
