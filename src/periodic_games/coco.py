@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CertificateError
-from .game import Game, own_payoff_matrix, payoff
+from .game import Game, payoff
 from .lp import zero_sum_value
 from .mixed import require_bimatrix
 
@@ -39,13 +39,13 @@ class CocoSolution:
 def decompose(g: Game) -> Decomposition:
     """Entrywise half-sum / half-difference split of the two payoff matrices."""
     require_bimatrix(g)
-    a = own_payoff_matrix(g, 0)
-    b = list(zip(*own_payoff_matrix(g, 1)))
+    a, b = g.own_payoffs[0].rows, list(zip(*g.own_payoffs[1].rows))
+    half = 2 * g.payoff_scale
     cooperative = tuple(
-        tuple((x + y) / 2 for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
+        tuple(Fraction(x + y, half) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
     )
     competitive = tuple(
-        tuple((x - y) / 2 for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
+        tuple(Fraction(x - y, half) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
     )
     return Decomposition(cooperative=cooperative, competitive=competitive)
 
@@ -56,19 +56,11 @@ def max_combined_payoff(g: Game) -> tuple[Fraction, tuple[int, int], tuple[tuple
     Returns (value, lexicographically first argmax, all tied argmax profiles).
     """
     require_bimatrix(g)
-    cols = g.shape[1]
-    best = None
-    tied: list[int] = []
-    # Payoffs are stored row-major, so index k is the profile divmod(k, cols).
-    for k, u in enumerate(g.payoffs):
-        combined = u[0] + u[1]
-        if best is None or combined > best:
-            best = combined
-            tied = [k]
-        elif combined == best:
-            tied.append(k)
-    profiles = tuple(divmod(k, cols) for k in tied)
-    return best, profiles[0], profiles
+    a, b = g.own_payoffs[0].rows, list(zip(*g.own_payoffs[1].rows))
+    combined = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    best = max(max(row) for row in combined)
+    tied = tuple((r, c) for r, row in enumerate(combined) for c, v in enumerate(row) if v == best)
+    return Fraction(best, g.payoff_scale), tied[0], tied
 
 
 def coco_solution(g: Game) -> CocoSolution:

@@ -7,11 +7,12 @@ Game objects are immutable and safe to share between threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import (
     BadDimension,
@@ -22,6 +23,7 @@ from .errors import (
     MissingProfile,
     ValidationError,
 )
+from .linalg import common_denominator, scaled
 
 Profile = tuple[int, ...]
 MixedProfile = tuple[tuple[Fraction, ...], ...]
@@ -71,6 +73,13 @@ def parse_fraction(token: RationalLike) -> Fraction:
         raise BadLiteral(f"bad rational literal {token!r}: {exc}") from None
 
 
+class OwnPayoffs(NamedTuple):
+    """One player's own payoffs times the game's ``payoff_scale``."""
+
+    rows: tuple[tuple[int, ...], ...]  # one per own action
+    opponents: tuple[Profile, ...]  # column labels: opponent action indices
+
+
 @dataclass(frozen=True)
 class Game:
     """An N-player strategic form game.
@@ -108,6 +117,31 @@ class Game:
     def action_index(self, player: Union[int, str], action: Union[int, str]) -> int:
         i = self.player_index(player)
         return label_index(self.actions[i], action, "action", f" for player {self.players[i]!r}")
+
+    @functools.cached_property
+    def payoff_scale(self) -> int:
+        """The lcm of all payoff denominators, once the game is validated;
+        one scale for all players, whose payoffs CO-CO adds."""
+        validate_game(self)
+        return common_denominator(v for vec in self.payoffs for v in vec)
+
+    @functools.cached_property
+    def own_payoffs(self) -> tuple[OwnPayoffs, ...]:
+        """Per player i, i's own payoffs times ``payoff_scale``: one row per
+        own action, one column per opponent profile (the opponents' action
+        indices in player order, enumerated in row-major order)."""
+        flat = [scaled(vec, self.payoff_scale) for vec in self.payoffs]
+        views = []
+        for i, size in enumerate(self.shape):
+            after = math.prod(self.shape[i + 1:])
+            rows = [[] for _ in range(size)]
+            # Profile k has own action k // after % size, and the profiles
+            # of one own action come in the row-major order of the others.
+            for k, vec in enumerate(flat):
+                rows[k // after % size].append(vec[i])
+            opponents = itertools.product(*(range(n) for j, n in enumerate(self.shape) if j != i))
+            views.append(OwnPayoffs(tuple(map(tuple, rows)), tuple(opponents)))
+        return tuple(views)
 
 
 def label_index(labels: Sequence[str], key: Union[int, str], what: str, where: str) -> int:
@@ -201,36 +235,12 @@ def payoff(g: Game, profile: Sequence[int]) -> tuple[Fraction, ...]:
     return g.payoffs[g.profile_index(profile)]
 
 
-def own_payoff_row(g: Game, i: Union[int, str], a: Union[int, str]) -> list[Fraction]:
-    """Player i's own payoffs at own action a, one per opponent profile, in
-    the order of ``opponent_profiles(g, i)``."""
-    i = g.player_index(i)
-    a = g.action_index(i, a)
-    shape = g.shape
-    size = shape[i]
-    # Row-major layout: the players before i vary slowest, those after i
-    # fastest, so own action a owns one run of ``after`` profiles in each of
-    # ``before`` blocks.
-    before = math.prod(shape[:i])
-    after = math.prod(shape[i + 1:])
-    return [
-        g.payoffs[k][i]
-        for block in range(before)
-        for k in range((block * size + a) * after, (block * size + a + 1) * after)
-    ]
-
-
 def own_payoff_matrix(g: Game, i: int) -> list[list[Fraction]]:
-    """Player i's own payoffs: one ``own_payoff_row`` per own action."""
+    """Player i's own payoffs as Fractions, read off ``g.own_payoffs``; its
+    columns are labelled by ``g.own_payoffs[i].opponents``."""
     i = g.player_index(i)
-    return [own_payoff_row(g, i, a) for a in range(g.shape[i])]
-
-
-def opponent_profiles(g: Game, i: int) -> list[Profile]:
-    """Column labels of ``own_payoff_matrix(g, i)``: the opponents' action
-    indices in player order, i left out, enumerated in row-major order."""
-    i = g.player_index(i)
-    return list(itertools.product(*(range(n) for j, n in enumerate(g.shape) if j != i)))
+    scale = g.payoff_scale
+    return [[Fraction(v, scale) for v in row] for row in g.own_payoffs[i].rows]
 
 
 def validate_mixture(g: Game, i: int, vec: Sequence[Fraction]) -> None:

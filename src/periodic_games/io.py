@@ -46,6 +46,8 @@ def _load_json(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
+    except ValueError as exc:  # a bare integer past the int-string conversion limit
+        raise ParseError(f"number too long: {exc}") from None
     except RecursionError:  # the decoder recursed past the interpreter's limit
         raise _too_deep() from None
     if not isinstance(doc, dict):

@@ -2,8 +2,8 @@
 
 Only this module turns rationals into integers (``common_denominator`` and
 ``scaled``) and divides integers exactly (``pivot``, the fraction-free step
-of Bareiss 1968 elimination and of Edmonds 1967 integer pivoting); ``lp``,
-``bayes`` and ``mixed`` use these helpers.
+of Bareiss 1968 elimination and of Edmonds 1967 integer pivoting); ``game``
+(the integer payoff view), ``lp``, ``bayes`` and ``mixed`` use these helpers.
 
 Desk-scale only: systems here have at most a handful of variables. Each row
 is scaled to integers by the lcm of its denominators and eliminated

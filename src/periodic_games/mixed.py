@@ -1,13 +1,15 @@
-"""Mixed periodic strategies and Nash equilibria of bimatrix games.
+"""Mixed periodic strategies, and Nash equilibria of bimatrix games.
 
 Both rest on one indifference system: a mixture q on the simplex such that
 some rows of a payoff matrix pay the same against q. At a mixed Nash
 equilibrium the opponent's mixture makes a player's payoff the same across
 the player's own support, rows of the player's own payoff matrix. A
 periodic mixture of a player makes the player's own payoff the same across
-every opponent pure action, the rows of the transpose of that matrix.
-``_equalizer_vertices`` solves the system for both, on the payoff matrix
-scaled to integers once per call. Nash equilibria are the completely
+every opponent pure profile, the rows of the transpose of that matrix;
+against independent opponent mixtures the payoff is a convex combination
+of those, so this is the N-player condition too. ``_equalizer_vertices``
+solves the system for both, on the integer payoff view of the game
+(``Game.own_payoffs``). Nash equilibria are the completely
 labelled pairs of vertices of the two best-response polyhedra; a mixture
 is such a vertex iff it is a vertex of the indifference system on its own
 best-response rows (Mangasarian 1964), so each own support is solved once
@@ -25,7 +27,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
 from .errors import BadDimension, Infeasible, SizeLimit
-from .game import Game, own_payoff_matrix, validate_game, validate_mixture
+from .game import Game, validate_game, validate_mixture
 from .linalg import affine_dimension, common_denominator, polytope_vertices, scaled
 
 Vector = tuple[Fraction, ...]
@@ -64,15 +66,6 @@ def require_bimatrix(g: Game) -> None:
         raise BadDimension(f"operation requires a 2-player game, got {g.num_players}")
 
 
-def _integer_matrix(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """A payoff matrix times the lcm of all its denominators, and that lcm.
-
-    A positive common scale changes no indifference and no best response.
-    """
-    scale = common_denominator(v for row in matrix for v in row)
-    return [scaled(row, scale) for row in matrix], scale
-
-
 def _equalizer_vertices(matrix: Sequence[Sequence[int]], rows: Sequence[int]) -> list[Vector]:
     """Vertices of {q on the simplex : (matrix q)_a is equal for every a in
     rows}, sorted."""
@@ -83,41 +76,45 @@ def _equalizer_vertices(matrix: Sequence[Sequence[int]], rows: Sequence[int]) ->
     return polytope_vertices(system, rhs, len(base))
 
 
+def _payoffs_against(matrix: Sequence[Sequence[int]], q: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Each row of an integer matrix against a mixture q over its columns,
+    times the lcm of q's denominators, and that lcm."""
+    den = common_denominator(q)
+    weights = [(b, w) for b, w in enumerate(scaled(q, den)) if w]
+    return [sum(row[b] * w for b, w in weights) for row in matrix], den
+
+
 def periodic_mixed(g: Game, player: Union[int, str]) -> PeriodicMixed:
-    """Payoff-equalizing mixture for one player of a bimatrix game.
+    """Payoff-equalizing mixture for one player of an N-player game.
 
     Raises Infeasible when no point of the simplex equalizes the player's
-    payoff across all opponent pure actions.
+    payoff across all opponent pure profiles.
     """
-    require_bimatrix(g)
+    validate_game(g)
     i = g.player_index(player)
-    matrix = own_payoff_matrix(g, i)
-    columns = list(zip(*_integer_matrix(matrix)[0]))
+    columns = list(zip(*g.own_payoffs[i].rows))
     vertices = _equalizer_vertices(columns, range(len(columns)))
     if not vertices:
         raise Infeasible(
             f"no mixture of player {g.players[i]!r} equalizes payoffs across opponent actions"
         )
     best = vertices[0]
-    value = sum(matrix[a][0] * best[a] for a in range(len(best)))
+    payoffs, den = _payoffs_against(columns[:1], best)
+    value = Fraction(payoffs[0], g.payoff_scale * den)
     return PeriodicMixed(probabilities=best, value=value, dimension=affine_dimension(vertices))
 
 
 def invariance_check(g: Game, player: Union[int, str], p: Sequence[Fraction]) -> Fraction:
-    """Spread (max - min over opponent pure actions) of the player's payoff at p.
+    """Spread (max - min over opponent pure profiles) of the player's payoff at p.
 
     Zero certifies that p is a periodic mixture. ``p`` must be an exact
     distribution over the player's actions (see ``validate_mixture``).
     """
-    require_bimatrix(g)
+    validate_game(g)
     i = g.player_index(player)
     validate_mixture(g, i, p)
-    matrix = own_payoff_matrix(g, i)
-    payoffs = [
-        sum(matrix[a][b] * p[a] for a in range(len(matrix)))
-        for b in range(len(matrix[0]))
-    ]
-    return max(payoffs) - min(payoffs)
+    payoffs, den = _payoffs_against(list(zip(*g.own_payoffs[i].rows)), p)
+    return Fraction(max(payoffs) - min(payoffs), g.payoff_scale * den)
 
 
 def _support(vec: Vector) -> tuple[int, ...]:
@@ -140,28 +137,26 @@ def _mutual_best_responses(p: _Candidate, q: _Candidate) -> bool:
     return p.support <= q.replies and q.support <= p.replies
 
 
-def _best_response_vertices(matrix: Sequence[Sequence[Fraction]]) -> list[_Candidate]:
+def _best_response_vertices(g: Game, owner: int) -> list[_Candidate]:
     """The opponent mixtures q at the vertices of the owner's best-response
-    polyhedron {(q, v) : q on the simplex, matrix q <= v}, each with the
-    owner's best responses to it and their payoff.
+    polyhedron {(q, v) : q on the simplex, M q <= v}, M the owner's payoff
+    matrix, each with the owner's best responses to it and their payoff.
 
     q is such a vertex iff it is a vertex of ``_equalizer_vertices`` on its
     own best-response rows (Mangasarian 1964). Each own support is solved
-    once, on the matrix scaled to integers once, and a vertex is kept only
+    once, on the integer view ``g.own_payoffs``, and a vertex is kept only
     from the support equal to its best responses, so it is kept once.
     """
-    ints, scale = _integer_matrix(matrix)
+    ints, scale = g.own_payoffs[owner].rows, g.payoff_scale
     out = []
     for size in range(1, len(ints) + 1):
         for rows in itertools.combinations(range(len(ints)), size):
             for q in _equalizer_vertices(ints, rows):
-                den = common_denominator(q)
-                weights = [(b, w) for b, w in enumerate(scaled(q, den)) if w]
-                payoffs = [sum(row[b] * w for b, w in weights) for row in ints]
+                payoffs, den = _payoffs_against(ints, q)
                 best = max(payoffs)
                 replies = frozenset(a for a, v in enumerate(payoffs) if v == best)
                 if replies == frozenset(rows):
-                    support = frozenset(b for b, _ in weights)
+                    support = frozenset(b for b, v in enumerate(q) if v)
                     out.append(_Candidate(q, support, replies, Fraction(best, scale * den)))
     return out
 
@@ -179,8 +174,8 @@ def nash_support_enumeration(g: Game) -> list[EquilibriumReport]:
     require_bimatrix(g)
     if max(g.shape) > MAX_SUPPORT_ACTIONS:
         raise SizeLimit(f"support enumeration limited to {MAX_SUPPORT_ACTIONS} actions per player")
-    p_vertices = _best_response_vertices(own_payoff_matrix(g, 1))
-    q_vertices = _best_response_vertices(own_payoff_matrix(g, 0))
+    p_vertices = _best_response_vertices(g, 1)
+    q_vertices = _best_response_vertices(g, 0)
     found = sorted(
         (p.mixture, q.mixture, (q.best, p.best))
         for p in p_vertices

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
 from .errors import AnchorNotOnCycle, BadParameter, DegenerateArgmax
-from .game import Game, opponent_profiles, own_payoff_row
+from .game import Game
 
 
 class TiePolicy(enum.Enum):
@@ -96,9 +96,9 @@ def best_deviation_profile(
     """
     i = g.player_index(player)
     a = g.action_index(i, action)
-    row = own_payoff_row(g, i, a)
-    best_value = max(row)
-    best_profiles = [opp for opp, value in zip(opponent_profiles(g, i), row) if value == best_value]
+    rows, opponents = g.own_payoffs[i]
+    best_value = max(rows[a])
+    best_profiles = [opp for opp, value in zip(opponents, rows[a]) if value == best_value]
     strict = len(best_profiles) == 1
     if not strict and policy is TiePolicy.STRICT:
         raise DegenerateArgmax(Node(i, a), best_profiles)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NotTwoPlayer
-from .game import Game, opponent_profiles, own_payoff_matrix, validate_game
+from .game import Game, validate_game
 from .lp import zero_sum_value
 from .periodicity import Cycle, TiePolicy, periodic_actions, periodicity_number
 
@@ -45,12 +45,12 @@ def _find_dominator(
     if not others_alive:
         return None
     others = [j for j in range(g.num_players) if j != i]
+    matrix, opponents = g.own_payoffs[i]
     columns = [
         k
-        for k, opp in enumerate(opponent_profiles(g, i))
+        for k, opp in enumerate(opponents)
         if all(b in alive[j] for j, b in zip(others, opp))
     ]
-    matrix = own_payoff_matrix(g, i)
     base = matrix[action]
     for b in others_alive:
         if all(matrix[b][k] > base[k] for k in columns):

@@ -2,9 +2,11 @@ import itertools
 import json
 import pathlib
 import sys
+from fractions import Fraction
 
 import pytest
 
+from periodic_games import make_game
 from periodic_games.io import parse_bayes, parse_game
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -87,3 +89,46 @@ def brute_force_deviation(g, i, a):
             best_value = value
             best = opp
     return dict(zip(others, best))
+
+
+def random_rational_game(rng, num_players=None):
+    """A seeded game shaped as ``generate.random_game`` draws them, with
+    payoffs k/d for k in [-12, 12] and d in [1, 12], so the lcm of the
+    denominators (coprime ones included) is rarely 1."""
+    n = num_players if num_players is not None else rng.randint(2, 4)
+    shape = [rng.randint(2, 4) for _ in range(n)]
+
+    def table(depth):
+        if depth == n:
+            return [Fraction(rng.randint(-12, 12), rng.randint(1, 12)) for _ in range(n)]
+        return [table(depth + 1) for _ in range(shape[depth])]
+
+    return make_game([f"P{i + 1}" for i in range(n)], [[f"s{k + 1}" for k in range(size)] for size in shape], table(0))
+
+
+def transformed_game(g, order, action_orders=None, payoff=tuple):
+    """``g`` relabelled and remapped: player k of the new game is player
+    ``order[k]`` of ``g``, action c of old player j is renumbered from its
+    action ``action_orders[j][c]``, and each payoff vector is
+    ``payoff(vector)`` (indexed by the old players) before it is reordered."""
+    action_orders = action_orders or [list(range(n)) for n in g.shape]
+
+    def table(prefix):
+        k = len(prefix)
+        if k < g.num_players:
+            return [table(prefix + (c,)) for c in range(g.shape[order[k]])]
+        old = [0] * g.num_players
+        for j, c in zip(order, prefix):
+            old[j] = action_orders[j][c]
+        u = payoff(g.payoffs[g.profile_index(old)])
+        return [u[j] for j in order]
+
+    players = [g.players[j] for j in order]
+    actions = [[g.actions[j][a] for a in action_orders[j]] for j in order]
+    return make_game(players, actions, table(()))
+
+
+def moved_sets(sets, order, action_orders):
+    """Per-player action sets of ``g`` as they read in
+    ``transformed_game(g, order, action_orders)``."""
+    return tuple(frozenset(c for c, a in enumerate(action_orders[j]) if a in sets[j]) for j in order)

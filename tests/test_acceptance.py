@@ -35,7 +35,7 @@ from periodic_games import (
 )
 from periodic_games.errors import Infeasible
 from periodic_games.generate import random_game
-from periodic_games.mixed import own_payoff_matrix
+from periodic_games.game import own_payoff_matrix
 from periodic_games.rationalizability import DominanceMode, _find_dominator
 
 from conftest import brute_force_deviation

@@ -1,13 +1,14 @@
+import functools
 import json
 import time
 
 import pytest
 
-from periodic_games import cli, coco, lp
+from periodic_games import Game, cli, lp
 from periodic_games.cli import main
 
 from conftest import FIXTURES, many_types_bayes
-from test_io import deep_payoffs_game, deep_prior_bayes, one_action_game
+from test_io import deep_payoffs_game, deep_prior_bayes, long_bare_integer_game, one_action_game
 
 BOS = str(FIXTURES / "battle_of_sexes.game.json")
 PD = str(FIXTURES / "prisoners_dilemma.game.json")
@@ -62,6 +63,17 @@ def test_mixed(capsys):
     assert doc["periodic_mixed"]["A"]["probabilities"] == ["1/3", "2/3"]
     assert doc["periodic_mixed"]["A"]["payoff_spread"] == "0"
     assert doc["joint_expected_utilities"] == ["2/3", "2/3"]
+
+
+def test_mixed_on_three_players(capsys):
+    assert main(["mixed", str(FIXTURES / "three_player.game.json"), "--format", "machine"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    expected = {"A": (["1/2", "1/2"], "2"), "B": (["2/5", "3/5"], "6/5"), "C": (["1/5", "4/5"], "4/5")}
+    for player, (probabilities, value) in expected.items():
+        component = doc["periodic_mixed"][player]
+        assert (component["probabilities"], component["value"]) == (probabilities, value)
+        assert component["payoff_spread"] == "0"
+    assert doc["joint_expected_utilities"] == ["2", "6/5", "4/5"]
 
 
 def test_mixed_reports_infeasible_component(capsys):
@@ -182,6 +194,14 @@ def test_bad_bayes_label_lists_exit_code(tmp_path, capsys, key, value):
     assert "invalid input: " in capsys.readouterr().err
 
 
+def test_a_bare_integer_past_the_conversion_limit_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "long.game.json"
+    path.write_text(long_bare_integer_game(5000))
+    assert main(["nash", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: number too long") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("players", ["AB", 5])
 def test_bad_players_exit_code(tmp_path, capsys, players):
     doc = json.loads(open(PD).read())
@@ -223,17 +243,35 @@ def test_analyze_runs_iesds_once_and_intersects_its_survivors(capsys, monkeypatc
     assert doc["rationalizable_periodic"] == {"A": [], "B": []}
 
 
+def _count_view_builds(monkeypatch) -> dict:
+    """Counts of the builds of the two cached properties of ``Game`` that
+    make its integer payoff view."""
+    builds = {"payoff_scale": 0, "own_payoffs": 0}
+    for name in builds:
+        build = getattr(Game, name).func
+
+        def counted(g, name=name, build=build):
+            builds[name] += 1
+            return build(g)
+
+        view = functools.cached_property(counted)
+        view.__set_name__(Game, name)
+        monkeypatch.setattr(Game, name, view)
+    return builds
+
+
+def test_analyze_builds_the_payoff_view_once(capsys, monkeypatch):
+    builds = _count_view_builds(monkeypatch)
+    # analyze builds the periodicity graph twice and runs IESDS.
+    assert main(["analyze", BOS, "--format", "machine"]) == 0
+    assert builds == {"payoff_scale": 1, "own_payoffs": 1}
+    assert json.loads(capsys.readouterr().out)["periodic_actions"] == {"A": ["a1", "a2"], "B": ["b1", "b2"]}
+
+
 def test_coco_builds_the_payoff_matrices_once(capsys, monkeypatch):
-    calls = []
-    true_matrix = coco.own_payoff_matrix
-
-    def counted(g, i):
-        calls.append(i)
-        return true_matrix(g, i)
-
-    monkeypatch.setattr(coco, "own_payoff_matrix", counted)
+    builds = _count_view_builds(monkeypatch)
     assert main(["coco", BOS, "--format", "machine"]) == 0
-    assert calls == [0, 1]
+    assert builds == {"payoff_scale": 1, "own_payoffs": 1}
     doc = json.loads(capsys.readouterr().out)
     assert doc["cooperative_matrix"] == [["3/2", "0"], ["0", "3/2"]]
     assert doc["competitive_matrix"] == [["1/2", "0"], ["0", "-1/2"]]

@@ -1,9 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from periodic_games import coco, coco_solution, decompose, max_combined_payoff
+from periodic_games import coco, coco_solution, decompose, max_combined_payoff, payoff
 from periodic_games.errors import CertificateError
+from periodic_games.generate import random_game
+
+from conftest import random_rational_game, transformed_game
 
 F = Fraction
 
@@ -21,7 +25,8 @@ def test_decompose_bos(bos):
 
 
 def test_decompose_recombines(bos, prisoners, four_by_four):
-    for g in (bos, prisoners, four_by_four):
+    rng = random.Random(1944)
+    for g in (bos, prisoners, four_by_four, *(random_rational_game(rng, 2) for _ in range(30))):
         split = decompose(g)
         for r in range(g.shape[0]):
             for c in range(g.shape[1]):
@@ -35,6 +40,16 @@ def test_max_combined_bos(bos):
     assert value == 3
     assert profile == (0, 0)
     assert tied == ((0, 0), (1, 1))
+
+
+def test_joint_maximum_matches_a_scan_of_the_profiles():
+    rng = random.Random(1945)
+    for k in range(60):
+        g = random_rational_game(rng, 2) if k % 2 else random_game(rng, 2)
+        joint = {profile: sum(payoff(g, profile)) for profile in g.profiles()}
+        best = max(joint.values())
+        tied = tuple(profile for profile, value in joint.items() if value == best)
+        assert max_combined_payoff(g) == (best, tied[0], tied)
 
 
 def test_solution_bos(bos):
@@ -88,3 +103,18 @@ def test_solution_checks_its_identities_without_assert(prisoners, monkeypatch):
     monkeypatch.setattr(coco, "max_combined_payoff", inflated)
     with pytest.raises(CertificateError, match="side payment"):
         coco_solution(prisoners)
+
+
+def test_coco_follows_a_player_swap_and_a_common_positive_scale():
+    """Swapping the players swaps the final payoffs; scaling both players'
+    payoffs by k > 0 scales the joint maximum, the zero-sum value, the side
+    payment and the final payoffs by k."""
+    rng = random.Random(1950)
+    for n in range(40):
+        g = random_rational_game(rng, 2) if n % 2 else random_game(rng, 2)
+        s = coco_solution(g)
+        assert coco_solution(transformed_game(g, [1, 0])).final_payoffs == s.final_payoffs[::-1]
+        k = F(rng.randint(1, 12), rng.randint(1, 12))
+        t = coco_solution(transformed_game(g, [0, 1], payoff=lambda u: tuple(k * v for v in u)))
+        assert (t.vsharp, t.vs, t.side_payment) == (k * s.vsharp, k * s.vs, k * s.side_payment)
+        assert t.final_payoffs == (k * s.final_payoffs[0], k * s.final_payoffs[1])

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,9 +7,15 @@ import pytest
 
 from periodic_games import (
     Game,
+    build_periodicity_graph,
+    coco_solution,
     expected_utility,
+    iesds,
     make_game,
+    nash_support_enumeration,
     payoff,
+    periodic_actions,
+    periodic_mixed,
     pure_profile,
     restrict_game,
     validate_game,
@@ -23,7 +30,7 @@ from periodic_games.errors import (
     ParseError,
     ValidationError,
 )
-from periodic_games.game import opponent_profiles, own_payoff_matrix, own_payoff_row, validate_mixed
+from periodic_games.game import own_payoff_matrix, validate_mixed
 from periodic_games.generate import random_game
 
 
@@ -49,6 +56,23 @@ def test_payoffs_are_fractions():
 def test_float_payoff_rejected():
     with pytest.raises(ValidationError):
         make_game(["A", "B"], [["x"], ["l"]], [[(0.5, 1)]])
+
+
+@pytest.mark.parametrize(
+    "algorithm",
+    [build_periodicity_graph, periodic_actions, iesds, nash_support_enumeration, periodic_mixed, coco_solution],
+    ids=lambda f: f.__name__,
+)
+def test_every_algorithm_rejects_a_float_payoff_in_a_directly_built_game(algorithm):
+    # Game(...) skips make_game's checks; the integer payoff view validates.
+    g = Game(
+        players=("A", "B"),
+        actions=(("x", "y"), ("l", "r")),
+        payoffs=((Fraction(1), Fraction(0)), (Fraction(2), 0.5), (Fraction(0), Fraction(3)), (Fraction(1), Fraction(1))),
+    )
+    args = (g, 0) if algorithm is periodic_mixed else (g,)
+    with pytest.raises(ValidationError, match="not a Fraction"):
+        algorithm(*args)
 
 
 @pytest.mark.parametrize("entry", [True, False, 0.5, "abc", "1/0", None, [1]])
@@ -90,7 +114,7 @@ def test_own_payoff_matrix_matches_payoff_lookup():
         g = _random_shape_game(rng, one_action=k % 3 == 0)
         for i in range(g.num_players):
             others = [j for j in range(g.num_players) if j != i]
-            columns = opponent_profiles(g, i)
+            columns = list(g.own_payoffs[i].opponents)
             assert columns == list(itertools.product(*(range(g.shape[j]) for j in others)))
             matrix = own_payoff_matrix(g, i)
             assert len(matrix) == g.shape[i]
@@ -202,18 +226,10 @@ def test_restrict_game_rejects_empty_subset():
         restrict_game(small(), [[], [0]])
 
 
-def test_own_payoff_row_is_the_matrix_row():
-    rng = random.Random(1967)
-    for _ in range(30):
-        g = random_game(rng)
-        for i in range(g.num_players):
-            matrix = own_payoff_matrix(g, i)
-            assert [own_payoff_row(g, i, a) for a in range(g.shape[i])] == matrix
-            label = g.actions[i][-1]
-            assert own_payoff_row(g, g.players[i], label) == matrix[-1]
-
-
-@pytest.mark.parametrize("action", [-1, 2, "z", True, 0.0])
-def test_own_payoff_row_rejects_an_unknown_action(action):
-    with pytest.raises(IndexOutOfRange):
-        own_payoff_row(small(), 1, action)
+def test_the_integer_payoff_view_scales_by_the_lcm_of_all_denominators():
+    rng = random.Random(405)
+    for k in range(30):
+        g = _random_shape_game(rng, one_action=k % 3 == 0)
+        assert g.payoff_scale == math.lcm(*(v.denominator for vec in g.payoffs for v in vec))
+        for view in g.own_payoffs:
+            assert all(type(v) is int for row in view.rows for v in row)

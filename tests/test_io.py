@@ -73,6 +73,21 @@ def test_parse_game_reports_json_position():
     assert info.value.line == 2
 
 
+def long_bare_integer_game(digits):
+    """The prisoners' dilemma with one payoff a bare JSON integer of
+    ``digits`` digits."""
+    doc = json.loads((FIXTURES / "prisoners_dilemma.game.json").read_text())
+    doc["payoffs"][0][0][0] = "LONG"
+    return json.dumps(doc).replace('"LONG"', "9" * digits)
+
+
+def test_a_bare_integer_past_the_conversion_limit_is_a_parse_error():
+    # json.loads raises a plain ValueError past CPython's 4,300-digit limit.
+    with pytest.raises(ParseError, match="number too long"):
+        parse_game(long_bare_integer_game(5000))
+    assert parse_game(long_bare_integer_game(4000)).payoffs[0][0] == Fraction("9" * 4000)
+
+
 def test_parse_game_missing_key():
     with pytest.raises(ParseError):
         parse_game(json.dumps({"players": ["A", "B"]}))

@@ -12,6 +12,9 @@ from periodic_games import (
     periodic_profile_report,
 )
 from periodic_games.errors import BadDimension, Infeasible, SizeLimit, ValidationError
+from periodic_games.mixed import PeriodicMixed
+
+from conftest import transformed_game
 
 F = Fraction
 
@@ -111,14 +114,72 @@ def test_size_limit():
         nash_support_enumeration(g)
 
 
-def test_requires_two_players():
-    g = make_game(
+def _zero_three_player_game():
+    return make_game(
         ["A", "B", "C"],
         [["x", "y"], ["l", "r"], ["u", "v"]],
         [[[(0, 0, 0)] * 2] * 2] * 2,
     )
-    with pytest.raises(BadDimension):
-        periodic_mixed(g, 0)
+
+
+def test_requires_two_players():
+    # Nash equilibria and the joint periodic report are bimatrix-only.
+    g = _zero_three_player_game()
+    for bimatrix_only in (nash_support_enumeration, periodic_profile_report):
+        with pytest.raises(BadDimension):
+            bimatrix_only(g)
+
+
+def test_periodic_mixtures_take_n_player_games():
+    g = _zero_three_player_game()
+    # Every mixture equalizes; the lexicographically smallest vertex wins.
+    assert periodic_mixed(g, "C") == PeriodicMixed(probabilities=(F(0), F(1)), value=F(0), dimension=1)
+    assert invariance_check(g, 1, [F(1, 2), F(1, 2)]) == 0
+
+
+def _four_by_two_by_two_games(seed, count=300):
+    """Seeded games in which player A has 4 actions and B and C 2 each,
+    payoffs in [-3, 3]."""
+    rng = random.Random(seed)
+
+    def vector():
+        return tuple(F(rng.randint(-3, 3)) for _ in range(3))
+
+    actions = [["a0", "a1", "a2", "a3"], ["b0", "b1"], ["c0", "c1"]]
+    return [
+        make_game(["A", "B", "C"], actions, [[[vector() for _ in range(2)] for _ in range(2)] for _ in range(4)])
+        for _ in range(count)
+    ]
+
+
+def _random_mixture(rng, n):
+    weights = [rng.randint(0, 5) for _ in range(n)]
+    weights[rng.randrange(n)] += 1
+    return tuple(F(w, sum(weights)) for w in weights)
+
+
+def test_an_n_player_periodic_mixture_pays_its_value_against_any_opponent_mixtures():
+    rng = random.Random(35)
+    checked = 0
+    for g in _four_by_two_by_two_games(34):
+        p = _periodic(g, 0)
+        if p is None:
+            continue
+        assert invariance_check(g, 0, p.probabilities) == 0
+        for _ in range(3):
+            opponents = (_random_mixture(rng, 2), _random_mixture(rng, 2))
+            assert expected_utility(g, (p.probabilities, *opponents))[0] == p.value
+        checked += 1
+    assert checked > 40
+
+
+def test_permuting_the_opponents_leaves_the_periodic_mixture_unchanged():
+    checked = 0
+    for g in _four_by_two_by_two_games(36):
+        p = _periodic(g, 0)
+        assert _periodic(transformed_game(g, [0, 2, 1]), 0) == p
+        checked += p is not None
+    assert checked > 40
 
 
 def test_invariance_check_reads_only_exact_distributions(bos):

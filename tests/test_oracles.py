@@ -30,20 +30,29 @@ from periodic_games import (
     validate_game,
 )
 from periodic_games.errors import Infeasible, ZeroProbabilityType
+from periodic_games.game import own_payoff_matrix
 from periodic_games.generate import random_game
-from periodic_games.linalg import affine_dimension, pivot, polytope_vertices, rref, solve_exact
+from periodic_games.linalg import (
+    affine_dimension,
+    common_denominator,
+    pivot,
+    polytope_vertices,
+    rref,
+    scaled,
+    solve_exact,
+)
 from periodic_games.lp import SimplexInternalError, simplex_max, zero_sum_value
 from periodic_games.mixed import (
     PeriodicMixed,
     _best_response_vertices,
     _equalizer_vertices,
-    _integer_matrix,
     _mutual_best_responses,
-    own_payoff_matrix,
     periodic_mixed,
 )
 from periodic_games.periodicity import Cycle, all_cycles
 from periodic_games.rationalizability import DominanceMode, Elimination, SurvivorSet, _find_dominator
+
+from conftest import random_rational_game
 
 F = Fraction
 
@@ -186,6 +195,12 @@ def test_rref_pivots_are_leading_minors(monkeypatch):
     assert checked > 200
 
 
+def integer_matrix(matrix):
+    """A Fraction matrix times the lcm of all its denominators, and that lcm."""
+    scale = common_denominator(v for row in matrix for v in row)
+    return [scaled(row, scale) for row in matrix], scale
+
+
 def _is_best_response(matrix, own, opp):
     """Every action in the support of ``own`` pays the most against ``opp``."""
     payoffs = [sum(row[b] * opp[b] for b in range(len(opp))) for row in matrix]
@@ -317,7 +332,7 @@ def test_one_equalizer_matches_the_per_subset_search_and_the_column_system():
         sides = []
         for owner, matrix in ((0, m_row), (1, m_col)):
             n, opp = g.shape[owner], g.shape[1 - owner]
-            ints = _integer_matrix(matrix)[0]
+            ints = integer_matrix(matrix)[0]
             expected = []
             for size in range(1, n + 1):
                 for own in itertools.combinations(range(n), size):
@@ -328,7 +343,7 @@ def test_one_equalizer_matches_the_per_subset_search_and_the_column_system():
                         replies, best = reference_best_responses(g, owner, q)
                         if replies == frozenset(own):
                             expected.append((q, replies, best))
-            got = _best_response_vertices(matrix)
+            got = _best_response_vertices(g, owner)
             assert [(c.mixture, c.replies, c.best) for c in got] == expected, (g, owner)
             for c in got:
                 assert c.support == frozenset(b for b, v in enumerate(c.mixture) if v)
@@ -367,7 +382,7 @@ def reference_best_response_polytope(matrix):
     responses (the rows with s = 0) and the best payoff (1 / sum(y) - shift)
     / scale. Sorted as ``_best_response_vertices`` emits them: by best
     responses in combination order, then by mixture."""
-    ints, scale = _integer_matrix(matrix)
+    ints, scale = integer_matrix(matrix)
     n, m = len(ints), len(ints[0])
     shift = 1 - min(min(row) for row in ints)
     system = [[v + shift for v in row] + [int(a == k) for k in range(n)] for a, row in enumerate(ints)]
@@ -393,8 +408,8 @@ def test_best_response_vertices_match_the_slack_system_polytope():
         g = _random_bimatrix(rng, rows, cols, binary=k % 3 == 0)
         m_row, m_col = own_payoff_matrix(g, 0), own_payoff_matrix(g, 1)
         q_side, p_side = reference_best_response_polytope(m_row), reference_best_response_polytope(m_col)
-        for matrix, side in ((m_row, q_side), (m_col, p_side)):
-            assert [(c.mixture, c.replies, c.best) for c in _best_response_vertices(matrix)] == side, g
+        for owner, side in ((0, q_side), (1, p_side)):
+            assert [(c.mixture, c.replies, c.best) for c in _best_response_vertices(g, owner)] == side, g
         labelled = sorted(
             (p, q, (q_best, p_best))
             for p, p_replies, p_best in p_side
@@ -569,10 +584,13 @@ def reference_find_dominator(g, i, action, alive, mode):
 
 
 def test_find_dominator_matches_reference_on_random_survivor_sets():
+    """Integer payoffs, then payoffs k/d with d <= 12, where the integer
+    view's common scale is rarely 1: the dominators, mixed ones with their
+    weights, equal those of the Fraction reference."""
     rng = random.Random(1996)
     found = {"pure": 0, "mixed": 0}
-    for _ in range(150):
-        g = random_game(rng)
+    for k in range(300):
+        g = random_game(rng) if k < 150 else random_rational_game(rng)
         alive = [frozenset(a for a in range(n) if rng.random() < 0.8) or frozenset({0}) for n in g.shape]
         for i in range(g.num_players):
             for action in sorted(alive[i]):
@@ -581,7 +599,7 @@ def test_find_dominator_matches_reference_on_random_survivor_sets():
                     assert got == reference_find_dominator(g, i, action, alive, mode)
                     if got is not None:
                         found[got[0]] += 1
-    assert found["pure"] > 0 and found["mixed"] > 0
+    assert found["pure"] > 300 and found["mixed"] > 30
 
 
 def reference_iesds(g, mode, find_dominator=_find_dominator):

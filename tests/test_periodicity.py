@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,11 +15,11 @@ from periodic_games import (
     periodicity_number,
     reach_cycle,
 )
-from periodic_games.errors import AnchorNotOnCycle, BadParameter, DegenerateArgmax
+from periodic_games.errors import AnchorNotOnCycle, BadParameter, DegenerateArgmax, IndexOutOfRange
 from periodic_games.generate import random_game
 from periodic_games.periodicity import all_cycles
 
-from conftest import brute_force_deviation
+from conftest import brute_force_deviation, moved_sets, random_rational_game, transformed_game
 
 
 def test_best_deviation_bos(bos):
@@ -74,6 +75,12 @@ def test_tied_profiles_come_in_lexicographic_order_on_three_players():
     assert best_deviation_profile(g, "B", "b1", TiePolicy.LEX) == ((0, 1), False)
 
 
+@pytest.mark.parametrize("action", [-1, 2, "z", True, 0.0])
+def test_best_deviation_rejects_an_unknown_action(bos, action):
+    with pytest.raises(IndexOutOfRange):
+        best_deviation_profile(bos, 1, action)
+
+
 def test_lex_policy_flags_ties():
     flat = make_game(["A", "B"], [["x", "y"], ["l", "r"]], [[(0, 0)] * 2] * 2)
     profile, strict = best_deviation_profile(flat, 0, 0, TiePolicy.LEX)
@@ -124,8 +131,9 @@ def test_periodicity_number(bos):
 
 def test_edges_match_brute_force_on_random_games():
     rng = random.Random(7)
-    for _ in range(50):
-        g = random_game(rng)
+    games = [random_game(rng) for _ in range(50)]
+    games += [random_rational_game(rng) for _ in range(50)]
+    for g in games:
         graph = build_periodicity_graph(g)
         for node in graph.nodes:
             expected = brute_force_deviation(g, node.player, node.action)
@@ -142,3 +150,28 @@ def test_three_player_edges_have_one_target_per_opponent():
         assert sorted(graph.edges[node]) == [
             j for j in range(3) if j != node.player
         ]
+
+
+def test_periodic_actions_follow_relabelling_and_positive_affine_maps():
+    """Periodic actions move with a permutation of the players and of each
+    player's actions, and stay put under a positive affine map of one
+    player's payoffs. Games with a degenerate node are left out, because
+    the lexicographic tie-break depends on the order."""
+    rng = random.Random(2020)
+    checked = 0
+    for k in range(120):
+        g = random_rational_game(rng) if k % 2 else random_game(rng)
+        if build_periodicity_graph(g).degenerate_flags:
+            continue
+        order = rng.sample(range(g.num_players), g.num_players)
+        action_orders = [rng.sample(range(n), n) for n in g.shape]
+        i = rng.randrange(g.num_players)
+        a, b = Fraction(rng.randint(1, 9), rng.randint(1, 9)), Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+        def affine(u):
+            return u[:i] + (a * u[i] + b,) + u[i + 1:]
+
+        moved = transformed_game(g, order, action_orders, affine)
+        assert periodic_actions(moved) == moved_sets(periodic_actions(g), order, action_orders)
+        checked += 1
+    assert checked > 50

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,10 @@ from periodic_games import (
     type_count,
 )
 from periodic_games.errors import NotTwoPlayer
+from periodic_games.generate import random_game
 from periodic_games.rationalizability import DominanceMode
+
+from conftest import moved_sets, random_rational_game, transformed_game
 
 F = Fraction
 
@@ -84,3 +88,27 @@ def test_type_count_rejects_three_players():
     cycle = Cycle((Node(0, 0), Node(1, 0), Node(2, 0)))
     with pytest.raises(NotTwoPlayer):
         type_count(cycle, 0)
+
+
+@pytest.mark.parametrize("mode", list(DominanceMode))
+def test_iesds_survivors_follow_relabelling_and_positive_affine_maps(mode):
+    """IESDS survivors move with a permutation of the players and of each
+    player's actions, and stay put under a positive affine map of one
+    player's payoffs."""
+    rng = random.Random(1953)
+    eliminated = 0
+    for k in range(60):
+        g = random_rational_game(rng) if k % 2 else random_game(rng)
+        order = rng.sample(range(g.num_players), g.num_players)
+        action_orders = [rng.sample(range(n), n) for n in g.shape]
+        i = rng.randrange(g.num_players)
+        a, b = F(rng.randint(1, 9), rng.randint(1, 9)), F(rng.randint(-9, 9), rng.randint(1, 9))
+
+        def affine(u):
+            return u[:i] + (a * u[i] + b,) + u[i + 1:]
+
+        survivors = iesds(g, mode).survivors
+        moved = transformed_game(g, order, action_orders, affine)
+        assert iesds(moved, mode).survivors == moved_sets(survivors, order, action_orders)
+        eliminated += sum(n - len(s) for n, s in zip(g.shape, survivors))
+    assert eliminated > 30
