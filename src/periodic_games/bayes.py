@@ -1,6 +1,6 @@
 """Incomplete-information games with a common prior.
 
-A Bayesian game stores state-dependent payoff tensors plus a prior over
+A Bayesian game stores one payoff Game per state plus a prior over
 (state, type profile). The module derives interim beliefs and builds the
 complete-information companions: the ex-ante game over type-contingent
 strategies and the interim game over player-type pairs. The interim game
@@ -14,10 +14,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Union
 
 from .errors import BadDimension, SizeLimit, ValidationError, ZeroProbabilityType
-from .game import Game, label_index, validate_game
+from .game import Game, label_index
 from .linalg import common_denominator, scaled
 
 TypeProfile = tuple[int, ...]
@@ -28,28 +28,29 @@ DEFAULT_MAX_PROFILES = 100_000
 
 @dataclass(frozen=True)
 class BayesianGame:
-    players: tuple[str, ...]
-    actions: tuple[tuple[str, ...], ...]
+    """A Bayesian game, valid by construction: ``games[k]`` is the payoff
+    game of parameter value ``thetas[k]``, and all of them share the
+    players and actions read off ``games[0]``."""
+
     thetas: tuple[str, ...]
     types: tuple[tuple[str, ...], ...]
     prior: Mapping[PriorKey, Fraction]
-    # theta index -> dense payoff tensor in row-major action order, entries
-    # are length-N utility vectors (same layout as Game.payoffs).
-    payoffs: Mapping[int, tuple[tuple[Fraction, ...], ...]]
+    games: tuple[Game, ...]
+
+    def __post_init__(self) -> None:
+        validate_bayesian_game(self)
+
+    @property
+    def players(self) -> tuple[str, ...]:
+        return self.games[0].players
+
+    @property
+    def actions(self) -> tuple[tuple[str, ...], ...]:
+        return self.games[0].actions
 
     @property
     def num_players(self) -> int:
         return len(self.players)
-
-    @property
-    def action_shape(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.actions)
-
-    def profile_index(self, profile: Sequence[int]) -> int:
-        index = 0
-        for size, a in zip(self.action_shape, profile):
-            index = index * size + a
-        return index
 
     def player_index(self, player: Union[int, str]) -> int:
         return label_index(self.players, player, "player", "")
@@ -57,18 +58,20 @@ class BayesianGame:
     def type_index(self, player: int, t: Union[int, str]) -> int:
         return label_index(self.types[player], t, "type", f" for player {self.players[player]!r}")
 
-    def state_payoff(self, theta: int, profile: Sequence[int]) -> tuple[Fraction, ...]:
-        return self.payoffs[theta][self.profile_index(profile)]
-
 
 def validate_bayesian_game(bg: BayesianGame) -> None:
-    n = bg.num_players
-    if n < 2:
-        raise BadDimension(f"a Bayesian game needs at least 2 players, got {n}")
-    if len(bg.actions) != n or len(bg.types) != n:
-        raise BadDimension("actions and types must be given for every player")
+    """Check the BayesianGame invariants the games do not already hold;
+    raises a ValidationError subclass on failure. ``BayesianGame`` calls it
+    on construction."""
     if not bg.thetas:
         raise BadDimension("at least one parameter value is required")
+    if len(bg.games) != len(bg.thetas) or not all(isinstance(g, Game) for g in bg.games):
+        raise ValidationError("a Bayesian game needs one Game per parameter value")
+    if any((g.players, g.actions) != (bg.players, bg.actions) for g in bg.games):
+        raise ValidationError("the games of all parameter values must have the same players and actions")
+    n = bg.num_players
+    if len(bg.types) != n:
+        raise BadDimension("types must be given for every player")
     total = Fraction(0)
     for (theta, type_profile), prob in bg.prior.items():
         if not 0 <= theta < len(bg.thetas):
@@ -85,20 +88,6 @@ def validate_bayesian_game(bg: BayesianGame) -> None:
         total += prob
     if total != 1:
         raise ValidationError(f"prior sums to {total}, not 1")
-    expected = 1
-    for size in bg.action_shape:
-        expected *= size
-    for theta in range(len(bg.thetas)):
-        tensor = bg.payoffs.get(theta)
-        if tensor is None or len(tensor) != expected:
-            raise ValidationError(f"payoff tensor for parameter index {theta} is not dense")
-        for vec in tensor:
-            if len(vec) != n:
-                raise BadDimension("payoff vector length must equal the number of players")
-            if not all(isinstance(v, Fraction) for v in vec):
-                raise ValidationError(
-                    f"payoff tensor for parameter index {theta} has an entry that is not a Fraction"
-                )
 
 
 def _zero_probability_type(bg: BayesianGame, i: int, t: int) -> ZeroProbabilityType:
@@ -167,12 +156,12 @@ def second_order_belief(
 
 
 def _integer_expectation(bg: BayesianGame):
-    """The prior and the payoffs of a validated game, scaled to integers and
+    """The prior and the payoffs of a Bayesian game, scaled to integers and
     indexed by one action per (player, type) pair.
 
     Returns ``(cells, dp, du, choices)``. ``dp`` is the lcm of the
     denominators of the positive prior probabilities and ``du`` the lcm of
-    every payoff denominator. ``choices[k]`` lists the actions of the k-th
+    the games' ``payoff_scale``s. ``choices[k]`` lists the actions of the k-th
     pair of ``_player_type_ids`` times its player's row-major stride, so a
     joint choice (one entry per pair) realizes, at a type profile, the
     payoff entry whose flat index is the sum of the chosen entries of the
@@ -185,14 +174,14 @@ def _integer_expectation(bg: BayesianGame):
     """
     ids = _player_type_ids(bg)
     position = {node: k for k, node in enumerate(ids)}
-    shape = bg.action_shape
+    shape = bg.games[0].shape
     choices = [[a * math.prod(shape[i + 1:]) for a in range(shape[i])] for i, _ in ids]
     positive = [(key, prob) for key, prob in bg.prior.items() if prob > 0]
     probs = [prob for _, prob in positive]
     dp = common_denominator(probs)
-    tensors = [bg.payoffs[theta] for theta in range(len(bg.thetas))]
-    du = common_denominator(v for tensor in tensors for vec in tensor for v in vec)
-    payoffs = [[scaled(vec, du) for vec in tensor] for tensor in tensors]
+    # The lcm of the games' cached scales: 1/scale has denominator scale.
+    du = common_denominator(Fraction(1, g.payoff_scale) for g in bg.games)
+    payoffs = [[scaled(vec, du) for vec in g.payoffs] for g in bg.games]
     cells = [
         (w, payoffs[theta], tp, itemgetter(*(position[node] for node in enumerate(tp))))
         for ((theta, tp), _), w in zip(positive, scaled(probs, dp))
@@ -204,16 +193,23 @@ def _strategy_label(bg: BayesianGame, player: int, choice: TypeProfile) -> str:
     return "".join(bg.actions[player][a] for a in choice)
 
 
-def _check_profile_count(bg: BayesianGame, what: str, max_profiles: int) -> None:
-    """SizeLimit when a companion game, one action per (player, type) pair,
-    would have more than ``max_profiles`` profiles; checked before anything
-    of that size is built, stopping at the first pair past the limit."""
+def _check_profile_count(bg: BayesianGame, what: str, max_profiles: int, players: int) -> None:
+    """SizeLimit when a companion game of ``players`` players, one action per
+    (player, type) pair, would have more than ``max_profiles`` profiles or
+    more than ``2 * max_profiles`` payoff entries (profiles times players);
+    checked before anything of that size is built, stopping at the first
+    pair past the profile limit."""
     total = 1
     for actions, types in zip(bg.actions, bg.types):
         for _ in types:
             total *= len(actions)
             if total > max_profiles:
                 raise SizeLimit(f"{what} game would have more than {max_profiles} profiles")
+    if total * players > 2 * max_profiles:
+        raise SizeLimit(
+            f"{what} game would have more than {2 * max_profiles} payoff entries"
+            f" ({total} profiles of {players} players)"
+        )
 
 
 def ex_ante_game(bg: BayesianGame, max_profiles: int = DEFAULT_MAX_PROFILES) -> Game:
@@ -224,8 +220,7 @@ def ex_ante_game(bg: BayesianGame, max_profiles: int = DEFAULT_MAX_PROFILES) -> 
     prior expectations, summed exactly in integers (prior and payoffs scaled
     by the lcm of their denominators) and divided once per payoff entry.
     """
-    validate_bayesian_game(bg)
-    _check_profile_count(bg, "ex-ante", max_profiles)
+    _check_profile_count(bg, "ex-ante", max_profiles, bg.num_players)
     n = bg.num_players
     strategy_sets = [
         list(itertools.product(range(len(bg.actions[i])), repeat=len(bg.types[i])))
@@ -246,9 +241,7 @@ def ex_ante_game(bg: BayesianGame, max_profiles: int = DEFAULT_MAX_PROFILES) -> 
             for i in range(n):
                 totals[i] += w * u[i]
         flat.append(tuple(Fraction(t, denominator) for t in totals))
-    game = Game(players=bg.players, actions=labels, payoffs=tuple(flat))
-    validate_game(game)
-    return game
+    return Game(players=bg.players, actions=labels, payoffs=tuple(flat))
 
 
 def _player_type_ids(bg: BayesianGame) -> tuple[tuple[int, int], ...]:
@@ -276,10 +269,9 @@ def interim_game(bg: BayesianGame) -> Game:
     expectation is an integer sum over its prior entries (scaled as in
     ``ex_ante_game``) divided once by ``du`` times the pair's integer mass.
     """
-    validate_bayesian_game(bg)
-    _check_profile_count(bg, "interim", DEFAULT_MAX_PROFILES)
-    cells, _, du, choices = _integer_expectation(bg)
     ids = _player_type_ids(bg)
+    _check_profile_count(bg, "interim", DEFAULT_MAX_PROFILES, len(ids))
+    cells, _, du, choices = _integer_expectation(bg)
     beliefs = []
     for i, t in ids:
         own = [(w, table, where) for w, table, tp, where in cells if tp[i] == t]
@@ -297,9 +289,7 @@ def interim_game(bg: BayesianGame) -> Game:
             vector.append(Fraction(total, denominator))
         flat.append(tuple(vector))
     actions = tuple(bg.actions[i] for i, _ in ids)
-    game = Game(players=_player_type_labels(bg), actions=actions, payoffs=tuple(flat))
-    validate_game(game)
-    return game
+    return Game(players=_player_type_labels(bg), actions=actions, payoffs=tuple(flat))
 
 
 def interim_correlated_game(bg: BayesianGame) -> Game:

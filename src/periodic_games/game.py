@@ -2,7 +2,9 @@
 
 Payoffs are stored as a dense tensor in row-major player order; every
 quantity is a ``fractions.Fraction`` so all downstream computation is exact.
-Game objects are immutable and safe to share between threads.
+A Game is valid by construction: its constructor runs ``validate_game``, so
+no algorithm re-checks one. Game objects are immutable and safe to share
+between threads.
 """
 
 from __future__ import annotations
@@ -92,6 +94,9 @@ class Game:
     actions: tuple[tuple[str, ...], ...]
     payoffs: tuple[tuple[Fraction, ...], ...]
 
+    def __post_init__(self) -> None:
+        validate_game(self)
+
     @property
     def num_players(self) -> int:
         return len(self.players)
@@ -120,9 +125,8 @@ class Game:
 
     @functools.cached_property
     def payoff_scale(self) -> int:
-        """The lcm of all payoff denominators, once the game is validated;
-        one scale for all players, whose payoffs CO-CO adds."""
-        validate_game(self)
+        """The lcm of all payoff denominators; one scale for all players,
+        whose payoffs CO-CO adds."""
         return common_denominator(v for vec in self.payoffs for v in vec)
 
     @functools.cached_property
@@ -167,7 +171,7 @@ def make_game(
     actions: Sequence[Sequence[str]],
     payoff_table,
 ) -> Game:
-    """Build and validate a Game from a nested payoff table.
+    """Build a Game from a nested payoff table.
 
     ``payoff_table`` is nested one level per player (row-major), the innermost
     entries being length-N sequences of exact values.
@@ -197,13 +201,12 @@ def make_game(
             walk(child, depth + 1, path + (k,))
 
     walk(payoff_table, 0, ())
-    game = Game(players=players, actions=actions, payoffs=tuple(flat))
-    validate_game(game)
-    return game
+    return Game(players=players, actions=actions, payoffs=tuple(flat))
 
 
 def validate_game(g: Game) -> None:
-    """Check all Game invariants; raises a ValidationError subclass on failure."""
+    """Check all Game invariants; raises a ValidationError subclass on
+    failure. ``Game`` calls it on construction."""
     n = g.num_players
     if n < 2:
         raise BadDimension(f"a game needs at least 2 players, got {n}")

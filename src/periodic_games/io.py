@@ -12,9 +12,9 @@ import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .bayes import BayesianGame, validate_bayesian_game
+from .bayes import BayesianGame
 from .errors import ParseError, SizeLimit
-from .game import Game, parse_fraction, validate_game
+from .game import Game, parse_fraction
 from .periodicity import Cycle, Node, PeriodicityGraph
 
 # Lists and objects nested deeper than this are a ParseError. A game's
@@ -109,15 +109,13 @@ def _parse_tensor(node, shape: Sequence[int], n: int, path=()) -> list:
 
 
 def parse_game(text: str) -> Game:
-    """Parse and validate a game document."""
+    """Parse a game document; the Game validates itself."""
     doc = _load_json(text)
     players = _labels(_require(doc, "players"), "'players'")
     actions = _parse_actions(doc, players)
     shape = [len(a) for a in actions]
     flat = _parse_tensor(_require(doc, "payoffs"), shape, len(players))
-    game = Game(players=players, actions=actions, payoffs=tuple(flat))
-    validate_game(game)
-    return game
+    return Game(players=players, actions=actions, payoffs=tuple(flat))
 
 
 def _tensor_doc(g: Game) -> list:
@@ -140,7 +138,8 @@ def serialize_game(g: Game) -> str:
 
 
 def parse_bayes(text: str) -> BayesianGame:
-    """Parse and validate a Bayesian game document."""
+    """Parse a Bayesian game document, one Game per parameter value; the
+    games and the BayesianGame validate themselves."""
     doc = _load_json(text)
     players = _labels(_require(doc, "players"), "'players'")
     actions = _parse_actions(doc, players)
@@ -180,22 +179,13 @@ def parse_bayes(text: str) -> BayesianGame:
     if not isinstance(payoffs_doc, dict):
         raise ParseError("'payoffs' must map parameter labels to payoff tables")
     shape = [len(a) for a in actions]
-    payoffs = {}
-    for theta, label in enumerate(thetas):
+    games = []
+    for label in thetas:
         if label not in payoffs_doc:
             raise ParseError(f"no payoff table for parameter {label!r}")
-        payoffs[theta] = tuple(_parse_tensor(payoffs_doc[label], shape, len(players)))
-
-    bg = BayesianGame(
-        players=players,
-        actions=actions,
-        thetas=thetas,
-        types=types,
-        prior=prior,
-        payoffs=payoffs,
-    )
-    validate_bayesian_game(bg)
-    return bg
+        flat = _parse_tensor(payoffs_doc[label], shape, len(players))
+        games.append(Game(players=players, actions=actions, payoffs=tuple(flat)))
+    return BayesianGame(thetas=thetas, types=types, prior=prior, games=tuple(games))
 
 
 def node_id(g: Game, node: Node) -> str:

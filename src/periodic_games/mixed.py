@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
 from .errors import BadDimension, Infeasible, SizeLimit
-from .game import Game, validate_game, validate_mixture
+from .game import Game, validate_mixture
 from .linalg import affine_dimension, common_denominator, polytope_vertices, scaled
 
 Vector = tuple[Fraction, ...]
@@ -61,7 +61,6 @@ class EquilibriumReport:
 
 
 def require_bimatrix(g: Game) -> None:
-    validate_game(g)
     if g.num_players != 2:
         raise BadDimension(f"operation requires a 2-player game, got {g.num_players}")
 
@@ -90,7 +89,6 @@ def periodic_mixed(g: Game, player: Union[int, str]) -> PeriodicMixed:
     Raises Infeasible when no point of the simplex equalizes the player's
     payoff across all opponent pure profiles.
     """
-    validate_game(g)
     i = g.player_index(player)
     columns = list(zip(*g.own_payoffs[i].rows))
     vertices = _equalizer_vertices(columns, range(len(columns)))
@@ -110,7 +108,6 @@ def invariance_check(g: Game, player: Union[int, str], p: Sequence[Fraction]) ->
     Zero certifies that p is a periodic mixture. ``p`` must be an exact
     distribution over the player's actions (see ``validate_mixture``).
     """
-    validate_game(g)
     i = g.player_index(player)
     validate_mixture(g, i, p)
     payoffs, den = _payoffs_against(list(zip(*g.own_payoffs[i].rows)), p)

@@ -15,8 +15,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
-from .errors import AnchorNotOnCycle, BadParameter, DegenerateArgmax
+from .errors import AnchorNotOnCycle, BadParameter, DegenerateArgmax, SizeLimit
 from .game import Game
+
+# The number of cycles can grow exponentially with the game; a call that
+# finds more than this many raises SizeLimit rather than run without bound.
+MAX_CYCLES = 100_000
 
 
 class TiePolicy(enum.Enum):
@@ -143,10 +147,11 @@ def _check_max_len(max_len: int) -> None:
         raise BadParameter(f"max_len must be at least 2, got {max_len}")
 
 
-def _cycles_from(graph: PeriodicityGraph, start: Node, max_len: int, allowed) -> list[Cycle]:
+def _cycles_from(graph: PeriodicityGraph, start: Node, max_len: int, allowed, budget: int) -> list[Cycle]:
     """Simple cycles through ``start`` of at most ``max_len`` edges whose
     other nodes all lie in ``allowed``, each starting at ``start``, sorted
-    by length then node sequence (depth-first search)."""
+    by length then node sequence (depth-first search). SizeLimit once more
+    than ``budget`` are found."""
     cycles: list[Cycle] = []
     path: list[Node] = [start]
     on_path = {start}
@@ -155,6 +160,8 @@ def _cycles_from(graph: PeriodicityGraph, start: Node, max_len: int, allowed) ->
         for nxt in graph.successors(node):
             if nxt == start:
                 if 2 <= len(path) <= max_len:
+                    if len(cycles) == budget:
+                        raise SizeLimit(f"the periodicity graph has more than {MAX_CYCLES} cycles to report")
                     cycles.append(Cycle(tuple(path)))
                 continue
             if nxt in on_path or len(path) >= max_len or nxt not in allowed:
@@ -174,13 +181,14 @@ def enumerate_cycles(graph: PeriodicityGraph, through: Node, max_len: int) -> li
     """All simple cycles through a node with length <= max_len edges.
 
     Each cycle is reported once, rotated to start at ``through``. Sorted by
-    length then node sequence.
+    length then node sequence. SizeLimit when there are more than
+    ``MAX_CYCLES``.
     """
     _check_max_len(max_len)
     if through not in graph.edges:
         raise AnchorNotOnCycle(f"node {through} not in graph")
     # Every node of a cycle is in the cyclic set, so the search skips the rest.
-    return _cycles_from(graph, through, max_len, graph.cyclic_nodes)
+    return _cycles_from(graph, through, max_len, graph.cyclic_nodes, MAX_CYCLES)
 
 
 def all_cycles(graph: PeriodicityGraph, max_len: int) -> list[Cycle]:
@@ -190,13 +198,15 @@ def all_cycles(graph: PeriodicityGraph, max_len: int) -> list[Cycle]:
     in increasing order and sorted by length then node sequence within a
     group. The search from a node visits only larger cyclic nodes, so each
     cycle is walked once, from its smallest node (as in Johnson's circuit
-    enumeration, SIAM J. Comput. 1975).
+    enumeration, SIAM J. Comput. 1975). SizeLimit when there are more than
+    ``MAX_CYCLES``, counted across all start nodes.
     """
     _check_max_len(max_len)
     cyclic = graph.cyclic_nodes
     out: list[Cycle] = []
     for node in sorted(cyclic):
-        out.extend(_cycles_from(graph, node, max_len, {n for n in cyclic if n > node}))
+        allowed = {n for n in cyclic if n > node}
+        out.extend(_cycles_from(graph, node, max_len, allowed, MAX_CYCLES - len(out)))
     return out
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NotTwoPlayer
-from .game import Game, validate_game
+from .game import Game
 from .lp import zero_sum_value
 from .periodicity import Cycle, TiePolicy, periodic_actions, periodicity_number
 
@@ -70,7 +70,6 @@ def _find_dominator(
 
 def iesds(g: Game, mode: DominanceMode = DominanceMode.PURE_ONLY) -> SurvivorSet:
     """Fixed point of round-based simultaneous elimination of dominated actions."""
-    validate_game(g)
     alive: list[frozenset[int]] = [frozenset(range(size)) for size in g.shape]
     trace: list[Elimination] = []
     round_number = 0

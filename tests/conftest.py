@@ -1,6 +1,7 @@
 import itertools
 import json
 import pathlib
+import random
 import sys
 from fractions import Fraction
 
@@ -42,6 +43,22 @@ def many_types_bayes(types):
         "payoffs": {"th": [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]]},
     }
     return json.dumps(doc, separators=(",", ":"))
+
+
+def many_cycles_game(num_players=7):
+    """A seeded game document with 2 actions per player and integer
+    payoffs in [-9, 9]: about 30 KB for 7 players, but its periodicity graph
+    has more than a hundred thousand simple cycles."""
+    rng = random.Random(0)
+    players = [f"P{i + 1}" for i in range(num_players)]
+
+    def table(depth):
+        if depth == num_players:
+            return [str(rng.randint(-9, 9)) for _ in range(num_players)]
+        return [table(depth + 1) for _ in range(2)]
+
+    doc = {"players": players, "actions": {p: ["s1", "s2"] for p in players}, "payoffs": table(0)}
+    return json.dumps(doc, indent=2)
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import pytest
 
 from periodic_games import (
     BayesianGame,
+    Game,
     conditional_belief,
     ex_ante_game,
     first_order_belief,
@@ -13,6 +14,7 @@ from periodic_games import (
     second_order_belief,
     validate_bayesian_game,
 )
+from periodic_games import bayes
 from periodic_games.errors import IndexOutOfRange, SizeLimit, ValidationError, ZeroProbabilityType
 from periodic_games.io import parse_bayes
 
@@ -23,16 +25,8 @@ F = Fraction
 
 def test_validate_rejects_bad_prior(two_type_bayes):
     bg = two_type_bayes
-    broken = BayesianGame(
-        players=bg.players,
-        actions=bg.actions,
-        thetas=bg.thetas,
-        types=bg.types,
-        prior={(0, (0, 0)): F(1, 3)},
-        payoffs=bg.payoffs,
-    )
     with pytest.raises(ValidationError):
-        validate_bayesian_game(broken)
+        BayesianGame(thetas=bg.thetas, types=bg.types, prior={(0, (0, 0)): F(1, 3)}, games=bg.games)
 
 
 def test_conditional_beliefs(two_type_bayes):
@@ -103,6 +97,30 @@ def test_interim_games_bound_their_profile_count_before_building():
     assert time.perf_counter() - start < 1
 
 
+def test_interim_games_bound_their_payoff_entries_before_building():
+    # 8 types of 2 actions each per player: 4**8 profiles, within the
+    # profile bound, but 16 payoffs per profile.
+    bg = parse_bayes(many_types_bayes(8))
+    start = time.perf_counter()
+    for build in (interim_game, interim_correlated_game):
+        with pytest.raises(SizeLimit, match="interim game would have more than 200000 payoff entries"):
+            build(bg)
+    assert time.perf_counter() - start < 1
+    # 4 types each: 2**8 profiles of 8 players, 2,048 entries, still built.
+    assert len(interim_game(parse_bayes(many_types_bayes(4))).payoffs) == 256
+
+
+def test_the_payoff_entry_bound_is_twice_the_profile_bound(two_type_bayes, monkeypatch):
+    # The interim game of two_type_bayes: 8 profiles of 3 player-type pairs.
+    monkeypatch.setattr(bayes, "DEFAULT_MAX_PROFILES", 12)
+    assert len(interim_game(two_type_bayes).payoffs) == 8
+    monkeypatch.setattr(bayes, "DEFAULT_MAX_PROFILES", 11)
+    with pytest.raises(SizeLimit, match="more than 22 payoff entries"):
+        interim_game(two_type_bayes)
+    # A 2-player ex-ante game within the profile bound is within both.
+    assert len(ex_ante_game(two_type_bayes, max_profiles=8).payoffs) == 8
+
+
 def test_interim_game_three_players(two_type_bayes):
     g = interim_game(two_type_bayes)
     assert g.players == ("t1", "t1p", "t2")
@@ -147,12 +165,10 @@ def test_interim_correlated_multi_type_matches_interim(two_type_bayes):
 def test_zero_probability_type_rejected(two_type_bayes):
     bg = two_type_bayes
     extended = BayesianGame(
-        players=bg.players,
-        actions=bg.actions,
         thetas=bg.thetas,
         types=(bg.types[0] + ("ghost",), bg.types[1]),
         prior=bg.prior,
-        payoffs=bg.payoffs,
+        games=bg.games,
     )
     with pytest.raises(ZeroProbabilityType):
         conditional_belief(extended, 0, 2)
@@ -186,31 +202,27 @@ def test_only_strings_and_ints_are_player_or_type_keys(two_type_bayes, key):
 
 
 def _one_state_game(prior, entry=F(1)):
-    return BayesianGame(
+    game = Game(
         players=("A", "B"),
         actions=(("a0", "a1"), ("b0", "b1")),
-        thetas=("s",),
-        types=(("t0", "t1"), ("u",)),
-        prior=prior,
-        payoffs={0: ((entry, F(0)), (F(0), F(1)), (F(2), F(-1)), (F(1, 2), F(3)))},
+        payoffs=((entry, F(0)), (F(0), F(1)), (F(2), F(-1)), (F(1, 2), F(3))),
     )
+    return BayesianGame(thetas=("s",), types=(("t0", "t1"), ("u",)), prior=prior, games=(game,))
 
 
 @pytest.mark.parametrize(
-    "bg",
+    "prior, entry",
     [
-        _one_state_game({(0, (0, 0)): 0.5, (0, (1, 0)): 0.5}),
-        _one_state_game({(0, (0, 0)): F(1, 2), (0, (1, 0)): F(1, 2)}, entry=0.5),
-        _one_state_game({(0, (0, 0)): F(1, 2), (0, (1, 0)): F(1, 2)}, entry=1),
+        ({(0, (0, 0)): 0.5, (0, (1, 0)): 0.5}, F(1)),
+        ({(0, (0, 0)): F(1, 2), (0, (1, 0)): F(1, 2)}, 0.5),
+        ({(0, (0, 0)): F(1, 2), (0, (1, 0)): F(1, 2)}, 1),
     ],
     ids=["float prior", "float payoff", "int payoff"],
 )
-def test_inexact_prior_and_payoff_entries_rejected(bg):
+def test_inexact_prior_and_payoff_entries_rejected(prior, entry):
+    # The game is rejected as it is built, before any companion builder.
     with pytest.raises(ValidationError):
-        validate_bayesian_game(bg)
-    for build in (ex_ante_game, interim_game, interim_correlated_game):
-        with pytest.raises(ValidationError):
-            build(bg)
+        _one_state_game(prior, entry)
 
 
 def test_fraction_prior_game_builds():

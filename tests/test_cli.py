@@ -1,13 +1,14 @@
 import functools
 import json
+import sys
 import time
 
 import pytest
 
-from periodic_games import Game, cli, lp
+from periodic_games import Game, cli, game, lp
 from periodic_games.cli import main
 
-from conftest import FIXTURES, many_types_bayes
+from conftest import FIXTURES, many_cycles_game, many_types_bayes
 from test_io import deep_payoffs_game, deep_prior_bayes, long_bare_integer_game, one_action_game
 
 BOS = str(FIXTURES / "battle_of_sexes.game.json")
@@ -370,3 +371,51 @@ def test_a_container_label_is_invalid_input(tmp_path, capsys, label):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("invalid input: ") and "got the label" in captured.err
+
+
+@pytest.mark.parametrize("command", [["cycles"], ["cycles", "--through", "P1:s1"], ["analyze"]], ids=" ".join)
+def test_a_game_with_too_many_cycles_is_an_error_not_unbounded_work(tmp_path, capsys, command):
+    path = tmp_path / "many_cycles.json"
+    path.write_text(many_cycles_game())
+    start = time.perf_counter()
+    assert main([command[0], str(path), *command[1:], "--format", "machine"]) == 2
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "more than 100000 cycles" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("to", ["interim", "interim-correlated"])
+def test_a_companion_game_with_too_many_payoff_entries_is_an_error(tmp_path, capsys, to):
+    # 8 types per player: 4**8 profiles, within the profile bound, times
+    # 16 player-type pairs.
+    path = tmp_path / "many_types.bayes.json"
+    path.write_text(many_types_bayes(8))
+    start = time.perf_counter()
+    assert main(["bayes", str(path), "--to", to]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "payoff entries" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_coco_validates_the_game_once(capsys, monkeypatch):
+    # Every module binding of validate_game is counted, not just the one
+    # the Game constructor calls.
+    calls = []
+    original = game.validate_game
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "periodic_games"]
+    for module in modules:
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, counted)
+    assert main(["coco", BOS, "--format", "machine"]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["vsharp"] == "3"

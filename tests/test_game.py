@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from periodic_games import (
+    BayesianGame,
     Game,
     build_periodicity_graph,
     coco_solution,
@@ -18,7 +20,6 @@ from periodic_games import (
     periodic_mixed,
     pure_profile,
     restrict_game,
-    validate_game,
 )
 from periodic_games.errors import (
     BadDimension,
@@ -64,15 +65,16 @@ def test_float_payoff_rejected():
     ids=lambda f: f.__name__,
 )
 def test_every_algorithm_rejects_a_float_payoff_in_a_directly_built_game(algorithm):
-    # Game(...) skips make_game's checks; the integer payoff view validates.
-    g = Game(
-        players=("A", "B"),
-        actions=(("x", "y"), ("l", "r")),
-        payoffs=((Fraction(1), Fraction(0)), (Fraction(2), 0.5), (Fraction(0), Fraction(3)), (Fraction(1), Fraction(1))),
-    )
-    args = (g, 0) if algorithm is periodic_mixed else (g,)
+    # Game(...) skips make_game's literal parser, but validates itself, so
+    # no algorithm is ever handed the float.
+    rest = (0,) if algorithm is periodic_mixed else ()
     with pytest.raises(ValidationError, match="not a Fraction"):
-        algorithm(*args)
+        g = Game(
+            players=("A", "B"),
+            actions=(("x", "y"), ("l", "r")),
+            payoffs=((Fraction(1), Fraction(0)), (Fraction(2), 0.5), (Fraction(0), Fraction(3)), (Fraction(1), Fraction(1))),
+        )
+        algorithm(g, *rest)
 
 
 @pytest.mark.parametrize("entry", [True, False, 0.5, "abc", "1/0", None, [1]])
@@ -87,9 +89,31 @@ def test_make_game_rejects_bad_literals_with_one_typed_error(entry):
 
 def test_directly_built_game_with_inexact_payoffs_rejected():
     for entry in (0.5, 1, True):
-        g = Game(players=("A", "B"), actions=(("x",), ("l",)), payoffs=((entry, Fraction(1)),))
         with pytest.raises(ValidationError):
-            validate_game(g)
+            Game(players=("A", "B"), actions=(("x",), ("l",)), payoffs=((entry, Fraction(1)),))
+
+
+def _bayesian_game_with(entry):
+    g = small()
+    prior = {(0, (0, 0)): entry, (0, (0, 1)): Fraction(1, 2)}
+    return BayesianGame(thetas=("s",), types=(("t",), ("u0", "u1")), prior=prior, games=(g,))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda entry: dataclasses.replace(small(), payoffs=small().payoffs[:3] + ((Fraction(1), entry),)),
+        _bayesian_game_with,
+    ],
+    ids=["replace", "BayesianGame"],
+)
+@pytest.mark.parametrize("entry", [0.5, 1, True], ids=repr)
+def test_replace_and_bayesian_game_reject_an_inexact_entry(build, entry):
+    # Game(...) itself: test_directly_built_game_with_inexact_payoffs_rejected.
+    with pytest.raises(ValidationError):
+        build(entry)
+    # The same construction with the entry made exact goes through.
+    build(Fraction(1, 2))
 
 
 def _random_shape_game(rng, one_action):
@@ -103,9 +127,7 @@ def _random_shape_game(rng, one_action):
         tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n))
         for _ in itertools.product(*(range(size) for size in shape))
     )
-    g = Game(players=tuple(players), actions=tuple(map(tuple, actions)), payoffs=payoffs)
-    validate_game(g)
-    return g
+    return Game(players=tuple(players), actions=tuple(map(tuple, actions)), payoffs=payoffs)
 
 
 def test_own_payoff_matrix_matches_payoff_lookup():

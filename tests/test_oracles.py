@@ -30,7 +30,7 @@ from periodic_games import (
     validate_game,
 )
 from periodic_games.errors import Infeasible, ZeroProbabilityType
-from periodic_games.game import own_payoff_matrix
+from periodic_games.game import own_payoff_matrix, payoff
 from periodic_games.generate import random_game
 from periodic_games.linalg import (
     affine_dimension,
@@ -679,7 +679,7 @@ def reference_interim_correlated_game(bg):
             for (theta, _), prob in bg.prior.items():
                 if prob == 0:
                     continue
-                u = bg.state_payoff(theta, profile)
+                u = payoff(bg.games[theta], profile)
                 for i in range(n):
                     totals[i] += prob * u[i]
             flat.append(tuple(totals))
@@ -714,7 +714,7 @@ def reference_interim_correlated_game(bg):
                     profile[j] = chosen[(j, tj)]
                 for (theta, ot), prob in belief.distribution.items():
                     if ot == opp_types:
-                        total += mass * (prob / mass) * bg.state_payoff(theta, profile)[i]
+                        total += mass * (prob / mass) * payoff(bg.games[theta], profile)[i]
             vector.append(total)
         flat.append(tuple(vector))
     game = Game(players=labels, actions=actions, payoffs=tuple(flat))
@@ -744,11 +744,11 @@ def _random_bayesian_game(rng, k):
     total = sum(weights.values())
     prior = {key: F(w, total) for key, w in weights.items()}
     profiles = list(itertools.product(range(size), repeat=n))
-    payoffs = {
-        s: tuple(tuple(F(rng.randint(-5, 5), rng.randint(1, 2)) for _ in range(n)) for _ in profiles)
-        for s in range(len(thetas))
-    }
-    return BayesianGame(players, actions, thetas, type_labels, prior, payoffs)
+    games = tuple(
+        Game(players, actions, tuple(tuple(F(rng.randint(-5, 5), rng.randint(1, 2)) for _ in range(n)) for _ in profiles))
+        for _ in thetas
+    )
+    return BayesianGame(thetas, type_labels, prior, games)
 
 
 def _outcome(build, bg):
@@ -791,7 +791,7 @@ def reference_ex_ante_game(bg):
         for (theta, tp), prob in bg.prior.items():
             if prob == 0:
                 continue
-            u = bg.state_payoff(theta, tuple(joint[i][tp[i]] for i in range(n)))
+            u = payoff(bg.games[theta], tuple(joint[i][tp[i]] for i in range(n)))
             for i in range(n):
                 totals[i] += prob * u[i]
         flat.append(tuple(totals))
@@ -824,11 +824,11 @@ def _coprime_prior_game(rng, k):
         if rng.random() < 0.3:
             prior[key] = F(0)
     profiles = list(itertools.product(range(size), repeat=n))
-    payoffs = {
-        s: tuple(tuple(F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)) for _ in profiles)
-        for s in range(2)
-    }
-    return BayesianGame(players, actions, thetas, type_labels, prior, payoffs)
+    games = tuple(
+        Game(players, actions, tuple(tuple(F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)) for _ in profiles))
+        for _ in thetas
+    )
+    return BayesianGame(thetas, type_labels, prior, games)
 
 
 def test_bayesian_builders_match_the_references_on_coprime_priors():

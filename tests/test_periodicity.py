@@ -15,11 +15,13 @@ from periodic_games import (
     periodicity_number,
     reach_cycle,
 )
-from periodic_games.errors import AnchorNotOnCycle, BadParameter, DegenerateArgmax, IndexOutOfRange
+from periodic_games import periodicity
+from periodic_games.errors import AnchorNotOnCycle, BadParameter, DegenerateArgmax, IndexOutOfRange, SizeLimit
 from periodic_games.generate import random_game
+from periodic_games.io import parse_game
 from periodic_games.periodicity import all_cycles
 
-from conftest import brute_force_deviation, moved_sets, random_rational_game, transformed_game
+from conftest import brute_force_deviation, many_cycles_game, moved_sets, random_rational_game, transformed_game
 
 
 def test_best_deviation_bos(bos):
@@ -175,3 +177,31 @@ def test_periodic_actions_follow_relabelling_and_positive_affine_maps():
         assert periodic_actions(moved) == moved_sets(periodic_actions(g), order, action_orders)
         checked += 1
     assert checked > 50
+
+
+def test_cycle_searches_stop_past_max_cycles(monkeypatch):
+    g = random_game(random.Random(3), 3)
+    graph = build_periodicity_graph(g)
+    cycles = all_cycles(graph, len(graph.nodes))
+    anchor = cycles[-1].nodes[0]
+    through = enumerate_cycles(graph, anchor, len(graph.nodes))
+    # The budget is carried across start nodes: the count is the whole call's.
+    assert len({c.nodes[0] for c in cycles}) >= 2 and len(through) >= 2
+    monkeypatch.setattr(periodicity, "MAX_CYCLES", len(cycles))
+    assert all_cycles(graph, len(graph.nodes)) == cycles
+    monkeypatch.setattr(periodicity, "MAX_CYCLES", len(cycles) - 1)
+    with pytest.raises(SizeLimit, match=f"more than {len(cycles) - 1} cycles"):
+        all_cycles(graph, len(graph.nodes))
+    monkeypatch.setattr(periodicity, "MAX_CYCLES", len(through))
+    assert enumerate_cycles(graph, anchor, len(graph.nodes)) == through
+    monkeypatch.setattr(periodicity, "MAX_CYCLES", len(through) - 1)
+    with pytest.raises(SizeLimit):
+        enumerate_cycles(graph, anchor, len(graph.nodes))
+
+
+def test_a_game_with_too_many_cycles_is_a_size_limit():
+    graph = build_periodicity_graph(parse_game(many_cycles_game()))
+    with pytest.raises(SizeLimit, match="more than 100000 cycles"):
+        all_cycles(graph, len(graph.nodes))
+    with pytest.raises(SizeLimit, match="more than 100000 cycles"):
+        enumerate_cycles(graph, Node(0, 0), len(graph.nodes))
