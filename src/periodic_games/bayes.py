@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
-from .errors import BadDimension, SizeLimit, ValidationError, ZeroProbabilityType
+from .errors import BadDimension, DuplicateLabel, SizeLimit, ValidationError, ZeroProbabilityType
 from .game import Game, label_index
 from .linalg import common_denominator, scaled
 
@@ -65,6 +65,8 @@ def validate_bayesian_game(bg: BayesianGame) -> None:
     on construction."""
     if not bg.thetas:
         raise BadDimension("at least one parameter value is required")
+    if len(set(bg.thetas)) != len(bg.thetas):
+        raise DuplicateLabel("duplicate parameter label")
     if len(bg.games) != len(bg.thetas) or not all(isinstance(g, Game) for g in bg.games):
         raise ValidationError("a Bayesian game needs one Game per parameter value")
     if any((g.players, g.actions) != (bg.players, bg.actions) for g in bg.games):
@@ -72,6 +74,9 @@ def validate_bayesian_game(bg: BayesianGame) -> None:
     n = bg.num_players
     if len(bg.types) != n:
         raise BadDimension("types must be given for every player")
+    for player, labels in zip(bg.players, bg.types):
+        if len(set(labels)) != len(labels):
+            raise DuplicateLabel(f"duplicate type label for player {player!r}")
     total = Fraction(0)
     for (theta, type_profile), prob in bg.prior.items():
         if not 0 <= theta < len(bg.thetas):
@@ -155,38 +160,57 @@ def second_order_belief(
     return out
 
 
-def _integer_expectation(bg: BayesianGame):
-    """The prior and the payoffs of a Bayesian game, scaled to integers and
-    indexed by one action per (player, type) pair.
+def _integer_expectation(bg: BayesianGame, rows: Sequence[int]):
+    """The prior-weighted payoff sums of a Bayesian game, in integers, per
+    companion profile, added into the row ``rows[q]`` of each (player, type)
+    pair q of ``_player_type_ids``.
 
-    Returns ``(cells, dp, du, choices)``. ``dp`` is the lcm of the
-    denominators of the positive prior probabilities and ``du`` the lcm of
-    the games' ``payoff_scale``s. ``choices[k]`` lists the actions of the k-th
-    pair of ``_player_type_ids`` times its player's row-major stride, so a
-    joint choice (one entry per pair) realizes, at a type profile, the
-    payoff entry whose flat index is the sum of the chosen entries of the
-    pairs in that profile. ``cells`` holds, per prior entry of positive mass
-    in prior order, ``(w, U, type profile, where)``: ``w = prob * dp``,
-    ``U`` the parameter's payoff vectors times ``du`` and ``where`` picks the
-    profile's pairs out of a joint choice. A sum of ``prob * u`` over prior
-    entries is then the integer sum of ``w * U`` over ``dp * du``: one
-    Fraction per result instead of a Fraction product per term.
+    Returns ``(sums, mass, dp, du)``. ``dp`` is the lcm of the denominators
+    of the positive prior probabilities and ``du`` the lcm of the games'
+    ``payoff_scale``s, so a positive prior entry has the integer weight
+    ``w = prob * dp`` and payoff vectors ``U = u * du``. A companion profile
+    is one action per pair, and the pairs' product runs through them in
+    row-major order. ``sums[r][k]`` sums ``w * U_i`` over the entries whose
+    pair q = (i, t_i) has ``rows[q] == r``, each at the payoff vector its
+    type profile's pairs choose at profile k; ``mass[q]`` sums the ``w`` of
+    pair q's entries. The entries of one type profile are summed once per
+    base payoff vector. A sum of ``prob * u`` is then an integer sum over
+    ``dp * du``: one Fraction per result instead of a Fraction product per
+    term.
     """
     ids = _player_type_ids(bg)
-    position = {node: k for k, node in enumerate(ids)}
+    position = {node: q for q, node in enumerate(ids)}
     shape = bg.games[0].shape
-    choices = [[a * math.prod(shape[i + 1:]) for a in range(shape[i])] for i, _ in ids]
+    strides = [math.prod(shape[i + 1:]) for i in range(len(shape))]
     positive = [(key, prob) for key, prob in bg.prior.items() if prob > 0]
     probs = [prob for _, prob in positive]
     dp = common_denominator(probs)
     # The lcm of the games' cached scales: 1/scale has denominator scale.
     du = common_denominator(Fraction(1, g.payoff_scale) for g in bg.games)
     payoffs = [[scaled(vec, du) for vec in g.payoffs] for g in bg.games]
-    cells = [
-        (w, payoffs[theta], tp, itemgetter(*(position[node] for node in enumerate(tp))))
-        for ((theta, tp), _), w in zip(positive, scaled(probs, dp))
-    ]
-    return cells, dp, du, choices
+    by_types: dict[TypeProfile, list[tuple[int, int]]] = {}
+    for ((theta, tp), _), w in zip(positive, scaled(probs, dp)):
+        by_types.setdefault(tp, []).append((w, theta))
+    base = range(len(bg.games[0].payoffs))
+    sums = [[0] * math.prod(shape[i] for i, _ in ids) for _ in range(max(rows) + 1)]
+    mass = [0] * len(ids)
+    # A one-action pair multiplies the companion profiles by one.
+    moving = [(q, i) for q, (i, _) in enumerate(ids) if shape[i] > 1]
+    for tp, entries in by_types.items():
+        pairs = [position[node] for node in enumerate(tp)]
+        # Action a of pair (i, t_i) moves the flat index of the payoff
+        # vector by a times i's row-major stride; other pairs do not move it.
+        moves = {q: strides[i] for i, q in enumerate(pairs)}
+        index = [0]
+        for q, i in moving:
+            stride = moves.get(q, 0)
+            index = [k + a * stride for k in index for a in range(shape[i])]
+        for i, q in enumerate(pairs):
+            column = [sum(w * payoffs[theta][k][i] for w, theta in entries) for k in base]
+            r = rows[q]
+            sums[r] = list(map(operator.add, sums[r], map(column.__getitem__, index)))
+            mass[q] += sum(w for w, _ in entries)
+    return sums, mass, dp, du
 
 
 def _strategy_label(bg: BayesianGame, player: int, choice: TypeProfile) -> str:
@@ -229,19 +253,11 @@ def ex_ante_game(bg: BayesianGame, max_profiles: int = DEFAULT_MAX_PROFILES) -> 
     labels = tuple(
         tuple(_strategy_label(bg, i, choice) for choice in strategy_sets[i]) for i in range(n)
     )
-    cells, dp, du, choices = _integer_expectation(bg)
-    denominator = dp * du
-    flat: list[tuple[Fraction, ...]] = []
-    # A strategy profile is one action per (player, type) pair, and the
-    # pairs' product runs through the profiles in row-major order.
-    for joint in itertools.product(*choices):
-        totals = [0] * n
-        for w, table, _, where in cells:
-            u = table[sum(where(joint))]
-            for i in range(n):
-                totals[i] += w * u[i]
-        flat.append(tuple(Fraction(t, denominator) for t in totals))
-    return Game(players=bg.players, actions=labels, payoffs=tuple(flat))
+    # A strategy profile is a companion profile of ``_integer_expectation``,
+    # and each prior entry adds to one of a player's pairs: one row a player.
+    sums, _, dp, du = _integer_expectation(bg, [i for i, _ in _player_type_ids(bg)])
+    columns = [[Fraction(total, dp * du) for total in totals] for totals in sums]
+    return Game(players=bg.players, actions=labels, payoffs=tuple(zip(*columns)))
 
 
 def _player_type_ids(bg: BayesianGame) -> tuple[tuple[int, int], ...]:
@@ -271,25 +287,12 @@ def interim_game(bg: BayesianGame) -> Game:
     """
     ids = _player_type_ids(bg)
     _check_profile_count(bg, "interim", DEFAULT_MAX_PROFILES, len(ids))
-    cells, _, du, choices = _integer_expectation(bg)
-    beliefs = []
-    for i, t in ids:
-        own = [(w, table, where) for w, table, tp, where in cells if tp[i] == t]
-        mass = sum(w for w, _, _ in own)
-        if mass == 0:
-            raise _zero_probability_type(bg, i, t)
-        beliefs.append((i, du * mass, own))
-    flat: list[tuple[Fraction, ...]] = []
-    for joint in itertools.product(*choices):
-        vector = []
-        for i, denominator, own in beliefs:
-            total = 0
-            for w, table, where in own:
-                total += w * table[sum(where(joint))][i]
-            vector.append(Fraction(total, denominator))
-        flat.append(tuple(vector))
+    sums, mass, _, du = _integer_expectation(bg, range(len(ids)))
+    if 0 in mass:
+        raise _zero_probability_type(bg, *ids[mass.index(0)])
+    columns = [[Fraction(v, du * m) for v in totals] for totals, m in zip(sums, mass)]
     actions = tuple(bg.actions[i] for i, _ in ids)
-    return Game(players=_player_type_labels(bg), actions=actions, payoffs=tuple(flat))
+    return Game(players=_player_type_labels(bg), actions=actions, payoffs=tuple(zip(*columns)))
 
 
 def interim_correlated_game(bg: BayesianGame) -> Game:

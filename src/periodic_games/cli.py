@@ -7,6 +7,7 @@ argmax under the strict tie policy.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -157,7 +158,7 @@ def cmd_cycles(args) -> int:
     report = _base_report(args, "cycles")
     report["cycles"] = [[node_id(g, n) for n in c.nodes] for c in cycles]
     if cycles:
-        lines = ["cycles:"] + ["  " + " -> ".join(node_id(g, n) for n in c.nodes) for c in cycles]
+        lines = ["cycles:"] + ["  " + " -> ".join(ids) for ids in report["cycles"]]
     else:
         lines = ["no cycles"]
     dot = export_dot(graph, g, cycles) if args.format == "dot" else None
@@ -285,7 +286,10 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of a process, built on first use; parsing leaves it
+    unchanged, so every ``main`` call shares it."""
     parser = _Parser(prog="perigame", description="Exact analysis of finite strategic form games")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Optional
 
-from .game import Game, make_game
+from .game import Game
 
 
 def random_game(rng: random.Random, num_players: Optional[int] = None) -> Game:
@@ -15,12 +16,11 @@ def random_game(rng: random.Random, num_players: Optional[int] = None) -> Game:
     contract: a seed names the same games in every release."""
     n = num_players if num_players is not None else rng.randint(2, 4)
     shape = [rng.randint(2, 4) for _ in range(n)]
-    players = [f"P{i + 1}" for i in range(n)]
-    actions = [[f"s{k + 1}" for k in range(size)] for size in shape]
-
-    def table(depth):
-        if depth == n:
-            return [Fraction(rng.randint(-9, 9)) for _ in range(n)]
-        return [table(depth + 1) for _ in range(shape[depth])]
-
-    return make_game(players, actions, table(0))
+    payoffs = tuple(
+        tuple(Fraction(rng.randint(-9, 9)) for _ in range(n)) for _ in range(math.prod(shape))
+    )
+    return Game(
+        players=tuple(f"P{i + 1}" for i in range(n)),
+        actions=tuple(tuple(f"s{k + 1}" for k in range(size)) for size in shape),
+        payoffs=payoffs,
+    )

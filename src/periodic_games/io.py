@@ -82,15 +82,19 @@ def _labels(value, what: str) -> tuple[str, ...]:
     return tuple(str(v) for v in value)
 
 
-def _parse_actions(doc: dict, players: Sequence[str]) -> tuple[tuple[str, ...], ...]:
-    actions_doc = _require(doc, "actions")
-    if not isinstance(actions_doc, dict):
-        raise ParseError("'actions' must map player names to label lists")
+def _label_map(
+    doc: dict, key: str, players: Sequence[str], noun: str, lists: str
+) -> tuple[tuple[str, ...], ...]:
+    """The label list of each player under ``doc[key]``, a JSON object
+    keyed by player name (``actions`` and ``types``)."""
+    value = _require(doc, key)
+    if not isinstance(value, dict):
+        raise ParseError(f"{key!r} must map player names to {lists}")
     out = []
     for p in players:
-        if p not in actions_doc:
-            raise ParseError(f"no action list for player {p!r}")
-        out.append(_labels(actions_doc[p], f"actions of player {p!r}"))
+        if p not in value:
+            raise ParseError(f"no {noun} list for player {p!r}")
+        out.append(_labels(value[p], f"{key} of player {p!r}"))
     return tuple(out)
 
 
@@ -112,27 +116,22 @@ def parse_game(text: str) -> Game:
     """Parse a game document; the Game validates itself."""
     doc = _load_json(text)
     players = _labels(_require(doc, "players"), "'players'")
-    actions = _parse_actions(doc, players)
+    actions = _label_map(doc, "actions", players, "action", "label lists")
     shape = [len(a) for a in actions]
     flat = _parse_tensor(_require(doc, "payoffs"), shape, len(players))
     return Game(players=players, actions=actions, payoffs=tuple(flat))
 
 
-def _tensor_doc(g: Game) -> list:
-    def build(prefix: tuple[int, ...]):
-        depth = len(prefix)
-        if depth == g.num_players:
-            return [format_fraction(v) for v in g.payoffs[g.profile_index(prefix)]]
-        return [build(prefix + (k,)) for k in range(g.shape[depth])]
-
-    return build(())
-
-
 def serialize_game(g: Game) -> str:
+    # The row-major payoff vectors, cut into runs of each axis size from
+    # the innermost axis out, nest as the document does.
+    tensor = [[format_fraction(v) for v in vec] for vec in g.payoffs]
+    for size in reversed(g.shape):
+        tensor = [tensor[k:k + size] for k in range(0, len(tensor), size)]
     doc = {
         "players": list(g.players),
         "actions": {p: list(acts) for p, acts in zip(g.players, g.actions)},
-        "payoffs": _tensor_doc(g),
+        "payoffs": tensor[0],
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -142,17 +141,9 @@ def parse_bayes(text: str) -> BayesianGame:
     games and the BayesianGame validate themselves."""
     doc = _load_json(text)
     players = _labels(_require(doc, "players"), "'players'")
-    actions = _parse_actions(doc, players)
+    actions = _label_map(doc, "actions", players, "action", "label lists")
     thetas = _labels(_require(doc, "thetas"), "'thetas'")
-    types_doc = _require(doc, "types")
-    if not isinstance(types_doc, dict):
-        raise ParseError("'types' must map player names to type label lists")
-    types = []
-    for p in players:
-        if p not in types_doc:
-            raise ParseError(f"no type list for player {p!r}")
-        types.append(_labels(types_doc[p], f"types of player {p!r}"))
-    types = tuple(types)
+    types = _label_map(doc, "types", players, "type", "type label lists")
 
     prior: dict[tuple[int, tuple[int, ...]], Fraction] = {}
     prior_doc = _require(doc, "prior")
@@ -192,6 +183,12 @@ def node_id(g: Game, node: Node) -> str:
     return f"{g.players[node.player]}:{g.actions[node.player][node.action]}"
 
 
+def _dot_string(text: str) -> str:
+    """``text`` as a quoted DOT string, its backslashes and double quotes
+    escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(
     graph: PeriodicityGraph, g: Game, highlight: Iterable[Cycle] = ()
 ) -> str:
@@ -203,37 +200,37 @@ def export_dot(
             nxt = cycle.nodes[(k + 1) % len(cycle.nodes)]
             highlighted_edges.add((node, nxt))
             highlighted_nodes.add(node)
+    nodes = sorted(graph.nodes)
+    ids = {node: _dot_string(node_id(g, node)) for node in nodes}
+    players = [_dot_string(p) for p in g.players]
     lines = ["digraph periodicity {"]
-    for node in sorted(graph.nodes):
-        attrs = f'label="{node_id(g, node)}"'
+    for node in nodes:
+        attrs = f"label={ids[node]}"
         if node in highlighted_nodes:
             attrs += ", color=red, penwidth=2"
         if node in graph.degenerate_flags:
             attrs += ", style=dashed"
-        lines.append(f'  "{node_id(g, node)}" [{attrs}];')
-    for node in sorted(graph.nodes):
+        lines.append(f"  {ids[node]} [{attrs}];")
+    for node in nodes:
         for j in sorted(graph.edges[node]):
             target = graph.edges[node][j]
-            attrs = f'label="{g.players[j]}"'
+            attrs = f"label={players[j]}"
             if (node, target) in highlighted_edges:
                 attrs += ", color=red, penwidth=2"
-            lines.append(f'  "{node_id(g, node)}" -> "{node_id(g, target)}" [{attrs}];')
+            lines.append(f"  {ids[node]} -> {ids[target]} [{attrs}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def to_jsonable(value):
-    """Recursively render Fractions as strings for machine reports."""
+def _report_value(value):
+    """What a machine report writes for a value JSON has no form of: a
+    Fraction as ``format_fraction`` prints it, a set as a sorted list."""
     if isinstance(value, Fraction):
         return format_fraction(value)
-    if isinstance(value, dict):
-        return {str(k): to_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [to_jsonable(v) for v in value]
     if isinstance(value, (frozenset, set)):
-        return sorted(to_jsonable(v) for v in value)
-    return value
+        return sorted(value)
+    raise TypeError(f"a report value of type {type(value).__name__} has no JSON form")
 
 
 def dump_report(report: dict) -> str:
-    return json.dumps(to_jsonable(report), indent=2, sort_keys=True) + "\n"
+    return json.dumps(report, indent=2, sort_keys=True, default=_report_value) + "\n"

@@ -1,3 +1,4 @@
+import json
 import time
 from fractions import Fraction
 
@@ -15,10 +16,16 @@ from periodic_games import (
     validate_bayesian_game,
 )
 from periodic_games import bayes
-from periodic_games.errors import IndexOutOfRange, SizeLimit, ValidationError, ZeroProbabilityType
+from periodic_games.errors import (
+    DuplicateLabel,
+    IndexOutOfRange,
+    SizeLimit,
+    ValidationError,
+    ZeroProbabilityType,
+)
 from periodic_games.io import parse_bayes
 
-from conftest import many_types_bayes
+from conftest import FIXTURES, many_types_bayes
 
 F = Fraction
 
@@ -230,3 +237,46 @@ def test_fraction_prior_game_builds():
     validate_bayesian_game(bg)
     assert first_order_belief(bg, 0, 0) == {0: F(1)}
     assert interim_game(bg).payoffs[0] == (F(1), F(1), F(0))
+
+
+@pytest.mark.parametrize(
+    "thetas, types",
+    [
+        (("s",), (("t1", "t1p", "t1"), ("u",))),
+        (("s",), (("t1",), ("u", "u"))),
+        (("s", "s"), (("t1",), ("u",))),
+    ],
+    ids=["types of player A", "types of player B", "thetas"],
+)
+def test_duplicate_type_or_parameter_labels_rejected(thetas, types):
+    game = _one_state_game({(0, (0, 0)): F(1)}).games[0]
+    with pytest.raises(DuplicateLabel):
+        BayesianGame(thetas=thetas, types=types, prior={(0, (0, 0)): F(1)}, games=(game,) * len(thetas))
+
+
+def test_parse_bayes_rejects_a_repeated_type_label():
+    doc = json.loads((FIXTURES / "two_type.bayes.json").read_text())
+    doc["types"]["1"].append(doc["types"]["1"][0])
+    with pytest.raises(DuplicateLabel, match="duplicate type label for player '1'"):
+        parse_bayes(json.dumps(doc))
+
+
+def test_ex_ante_with_a_one_action_player_of_many_types_is_quick():
+    # Player A: 2 actions, 14 types, 2**14 ex-ante profiles. Player B: one
+    # action and 5,000 types, all but 14 of zero prior, which add no
+    # profiles and so must add no work per profile either.
+    def doc(b_types):
+        return json.dumps({
+            "players": ["A", "B"],
+            "actions": {"A": ["U", "D"], "B": ["L"]},
+            "thetas": ["th"],
+            "types": {"A": [f"a{k}" for k in range(14)], "B": [f"b{k}" for k in range(b_types)]},
+            "prior": [["th", [f"a{k}", f"b{k}"], "1/14"] for k in range(14)],
+            "payoffs": {"th": [[["1", "2"]], [["3", "-4"]]]},
+        })
+
+    start = time.perf_counter()
+    g = ex_ante_game(parse_bayes(doc(5000)))
+    assert time.perf_counter() - start < 1
+    assert len(g.payoffs) == 2**14
+    assert g.payoffs == ex_ante_game(parse_bayes(doc(14))).payoffs

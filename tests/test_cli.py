@@ -419,3 +419,80 @@ def test_coco_validates_the_game_once(capsys, monkeypatch):
     assert main(["coco", BOS, "--format", "machine"]) == 0
     assert len(calls) == 1
     assert json.loads(capsys.readouterr().out)["vsharp"] == "3"
+
+
+def test_main_calls_share_one_parser(capsys, monkeypatch):
+    parsers = []
+    parse_args = cli._Parser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", recording)
+    assert main(["nash", PD]) == 0
+    assert main(["coco", BOS]) == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+    capsys.readouterr()
+
+
+def test_a_usage_error_leaves_the_shared_parser_as_it_was(capsys):
+    cli.build_parser.cache_clear()
+    valid = ["analyze", BOS, "--format", "machine", "--max-len", "4"]
+    assert main(valid) == 0
+    fresh = capsys.readouterr()
+    for bad in (["analyze", BOS, "--max-len", "1"], ["analyze"], ["no-such-command"]):
+        assert main(bad) == 1
+        assert capsys.readouterr().out == ""
+        assert main(valid) == 0
+        assert capsys.readouterr() == fresh
+
+
+@pytest.mark.parametrize(
+    "key, labels",
+    [("types", {"1": ["t1", "t1p", "t1"], "2": ["t2"]}), ("thetas", ["th", "thp", "th"])],
+)
+def test_duplicate_bayesian_labels_exit_code(tmp_path, capsys, key, labels):
+    doc = json.loads((FIXTURES / "two_type.bayes.json").read_text())
+    doc[key] = labels
+    path = tmp_path / "duplicate.bayes.json"
+    path.write_text(json.dumps(doc))
+    for to in ("ex-ante", "interim"):
+        assert main(["bayes", str(path), "--to", to]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid input: duplicate")
+        assert "Traceback" not in captured.err
+
+
+def test_a_tall_mixed_document_is_an_error_not_unbounded_work(tmp_path, capsys):
+    # Player A's mixture would solve C(30, 15), about 1.6e8, bases.
+    doc = {
+        "players": ["A", "B"],
+        "actions": {"A": [f"a{k}" for k in range(30)], "B": [f"b{k}" for k in range(15)]},
+        "payoffs": [[[str((3 * r + 5 * c) % 19 - 9), str((r * c) % 7)] for c in range(15)] for r in range(30)],
+    }
+    path = tmp_path / "tall.game.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["mixed", str(path), "--format", "machine"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: vertex enumeration of")
+    assert "Traceback" not in captured.err
+
+
+def test_a_tall_low_rank_mixed_document_still_solves(tmp_path, capsys):
+    # Player A's mixture solves C(60, 2) = 1,770 bases of rank 2: cheap,
+    # though more bases than the 30x15 document would need at rank 3.
+    doc = {
+        "players": ["A", "B"],
+        "actions": {"A": [f"a{k}" for k in range(60)], "B": ["b0", "b1"]},
+        "payoffs": [[[str((3 * r + 5 * c) % 19 - 9), str((r * (c + 2)) % 7 - 3)] for c in range(2)] for r in range(60)],
+    }
+    path = tmp_path / "tall.game.json"
+    path.write_text(json.dumps(doc))
+    assert main(["mixed", str(path), "--format", "machine"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["periodic_mixed"]["A"]["probabilities"]) == 60

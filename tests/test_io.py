@@ -268,9 +268,54 @@ def test_export_dot_marks_degenerate_nodes():
     assert "style=dashed" in export_dot(graph, flat)
 
 
+# A DOT quoted string: any character but a double quote or a backslash,
+# or a backslash and the character it escapes.
+DOT_STRING = r'"((?:[^"\\]|\\.)*)"'
+DOT_NODE = re.compile(rf"  {DOT_STRING} \[label={DOT_STRING}(?:, [a-z]+=[a-z0-9]+)*\];")
+DOT_EDGE = re.compile(rf"  {DOT_STRING} -> {DOT_STRING} \[label={DOT_STRING}(?:, [a-z]+=[a-z0-9]+)*\];")
+
+
+def _dot_text(quoted):
+    return re.sub(r"\\(.)", r"\1", quoted)
+
+
+def test_export_dot_escapes_quotes_and_backslashes_in_labels():
+    labels = {"A": ['x"y', "z\\w"], 'B"\\': ['"', "\\"]}
+    g = parse_game(
+        json.dumps(
+            {
+                "players": list(labels),
+                "actions": labels,
+                "payoffs": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
+            }
+        )
+    )
+    graph = build_periodicity_graph(g)
+    lines = export_dot(graph, g, enumerate_cycles(graph, Node(0, 0), max_len=4)).splitlines()
+    assert lines[0] == "digraph periodicity {" and lines[-1] == "}"
+    ids = {f"{p}:{a}" for p, actions in labels.items() for a in actions}
+    nodes = [DOT_NODE.fullmatch(line) for line in lines[1:5]]
+    assert all(nodes), lines
+    assert {_dot_text(m[1]) for m in nodes} == ids
+    assert all(m[1] == m[2] for m in nodes)
+    edges = [DOT_EDGE.fullmatch(line) for line in lines[5:-1]]
+    assert len(edges) == 4 and all(edges), lines
+    for m in edges:
+        assert {_dot_text(m[1]), _dot_text(m[2])} <= ids
+        assert _dot_text(m[3]) == _dot_text(m[2]).rpartition(":")[0]
+
+
 def test_dump_report_renders_fractions():
-    doc = json.loads(dump_report({"value": Fraction(1, 3), "set": frozenset({2, 1})}))
-    assert doc == {"value": "1/3", "set": [1, 2]}
+    doc = json.loads(dump_report({"value": Fraction(1, 3), "set": frozenset({2, 1}), "ints": {10, 1, 5}}))
+    assert doc == {"value": "1/3", "set": [1, 2], "ints": [1, 5, 10]}
+
+
+def test_dump_report_sorts_a_set_of_fractions_by_value_and_refuses_other_objects():
+    assert json.loads(dump_report({"set": {Fraction(1, 2), Fraction(1, 3), Fraction(-2)}})) == {
+        "set": ["-2", "1/3", "1/2"]
+    }
+    with pytest.raises(TypeError, match="report value of type object"):
+        dump_report({"x": object()})
 
 
 def test_a_value_too_long_to_print_is_a_size_limit():

@@ -7,7 +7,10 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from periodic_games import linalg
+from periodic_games.errors import SizeLimit
 from periodic_games.linalg import polytope_vertices, solve_exact
 
 F = Fraction
@@ -134,3 +137,20 @@ def test_bases_match_every_column_subset_on_wide_redundant_systems():
         with_vertices += bool(vertices)
         rank_deficient += linalg.matrix_rank(a) < len(a)
     assert with_vertices > 150 and rank_deficient > 250
+
+
+def test_more_work_than_the_bound_is_a_size_limit_before_any_solve(monkeypatch):
+    solves = []
+    monkeypatch.setattr(linalg, "solve_exact", lambda a, b: solves.append(a) or solve_exact(a, b))
+    # C(6, 3) = 20 bases of rank 3 at 6 + 27 + 243 // 64 = 36 units each.
+    monkeypatch.setattr(linalg, "MAX_WORK", 720)
+
+    def rank_three(n):
+        return [[F(1)] * n, [F(k) for k in range(n)], [F(k * k) for k in range(n)]], [F(1)] * 3
+
+    assert polytope_vertices(*rank_three(6), 6)
+    assert len(solves) == 20
+    solves.clear()
+    with pytest.raises(SizeLimit, match="35 bases of rank 3 would take 1295 work units, more than 720"):
+        polytope_vertices(*rank_three(7), 7)
+    assert solves == []

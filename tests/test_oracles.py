@@ -2,11 +2,14 @@
 Nash equilibria, the best-response polyhedron vertices they pair and the
 indifference vertices those share with periodic mixtures, of the
 dominance check, of the Bayesian companion
-games and of the cycle search against slow, independent reference
+games, of the cycle search, of the report and game writers and of the
+seeded game generator against slow, independent reference
 implementations kept here, plus metamorphic tests under positive payoff
 scaling."""
 
 import itertools
+import json
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +17,7 @@ import pytest
 
 from periodic_games import (
     BayesianGame,
+    cli,
     Game,
     build_periodicity_graph,
     conditional_belief,
@@ -32,6 +36,7 @@ from periodic_games import (
 from periodic_games.errors import Infeasible, ZeroProbabilityType
 from periodic_games.game import own_payoff_matrix, payoff
 from periodic_games.generate import random_game
+from periodic_games.io import dump_report, format_fraction, serialize_game
 from periodic_games.linalg import (
     affine_dimension,
     common_denominator,
@@ -52,7 +57,7 @@ from periodic_games.mixed import (
 from periodic_games.periodicity import Cycle, all_cycles
 from periodic_games.rationalizability import DominanceMode, Elimination, SurvivorSet, _find_dominator
 
-from conftest import random_rational_game
+from conftest import FIXTURES, random_rational_game
 
 F = Fraction
 
@@ -958,3 +963,134 @@ def test_cycle_search_expands_only_cyclic_nodes_and_each_cycle_once():
         assert cycles == reference_all_cycles(graph, len(graph.nodes))
         assert all(min(c.nodes) == c.nodes[0] for c in cycles)
         assert len({c.nodes for c in cycles}) == len(cycles)
+
+
+def reference_to_jsonable(value):
+    """Machine-report values as first written: a recursive pass rendering
+    Fractions as strings, before one ``json.dumps``."""
+    if isinstance(value, Fraction):
+        return format_fraction(value)
+    if isinstance(value, dict):
+        return {str(k): reference_to_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [reference_to_jsonable(v) for v in value]
+    if isinstance(value, (frozenset, set)):
+        return sorted(reference_to_jsonable(v) for v in value)
+    return value
+
+
+def reference_dump_report(report):
+    return json.dumps(reference_to_jsonable(report), indent=2, sort_keys=True) + "\n"
+
+
+def reference_serialize_game(g):
+    """The game document with its payoff tensor built recursively, one
+    ``profile_index`` per payoff vector."""
+
+    def build(prefix):
+        if len(prefix) == g.num_players:
+            return [format_fraction(v) for v in g.payoffs[g.profile_index(prefix)]]
+        return [build(prefix + (k,)) for k in range(g.shape[len(prefix)])]
+
+    doc = {
+        "players": list(g.players),
+        "actions": {p: list(acts) for p, acts in zip(g.players, g.actions)},
+        "payoffs": build(()),
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def reference_random_game(rng, num_players=None):
+    """``generate.random_game`` as first written: a nested payoff table
+    that ``make_game`` walks."""
+    n = num_players if num_players is not None else rng.randint(2, 4)
+    shape = [rng.randint(2, 4) for _ in range(n)]
+    players = [f"P{i + 1}" for i in range(n)]
+    actions = [[f"s{k + 1}" for k in range(size)] for size in shape]
+
+    def table(depth):
+        if depth == n:
+            return [F(rng.randint(-9, 9)) for _ in range(n)]
+        return [table(depth + 1) for _ in range(shape[depth])]
+
+    return make_game(players, actions, table(0))
+
+
+def test_random_game_matches_the_nested_table_generator():
+    for seed in range(301):
+        for num_players in (None, 2 + seed % 3):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(2):  # consecutive draws, as perigame check makes them
+                assert random_game(rng, num_players) == reference_random_game(ref, num_players), seed
+            assert rng.getstate() == ref.getstate(), seed
+
+
+def test_check_output_is_unchanged_under_the_nested_table_generator(capsys, monkeypatch):
+    outputs = []
+    for generator in (random_game, reference_random_game):
+        monkeypatch.setattr(cli, "random_game", generator)
+        for seed in range(3):
+            assert cli.main(["check", "--seed", str(seed), "--count", "10"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].out.count("checked 10 random games") == 3
+
+
+def _shaped_game(rng):
+    """2-4 players with 1-3 actions each (so some axes have one action) and
+    payoffs k/d."""
+    n = rng.randint(2, 4)
+    shape = [rng.randint(1, 3) for _ in range(n)]
+    return Game(
+        tuple(f"P{i}" for i in range(n)),
+        tuple(tuple(f"a{k}" for k in range(size)) for size in shape),
+        tuple(
+            tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n))
+            for _ in range(math.prod(shape))
+        ),
+    )
+
+
+def test_serialize_game_matches_the_recursive_writer():
+    rng = random.Random(2012)
+    one_action_axes = 0
+    for _ in range(200):
+        g = _shaped_game(rng)
+        assert serialize_game(g) == reference_serialize_game(g), g
+        one_action_axes += 1 in g.shape
+    assert one_action_axes >= 50, one_action_axes
+
+
+def _report_documents(tmp_path):
+    """(command, path) pairs: every machine-report command on the fixtures
+    and on seeded games, integer and rational, of 2 to 4 players."""
+    rng = random.Random(1983)
+    games = [random_game(rng, 2) for _ in range(4)] + [random_rational_game(rng, 2) for _ in range(4)]
+    games += [random_game(rng, n) for n in (3, 4)] + [random_rational_game(rng, 3)]
+    paths = sorted(FIXTURES.glob("*.game.json"))
+    for k, g in enumerate(games):
+        paths.append(tmp_path / f"seeded{k}.game.json")
+        paths[-1].write_text(serialize_game(g))
+    for path in paths:
+        players = len(json.loads(path.read_text())["players"])
+        for command in ["analyze", "cycles", "mixed"] + (["nash", "coco"] if players == 2 else []):
+            yield command, str(path)
+
+
+def test_machine_reports_match_the_recursive_encoder(tmp_path, capsys, monkeypatch):
+    reports = []
+
+    def checked(report):
+        text = dump_report(report)
+        assert text == reference_dump_report(report)
+        reports.append(report)
+        return text
+
+    monkeypatch.setattr(cli, "dump_report", checked)
+    commands = set()
+    for command, path in _report_documents(tmp_path):
+        assert cli.main([command, path, "--format", "machine"]) == 0, (command, path)
+        assert capsys.readouterr().out == reference_dump_report(reports[-1])
+        commands.add(command)
+    assert commands == {"analyze", "cycles", "mixed", "nash", "coco"}
+    assert any(None in r.get("periodic_mixed", {}).values() for r in reports)
