@@ -217,12 +217,13 @@ def _strategy_label(bg: BayesianGame, player: int, choice: TypeProfile) -> str:
     return "".join(bg.actions[player][a] for a in choice)
 
 
-def _check_profile_count(bg: BayesianGame, what: str, max_profiles: int, players: int) -> None:
+def _check_profile_count(bg: BayesianGame, what: str, players: int) -> None:
     """SizeLimit when a companion game of ``players`` players, one action per
-    (player, type) pair, would have more than ``max_profiles`` profiles or
-    more than ``2 * max_profiles`` payoff entries (profiles times players);
-    checked before anything of that size is built, stopping at the first
-    pair past the profile limit."""
+    (player, type) pair, would have more than ``DEFAULT_MAX_PROFILES``
+    profiles or more than twice that many payoff entries (profiles times
+    players); checked before anything of that size is built, stopping at
+    the first pair past the profile limit."""
+    max_profiles = DEFAULT_MAX_PROFILES
     total = 1
     for actions, types in zip(bg.actions, bg.types):
         for _ in types:
@@ -236,7 +237,7 @@ def _check_profile_count(bg: BayesianGame, what: str, max_profiles: int, players
         )
 
 
-def ex_ante_game(bg: BayesianGame, max_profiles: int = DEFAULT_MAX_PROFILES) -> Game:
+def ex_ante_game(bg: BayesianGame) -> Game:
     """Complete-information game over type-contingent strategies.
 
     A strategy assigns an action to each of the player's types; its label is
@@ -244,7 +245,7 @@ def ex_ante_game(bg: BayesianGame, max_profiles: int = DEFAULT_MAX_PROFILES) -> 
     prior expectations, summed exactly in integers (prior and payoffs scaled
     by the lcm of their denominators) and divided once per payoff entry.
     """
-    _check_profile_count(bg, "ex-ante", max_profiles, bg.num_players)
+    _check_profile_count(bg, "ex-ante", bg.num_players)
     n = bg.num_players
     strategy_sets = [
         list(itertools.product(range(len(bg.actions[i])), repeat=len(bg.types[i])))
@@ -286,7 +287,7 @@ def interim_game(bg: BayesianGame) -> Game:
     ``ex_ante_game``) divided once by ``du`` times the pair's integer mass.
     """
     ids = _player_type_ids(bg)
-    _check_profile_count(bg, "interim", DEFAULT_MAX_PROFILES, len(ids))
+    _check_profile_count(bg, "interim", len(ids))
     sums, mass, _, du = _integer_expectation(bg, range(len(ids)))
     if 0 in mass:
         raise _zero_probability_type(bg, *ids[mass.index(0)])

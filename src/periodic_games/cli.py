@@ -112,6 +112,7 @@ def cmd_analyze(args) -> int:
     rationalizable = tuple(p & s for p, s in zip(periodic, survivors))
     max_len = args.max_len or len(graph.nodes)
     cycles = all_cycles(graph, max_len)
+    ids = {n: node_id(g, n) for n in graph.nodes}  # one id per node, read per cycle
     report = _base_report(args, "analyze")
     report["periodic_actions"] = _action_sets(g, periodic)
     report["iesds_survivors"] = _action_sets(g, survivors)
@@ -123,7 +124,7 @@ def cmd_analyze(args) -> int:
     lines.append("rationalizable periodic: " + str(report["rationalizable_periodic"]))
     for cycle in cycles:
         doc = {
-            "nodes": [node_id(g, n) for n in cycle.nodes],
+            "nodes": [ids[n] for n in cycle.nodes],
             "players": [g.players[p] for p in cycle.player_sequence],
             "length": cycle.length,
         }
@@ -137,7 +138,7 @@ def cmd_analyze(args) -> int:
         if "types" in doc:
             lines.append(f"  types={doc['types']} errors={doc['errors']}")
     report["cycles"] = cycle_docs
-    report["degenerate_nodes"] = sorted(node_id(g, n) for n in graph.degenerate_flags)
+    report["degenerate_nodes"] = sorted(ids[n] for n in graph.degenerate_flags)
     dot = export_dot(graph, g, cycles) if args.format == "dot" else None
     _emit(args, report, lines, dot=dot)
     return EXIT_OK
@@ -156,9 +157,10 @@ def cmd_cycles(args) -> int:
     else:
         cycles = all_cycles(graph, max_len)
     report = _base_report(args, "cycles")
-    report["cycles"] = [[node_id(g, n) for n in c.nodes] for c in cycles]
+    ids = {n: node_id(g, n) for n in graph.nodes}  # one id per node, read per cycle
+    report["cycles"] = [[ids[n] for n in c.nodes] for c in cycles]
     if cycles:
-        lines = ["cycles:"] + ["  " + " -> ".join(ids) for ids in report["cycles"]]
+        lines = ["cycles:"] + ["  " + " -> ".join(path) for path in report["cycles"]]
     else:
         lines = ["no cycles"]
     dot = export_dot(graph, g, cycles) if args.format == "dot" else None

@@ -17,10 +17,6 @@ class DuplicateLabel(ValidationError):
     pass
 
 
-class MissingProfile(ValidationError):
-    pass
-
-
 class IndexOutOfRange(GameError):
     pass
 
@@ -81,3 +77,8 @@ class ParseError(GameError):
 
 class BadLiteral(ParseError, ValidationError):
     """Not an exact rational literal, whether read from a file or given in code."""
+
+
+class MissingProfile(ParseError, ValidationError):
+    """A payoff table or tensor lacks profiles, whether read from a file or
+    given in code."""

@@ -171,10 +171,14 @@ def make_game(
     actions: Sequence[Sequence[str]],
     payoff_table,
 ) -> Game:
-    """Build a Game from a nested payoff table.
+    """Build a Game from a nested payoff table, the one reader of that format.
 
     ``payoff_table`` is nested one level per player (row-major), the innermost
-    entries being length-N sequences of exact values.
+    entries being length-N sequences of exact values. It is read one level
+    per player, without recursion, the inverse of ``io.serialize_game``'s
+    cut: a node of the wrong length is a MissingProfile, which is both a
+    ParseError and a ValidationError, and a payoff vector of the wrong
+    length a BadDimension.
     """
     players = tuple(players)
     actions = tuple(tuple(a) for a in actions)
@@ -182,26 +186,29 @@ def make_game(
     if len(actions) != n:
         raise BadDimension(f"{len(actions)} action lists for {n} players")
     shape = tuple(len(a) for a in actions)
+    level = [payoff_table]  # the nodes at one depth, in row-major order
+    for depth, size in enumerate(shape):
+        for k, node in enumerate(level):
+            if not isinstance(node, (list, tuple)) or len(node) != size:
+                raise MissingProfile(
+                    f"player {players[depth]!r} axis at profile prefix {_prefix(k, shape[:depth])}"
+                    f" must have {size} entries"
+                )
+        level = [child for node in level for child in node]
+    for k, vec in enumerate(level):
+        if not isinstance(vec, (list, tuple)) or len(vec) != n:
+            raise BadDimension(f"payoff vector at profile {_prefix(k, shape)} must have length {n}")
+    payoffs = tuple(tuple(map(parse_fraction, vec)) for vec in level)
+    return Game(players=players, actions=actions, payoffs=payoffs)
 
-    flat: list[tuple[Fraction, ...]] = []
 
-    def walk(node, depth: int, path: tuple[int, ...]) -> None:
-        if depth == n:
-            if not isinstance(node, (list, tuple)) or len(node) != n:
-                raise BadDimension(f"payoff vector at profile {path} must have length {n}")
-            flat.append(tuple(parse_fraction(v) for v in node))
-            return
-        if not isinstance(node, (list, tuple)):
-            raise MissingProfile(f"expected {shape[depth]} entries at depth {depth}, profile prefix {path}")
-        if len(node) != shape[depth]:
-            raise MissingProfile(
-                f"player {players[depth]!r} axis has {len(node)} entries, expected {shape[depth]}"
-            )
-        for k, child in enumerate(node):
-            walk(child, depth + 1, path + (k,))
-
-    walk(payoff_table, 0, ())
-    return Game(players=players, actions=actions, payoffs=tuple(flat))
+def _prefix(k: int, sizes: Sequence[int]) -> Profile:
+    """The action indices of the k-th row-major profile over axes of ``sizes``."""
+    out = []
+    for size in reversed(sizes):
+        k, a = divmod(k, size)
+        out.append(a)
+    return tuple(reversed(out))
 
 
 def validate_game(g: Game) -> None:

@@ -14,13 +14,15 @@ from typing import Iterable, Sequence
 
 from .bayes import BayesianGame
 from .errors import ParseError, SizeLimit
-from .game import Game, parse_fraction
+from .game import Game, make_game, parse_fraction
 from .periodicity import Cycle, Node, PeriodicityGraph
 
-# Lists and objects nested deeper than this are a ParseError. A game's
-# payoffs nest one level per player plus one, so only documents with
-# absurdly many players come near it, while the recursive readers and
-# writers here stay far from the interpreter's recursion limit.
+# Lists and objects nested deeper than this are a ParseError: a bound on
+# the input, checked level by level after decoding. A game's payoffs nest
+# one level per player plus one, so only documents with absurdly many
+# players come near it. No reader or writer here recurses; only the JSON
+# decoder and encoder do, and this bound keeps them far from the
+# interpreter's recursion limit.
 MAX_NESTING = 100
 
 
@@ -98,28 +100,12 @@ def _label_map(
     return tuple(out)
 
 
-def _parse_tensor(node, shape: Sequence[int], n: int, path=()) -> list:
-    """Nested payoff arrays to a flat row-major list of payoff vectors."""
-    if not shape:
-        if not isinstance(node, list) or len(node) != n:
-            raise ParseError(f"payoff vector at {path} must be a list of {n} entries")
-        return [tuple(parse_fraction(v) for v in node)]
-    if not isinstance(node, list) or len(node) != shape[0]:
-        raise ParseError(f"expected {shape[0]} entries at {path or 'payoffs root'}")
-    flat = []
-    for k, child in enumerate(node):
-        flat.extend(_parse_tensor(child, shape[1:], n, path + (k,)))
-    return flat
-
-
 def parse_game(text: str) -> Game:
-    """Parse a game document; the Game validates itself."""
+    """Parse a game document; ``make_game`` reads its payoff table."""
     doc = _load_json(text)
     players = _labels(_require(doc, "players"), "'players'")
     actions = _label_map(doc, "actions", players, "action", "label lists")
-    shape = [len(a) for a in actions]
-    flat = _parse_tensor(_require(doc, "payoffs"), shape, len(players))
-    return Game(players=players, actions=actions, payoffs=tuple(flat))
+    return make_game(players, actions, _require(doc, "payoffs"))
 
 
 def serialize_game(g: Game) -> str:
@@ -137,8 +123,8 @@ def serialize_game(g: Game) -> str:
 
 
 def parse_bayes(text: str) -> BayesianGame:
-    """Parse a Bayesian game document, one Game per parameter value; the
-    games and the BayesianGame validate themselves."""
+    """Parse a Bayesian game document, one Game per parameter value, each
+    read by ``make_game``; the BayesianGame validates itself."""
     doc = _load_json(text)
     players = _labels(_require(doc, "players"), "'players'")
     actions = _label_map(doc, "actions", players, "action", "label lists")
@@ -169,13 +155,11 @@ def parse_bayes(text: str) -> BayesianGame:
     payoffs_doc = _require(doc, "payoffs")
     if not isinstance(payoffs_doc, dict):
         raise ParseError("'payoffs' must map parameter labels to payoff tables")
-    shape = [len(a) for a in actions]
     games = []
     for label in thetas:
         if label not in payoffs_doc:
             raise ParseError(f"no payoff table for parameter {label!r}")
-        flat = _parse_tensor(payoffs_doc[label], shape, len(players))
-        games.append(Game(players=players, actions=actions, payoffs=tuple(flat)))
+        games.append(make_game(players, actions, payoffs_doc[label]))
     return BayesianGame(thetas=thetas, types=types, prior=prior, games=tuple(games))
 
 

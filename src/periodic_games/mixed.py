@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence, Union
 
 from .errors import BadDimension, Infeasible, SizeLimit
 from .game import Game, validate_mixture
-from .linalg import affine_dimension, common_denominator, polytope_vertices, scaled
+from .linalg import common_denominator, matrix_rank, polytope_vertices, scaled
 
 Vector = tuple[Fraction, ...]
 
@@ -65,14 +65,21 @@ def require_bimatrix(g: Game) -> None:
         raise BadDimension(f"operation requires a 2-player game, got {g.num_players}")
 
 
-def _equalizer_vertices(matrix: Sequence[Sequence[int]], rows: Sequence[int]) -> list[Vector]:
-    """Vertices of {q on the simplex : (matrix q)_a is equal for every a in
-    rows}, sorted."""
+def _equalizer_system(matrix: Sequence[Sequence[int]], rows: Sequence[int]) -> list[list[int]]:
+    """The rows of {q : sum(q) = 1, (matrix q)_a is equal for every a in
+    rows}: the all-ones row (right-hand side 1), then each row of ``rows``
+    after the first minus the first (right-hand side 0)."""
     base = matrix[rows[0]]
     system = [[1] * len(base)]
     system.extend([x - y for x, y in zip(matrix[a], base)] for a in rows[1:])
+    return system
+
+
+def _equalizer_vertices(matrix: Sequence[Sequence[int]], rows: Sequence[int]) -> list[Vector]:
+    """Vertices of {q on the simplex : (matrix q)_a is equal for every a in
+    rows}, sorted."""
     rhs = [1] + [0] * (len(rows) - 1)
-    return polytope_vertices(system, rhs, len(base))
+    return polytope_vertices(_equalizer_system(matrix, rows), rhs, len(matrix[0]))
 
 
 def _payoffs_against(matrix: Sequence[Sequence[int]], q: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -99,7 +106,13 @@ def periodic_mixed(g: Game, player: Union[int, str]) -> PeriodicMixed:
     best = vertices[0]
     payoffs, den = _payoffs_against(columns[:1], best)
     value = Fraction(payoffs[0], g.payoff_scale * den)
-    return PeriodicMixed(probabilities=best, value=value, dimension=affine_dimension(vertices))
+    # The vertices' barycenter is positive exactly on their joint support S,
+    # so the polytope's affine hull is the system's solutions that vanish
+    # off S, of dimension |S| - rank of the system on S's columns.
+    support = sorted({j for v in vertices for j, x in enumerate(v) if x})
+    on_support = [[column[j] for j in support] for column in columns]
+    dimension = len(support) - matrix_rank(_equalizer_system(on_support, range(len(columns))))
+    return PeriodicMixed(probabilities=best, value=value, dimension=dimension)
 
 
 def invariance_check(g: Game, player: Union[int, str], p: Sequence[Fraction]) -> Fraction:

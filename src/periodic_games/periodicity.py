@@ -150,14 +150,15 @@ def _check_max_len(max_len: int) -> None:
 def _cycles_from(graph: PeriodicityGraph, start: Node, max_len: int, allowed, budget: int) -> list[Cycle]:
     """Simple cycles through ``start`` of at most ``max_len`` edges whose
     other nodes all lie in ``allowed``, each starting at ``start``, sorted
-    by length then node sequence (depth-first search). SizeLimit once more
-    than ``budget`` are found."""
+    by length then node sequence (depth-first search over an explicit stack
+    of successor iterators, one per path node, so a path may outgrow the
+    recursion limit). SizeLimit once more than ``budget`` are found."""
     cycles: list[Cycle] = []
     path: list[Node] = [start]
     on_path = {start}
-
-    def extend(node: Node) -> None:
-        for nxt in graph.successors(node):
+    stack = [iter(graph.successors(start))]
+    while stack:
+        for nxt in stack[-1]:
             if nxt == start:
                 if 2 <= len(path) <= max_len:
                     if len(cycles) == budget:
@@ -168,11 +169,11 @@ def _cycles_from(graph: PeriodicityGraph, start: Node, max_len: int, allowed, bu
                 continue
             path.append(nxt)
             on_path.add(nxt)
-            extend(nxt)
-            path.pop()
-            on_path.remove(nxt)
-
-    extend(start)
+            stack.append(iter(graph.successors(nxt)))
+            break
+        else:  # every successor of the last path node is done: backtrack
+            stack.pop()
+            on_path.remove(path.pop())
     cycles.sort(key=lambda c: (c.length, c.nodes))
     return cycles
 

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 import pathlib
@@ -59,6 +60,36 @@ def many_cycles_game(num_players=7):
 
     doc = {"players": players, "actions": {p: ["s1", "s2"] for p in players}, "payoffs": table(0)}
     return json.dumps(doc, indent=2)
+
+
+def shift_game(n):
+    """A document of n actions per player: A is paid 1 iff B plays A's
+    index, B is paid 1 iff A plays the next index. Every argmax is strict,
+    and the periodicity graph is the one cycle A:a0 -> B:b0 -> A:a1 -> ...
+    -> B:b(n-1) through all 2n nodes."""
+    table = [[[str(int(a == b)), str(int(a == (b + 1) % n))] for b in range(n)] for a in range(n)]
+    actions = {"A": [f"a{k}" for k in range(n)], "B": [f"b{k}" for k in range(n)]}
+    return json.dumps({"players": ["A", "B"], "actions": actions, "payoffs": table})
+
+
+def tall_game(rows, cols):
+    """A seeded document (``random.Random(1)``) of ``rows`` x ``cols``
+    actions with integer payoffs in [-9, 9]."""
+    rng = random.Random(1)
+    table = [[[str(rng.randint(-9, 9)) for _ in range(2)] for _ in range(cols)] for _ in range(rows)]
+    actions = {"A": [f"a{k}" for k in range(rows)], "B": [f"b{k}" for k in range(cols)]}
+    return json.dumps({"players": ["A", "B"], "actions": actions, "payoffs": table})
+
+
+@contextlib.contextmanager
+def recursion_limit(limit):
+    """The interpreter's recursion limit lowered to ``limit`` for a block."""
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(before)
 
 
 @pytest.fixture

@@ -87,9 +87,10 @@ def test_ex_ante_game_labels_and_payoffs(two_type_bayes):
         assert g.payoffs[g.profile_index(profile)] == expected[key]
 
 
-def test_ex_ante_size_limit(two_type_bayes):
+def test_ex_ante_size_limit(two_type_bayes, monkeypatch):
+    monkeypatch.setattr(bayes, "DEFAULT_MAX_PROFILES", 7)
     with pytest.raises(SizeLimit):
-        ex_ante_game(two_type_bayes, max_profiles=7)
+        ex_ante_game(two_type_bayes)
 
 
 def test_interim_games_bound_their_profile_count_before_building():
@@ -125,7 +126,8 @@ def test_the_payoff_entry_bound_is_twice_the_profile_bound(two_type_bayes, monke
     with pytest.raises(SizeLimit, match="more than 22 payoff entries"):
         interim_game(two_type_bayes)
     # A 2-player ex-ante game within the profile bound is within both.
-    assert len(ex_ante_game(two_type_bayes, max_profiles=8).payoffs) == 8
+    monkeypatch.setattr(bayes, "DEFAULT_MAX_PROFILES", 8)
+    assert len(ex_ante_game(two_type_bayes).payoffs) == 8
 
 
 def test_interim_game_three_players(two_type_bayes):

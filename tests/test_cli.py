@@ -1,5 +1,6 @@
 import functools
 import json
+import pathlib
 import sys
 import time
 
@@ -8,7 +9,7 @@ import pytest
 from periodic_games import Game, cli, game, lp
 from periodic_games.cli import main
 
-from conftest import FIXTURES, many_cycles_game, many_types_bayes
+from conftest import FIXTURES, many_cycles_game, many_types_bayes, recursion_limit, shift_game, tall_game
 from test_io import deep_payoffs_game, deep_prior_bayes, long_bare_integer_game, one_action_game
 
 BOS = str(FIXTURES / "battle_of_sexes.game.json")
@@ -184,7 +185,7 @@ def test_bad_action_list_exit_code(tmp_path, capsys):
     [("thetas", "ab"), ("types", 5), ("prior", 5)],
 )
 def test_bad_bayes_label_lists_exit_code(tmp_path, capsys, key, value):
-    doc = json.loads(open(BAYES).read())
+    doc = json.loads(pathlib.Path(BAYES).read_text(encoding="utf-8"))
     if key == "types":
         doc["types"]["1"] = value
     else:
@@ -205,7 +206,7 @@ def test_a_bare_integer_past_the_conversion_limit_is_invalid_input(tmp_path, cap
 
 @pytest.mark.parametrize("players", ["AB", 5])
 def test_bad_players_exit_code(tmp_path, capsys, players):
-    doc = json.loads(open(PD).read())
+    doc = json.loads(pathlib.Path(PD).read_text(encoding="utf-8"))
     doc["players"] = players
     path = tmp_path / "bad_players.json"
     path.write_text(json.dumps(doc))
@@ -297,7 +298,7 @@ def test_dot_is_rendered_only_for_the_dot_format(capsys, monkeypatch, command):
 
 
 def test_coco_rejects_an_oversized_literal_as_invalid_input(tmp_path, capsys):
-    doc = json.loads(open(PD, encoding="utf-8").read())
+    doc = json.loads(pathlib.Path(PD).read_text(encoding="utf-8"))
     doc["payoffs"][0][0][0] = "1e5000"
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
@@ -312,7 +313,7 @@ def test_a_value_too_long_to_print_is_an_error_not_a_traceback(tmp_path, capsys,
     # Each literal is within the parse bound, but the CO-CO values and the
     # periodic mixtures combine them into numerators or denominators of over
     # 4,300 digits; the equilibria and the graph of this game print none.
-    doc = json.loads(open(PD, encoding="utf-8").read())
+    doc = json.loads(pathlib.Path(PD).read_text(encoding="utf-8"))
     doc["payoffs"][0][0][0] = "1e-4000"
     doc["payoffs"][0][1][0] = "1e4000"
     path = tmp_path / "long_values.json"
@@ -363,7 +364,7 @@ def test_an_oversized_companion_game_is_an_error_not_a_traceback(tmp_path, capsy
 
 @pytest.mark.parametrize("label", [["a"], {"b": 1}, None, 1.5])
 def test_a_container_label_is_invalid_input(tmp_path, capsys, label):
-    doc = json.loads(open(PD, encoding="utf-8").read())
+    doc = json.loads(pathlib.Path(PD).read_text(encoding="utf-8"))
     doc["players"][0] = label
     path = tmp_path / "bad_label.json"
     path.write_text(json.dumps(doc))
@@ -496,3 +497,30 @@ def test_a_tall_low_rank_mixed_document_still_solves(tmp_path, capsys):
     assert main(["mixed", str(path), "--format", "machine"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert len(report["periodic_mixed"]["A"]["probabilities"]) == 60
+
+
+def test_cycles_longer_than_the_recursion_limit_are_reported(tmp_path, capsys):
+    n = 150
+    path = tmp_path / "shift.game.json"
+    path.write_text(shift_game(n), encoding="utf-8")
+    ids = [f"{player}:{player.lower()}{k}" for k in range(n) for player in "AB"]
+    with recursion_limit(250):
+        assert main(["cycles", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert out == "cycles:\n  " + " -> ".join(ids) + "\n" and err == ""
+        assert main(["cycles", str(path), "--format", "machine"]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["cycles"] == [ids] and err == ""
+
+
+def test_mixed_on_a_tall_one_column_document_is_quick(tmp_path, capsys):
+    # Each of A's 300 pure actions is a vertex of A's equalizer polytope;
+    # its dimension is read off their joint support in one rank.
+    path = tmp_path / "tall.game.json"
+    path.write_text(tall_game(300, 1), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["mixed", str(path), "--format", "machine"]) == 0
+    assert time.perf_counter() - start < 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["periodic_mixed"]["A"]["solution_dimension"] == 299
+    assert report["periodic_mixed"]["B"] is None

@@ -172,6 +172,26 @@ def test_wrong_vector_length_rejected():
         make_game(["A", "B"], [["x"], ["l"]], [[(0, 0, 0)]])
 
 
+def test_a_ragged_table_names_the_axis_and_the_profile_prefix():
+    with pytest.raises(MissingProfile, match=r"player 'B' axis at profile prefix \(1,\) must have 2 entries") as info:
+        make_game(["A", "B"], [["x", "y"], ["l", "r"]], [[(0, 0), (0, 0)], [(0, 0)]])
+    # A ragged document is a ParseError too.
+    assert isinstance(info.value, ParseError) and isinstance(info.value, ValidationError)
+    with pytest.raises(BadDimension, match=r"payoff vector at profile \(0, 1\) must have length 2"):
+        make_game(["A", "B"], [["x"], ["l", "r"]], [[(0, 0), (0, 0, 0)]])
+
+
+def test_make_game_reads_a_table_nested_deeper_than_the_recursion_limit():
+    # 1,200 one-action players: the table nests 1,201 lists deep.
+    n = 1200
+    table = [0] * n
+    for _ in range(n):
+        table = [table]
+    g = make_game([f"P{i}" for i in range(n)], [["a"]] * n, table)
+    assert g.shape == (1,) * n
+    assert g.payoffs == ((Fraction(0),) * n,)
+
+
 def test_one_player_rejected():
     with pytest.raises(BadDimension):
         make_game(["A"], [["x"]], [(0,)])

@@ -1,6 +1,7 @@
 """Every module of the package uses every name it imports (the package
-``__init__`` is left out: it imports names only to re-export them), and only
-``linalg`` turns rationals into integers with ``math.lcm``."""
+``__init__`` is left out: it imports names only to re-export them), only
+``linalg`` turns rationals into integers with ``math.lcm``, and no function
+calls itself, so a deep input meets no recursion limit in the package's own code."""
 
 import ast
 import pathlib
@@ -55,3 +56,58 @@ def test_checker_finds_lcm_uses():
 def test_only_linalg_scales_rationals_to_integers(path):
     uses = lcm_uses(path.read_text(encoding="utf-8"))
     assert (uses > 0) == (path.name == "linalg.py")
+
+
+def _calls(node: ast.AST, name: str) -> bool:
+    """Whether a node is a call of ``name`` or of ``self.name``/``cls.name``."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id == name
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr == name
+        and isinstance(func.value, ast.Name)
+        and func.value.id in ("self", "cls")
+    )
+
+
+def self_calls(source: str) -> list[str]:
+    """Dotted names of the functions, nested ones included, whose body
+    calls the function itself by name."""
+    found = []
+    stack = [(ast.parse(source), "")]
+    while stack:
+        node, prefix = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                if any(_calls(sub, child.name) for sub in ast.walk(child)):
+                    found.append(name)
+                stack.append((child, name + "."))
+            elif isinstance(child, ast.ClassDef):
+                stack.append((child, prefix + child.name + "."))
+            else:
+                stack.append((child, prefix))
+    return sorted(found)
+
+
+def test_checker_finds_functions_that_call_themselves():
+    source = (
+        "def fact(n):\n    return 1 if n < 2 else n * fact(n - 1)\n"
+        "def outer(xs):\n"
+        "    def walk(x):\n        return [walk(y) for y in x]\n"
+        "    return walk(xs)\n"
+        "class Tree:\n"
+        "    def size(self):\n        return 1 + sum(c.size() for c in self.children)\n"
+        "    def depth(self):\n        return self.depth()\n"
+        "def apply(f):\n    return f(apply)\n"
+        "def flat(x):\n    return flatten(x)\n"
+    )
+    assert self_calls(source) == ["Tree.depth", "fact", "outer.walk"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_calls_itself(path):
+    assert self_calls(path.read_text(encoding="utf-8")) == []

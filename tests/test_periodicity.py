@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,9 +20,17 @@ from periodic_games import periodicity
 from periodic_games.errors import AnchorNotOnCycle, BadParameter, DegenerateArgmax, IndexOutOfRange, SizeLimit
 from periodic_games.generate import random_game
 from periodic_games.io import parse_game
-from periodic_games.periodicity import all_cycles
+from periodic_games.periodicity import Cycle, all_cycles
 
-from conftest import brute_force_deviation, many_cycles_game, moved_sets, random_rational_game, transformed_game
+from conftest import (
+    brute_force_deviation,
+    many_cycles_game,
+    moved_sets,
+    random_rational_game,
+    recursion_limit,
+    shift_game,
+    transformed_game,
+)
 
 
 def test_best_deviation_bos(bos):
@@ -205,3 +214,14 @@ def test_a_game_with_too_many_cycles_is_a_size_limit():
         all_cycles(graph, len(graph.nodes))
     with pytest.raises(SizeLimit, match="more than 100000 cycles"):
         enumerate_cycles(graph, Node(0, 0), len(graph.nodes))
+
+
+def test_a_cycle_longer_than_the_recursion_limit_is_found():
+    n = 150
+    graph = build_periodicity_graph(parse_game(shift_game(n)))
+    expected = [Cycle(tuple(Node(player, k) for k in range(n) for player in (0, 1)))]
+    with recursion_limit(250):
+        assert 2 * n > sys.getrecursionlimit()
+        assert all_cycles(graph, 2 * n) == expected
+        assert enumerate_cycles(graph, Node(0, 0), 2 * n) == expected
+        assert enumerate_cycles(graph, Node(1, n - 1), 2 * n) == [Cycle(expected[0].nodes[-1:] + expected[0].nodes[:-1])]
