@@ -13,7 +13,7 @@ import sys
 
 from . import __version__
 from .coco import coco_solution
-from .errors import DegenerateArgmax, GameError, ParseError, ValidationError
+from .errors import DegenerateArgmax, GameError, IndexOutOfRange, ParseError, ValidationError
 from .game import Game, expected_utility
 from .generate import random_game
 from .io import (
@@ -29,7 +29,6 @@ from .mixed import invariance_check, nash_support_enumeration, periodic_mixed
 from .bayes import ex_ante_game, interim_correlated_game, interim_game
 from .errors import Infeasible
 from .periodicity import (
-    Node,
     TiePolicy,
     all_cycles,
     build_periodicity_graph,
@@ -52,19 +51,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _policy(name: str) -> TiePolicy:
-    return TiePolicy.STRICT if name == "strict" else TiePolicy.LEX
+def _at_least(low: int):
+    """Argument type of an integer of at least ``low``: a cycle has two edges
+    or more (``--max-len``), a sweep checks one game or more (``--count``)."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
 
-def _max_len(text: str) -> int:
-    """Argument type of --max-len: a cycle has at least two edges."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
-    return value
+    return parse
 
 
 def _read(path: str) -> str:
@@ -72,21 +72,18 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _base_report(args, command: str) -> dict:
+def _base_report(args) -> dict:
+    # mixed, nash and coco take no tie policy; their reports keep the default.
     return {
         "tool_version": __version__,
-        "command": command,
+        "command": args.command,
         "tie_policy": getattr(args, "tie_policy", "lex"),
     }
 
 
-def _emit(args, report: dict, text_lines: list[str], dot: str = None) -> None:
+def _emit(args, report: dict, text_lines: list[str]) -> None:
     if args.format == "machine":
         sys.stdout.write(dump_report(report))
-    elif args.format == "dot":
-        if dot is None:
-            raise ValidationError("DOT output is not available for this command")
-        sys.stdout.write(dot)
     else:
         sys.stdout.write("\n".join(text_lines) + "\n")
 
@@ -102,18 +99,39 @@ def _action_sets(g: Game, sets) -> dict:
     }
 
 
-def cmd_analyze(args) -> int:
+def _graph_command(args, describe) -> int:
+    """The graph path of ``analyze`` and ``cycles``: the game, its graph
+    under ``--tie-policy``, one id per node, and the cycles of at most
+    ``--max-len`` edges, through the node whose id is ``--through`` or all.
+    ``describe(g, policy, graph, cycles, ids, report)`` fills in the report
+    and returns the text lines; ``--format dot`` writes the graph instead."""
     g = parse_game(_read(args.game))
-    policy = _policy(args.tie_policy)
+    policy = TiePolicy(args.tie_policy)
     graph = build_periodicity_graph(g, policy)
+    ids = {n: node_id(g, n) for n in graph.nodes}  # one id per node, read per cycle
+    max_len = args.max_len or len(graph.nodes)
+    through = getattr(args, "through", None)
+    if through is None:
+        cycles = all_cycles(graph, max_len)
+    else:
+        nodes = [n for n, text in ids.items() if text == through]
+        if len(nodes) != 1:
+            raise IndexOutOfRange(f"--through {through!r} is the id of {len(nodes)} nodes, not of one")
+        cycles = enumerate_cycles(graph, nodes[0], max_len)
+    report = _base_report(args)
+    lines = describe(g, policy, graph, cycles, ids, report)
+    if args.format == "dot":
+        sys.stdout.write(export_dot(graph, g, cycles))
+    else:
+        _emit(args, report, lines)
+    return EXIT_OK
+
+
+def _analyze_report(g, policy, graph, cycles, ids, report) -> list[str]:
     periodic = periodic_actions(g, policy)
     survivors = iesds(g, DominanceMode.ALLOW_MIXED).survivors
     # What rationalizable_periodic computes, from the sets already at hand.
     rationalizable = tuple(p & s for p, s in zip(periodic, survivors))
-    max_len = args.max_len or len(graph.nodes)
-    cycles = all_cycles(graph, max_len)
-    ids = {n: node_id(g, n) for n in graph.nodes}  # one id per node, read per cycle
-    report = _base_report(args, "analyze")
     report["periodic_actions"] = _action_sets(g, periodic)
     report["iesds_survivors"] = _action_sets(g, survivors)
     report["rationalizable_periodic"] = _action_sets(g, rationalizable)
@@ -139,38 +157,19 @@ def cmd_analyze(args) -> int:
             lines.append(f"  types={doc['types']} errors={doc['errors']}")
     report["cycles"] = cycle_docs
     report["degenerate_nodes"] = sorted(ids[n] for n in graph.degenerate_flags)
-    dot = export_dot(graph, g, cycles) if args.format == "dot" else None
-    _emit(args, report, lines, dot=dot)
-    return EXIT_OK
+    return lines
 
 
-def cmd_cycles(args) -> int:
-    g = parse_game(_read(args.game))
-    policy = _policy(args.tie_policy)
-    graph = build_periodicity_graph(g, policy)
-    max_len = args.max_len or len(graph.nodes)
-    if args.through:
-        player_label, _, action_label = args.through.partition(":")
-        i = g.player_index(player_label)
-        node = Node(i, g.action_index(i, action_label))
-        cycles = enumerate_cycles(graph, node, max_len)
-    else:
-        cycles = all_cycles(graph, max_len)
-    report = _base_report(args, "cycles")
-    ids = {n: node_id(g, n) for n in graph.nodes}  # one id per node, read per cycle
+def _cycles_report(g, policy, graph, cycles, ids, report) -> list[str]:
     report["cycles"] = [[ids[n] for n in c.nodes] for c in cycles]
-    if cycles:
-        lines = ["cycles:"] + ["  " + " -> ".join(path) for path in report["cycles"]]
-    else:
-        lines = ["no cycles"]
-    dot = export_dot(graph, g, cycles) if args.format == "dot" else None
-    _emit(args, report, lines, dot=dot)
-    return EXIT_OK
+    if not cycles:
+        return ["no cycles"]
+    return ["cycles:"] + ["  " + " -> ".join(path) for path in report["cycles"]]
 
 
 def cmd_mixed(args) -> int:
     g = parse_game(_read(args.game))
-    report = _base_report(args, "mixed")
+    report = _base_report(args)
     lines = []
     components = {}
     vectors = []
@@ -206,7 +205,7 @@ def cmd_mixed(args) -> int:
 def cmd_nash(args) -> int:
     g = parse_game(_read(args.game))
     equilibria = nash_support_enumeration(g)
-    report = _base_report(args, "nash")
+    report = _base_report(args)
     report["equilibria"] = [
         {
             "row_strategy": list(e.row_strategy),
@@ -230,7 +229,7 @@ def cmd_coco(args) -> int:
     g = parse_game(_read(args.game))
     solution = coco_solution(g)
     split = solution.decomposition
-    report = _base_report(args, "coco")
+    report = _base_report(args)
     report["cooperative_matrix"] = [list(row) for row in split.cooperative]
     report["competitive_matrix"] = [list(row) for row in split.competitive]
     report["vsharp"] = solution.vsharp
@@ -270,7 +269,6 @@ def cmd_bayes(args) -> int:
 def cmd_check(args) -> int:
     """Seeded random-game sweep of the existence and stability guarantees."""
     rng = random.Random(args.seed)
-    checked = 0
     for _ in range(args.count):
         g = random_game(rng)
         graph = build_periodicity_graph(g, TiePolicy.LEX)
@@ -283,8 +281,7 @@ def cmd_check(args) -> int:
             if len(walk) > len(graph.nodes):
                 sys.stdout.write("FAIL: stability walk longer than node count\n")
                 return EXIT_INVALID
-        checked += 1
-    sys.stdout.write(f"checked {checked} random games: all have periodic actions\n")
+    sys.stdout.write(f"checked {args.count} random games: all have periodic actions\n")
     return EXIT_OK
 
 
@@ -296,44 +293,39 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_game=True):
-        if needs_game:
-            p.add_argument("game", help="input file")
+    # Only the commands that build the periodicity graph take a tie policy
+    # and DOT output.
+    for name, help_text, describe in (
+        ("analyze", "periodic actions, survivors, cycles, type counts", _analyze_report),
+        ("cycles", "enumerate simple cycles of the periodicity graph", _cycles_report),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("game", help="input file")
         p.add_argument("--tie-policy", choices=("strict", "lex"), default="lex")
         p.add_argument("--format", choices=("text", "machine", "dot"), default="text")
+        if name == "cycles":
+            p.add_argument("--through", help="node id as printed, player:action", default=None)
+        p.add_argument("--max-len", type=_at_least(2), default=None)
+        p.set_defaults(func=functools.partial(_graph_command, describe=describe))
 
-    p = sub.add_parser("analyze", help="periodic actions, survivors, cycles, type counts")
-    common(p)
-    p.add_argument("--max-len", type=_max_len, default=None)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("cycles", help="enumerate simple cycles of the periodicity graph")
-    common(p)
-    p.add_argument("--through", help="node as player:action-label", default=None)
-    p.add_argument("--max-len", type=_max_len, default=None)
-    p.set_defaults(func=cmd_cycles)
-
-    p = sub.add_parser("mixed", help="payoff-equalizing mixtures and invariance spread")
-    common(p)
-    p.set_defaults(func=cmd_mixed)
-
-    p = sub.add_parser("nash", help="Nash equilibria by exact support enumeration")
-    common(p)
-    p.set_defaults(func=cmd_nash)
-
-    p = sub.add_parser("coco", help="cooperative-competitive decomposition and solution")
-    common(p)
-    p.set_defaults(func=cmd_coco)
+    for name, help_text, func in (
+        ("mixed", "payoff-equalizing mixtures and invariance spread", cmd_mixed),
+        ("nash", "Nash equilibria by exact support enumeration", cmd_nash),
+        ("coco", "cooperative-competitive decomposition and solution", cmd_coco),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("game", help="input file")
+        p.add_argument("--format", choices=("text", "machine"), default="text")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("bayes", help="build a complete-information companion game")
-    common(p)
+    p.add_argument("game", help="input file")
     p.add_argument("--to", choices=("ex-ante", "interim", "interim-correlated"), required=True)
     p.set_defaults(func=cmd_bayes)
 
     p = sub.add_parser("check", help="random-game sweep of the structural guarantees")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--format", choices=("text",), default="text")
+    p.add_argument("--count", type=_at_least(1), default=100)
     p.set_defaults(func=cmd_check)
 
     return parser

@@ -149,16 +149,17 @@ def polytope_vertices(
 ) -> list[Vector]:
     """All vertices of {x in R^n : a x = b, x >= 0}, sorted lexicographically.
 
-    ``a`` and ``b`` hold Fractions or ints. One ``rref`` of ``[a | b]``
-    gives the rank r of ``a`` and r independent rows, kept scaled to
-    integers, or shows the system inconsistent (no vertex). Every vertex is
+    ``a`` and ``b`` hold Fractions or ints. One elimination of the integer
+    rows of ``[a | b]`` gives the rank r of ``a`` and r independent integer
+    rows, or shows the system inconsistent (no vertex). Every vertex is
     the basic solution of a basis, r columns independent on those rows,
     with x zero off them: its support is independent, so it extends to such
     a basis. Only the r-column subsets are solved, and a degenerate vertex
     that several bases reach is kept once. A system of rank 0 has no basis
     and no vertex. More than ``MAX_WORK`` estimated work is a SizeLimit.
     """
-    reduced, pivots = rref([list(row) + [rhs] for row, rhs in zip(a, b)])
+    rows = _integer_rows([list(row) + [rhs] for row, rhs in zip(a, b)])
+    pivots = _eliminate(rows, n + 1)
     if not pivots or pivots[-1] == n:  # rank 0, or a row reading 0 = nonzero
         return []
     r = len(pivots)
@@ -168,7 +169,7 @@ def polytope_vertices(
             f"vertex enumeration of {math.comb(n, r)} bases of rank {r} would take"
             f" {work} work units, more than {MAX_WORK}"
         )
-    rows = _integer_rows(reduced[: len(pivots)])
+    rows = rows[:r]
     rhs = [row[-1] for row in rows]
     zero = Fraction(0)
     vertices: set[Vector] = set()

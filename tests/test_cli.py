@@ -1,11 +1,15 @@
 import functools
 import json
+import os
 import pathlib
+import shlex
+import subprocess
 import sys
 import time
 
 import pytest
 
+import periodic_games
 from periodic_games import Game, cli, game, lp
 from periodic_games.cli import main
 
@@ -65,6 +69,7 @@ def test_mixed(capsys):
     assert doc["periodic_mixed"]["A"]["probabilities"] == ["1/3", "2/3"]
     assert doc["periodic_mixed"]["A"]["payoff_spread"] == "0"
     assert doc["joint_expected_utilities"] == ["2/3", "2/3"]
+    assert doc["tie_policy"] == "lex"
 
 
 def test_mixed_on_three_players(capsys):
@@ -92,6 +97,7 @@ def test_nash(capsys):
     strategies = {tuple(e["row_strategy"]) for e in doc["equilibria"]}
     assert ("2/3", "1/3") in strategies
     assert len(doc["equilibria"]) == 3
+    assert doc["tie_policy"] == "lex"
 
 
 def test_coco(capsys):
@@ -100,6 +106,7 @@ def test_coco(capsys):
     assert doc["vsharp"] == "8"
     assert doc["side_payment"] == "0"
     assert doc["final_payoffs"] == ["4", "4"]
+    assert doc["tie_policy"] == "lex"
 
 
 def test_bayes_ex_ante(capsys):
@@ -121,6 +128,14 @@ def test_check_is_deterministic(capsys):
     assert main(["check", "--seed", "5", "--count", "3"]) == 0
     assert capsys.readouterr().out == first
     assert "checked 3 random games" in first
+
+
+def test_check_count_below_one_is_a_usage_error(capsys):
+    for value in ("0", "-4", "x"):
+        assert main(["check", "--count", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--count" in captured.err and "Traceback" not in captured.err
 
 
 def test_usage_error_exit_code(capsys):
@@ -524,3 +539,111 @@ def test_mixed_on_a_tall_one_column_document_is_quick(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["periodic_mixed"]["A"]["solution_dimension"] == 299
     assert report["periodic_mixed"]["B"] is None
+
+
+def labelled_game(tmp_path, players, actions):
+    """Matching pennies between two players with the given labels: one
+    cycle through all four nodes."""
+    doc = {
+        "players": players,
+        "actions": dict(zip(players, actions)),
+        "payoffs": [[[1, -1], [-1, 1]], [[-1, 1], [1, -1]]],
+    }
+    path = tmp_path / "labelled.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_through_takes_a_node_id_whose_player_label_has_a_colon(tmp_path, capsys):
+    path = labelled_game(tmp_path, ["P:1", "Q"], [["a", "b"], ["x", "y"]])
+    expected = "cycles:\n  P:1:a -> Q:x -> P:1:b -> Q:y\n"
+    assert main(["cycles", path]) == 0
+    assert capsys.readouterr().out == expected
+    assert main(["cycles", path, "--through", "P:1:a"]) == 0
+    assert capsys.readouterr() == (expected, "")
+
+
+@pytest.mark.parametrize("through, count", [("nope", 0), ("A", 0), ("A:x:y", 2)])
+def test_through_an_id_of_no_node_or_of_two_is_an_error(tmp_path, capsys, through, count):
+    # Player A's action "x:y" and player "A:x"'s action "y" share one id.
+    path = labelled_game(tmp_path, ["A", "A:x"], [["x:y", "z"], ["y", "w"]])
+    assert main(["cycles", path, "--through", through]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --through {through!r} is the id of {count} nodes, not of one\n"
+
+
+def _options(parser) -> set[str]:
+    return {o for action in parser._actions if action.dest != "help" for o in action.option_strings}
+
+
+def test_each_subcommand_takes_only_the_options_it_acts_on():
+    (subcommands,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    graph = {"--tie-policy", "--format", "--max-len"}
+    assert {name: _options(p) for name, p in subcommands.choices.items()} == {
+        "analyze": graph,
+        "cycles": graph | {"--through"},
+        "mixed": {"--format"},
+        "nash": {"--format"},
+        "coco": {"--format"},
+        "bayes": {"--to"},
+        "check": {"--seed", "--count"},
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mixed", BOS, "--tie-policy", "lex"],
+        ["nash", BOS, "--tie-policy", "strict"],
+        ["coco", PD, "--tie-policy", "lex"],
+        ["bayes", BAYES, "--to", "interim", "--tie-policy", "lex"],
+        ["mixed", BOS, "--format", "dot"],
+        ["nash", BOS, "--format", "dot"],
+        ["coco", PD, "--format", "dot"],
+        ["bayes", BAYES, "--to", "interim", "--format", "text"],
+        ["check", "--count", "1", "--format", "text"],
+    ],
+    ids=lambda argv: f"{argv[0]} {argv[-2]} {argv[-1]}",
+)
+def test_an_option_a_command_does_not_act_on_is_a_usage_error(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # An option a subcommand does not declare is left over for the top-level
+    # parser; a value a subcommand's option does not take is its own error.
+    assert captured.err.startswith("usage: perigame ")
+    assert f"{argv[-2]}" in captured.err and "Traceback" not in captured.err
+
+
+def test_the_module_exits_with_the_code_main_returns(tmp_path, capsys):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(periodic_games.__file__).parents[1]))
+    cases = {
+        0: ["check", "--count", "1"],
+        1: ["analyze"],
+        2: ["analyze", str(tmp_path / "missing.json")],
+        3: ["analyze", flat_game(tmp_path), "--tie-policy", "strict"],
+    }
+    for code, argv in cases.items():
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        done = subprocess.run(
+            [sys.executable, "-m", "periodic_games.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (code, captured.out, captured.err)
+
+
+def readme_commands() -> list[str]:
+    """The ``perigame ...`` lines of the README's "Command line" section."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    return [line for line in section.splitlines() if line.startswith("perigame ")]
+
+
+def test_the_readme_command_lines_parse():
+    lines = readme_commands()
+    assert len(lines) >= 7
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        assert cli.build_parser().parse_args(argv).command == argv[0], line
