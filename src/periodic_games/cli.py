@@ -104,7 +104,8 @@ def _graph_command(args, describe) -> int:
     under ``--tie-policy``, one id per node, and the cycles of at most
     ``--max-len`` edges, through the node whose id is ``--through`` or all.
     ``describe(g, policy, graph, cycles, ids, report)`` fills in the report
-    and returns the text lines; ``--format dot`` writes the graph instead."""
+    and returns the text lines; ``--format dot`` writes the graph instead and
+    does not call it, since the DOT text shows nothing it computes."""
     g = parse_game(_read(args.game))
     policy = TiePolicy(args.tie_policy)
     graph = build_periodicity_graph(g, policy)
@@ -118,12 +119,11 @@ def _graph_command(args, describe) -> int:
         if len(nodes) != 1:
             raise IndexOutOfRange(f"--through {through!r} is the id of {len(nodes)} nodes, not of one")
         cycles = enumerate_cycles(graph, nodes[0], max_len)
-    report = _base_report(args)
-    lines = describe(g, policy, graph, cycles, ids, report)
     if args.format == "dot":
         sys.stdout.write(export_dot(graph, g, cycles))
     else:
-        _emit(args, report, lines)
+        report = _base_report(args)
+        _emit(args, report, describe(g, policy, graph, cycles, ids, report))
     return EXIT_OK
 
 

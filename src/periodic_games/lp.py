@@ -9,11 +9,17 @@ lrs). Every entry stays an integer, a minor of the scaled data, so each
 division by ``det`` is exact. Fractions are formed once, from the final
 tableau.
 
-The pivot rule is Bland's rule: the first negative reduced cost enters, and
-the ratio test, done by cross-multiplication, breaks ties by the smallest
-basis variable. Positive scaling of the data changes no pivot, so the
-results equal those of the textbook Fraction tableau. ``zero_sum_value``
-re-checks its duality certificate in integers before it returns.
+The tableau is a dictionary, as in lrs: one column per nonbasic variable
+plus the right-hand side, since each basic column would only be ``det``
+times a unit vector. A pivot runs ``linalg.pivot`` on these columns, then
+writes the leaving variable's column where the entering one was.
+
+The pivot rule is Bland's rule over variable indices: of the variables with
+a negative reduced cost, the smallest enters, and the ratio test, done by
+cross-multiplication, breaks ties by the smallest basis variable. Positive
+scaling of the data changes no pivot, so the results equal those of the
+textbook Fraction tableau. ``zero_sum_value`` re-checks its duality
+certificate in integers before it returns.
 """
 
 from __future__ import annotations
@@ -49,18 +55,21 @@ def simplex_max(
         raise BadParameter("simplex_max requires b >= 0")
     scale_ab = common_denominator([v for row in a for v in row] + list(b))
     scale_c = common_denominator(c)
+    # One column per nonbasic variable, then the rhs; the last row is the
+    # objective.
     scaled_b = scaled(b, scale_ab)
-    # Tableau: columns = n structural + m slack + rhs; last row = objective.
-    tableau = [
-        scaled(a[i], scale_ab) + [int(j == i) for j in range(m)] + [scaled_b[i]] for i in range(m)
-    ]
-    tableau.append([-v for v in scaled(c, scale_c)] + [0] * (m + 1))
-    objective = tableau[-1]
+    tableau = [scaled(a[i], scale_ab) + [scaled_b[i]] for i in range(m)]
+    tableau.append([-v for v in scaled(c, scale_c)] + [0])
+    nonbasic = list(range(n))
     basis = list(range(n, n + m))
     det = 1
 
     while True:
-        entering = next((j for j in range(n + m) if objective[j] < 0), None)
+        objective = tableau[-1]
+        # Bland: the negative reduced cost of the smallest variable enters.
+        entering = min(
+            (j for j in range(n) if objective[j] < 0), key=nonbasic.__getitem__, default=None
+        )
         if entering is None:
             break
         # Ratio test rhs_i / coef_i by cross-multiplication (coefficients are
@@ -79,19 +88,28 @@ def simplex_max(
                 leaving = i
         if leaving is None:
             raise SimplexInternalError("objective unbounded")
-        det = pivot(tableau, leaving, entering, det)
-        objective = tableau[-1]
-        basis[leaving] = entering
+        column = [row[entering] for row in tableau]
+        next_det = pivot(tableau, leaving, entering, det)
+        # The entering column becomes the leaving variable's: pivoting turns
+        # its det * e_leaving into det in the pivot row and -column[i] elsewhere.
+        for i, row in enumerate(tableau):
+            row[entering] = det if i == leaving else -column[i]
+        det = next_det
+        nonbasic[entering], basis[leaving] = basis[leaving], nonbasic[entering]
 
     # The scaled LP has the same x; its duals are scale_c / scale_ab times
-    # the original ones and its value is scale_c times the original one.
+    # the original ones and its value is scale_c times the original one. The
+    # dual y_i is the reduced cost of slack n + i, and 0 while it is basic.
     x = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
             x[var] = Fraction(tableau[i][-1], det)
-    y = tuple(Fraction(objective[n + i] * scale_ab, det * scale_c) for i in range(m))
+    y = [Fraction(0)] * m
+    for j, var in enumerate(nonbasic):
+        if var >= n:
+            y[var - n] = Fraction(objective[j] * scale_ab, det * scale_c)
     value = Fraction(objective[-1], det * scale_c)
-    return value, tuple(x), y
+    return value, tuple(x), tuple(y)
 
 
 def zero_sum_value(matrix: Sequence[Sequence[Fraction]]) -> tuple[Fraction, Vector, Vector]:

@@ -40,7 +40,14 @@ class SurvivorSet:
 def _find_dominator(
     g: Game, i: int, action: int, alive: Sequence[frozenset[int]], mode: DominanceMode
 ):
-    """A strict dominator of ``action`` over surviving opponent profiles, or None."""
+    """A strict dominator of ``action`` over surviving opponent profiles, or None.
+
+    An action that is a best response in some surviving column has none: no
+    pure or mixed combination of the other rows pays more there, so it
+    returns None before the pure check and the LP. Otherwise a pure
+    dominator is looked for first, then, in ``ALLOW_MIXED`` mode, a mixed
+    one by the zero-sum value of the gains matrix.
+    """
     others_alive = sorted(alive[i] - {action})
     if not others_alive:
         return None
@@ -52,6 +59,8 @@ def _find_dominator(
         if all(b in alive[j] for j, b in zip(others, opp))
     ]
     base = matrix[action]
+    if any(all(matrix[b][k] <= base[k] for b in others_alive) for k in columns):
+        return None
     for b in others_alive:
         if all(matrix[b][k] > base[k] for k in columns):
             return ("pure", b)

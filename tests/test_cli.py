@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import os
 import pathlib
@@ -10,7 +11,7 @@ import time
 import pytest
 
 import periodic_games
-from periodic_games import Game, cli, game, lp
+from periodic_games import Game, cli, game, lp, rationalizability
 from periodic_games.cli import main
 
 from conftest import FIXTURES, many_cycles_game, many_types_bayes, recursion_limit, shift_game, tall_game
@@ -312,6 +313,30 @@ def test_dot_is_rendered_only_for_the_dot_format(capsys, monkeypatch, command):
     assert [capsys.readouterr().out] == rendered
 
 
+# The sha256 of each fixture's DOT text, as written while `analyze --format
+# dot` still computed the periodic actions and the IESDS survivors.
+DOT_DIGESTS = {
+    "battle_of_sexes": "3fca9565e07febcddb91aa49b5f55c79d38aff328d39aca0c506aa9d0818ba0c",
+    "coordination_2x2": "794b3baa736662d6f767bb855f24804794ced4521b7925da639a19207ff0c2a7",
+    "four_by_four": "0262c0925bce16c465404b7c0844e396c727cbcc8b61e43cc804be80178b7372",
+    "prisoners_dilemma": "9e799dad91b9f11e42611fe5d758af877c974e2bab7e90bf6fdaafa548f531fc",
+    "three_player": "9035223a9686b1dfa8cf269be7dc36c2c07113de99b74f6724c2975b8210c64b",
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "cycles"])
+def test_dot_computes_no_report_and_writes_the_same_text(capsys, monkeypatch, command):
+    def unused(*args, **kwargs):
+        raise AssertionError("the DOT text shows neither periodic actions nor IESDS survivors")
+
+    monkeypatch.setattr(cli, "iesds", unused)
+    monkeypatch.setattr(cli, "periodic_actions", unused)
+    for name, digest in DOT_DIGESTS.items():
+        assert main([command, str(FIXTURES / f"{name}.game.json"), "--format", "dot"]) == 0
+        out, err = capsys.readouterr()
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest and err == ""
+
+
 def test_coco_rejects_an_oversized_literal_as_invalid_input(tmp_path, capsys):
     doc = json.loads(pathlib.Path(PD).read_text(encoding="utf-8"))
     doc["payoffs"][0][0][0] = "1e5000"
@@ -526,6 +551,25 @@ def test_cycles_longer_than_the_recursion_limit_are_reported(tmp_path, capsys):
         assert main(["cycles", str(path), "--format", "machine"]) == 0
         out, err = capsys.readouterr()
         assert json.loads(out)["cycles"] == [ids] and err == ""
+
+
+def test_analyze_runs_no_dominance_lp_when_every_action_is_a_best_response(tmp_path, capsys, monkeypatch):
+    # In the shift game every action is the unique best response to one
+    # opponent action, so no action can be strictly dominated.
+    calls = []
+    zero_sum_value = rationalizability.zero_sum_value
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return zero_sum_value(matrix)
+
+    monkeypatch.setattr(rationalizability, "zero_sum_value", counted)
+    path = tmp_path / "shift.game.json"
+    path.write_text(shift_game(120), encoding="utf-8")
+    assert main(["analyze", str(path), "--format", "machine"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert calls == []
+    assert report["iesds_survivors"] == {"A": sorted(f"a{k}" for k in range(120)), "B": sorted(f"b{k}" for k in range(120))}
 
 
 def test_mixed_on_a_tall_one_column_document_is_quick(tmp_path, capsys):

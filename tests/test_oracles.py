@@ -30,6 +30,7 @@ from periodic_games import (
     linalg,
     make_game,
     nash_support_enumeration,
+    rationalizability,
     validate_bayesian_game,
     validate_game,
 )
@@ -530,6 +531,20 @@ def test_simplex_matches_reference_on_game_lps():
         assert zero_sum_value(matrix) == reference_zero_sum_value(matrix), matrix
 
 
+def test_simplex_matches_reference_on_bench_sized_game_lps():
+    # Up to the 20x20 CO-CO LPs of the benchmark: k/d payoffs (d <= 12),
+    # and {0,1} payoffs, whose LPs are degenerate.
+    rng = random.Random(2010)
+    for rows, kind in itertools.product((12, 14, 16, 18, 20), ("rational", "binary")):
+        cols = rng.randint(12, 20)
+        entry = _entry_maker(rng, kind)
+        matrix = [[entry() for _ in range(cols)] for _ in range(rows)]
+        shift = 1 - min(min(row) for row in matrix)
+        shifted = [[v + shift for v in row] for row in matrix]
+        ones_b, ones_c = [F(1)] * rows, [F(1)] * cols
+        assert simplex_max(shifted, ones_b, ones_c) == reference_simplex(shifted, ones_b, ones_c), matrix
+
+
 def _scaled_game(g, factors):
     """Player i's payoffs times factors[i]; payoffs are stored row-major."""
     cols = g.shape[1]
@@ -588,15 +603,38 @@ def reference_find_dominator(g, i, action, alive, mode):
     return None
 
 
+def _random_survivor_sets():
+    """300 seeded games, integer payoffs then k/d with d <= 12, each with
+    a random nonempty set of surviving actions per player."""
+    rng = random.Random(1996)
+    for k in range(300):
+        g = random_game(rng) if k < 150 else random_rational_game(rng)
+        yield g, [frozenset(a for a in range(n) if rng.random() < 0.8) or frozenset({0}) for n in g.shape]
+
+
+def reference_is_best_response(g, i, action, alive):
+    """Whether ``action`` pays at least every other surviving action of
+    player i against some surviving opponent profile, in Fractions."""
+    others = [j for j in range(g.num_players) if j != i]
+    for opp in itertools.product(*(sorted(alive[j]) for j in others)):
+        payoffs = {}
+        for b in alive[i]:
+            profile = [0] * g.num_players
+            profile[i] = b
+            for j, c in zip(others, opp):
+                profile[j] = c
+            payoffs[b] = g.payoffs[g.profile_index(profile)][i]
+        if payoffs[action] == max(payoffs.values()):
+            return True
+    return False
+
+
 def test_find_dominator_matches_reference_on_random_survivor_sets():
     """Integer payoffs, then payoffs k/d with d <= 12, where the integer
     view's common scale is rarely 1: the dominators, mixed ones with their
     weights, equal those of the Fraction reference."""
-    rng = random.Random(1996)
     found = {"pure": 0, "mixed": 0}
-    for k in range(300):
-        g = random_game(rng) if k < 150 else random_rational_game(rng)
-        alive = [frozenset(a for a in range(n) if rng.random() < 0.8) or frozenset({0}) for n in g.shape]
+    for g, alive in _random_survivor_sets():
         for i in range(g.num_players):
             for action in sorted(alive[i]):
                 for mode in DominanceMode:
@@ -605,6 +643,35 @@ def test_find_dominator_matches_reference_on_random_survivor_sets():
                     if got is not None:
                         found[got[0]] += 1
     assert found["pure"] > 300 and found["mixed"] > 30
+
+
+def test_best_response_filter_skips_checks_and_no_dominated_action(monkeypatch):
+    """On the same survivor sets, in both modes: a best response in some
+    surviving column is never dominated by the reference's check, and
+    ``_find_dominator`` returns None for it without an LP. In mixed mode
+    the filter spares LPs the reference runs; in pure mode, pure checks."""
+    lps = []
+    zero_sum_value = rationalizability.zero_sum_value
+
+    def counted(matrix):
+        lps.append(len(matrix))
+        return zero_sum_value(matrix)
+
+    monkeypatch.setattr(rationalizability, "zero_sum_value", counted)
+    skipped = {mode: 0 for mode in DominanceMode}
+    for g, alive in _random_survivor_sets():
+        for i in range(g.num_players):
+            for action in sorted(alive[i]):
+                if len(alive[i]) < 2 or not reference_is_best_response(g, i, action, alive):
+                    continue
+                for mode in DominanceMode:
+                    lps.clear()
+                    assert _find_dominator(g, i, action, alive, mode) is None and lps == []
+                    assert reference_find_dominator(g, i, action, alive, mode) is None
+                    # The reference runs an LP here whenever it has two rows.
+                    if mode is DominanceMode.PURE_ONLY or len(alive[i]) > 2:
+                        skipped[mode] += 1
+    assert min(skipped.values()) > 0, skipped
 
 
 def reference_iesds(g, mode, find_dominator=_find_dominator):
