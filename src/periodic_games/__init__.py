@@ -8,8 +8,6 @@ from .game import (
     expected_utility,
     make_game,
     payoff,
-    pure_profile,
-    restrict_game,
     validate_game,
 )
 from .periodicity import (
@@ -61,8 +59,6 @@ __all__ = [
     "validate_game",
     "payoff",
     "expected_utility",
-    "pure_profile",
-    "restrict_game",
     "TiePolicy",
     "Node",
     "Cycle",

@@ -33,7 +33,6 @@ from .periodicity import (
     all_cycles,
     build_periodicity_graph,
     enumerate_cycles,
-    nodes_on_cycles,
     periodic_actions,
     reach_cycle,
 )
@@ -103,12 +102,11 @@ def _graph_command(args, describe) -> int:
     """The graph path of ``analyze`` and ``cycles``: the game, its graph
     under ``--tie-policy``, one id per node, and the cycles of at most
     ``--max-len`` edges, through the node whose id is ``--through`` or all.
-    ``describe(g, policy, graph, cycles, ids, report)`` fills in the report
+    ``describe(g, graph, cycles, ids, report)`` fills in the report
     and returns the text lines; ``--format dot`` writes the graph instead and
     does not call it, since the DOT text shows nothing it computes."""
     g = parse_game(_read(args.game))
-    policy = TiePolicy(args.tie_policy)
-    graph = build_periodicity_graph(g, policy)
+    graph = build_periodicity_graph(g, TiePolicy(args.tie_policy))
     ids = {n: node_id(g, n) for n in graph.nodes}  # one id per node, read per cycle
     max_len = args.max_len or len(graph.nodes)
     through = getattr(args, "through", None)
@@ -123,12 +121,12 @@ def _graph_command(args, describe) -> int:
         sys.stdout.write(export_dot(graph, g, cycles))
     else:
         report = _base_report(args)
-        _emit(args, report, describe(g, policy, graph, cycles, ids, report))
+        _emit(args, report, describe(g, graph, cycles, ids, report))
     return EXIT_OK
 
 
-def _analyze_report(g, policy, graph, cycles, ids, report) -> list[str]:
-    periodic = periodic_actions(g, policy)
+def _analyze_report(g, graph, cycles, ids, report) -> list[str]:
+    periodic = periodic_actions(graph)
     survivors = iesds(g, DominanceMode.ALLOW_MIXED).survivors
     # What rationalizable_periodic computes, from the sets already at hand.
     rationalizable = tuple(p & s for p, s in zip(periodic, survivors))
@@ -160,7 +158,7 @@ def _analyze_report(g, policy, graph, cycles, ids, report) -> list[str]:
     return lines
 
 
-def _cycles_report(g, policy, graph, cycles, ids, report) -> list[str]:
+def _cycles_report(g, graph, cycles, ids, report) -> list[str]:
     report["cycles"] = [[ids[n] for n in c.nodes] for c in cycles]
     if not cycles:
         return ["no cycles"]
@@ -272,8 +270,7 @@ def cmd_check(args) -> int:
     for _ in range(args.count):
         g = random_game(rng)
         graph = build_periodicity_graph(g, TiePolicy.LEX)
-        cyclic = nodes_on_cycles(graph)
-        if not cyclic:
+        if not graph.cyclic_nodes:
             sys.stdout.write("FAIL: game without periodic actions found\n")
             return EXIT_INVALID
         for node in graph.nodes:

@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 from .errors import (
     BadDimension,
@@ -245,14 +245,6 @@ def payoff(g: Game, profile: Sequence[int]) -> tuple[Fraction, ...]:
     return g.payoffs[g.profile_index(profile)]
 
 
-def own_payoff_matrix(g: Game, i: int) -> list[list[Fraction]]:
-    """Player i's own payoffs as Fractions, read off ``g.own_payoffs``; its
-    columns are labelled by ``g.own_payoffs[i].opponents``."""
-    i = g.player_index(i)
-    scale = g.payoff_scale
-    return [[Fraction(v, scale) for v in row] for row in g.own_payoffs[i].rows]
-
-
 def validate_mixture(g: Game, i: int, vec: Sequence[Fraction]) -> None:
     """Check that ``vec`` is an exact distribution over player i's actions.
 
@@ -293,28 +285,3 @@ def expected_utility(g: Game, mixed: MixedProfile) -> tuple[Fraction, ...]:
         for i in range(g.num_players):
             totals[i] += prob * vec_u[i]
     return tuple(totals)
-
-
-def pure_profile(g: Game, profile: Sequence[int]) -> MixedProfile:
-    """Degenerate mixed profile with all mass on one pure profile."""
-    return tuple(
-        tuple(Fraction(1) if a == profile[i] else Fraction(0) for a in range(g.shape[i]))
-        for i in range(g.num_players)
-    )
-
-
-def restrict_game(g: Game, keep: Sequence[Iterable[int]]) -> Game:
-    """Subgame on the given per-player action-index subsets (labels preserved)."""
-    if len(keep) != g.num_players:
-        raise DimensionMismatch(f"{len(keep)} subsets for {g.num_players} players")
-    kept = [sorted(set(k)) for k in keep]
-    for i, ks in enumerate(kept):
-        if not ks:
-            raise BadDimension(f"empty restriction for player {g.players[i]!r}")
-        for a in ks:
-            g.action_index(i, a)
-    actions = tuple(tuple(g.actions[i][a] for a in ks) for i, ks in enumerate(kept))
-    flat = []
-    for sub_profile in itertools.product(*kept):
-        flat.append(g.payoffs[g.profile_index(sub_profile)])
-    return Game(players=g.players, actions=actions, payoffs=tuple(flat))

@@ -139,11 +139,13 @@ def parse_bayes(text: str) -> BayesianGame:
         if not isinstance(entry, list) or len(entry) != 3:
             raise ParseError(f"prior entries are [theta, [types...], probability], got {entry!r}")
         theta_label, type_labels, prob = entry
+        if not isinstance(type_labels, list) or len(type_labels) != len(players):
+            raise ParseError(f"type profile {type_labels!r} must name one type per player")
+        # A reference is read as the labels it names are: text as is, an integer as its text.
+        theta_label, *type_labels = _labels([theta_label, *type_labels], "prior references")
         if theta_label not in thetas:
             raise ParseError(f"unknown parameter label {theta_label!r}")
         theta = thetas.index(theta_label)
-        if not isinstance(type_labels, list) or len(type_labels) != len(players):
-            raise ParseError(f"type profile {type_labels!r} must name one type per player")
         tp = []
         for i, label in enumerate(type_labels):
             if label not in types[i]:

@@ -133,12 +133,11 @@ def nodes_on_cycles(graph: PeriodicityGraph) -> frozenset[Node]:
     return graph.cyclic_nodes
 
 
-def periodic_actions(g: Game, policy: TiePolicy = TiePolicy.LEX) -> tuple[frozenset[int], ...]:
+def periodic_actions(graph: PeriodicityGraph) -> tuple[frozenset[int], ...]:
     """Per-player sets of actions whose node lies on a cycle of the graph."""
-    graph = build_periodicity_graph(g, policy)
-    cyclic = nodes_on_cycles(graph)
+    cyclic = graph.cyclic_nodes
     return tuple(
-        frozenset(n.action for n in cyclic if n.player == i) for i in range(g.num_players)
+        frozenset(n.action for n in cyclic if n.player == i) for i in range(graph.num_players)
     )
 
 
@@ -217,7 +216,7 @@ def reach_cycle(graph: PeriodicityGraph, start: Node) -> tuple[Node, ...]:
     The walk has length 0 (just the start node) when the start is already
     periodic; it always exists because every node has out-degree >= 1.
     """
-    cyclic = nodes_on_cycles(graph)
+    cyclic = graph.cyclic_nodes
     if start in cyclic:
         return (start,)
     parents: dict[Node, Node] = {}

@@ -14,7 +14,7 @@ from typing import Sequence
 from .errors import NotTwoPlayer
 from .game import Game
 from .lp import zero_sum_value
-from .periodicity import Cycle, TiePolicy, periodic_actions, periodicity_number
+from .periodicity import Cycle, TiePolicy, build_periodicity_graph, periodic_actions, periodicity_number
 
 
 class DominanceMode(enum.Enum):
@@ -108,7 +108,7 @@ def rationalizable_periodic(
     g: Game, policy: TiePolicy = TiePolicy.LEX
 ) -> tuple[frozenset[int], ...]:
     """Per-player intersection of periodic actions with IESDS survivors."""
-    periodic = periodic_actions(g, policy)
+    periodic = periodic_actions(build_periodicity_graph(g, policy))
     survivors = iesds(g, DominanceMode.ALLOW_MIXED).survivors
     return tuple(p & s for p, s in zip(periodic, survivors))
 

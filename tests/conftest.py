@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from periodic_games import make_game
+from periodic_games import Game, make_game
 from periodic_games.io import parse_bayes, parse_game
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -137,6 +137,28 @@ def brute_force_deviation(g, i, a):
             best_value = value
             best = opp
     return dict(zip(others, best))
+
+
+def own_payoff_matrix(g, i):
+    """Player i's own payoffs as Fractions, read off ``g.own_payoffs``; its
+    columns are labelled by ``g.own_payoffs[i].opponents``."""
+    scale = g.payoff_scale
+    return [[Fraction(v, scale) for v in row] for row in g.own_payoffs[i].rows]
+
+
+def pure_profile(g, profile):
+    """Degenerate mixed profile with all mass on one pure profile."""
+    return tuple(
+        tuple(Fraction(int(a == profile[i])) for a in range(g.shape[i])) for i in range(g.num_players)
+    )
+
+
+def restrict_game(g, keep):
+    """Subgame on the given per-player action-index subsets, labels kept."""
+    kept = [sorted(k) for k in keep]
+    actions = tuple(tuple(g.actions[i][a] for a in ks) for i, ks in enumerate(kept))
+    payoffs = tuple(g.payoffs[g.profile_index(sub)] for sub in itertools.product(*kept))
+    return Game(players=g.players, actions=actions, payoffs=payoffs)
 
 
 def random_rational_game(rng, num_players=None):

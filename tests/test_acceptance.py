@@ -29,16 +29,14 @@ from periodic_games import (
     periodic_actions,
     periodic_mixed,
     reach_cycle,
-    restrict_game,
     type_count,
     zero_sum_value,
 )
 from periodic_games.errors import Infeasible
 from periodic_games.generate import random_game
-from periodic_games.game import own_payoff_matrix
 from periodic_games.rationalizability import DominanceMode, _find_dominator
 
-from conftest import brute_force_deviation
+from conftest import brute_force_deviation, own_payoff_matrix, restrict_game
 
 F = Fraction
 
@@ -64,8 +62,8 @@ def test_01_equalizing_profile_matches_mixed_nash_payoffs(coordination):
 def test_02_battle_of_sexes_pure_and_mixed_periodicity(bos):
     """Battle of Sexes: all four actions periodic, both diagonal 2-cycles
     found, and all four cross payoff evaluations equal 2/3."""
-    assert periodic_actions(bos) == (frozenset({0, 1}), frozenset({0, 1}))
     graph = build_periodicity_graph(bos)
+    assert periodic_actions(graph) == (frozenset({0, 1}), frozenset({0, 1}))
     assert [c.nodes for c in enumerate_cycles(graph, Node(0, 0), 4)] == [
         (Node(0, 0), Node(1, 0))
     ]
@@ -212,7 +210,7 @@ def test_07_two_type_interim_game(two_type_bayes):
     }
     for profile in g.profiles():
         assert g.payoffs[g.profile_index(profile)] == expected[profile]
-    periodic = periodic_actions(g)
+    periodic = periodic_actions(build_periodicity_graph(g))
     assert any(periodic)
 
 

@@ -11,7 +11,7 @@ import time
 import pytest
 
 import periodic_games
-from periodic_games import Game, cli, game, lp, rationalizability
+from periodic_games import Game, cli, game, lp, periodicity, rationalizability
 from periodic_games.cli import main
 
 from conftest import FIXTURES, many_cycles_game, many_types_bayes, recursion_limit, shift_game, tall_game
@@ -335,6 +335,24 @@ def test_dot_computes_no_report_and_writes_the_same_text(capsys, monkeypatch, co
         assert main([command, str(FIXTURES / f"{name}.game.json"), "--format", "dot"]) == 0
         out, err = capsys.readouterr()
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest and err == ""
+
+
+@pytest.mark.parametrize("fmt", ["machine", "text"])
+def test_analyze_builds_one_periodicity_graph_per_call(capsys, monkeypatch, fmt):
+    build = periodicity.build_periodicity_graph
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(periodicity, "build_periodicity_graph", counted)
+    monkeypatch.setattr(cli, "build_periodicity_graph", counted)
+    for path in sorted(FIXTURES.glob("*.game.json")):
+        builds.clear()
+        assert main(["analyze", str(path), "--format", fmt]) == 0
+        capsys.readouterr()
+        assert len(builds) == 1, path.name
 
 
 def test_coco_rejects_an_oversized_literal_as_invalid_input(tmp_path, capsys):

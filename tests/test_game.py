@@ -16,10 +16,8 @@ from periodic_games import (
     make_game,
     nash_support_enumeration,
     payoff,
-    periodic_actions,
     periodic_mixed,
-    pure_profile,
-    restrict_game,
+    rationalizable_periodic,
 )
 from periodic_games.errors import (
     BadDimension,
@@ -31,8 +29,10 @@ from periodic_games.errors import (
     ParseError,
     ValidationError,
 )
-from periodic_games.game import own_payoff_matrix, validate_mixed
+from periodic_games.game import validate_mixed
 from periodic_games.generate import random_game
+
+from conftest import pure_profile
 
 
 def small():
@@ -61,7 +61,7 @@ def test_float_payoff_rejected():
 
 @pytest.mark.parametrize(
     "algorithm",
-    [build_periodicity_graph, periodic_actions, iesds, nash_support_enumeration, periodic_mixed, coco_solution],
+    [build_periodicity_graph, rationalizable_periodic, iesds, nash_support_enumeration, periodic_mixed, coco_solution],
     ids=lambda f: f.__name__,
 )
 def test_every_algorithm_rejects_a_float_payoff_in_a_directly_built_game(algorithm):
@@ -130,26 +130,23 @@ def _random_shape_game(rng, one_action):
     return Game(players=tuple(players), actions=tuple(map(tuple, actions)), payoffs=payoffs)
 
 
-def test_own_payoff_matrix_matches_payoff_lookup():
+def test_own_payoffs_match_payoff_lookup():
     rng = random.Random(404)
     for k in range(60):
         g = _random_shape_game(rng, one_action=k % 3 == 0)
         for i in range(g.num_players):
             others = [j for j in range(g.num_players) if j != i]
-            columns = list(g.own_payoffs[i].opponents)
-            assert columns == list(itertools.product(*(range(g.shape[j]) for j in others)))
-            matrix = own_payoff_matrix(g, i)
-            assert len(matrix) == g.shape[i]
-            for a, row in enumerate(matrix):
+            rows, columns = g.own_payoffs[i]
+            assert list(columns) == list(itertools.product(*(range(g.shape[j]) for j in others)))
+            assert len(rows) == g.shape[i]
+            for a, row in enumerate(rows):
                 assert len(row) == len(columns)
                 for opp, value in zip(columns, row):
                     profile = [0] * g.num_players
                     profile[i] = a
                     for j, b in zip(others, opp):
                         profile[j] = b
-                    assert value == payoff(g, profile)[i]
-    with pytest.raises(IndexOutOfRange):
-        own_payoff_matrix(small(), 2)
+                    assert Fraction(value, g.payoff_scale) == payoff(g, profile)[i]
 
 
 def test_duplicate_player_label():
@@ -205,6 +202,8 @@ def test_label_and_index_access():
     with pytest.raises(IndexOutOfRange):
         g.player_index("C")
     with pytest.raises(IndexOutOfRange):
+        g.player_index(2)
+    with pytest.raises(IndexOutOfRange):
         g.action_index("A", "r")
 
 
@@ -254,18 +253,6 @@ def test_expected_utility_reads_only_exact_mixtures():
     assert expected_utility(g, ((1, 0), (half, half))) == expected_utility(
         g, ((Fraction(1), Fraction(0)), (half, half))
     )
-
-
-def test_restrict_game_keeps_labels_and_payoffs():
-    g = small()
-    r = restrict_game(g, [[1], [0, 1]])
-    assert r.actions == (("y",), ("l", "r"))
-    assert payoff(r, (0, 1)) == payoff(g, (1, 1))
-
-
-def test_restrict_game_rejects_empty_subset():
-    with pytest.raises(BadDimension):
-        restrict_game(small(), [[], [0]])
 
 
 def test_the_integer_payoff_view_scales_by_the_lcm_of_all_denominators():

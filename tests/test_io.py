@@ -199,8 +199,12 @@ def _bayes_with_label(place, label):
     doc = json.loads((FIXTURES / "two_type.bayes.json").read_text())
     if place == "thetas":
         doc["thetas"].append(label)
-    else:
+    elif place == "types":
         doc["types"]["1"].append(label)
+    elif place == "prior theta":
+        doc["prior"][0][0] = label
+    else:
+        doc["prior"][0][1][1] = label
     return json.dumps(doc)
 
 
@@ -212,8 +216,10 @@ def _bayes_with_label(place, label):
         ("actions", parse_game, _game_with_label),
         ("thetas", parse_bayes, _bayes_with_label),
         ("types", parse_bayes, _bayes_with_label),
+        ("prior theta", parse_bayes, _bayes_with_label),
+        ("prior type", parse_bayes, _bayes_with_label),
     ],
-    ids=["players", "actions", "thetas", "types"],
+    ids=["players", "actions", "thetas", "types", "prior theta", "prior type"],
 )
 def test_a_label_must_be_a_string_or_an_integer(place, parse, document, label):
     with pytest.raises(ParseError, match=re.escape(f"got the label {json.dumps(label)}")):
@@ -225,6 +231,19 @@ def test_integer_labels_keep_their_text():
     g = parse_game(json.dumps(doc))
     assert g.players == ("1", "B")
     assert g.actions == (("0", "-2"), ("l",))
+
+
+def test_integer_parameter_and_type_labels_are_read_in_the_prior(two_type_bayes):
+    doc = json.loads((FIXTURES / "two_type.bayes.json").read_text())
+    doc["thetas"] = [1, 2]
+    doc["payoffs"] = {"1": doc["payoffs"]["th"], "2": doc["payoffs"]["thp"]}
+    doc["types"] = {"1": [1, 2], "2": [3]}
+    doc["prior"] = [[1, [1, 3], "1/2"], [2, [2, "3"], "1/2"]]
+    bg = parse_bayes(json.dumps(doc))
+    assert bg.thetas == ("1", "2")
+    assert bg.types == (("1", "2"), ("3",))
+    assert bg.prior == two_type_bayes.prior
+    assert bg.games == two_type_bayes.games
 
 
 def test_parse_bayes_round_values(two_type_bayes):

@@ -35,7 +35,7 @@ from periodic_games import (
     validate_game,
 )
 from periodic_games.errors import Infeasible, ZeroProbabilityType
-from periodic_games.game import own_payoff_matrix, payoff
+from periodic_games.game import payoff
 from periodic_games.generate import random_game
 from periodic_games.io import dump_report, format_fraction, serialize_game
 from periodic_games.linalg import (
@@ -58,7 +58,7 @@ from periodic_games.mixed import (
 from periodic_games.periodicity import Cycle, all_cycles
 from periodic_games.rationalizability import DominanceMode, Elimination, SurvivorSet, _find_dominator
 
-from conftest import FIXTURES, random_rational_game
+from conftest import FIXTURES, own_payoff_matrix, random_rational_game
 
 F = Fraction
 

@@ -60,7 +60,7 @@ def test_mixed_dominance_found():
 
 
 def test_rationalizable_periodic_intersection(prisoners):
-    assert periodic_actions(prisoners) == (frozenset({0}), frozenset({0}))
+    assert periodic_actions(build_periodicity_graph(prisoners)) == (frozenset({0}), frozenset({0}))
     assert rationalizable_periodic(prisoners) == (frozenset(), frozenset())
 
 
