@@ -10,6 +10,7 @@ with correlated conditioning on joint types equals one of the two.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import operator
 from dataclasses import dataclass
@@ -65,6 +66,8 @@ def validate_bayesian_game(bg: BayesianGame) -> None:
     on construction."""
     if not bg.thetas:
         raise BadDimension("at least one parameter value is required")
+    if not all(isinstance(theta, str) for theta in bg.thetas):
+        raise ValidationError("parameter labels must be strings")
     if len(set(bg.thetas)) != len(bg.thetas):
         raise DuplicateLabel("duplicate parameter label")
     if len(bg.games) != len(bg.thetas) or not all(isinstance(g, Game) for g in bg.games):
@@ -75,6 +78,8 @@ def validate_bayesian_game(bg: BayesianGame) -> None:
     if len(bg.types) != n:
         raise BadDimension("types must be given for every player")
     for player, labels in zip(bg.players, bg.types):
+        if not all(isinstance(t, str) for t in labels):
+            raise ValidationError(f"type labels of player {player!r} must be strings")
         if len(set(labels)) != len(labels):
             raise DuplicateLabel(f"duplicate type label for player {player!r}")
     total = Fraction(0)
@@ -213,8 +218,14 @@ def _integer_expectation(bg: BayesianGame, rows: Sequence[int]):
     return sums, mass, dp, du
 
 
-def _strategy_label(bg: BayesianGame, player: int, choice: TypeProfile) -> str:
-    return "".join(bg.actions[player][a] for a in choice)
+def _strategy_labels(bg: BayesianGame, player: int, choices: Sequence[TypeProfile]) -> tuple[str, ...]:
+    """The labels of one player's strategies, as ``ex_ante_game`` describes
+    them; distinct label lists have distinct JSON texts."""
+    chosen = [[bg.actions[player][a] for a in choice] for choice in choices]
+    joined = ["".join(labels) for labels in chosen]
+    if len(set(joined)) == len(joined):
+        return tuple(joined)
+    return tuple(json.dumps(labels, separators=(",", ":")) for labels in chosen)
 
 
 def _check_profile_count(bg: BayesianGame, what: str, players: int) -> None:
@@ -241,9 +252,11 @@ def ex_ante_game(bg: BayesianGame) -> Game:
     """Complete-information game over type-contingent strategies.
 
     A strategy assigns an action to each of the player's types; its label is
-    the concatenation of the chosen action labels in type order. Payoffs are
-    prior expectations, summed exactly in integers (prior and payoffs scaled
-    by the lcm of their denominators) and divided once per payoff entry.
+    the concatenation of the chosen action labels in type order, or, for a
+    player two of whose concatenations coincide, the compact JSON text of
+    the list of those labels (``["a","aa"]``). Payoffs are prior
+    expectations, summed exactly in integers (prior and payoffs scaled by
+    the lcm of their denominators) and divided once per payoff entry.
     """
     _check_profile_count(bg, "ex-ante", bg.num_players)
     n = bg.num_players
@@ -251,9 +264,7 @@ def ex_ante_game(bg: BayesianGame) -> Game:
         list(itertools.product(range(len(bg.actions[i])), repeat=len(bg.types[i])))
         for i in range(n)
     ]
-    labels = tuple(
-        tuple(_strategy_label(bg, i, choice) for choice in strategy_sets[i]) for i in range(n)
-    )
+    labels = tuple(_strategy_labels(bg, i, strategy_sets[i]) for i in range(n))
     # A strategy profile is a companion profile of ``_integer_expectation``,
     # and each prior entry adds to one of a player's pairs: one row a player.
     sums, _, dp, du = _integer_expectation(bg, [i for i, _ in _player_type_ids(bg)])

@@ -219,11 +219,15 @@ def validate_game(g: Game) -> None:
         raise BadDimension(f"a game needs at least 2 players, got {n}")
     if len(g.actions) != n:
         raise BadDimension(f"{len(g.actions)} action lists for {n} players")
+    if not all(isinstance(p, str) for p in g.players):
+        raise ValidationError("player labels must be strings")
     if len(set(g.players)) != n:
         raise DuplicateLabel("player ids must be unique")
     for i, acts in enumerate(g.actions):
         if len(acts) < 1:
             raise BadDimension(f"player {g.players[i]!r} has an empty action set")
+        if not all(isinstance(a, str) for a in acts):
+            raise ValidationError(f"action labels of player {g.players[i]!r} must be strings")
         if len(set(acts)) != len(acts):
             raise DuplicateLabel(f"duplicate action label for player {g.players[i]!r}")
     expected = 1

@@ -198,9 +198,8 @@ def export_dot(
             attrs += ", style=dashed"
         lines.append(f"  {ids[node]} [{attrs}];")
     for node in nodes:
-        for j in sorted(graph.edges[node]):
-            target = graph.edges[node][j]
-            attrs = f"label={players[j]}"
+        for target in graph.edges[node]:
+            attrs = f"label={players[target.player]}"
             if (node, target) in highlighted_edges:
                 attrs += ", color=red, penwidth=2"
             lines.append(f"  {ids[node]} -> {ids[target]} [{attrs}];")

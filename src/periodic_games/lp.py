@@ -115,8 +115,9 @@ def simplex_max(
 def zero_sum_value(matrix: Sequence[Sequence[Fraction]]) -> tuple[Fraction, Vector, Vector]:
     """Exact minimax value of a zero-sum matrix game (row player maximizes).
 
-    Entries may be Fractions or ints. Returns (value, optimal row mixture,
-    optimal column mixture). Strong duality (row maximin == column minimax)
+    Entries must be Fractions or ints, not bools, as in a mixture; anything
+    else is a BadParameter. Returns (value, optimal row mixture, optimal
+    column mixture). Strong duality (row maximin == column minimax)
     is re-checked against every pure response before returning.
     """
     rows = len(matrix)
@@ -125,6 +126,8 @@ def zero_sum_value(matrix: Sequence[Sequence[Fraction]]) -> tuple[Fraction, Vect
     cols = len(matrix[0])
     if any(len(row) != cols for row in matrix):
         raise BadParameter("ragged payoff matrix")
+    if not all(isinstance(v, (Fraction, int)) and not isinstance(v, bool) for row in matrix for v in row):
+        raise BadParameter("payoff matrix entries must be Fractions or ints")
     scale = common_denominator([v for row in matrix for v in row])
     ints = [scaled(row, scale) for row in matrix]
 

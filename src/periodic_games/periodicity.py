@@ -50,38 +50,39 @@ class Cycle:
 
 @dataclass(frozen=True)
 class PeriodicityGraph:
+    """``edges[node]`` holds the node's targets, one per opponent in player
+    order; ``target.player`` names the opponent. The edges take part in
+    ``==`` but not in the hash, since a dict has none."""
+
     num_players: int
     nodes: tuple[Node, ...]
-    edges: dict[Node, dict[int, Node]] = field(compare=False)
+    edges: dict[Node, tuple[Node, ...]] = field(hash=False)
     degenerate_flags: frozenset[Node] = frozenset()
-
-    def successors(self, node: Node) -> tuple[Node, ...]:
-        """Targets of a node's edges, in opponent order."""
-        return self._successors[node]
-
-    @functools.cached_property
-    def _successors(self) -> dict[Node, tuple[Node, ...]]:
-        return {
-            node: tuple(targets[j] for j in sorted(targets)) for node, targets in self.edges.items()
-        }
 
     @functools.cached_property
     def cyclic_nodes(self) -> frozenset[Node]:
         """Nodes reachable from themselves; computed once per graph."""
-        result = set()
-        for node in self.nodes:
-            seen = set()
-            frontier = deque(self.successors(node))
-            while frontier:
-                current = frontier.popleft()
-                if current == node:
-                    result.add(node)
-                    break
-                if current in seen:
-                    continue
-                seen.add(current)
-                frontier.extend(self.successors(current))
-        return frozenset(result)
+        return frozenset(node for node in self.nodes if _shortest_walk(self, node, {node}) is not None)
+
+
+def _shortest_walk(graph: PeriodicityGraph, start: Node, targets) -> tuple[Node, ...] | None:
+    """Node sequence of a shortest walk of at least one edge from ``start``
+    to a node in ``targets``, or None when there is none (breadth-first,
+    successors in opponent order)."""
+    parents = {start: start}
+    frontier = deque([start])
+    while frontier:
+        current = frontier.popleft()
+        for nxt in graph.edges[current]:
+            if nxt in targets:
+                walk = [nxt, current]
+                while walk[-1] != start:
+                    walk.append(parents[walk[-1]])
+                return tuple(reversed(walk))
+            if nxt not in parents:
+                parents[nxt] = current
+                frontier.append(nxt)
+    return None
 
 
 def _opponents(g: Game, i: int) -> tuple[int, ...]:
@@ -112,12 +113,11 @@ def best_deviation_profile(
 def build_periodicity_graph(g: Game, policy: TiePolicy = TiePolicy.LEX) -> PeriodicityGraph:
     """Graph with one edge per (node, opponent); deterministic for a fixed policy."""
     nodes = tuple(Node(i, a) for i in range(g.num_players) for a in range(g.shape[i]))
-    edges: dict[Node, dict[int, Node]] = {}
+    edges: dict[Node, tuple[Node, ...]] = {}
     degenerate: set[Node] = set()
     for node in nodes:
         opp_profile, strict = best_deviation_profile(g, node.player, node.action, policy)
-        others = _opponents(g, node.player)
-        edges[node] = {j: Node(j, b) for j, b in zip(others, opp_profile)}
+        edges[node] = tuple(Node(j, b) for j, b in zip(_opponents(g, node.player), opp_profile))
         if not strict:
             degenerate.add(node)
     return PeriodicityGraph(
@@ -155,7 +155,7 @@ def _cycles_from(graph: PeriodicityGraph, start: Node, max_len: int, allowed, bu
     cycles: list[Cycle] = []
     path: list[Node] = [start]
     on_path = {start}
-    stack = [iter(graph.successors(start))]
+    stack = [iter(graph.edges[start])]
     while stack:
         for nxt in stack[-1]:
             if nxt == start:
@@ -168,7 +168,7 @@ def _cycles_from(graph: PeriodicityGraph, start: Node, max_len: int, allowed, bu
                 continue
             path.append(nxt)
             on_path.add(nxt)
-            stack.append(iter(graph.successors(nxt)))
+            stack.append(iter(graph.edges[nxt]))
             break
         else:  # every successor of the last path node is done: backtrack
             stack.pop()
@@ -216,26 +216,10 @@ def reach_cycle(graph: PeriodicityGraph, start: Node) -> tuple[Node, ...]:
     The walk has length 0 (just the start node) when the start is already
     periodic; it always exists because every node has out-degree >= 1.
     """
+    if start not in graph.edges:
+        raise AnchorNotOnCycle(f"node {start} not in graph")
     cyclic = graph.cyclic_nodes
-    if start in cyclic:
-        return (start,)
-    parents: dict[Node, Node] = {}
-    seen = {start}
-    frontier = deque([start])
-    while frontier:
-        current = frontier.popleft()
-        for nxt in graph.successors(current):
-            if nxt in seen:
-                continue
-            parents[nxt] = current
-            if nxt in cyclic:
-                walk = [nxt]
-                while walk[-1] != start:
-                    walk.append(parents[walk[-1]])
-                return tuple(reversed(walk))
-            seen.add(nxt)
-            frontier.append(nxt)
-    raise AssertionError("finite graph with out-degree >= 1 must reach a cycle")
+    return (start,) if start in cyclic else _shortest_walk(graph, start, cyclic)
 
 
 def periodicity_number(c: Cycle, anchor_player: int) -> int:

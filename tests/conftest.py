@@ -31,6 +31,14 @@ def load_bayes(name):
     return parse_bayes((FIXTURES / name).read_text())
 
 
+def colliding_strategies_bayes() -> str:
+    """The two-type document with actions "a" and "aa" for the two-type
+    player, whose strategies (a, aa) and (aa, a) both concatenate to "aaa"."""
+    doc = json.loads((FIXTURES / "two_type.bayes.json").read_text())
+    doc["actions"]["1"] = ["a", "aa"]
+    return json.dumps(doc)
+
+
 def many_types_bayes(types):
     """A 2x2 Bayesian game document with ``types`` types per player, type k
     of one player meeting type k of the other with probability 1/types:

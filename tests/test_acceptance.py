@@ -156,7 +156,7 @@ def test_05_existence_and_stability_property_suite():
         assert cyclic
         for node in graph.nodes:
             expected = brute_force_deviation(g, node.player, node.action)
-            assert graph.edges[node] == {j: Node(j, b) for j, b in expected.items()}
+            assert graph.edges[node] == tuple(Node(j, b) for j, b in expected.items())
             walk = reach_cycle(graph, node)
             assert len(walk) <= len(graph.nodes)
             assert walk[-1] in cyclic

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 from fractions import Fraction
@@ -25,7 +26,7 @@ from periodic_games.errors import (
 )
 from periodic_games.io import parse_bayes
 
-from conftest import FIXTURES, many_types_bayes
+from conftest import FIXTURES, colliding_strategies_bayes, many_types_bayes
 
 F = Fraction
 
@@ -34,6 +35,19 @@ def test_validate_rejects_bad_prior(two_type_bayes):
     bg = two_type_bayes
     with pytest.raises(ValidationError):
         BayesianGame(thetas=bg.thetas, types=bg.types, prior={(0, (0, 0)): F(1, 3)}, games=bg.games)
+
+
+@pytest.mark.parametrize("field, value", [("thetas", ("th", 2)), ("types", (("t1", 1), ("t2",)))])
+def test_parameter_and_type_labels_must_be_strings(two_type_bayes, field, value):
+    with pytest.raises(ValidationError, match="labels .*must be strings"):
+        dataclasses.replace(two_type_bayes, **{field: value})
+
+
+def test_ex_ante_labels_colliding_strategies_by_their_label_lists(two_type_bayes):
+    g = ex_ante_game(parse_bayes(colliding_strategies_bayes()))
+    assert g.actions == (('["a","a"]', '["a","aa"]', '["aa","a"]', '["aa","aa"]'), ("L", "R"))
+    # Only the labels change: the payoffs are those of actions U and D.
+    assert g.payoffs == ex_ante_game(two_type_bayes).payoffs
 
 
 def test_conditional_beliefs(two_type_bayes):

@@ -14,7 +14,7 @@ import periodic_games
 from periodic_games import Game, cli, game, lp, periodicity, rationalizability
 from periodic_games.cli import main
 
-from conftest import FIXTURES, many_cycles_game, many_types_bayes, recursion_limit, shift_game, tall_game
+from conftest import FIXTURES, colliding_strategies_bayes, many_cycles_game, many_types_bayes, recursion_limit, shift_game, tall_game
 from test_io import deep_payoffs_game, deep_prior_bayes, long_bare_integer_game, one_action_game
 
 BOS = str(FIXTURES / "battle_of_sexes.game.json")
@@ -115,6 +115,18 @@ def test_bayes_ex_ante(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["actions"]["1"] == ["UU", "UD", "DU", "DD"]
     assert doc["payoffs"][2][1] == ["1/2", "1/2"]
+
+
+def test_bayes_ex_ante_with_colliding_strategy_labels(tmp_path, capsys):
+    path = tmp_path / "colliding.bayes.json"
+    path.write_text(colliding_strategies_bayes())
+    assert main(["bayes", str(path), "--to", "ex-ante"]) == 0
+    text = capsys.readouterr().out
+    doc = json.loads(text)
+    assert doc["actions"] == {"1": ['["a","a"]', '["a","aa"]', '["aa","a"]', '["aa","aa"]'], "2": ["L", "R"]}
+    game_path = tmp_path / "ex_ante.game.json"
+    game_path.write_text(text)
+    assert main(["analyze", str(game_path)]) == 0
 
 
 def test_bayes_interim(capsys):

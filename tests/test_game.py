@@ -30,6 +30,7 @@ from periodic_games.errors import (
     ValidationError,
 )
 from periodic_games.game import validate_mixed
+from periodic_games.io import parse_game, serialize_game
 from periodic_games.generate import random_game
 
 from conftest import pure_profile
@@ -157,6 +158,21 @@ def test_duplicate_player_label():
 def test_duplicate_action_label():
     with pytest.raises(DuplicateLabel):
         make_game(["A", "B"], [["x", "x"], ["l"]], [[(0, 0)], [(0, 0)]])
+
+
+def test_labels_must_be_strings_so_a_game_round_trips():
+    table = [[(1, 2)], [(3, "1/2")]]
+    g = make_game(["1", "2"], [["3", "4"], ["5"]], table)
+    assert parse_game(serialize_game(g)) == g
+    for players, actions in [
+        ([1, 2], [[3, 4], [5]]),
+        (["A", "B"], [["x", 4], ["l"]]),
+        (["A", "B"], [["x", "y"], [True]]),
+    ]:
+        with pytest.raises(ValidationError, match="labels .*must be strings"):
+            make_game(players, actions, table)
+    with pytest.raises(ValidationError, match="player labels must be strings"):
+        Game(players=(None, 2.5), actions=g.actions, payoffs=g.payoffs)
 
 
 def test_ragged_table_rejected():

@@ -111,7 +111,9 @@ def test_simplex_max_reports_unbounded_objective_as_certificate_error():
         simplex_max([[F(-1)]], [F(1)], [F(1)])
 
 
-@pytest.mark.parametrize("matrix", [[], [[]], [[F(1), F(2)], [F(3)]]])
+@pytest.mark.parametrize(
+    "matrix", [[], [[]], [[F(1), F(2)], [F(3)]], [[F(1), 0.5]], [[F(1)], [True]], [[False, 2]]]
+)
 def test_zero_sum_value_rejects_empty_and_ragged_matrices(matrix):
     with pytest.raises(BadParameter):
         zero_sum_value(matrix)

@@ -43,10 +43,10 @@ def test_best_deviation_bos(bos):
 
 def test_graph_edges_bos(bos):
     graph = build_periodicity_graph(bos)
-    assert graph.edges[Node(0, 0)] == {1: Node(1, 0)}
-    assert graph.edges[Node(0, 1)] == {1: Node(1, 1)}
-    assert graph.edges[Node(1, 0)] == {0: Node(0, 0)}
-    assert graph.edges[Node(1, 1)] == {0: Node(0, 1)}
+    assert graph.edges[Node(0, 0)] == (Node(1, 0),)
+    assert graph.edges[Node(0, 1)] == (Node(1, 1),)
+    assert graph.edges[Node(1, 0)] == (Node(0, 0),)
+    assert graph.edges[Node(1, 1)] == (Node(0, 1),)
     assert not graph.degenerate_flags
 
 
@@ -115,7 +115,27 @@ def test_reach_cycle_walks_into_cycle(four_by_four):
         assert walk[-1] in cyclic
         assert len(walk) <= len(graph.nodes)
         for src, dst in zip(walk, walk[1:]):
-            assert dst in graph.successors(src)
+            assert dst in graph.edges[src]
+
+
+def test_reach_cycle_rejects_a_node_not_in_the_graph(bos):
+    graph = build_periodicity_graph(bos)
+    for node in (Node(0, 2), Node(2, 0)):
+        with pytest.raises(AnchorNotOnCycle, match="not in graph"):
+            reach_cycle(graph, node)
+
+
+def test_graphs_compare_by_their_edges():
+    actions = [["x", "y"], ["l", "r"]]
+    first = make_game(["A", "B"], actions, [[(2, 1), (0, 0)], [(0, 0), (1, 2)]])
+    second = make_game(["A", "B"], actions, [[(0, 1), (2, 0)], [(1, 0), (0, 2)]])
+    a, b = build_periodicity_graph(first), build_periodicity_graph(second)
+    assert (a.nodes, a.degenerate_flags) == (b.nodes, b.degenerate_flags)
+    assert a.edges != b.edges
+    assert a != b
+    assert len({a, b}) == 2
+    again = build_periodicity_graph(first)
+    assert again == a and hash(again) == hash(a)
 
 
 def test_enumerate_cycles_min_length():
@@ -148,9 +168,7 @@ def test_edges_match_brute_force_on_random_games():
         graph = build_periodicity_graph(g)
         for node in graph.nodes:
             expected = brute_force_deviation(g, node.player, node.action)
-            assert graph.edges[node] == {
-                j: Node(j, b) for j, b in expected.items()
-            }
+            assert graph.edges[node] == tuple(Node(j, b) for j, b in expected.items())
 
 
 def test_three_player_edges_have_one_target_per_opponent():
@@ -158,7 +176,7 @@ def test_three_player_edges_have_one_target_per_opponent():
     g = random_game(rng, num_players=3)
     graph = build_periodicity_graph(g)
     for node in graph.nodes:
-        assert sorted(graph.edges[node]) == [
+        assert [target.player for target in graph.edges[node]] == [
             j for j in range(3) if j != node.player
         ]
 
