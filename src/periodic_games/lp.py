@@ -14,18 +14,33 @@ plus the right-hand side, since each basic column would only be ``det``
 times a unit vector. A pivot runs ``linalg.pivot`` on these columns, then
 writes the leaving variable's column where the entering one was.
 
-The pivot rule is Bland's rule over variable indices: of the variables with
-a negative reduced cost, the smallest enters, and the ratio test, done by
+The result is the one Bland's rule gives: of the variables with a negative
+reduced cost, the smallest enters, and the ratio test, done by
 cross-multiplication, breaks ties by the smallest basis variable. Positive
 scaling of the data changes no pivot, so the results equal those of the
-textbook Fraction tableau. ``zero_sum_value`` re-checks its duality
-certificate in integers before it returns.
+textbook Fraction tableau. Bland's rule is slow, though, so ``simplex_max``
+first enters the most negative reduced cost (Dantzig's rule, ties to the
+smallest variable) with the same ratio test. After the first degenerate
+pivot, one that leaves the objective unchanged, that run goes on by Bland's
+rule, which cannot cycle. At its optimum an integer test decides whether
+the optimum is unique: every nonbasic reduced cost > 0 makes ``x`` the only
+primal optimum, and every basic value > 0 makes ``y`` the only dual one.
+Bland's rule ends at an optimum too, so then both rules return the same
+``(value, x, y)``. Otherwise ``simplex_max`` reruns Bland's rule from the
+all-slack basis. Both runs are the one pivot loop ``_pivot_loop``, with the
+rule as a parameter.
+
+That loop also takes a stop predicate on the objective value. With
+``decision=True``, ``zero_sum_value`` stops its LP as soon as the value is
+known to be <= 0, and returns that bound with a column mixture that
+certifies it. ``zero_sum_value`` re-checks its certificates in integers
+before it returns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import BadParameter, CertificateError
 from .linalg import common_denominator, pivot, scaled
@@ -37,41 +52,48 @@ class SimplexInternalError(CertificateError):
     """Strong duality or feasibility check failed; indicates a solver bug."""
 
 
-def simplex_max(
-    a: Sequence[Sequence[Fraction]],
-    b: Sequence[Fraction],
-    c: Sequence[Fraction],
-) -> tuple[Fraction, Vector, Vector]:
-    """Maximize c.x subject to a x <= b, x >= 0, with all b >= 0.
+def _check_entries(values, what: str) -> None:
+    """Fractions or ints, not bools, as in a mixture; else a BadParameter."""
+    if not all(isinstance(v, (Fraction, int)) and not isinstance(v, bool) for v in values):
+        raise BadParameter(f"{what} entries must be Fractions or ints")
 
-    Entries may be Fractions or ints. Returns (optimal value, primal x,
-    dual y). The all-slack basis is feasible because b >= 0; the objective
-    must be bounded on the feasible region (always the case for the game
-    LPs built here).
+
+def _bland(objective: list[int], nonbasic: list[int]) -> Optional[int]:
+    """The column of the smallest variable with a negative reduced cost."""
+    n = len(nonbasic)
+    return min((j for j in range(n) if objective[j] < 0), key=nonbasic.__getitem__, default=None)
+
+
+def _largest_coefficient(objective: list[int], nonbasic: list[int]) -> Optional[int]:
+    """The column of the most negative reduced cost, ties to the smallest variable."""
+    n = len(nonbasic)
+    best = min(objective[:n], default=0)
+    if best >= 0:
+        return None
+    return min((j for j in range(n) if objective[j] == best), key=nonbasic.__getitem__)
+
+
+def _pivot_loop(
+    tableau: list[list[int]],
+    rule: Callable[[list[int], list[int]], Optional[int]],
+    stop: Optional[Callable[[int, int], bool]],
+) -> tuple[list[int], list[int], int, bool]:
+    """Pivot ``tableau`` in place from the all-slack basis.
+
+    ``rule`` picks the entering column; it is Bland's rule from the first
+    degenerate pivot on. The loop ends at an optimum, or after a pivot at
+    which ``stop(objective[-1], det)`` holds. Returns (basis, nonbasic, det,
+    whether it stopped).
     """
-    m = len(a)
-    n = len(c)
-    if any(bi < 0 for bi in b):
-        raise BadParameter("simplex_max requires b >= 0")
-    scale_ab = common_denominator([v for row in a for v in row] + list(b))
-    scale_c = common_denominator(c)
-    # One column per nonbasic variable, then the rhs; the last row is the
-    # objective.
-    scaled_b = scaled(b, scale_ab)
-    tableau = [scaled(a[i], scale_ab) + [scaled_b[i]] for i in range(m)]
-    tableau.append([-v for v in scaled(c, scale_c)] + [0])
+    m = len(tableau) - 1
+    n = len(tableau[-1]) - 1
     nonbasic = list(range(n))
     basis = list(range(n, n + m))
     det = 1
-
     while True:
-        objective = tableau[-1]
-        # Bland: the negative reduced cost of the smallest variable enters.
-        entering = min(
-            (j for j in range(n) if objective[j] < 0), key=nonbasic.__getitem__, default=None
-        )
+        entering = rule(tableau[-1], nonbasic)
         if entering is None:
-            break
+            return basis, nonbasic, det, False
         # Ratio test rhs_i / coef_i by cross-multiplication (coefficients are
         # positive), ties broken by smallest basis variable (Bland).
         leaving = None
@@ -88,6 +110,9 @@ def simplex_max(
                 leaving = i
         if leaving is None:
             raise SimplexInternalError("objective unbounded")
+        if tableau[leaving][-1] == 0:
+            # A zero ratio leaves the objective unchanged: a degenerate pivot.
+            rule = _bland
         column = [row[entering] for row in tableau]
         next_det = pivot(tableau, leaving, entering, det)
         # The entering column becomes the leaving variable's: pivoting turns
@@ -96,10 +121,62 @@ def simplex_max(
             row[entering] = det if i == leaving else -column[i]
         det = next_det
         nonbasic[entering], basis[leaving] = basis[leaving], nonbasic[entering]
+        if stop is not None and stop(tableau[-1][-1], det):
+            return basis, nonbasic, det, True
+
+
+def simplex_max(
+    a: Sequence[Sequence[Fraction]],
+    b: Sequence[Fraction],
+    c: Sequence[Fraction],
+    *,
+    stop: Optional[Callable[[int, int], bool]] = None,
+) -> tuple[Fraction, Vector, Vector]:
+    """Maximize c.x subject to a x <= b, x >= 0, with all b >= 0.
+
+    Entries may be Fractions or ints, not bools; ``a`` has one row per entry
+    of ``b`` and one column per entry of ``c``. Returns (optimal value,
+    primal x, dual y), the triple of Bland's rule. The all-slack basis is
+    feasible because b >= 0; the objective must be bounded on the feasible
+    region (always the case for the game LPs built here).
+
+    ``stop(numerator, denominator)``, if given, is called with the objective
+    value after each pivot, and must stay true once true as that value
+    rises. When it holds, the current basis is returned: ``x`` is feasible
+    with that value, and ``y`` is the basis's dual, which need not be.
+    """
+    m = len(a)
+    n = len(c)
+    if len(b) != m:
+        raise BadParameter(f"simplex_max needs one b entry per row of a, got {len(b)} for {m}")
+    if any(len(row) != n for row in a):
+        raise BadParameter(f"simplex_max needs {n} entries in every row of a, one per entry of c")
+    data = [v for row in a for v in row] + list(b)
+    _check_entries(data + list(c), "simplex_max")
+    if any(bi < 0 for bi in b):
+        raise BadParameter("simplex_max requires b >= 0")
+    scale_ab = common_denominator(data)
+    scale_c = common_denominator(c)
+    # One column per nonbasic variable, then the rhs; the last row is the
+    # objective.
+    scaled_b = scaled(b, scale_ab)
+    initial = [scaled(a[i], scale_ab) + [scaled_b[i]] for i in range(m)]
+    initial.append([-v for v in scaled(c, scale_c)] + [0])
+    loop_stop = None if stop is None else (lambda top, det: stop(top, det * scale_c))
+
+    tableau = [row[:] for row in initial]
+    basis, nonbasic, det, stopped = _pivot_loop(tableau, _largest_coefficient, loop_stop)
+    # Positive reduced costs make x the only optimum, positive basic values y.
+    if not stopped and not (
+        all(v > 0 for v in tableau[-1][:n]) and all(row[-1] > 0 for row in tableau[:m])
+    ):
+        tableau = initial
+        basis, nonbasic, det, stopped = _pivot_loop(tableau, _bland, loop_stop)
 
     # The scaled LP has the same x; its duals are scale_c / scale_ab times
     # the original ones and its value is scale_c times the original one. The
     # dual y_i is the reduced cost of slack n + i, and 0 while it is basic.
+    objective = tableau[-1]
     x = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
@@ -112,13 +189,20 @@ def simplex_max(
     return value, tuple(x), tuple(y)
 
 
-def zero_sum_value(matrix: Sequence[Sequence[Fraction]]) -> tuple[Fraction, Vector, Vector]:
+def zero_sum_value(
+    matrix: Sequence[Sequence[Fraction]], *, decision: bool = False
+) -> tuple[Fraction, Optional[Vector], Vector]:
     """Exact minimax value of a zero-sum matrix game (row player maximizes).
 
     Entries must be Fractions or ints, not bools, as in a mixture; anything
     else is a BadParameter. Returns (value, optimal row mixture, optimal
     column mixture). Strong duality (row maximin == column minimax)
     is re-checked against every pure response before returning.
+
+    With ``decision=True`` the LP stops as soon as the value is known to be
+    <= 0, and returns (bound, None, column mixture): the bound is >= the
+    value and <= 0, and the column mixture concedes at most the bound
+    against every row. A positive value is returned as without it.
     """
     rows = len(matrix)
     if rows == 0 or len(matrix[0]) == 0:
@@ -126,9 +210,9 @@ def zero_sum_value(matrix: Sequence[Sequence[Fraction]]) -> tuple[Fraction, Vect
     cols = len(matrix[0])
     if any(len(row) != cols for row in matrix):
         raise BadParameter("ragged payoff matrix")
-    if not all(isinstance(v, (Fraction, int)) and not isinstance(v, bool) for row in matrix for v in row):
-        raise BadParameter("payoff matrix entries must be Fractions or ints")
-    scale = common_denominator([v for row in matrix for v in row])
+    entries = [v for row in matrix for v in row]
+    _check_entries(entries, "payoff matrix")
+    scale = common_denominator(entries)
     ints = [scaled(row, scale) for row in matrix]
 
     # Shift all entries to at least 1 so the value is > 0 and the LP below is
@@ -136,35 +220,47 @@ def zero_sum_value(matrix: Sequence[Sequence[Fraction]]) -> tuple[Fraction, Vect
     shift = scale - min(min(row) for row in ints)
     shifted = [[v + shift for v in row] for row in ints]
 
+    stop = None
+    if decision:
+        # The column objective t only rises, so the bound 1/t - shift/scale
+        # on the value only falls; once it is <= 0, so is the value.
+        def stop(top: int, den: int) -> bool:
+            return top * shift >= scale * den
+
     # Column player's normalized LP: max sum(w) s.t. shifted w <= 1, w >= 0,
     # here with both sides times scale, which changes no pivot.
-    total, w, y = simplex_max(shifted, [scale] * rows, [1] * cols)
+    total, w, y = simplex_max(shifted, [scale] * rows, [1] * cols, stop=stop)
     if total <= 0:
         raise SimplexInternalError("normalized LP returned a nonpositive optimum")
     value_shifted = 1 / total
     col_strategy = tuple(wi * value_shifted for wi in w)
-    dual_total = sum(y)
-    if dual_total * scale != total:
-        raise SimplexInternalError("primal and dual optima differ")
-    row_strategy = tuple(yi / dual_total for yi in y)
     value = value_shifted - Fraction(shift, scale)
 
-    # Certify: both mixtures are distributions, the row mixture guarantees
-    # >= value against every column and the column mixture concedes <= value
-    # against every row. The inequalities are checked in integers, multiplied
-    # through by the positive common denominators.
-    row_den = common_denominator(row_strategy)
+    # Certify: both mixtures are distributions, the column mixture concedes
+    # <= value against every row and the row mixture guarantees >= value
+    # against every column. The inequalities are checked in integers,
+    # multiplied through by the positive common denominators.
     col_den = common_denominator(col_strategy)
-    p = scaled(row_strategy, row_den)
     q = scaled(col_strategy, col_den)
-    if min(p) < 0 or min(q) < 0 or sum(p) != row_den or sum(q) != col_den:
-        raise SimplexInternalError("optimal strategies are not distributions")
-    guaranteed = value.numerator * scale * row_den
-    for j in range(cols):
-        if sum(p[i] * ints[i][j] for i in range(rows)) * value.denominator < guaranteed:
-            raise SimplexInternalError("row strategy fails to guarantee the value")
+    if min(q) < 0 or sum(q) != col_den:
+        raise SimplexInternalError("column strategy is not a distribution")
     conceded = value.numerator * scale * col_den
     for i in range(rows):
         if sum(v * qj for v, qj in zip(ints[i], q)) * value.denominator > conceded:
             raise SimplexInternalError("column strategy fails to guarantee the value")
+    if decision and value <= 0:
+        return value, None, col_strategy
+
+    dual_total = sum(y)
+    if dual_total * scale != total:
+        raise SimplexInternalError("primal and dual optima differ")
+    row_strategy = tuple(yi / dual_total for yi in y)
+    row_den = common_denominator(row_strategy)
+    p = scaled(row_strategy, row_den)
+    if min(p) < 0 or sum(p) != row_den:
+        raise SimplexInternalError("row strategy is not a distribution")
+    guaranteed = value.numerator * scale * row_den
+    for j in range(cols):
+        if sum(p[i] * ints[i][j] for i in range(rows)) * value.denominator < guaranteed:
+            raise SimplexInternalError("row strategy fails to guarantee the value")
     return value, row_strategy, col_strategy

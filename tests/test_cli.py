@@ -245,8 +245,8 @@ def test_bad_players_exit_code(tmp_path, capsys, players):
 def test_failed_certificate_is_an_error_not_a_traceback(capsys, monkeypatch):
     true_simplex = lp.simplex_max
 
-    def broken(a, b, c):
-        total, w, y = true_simplex(a, b, c)
+    def broken(a, b, c, **kwargs):
+        total, w, y = true_simplex(a, b, c, **kwargs)
         return total, w, tuple(2 * v for v in y)
 
     monkeypatch.setattr(lp, "simplex_max", broken)
@@ -589,9 +589,9 @@ def test_analyze_runs_no_dominance_lp_when_every_action_is_a_best_response(tmp_p
     calls = []
     zero_sum_value = rationalizability.zero_sum_value
 
-    def counted(matrix):
+    def counted(matrix, **kwargs):
         calls.append(len(matrix))
-        return zero_sum_value(matrix)
+        return zero_sum_value(matrix, **kwargs)
 
     monkeypatch.setattr(rationalizability, "zero_sum_value", counted)
     path = tmp_path / "shift.game.json"

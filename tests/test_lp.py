@@ -106,6 +106,23 @@ def test_simplex_max_rejects_negative_rhs():
         simplex_max([[F(1)]], [F(-1)], [F(1)])
 
 
+@pytest.mark.parametrize(
+    "a, b, c",
+    [
+        ([[1, 2], [3]], [1, 1], [1, 1]),  # ragged a
+        ([[1, 2]], [1], [1]),  # a row longer than c
+        ([[1], [2]], [1], [1]),  # b shorter than a
+        ([[1]], [1, 1], [1]),  # b longer than a
+        ([[1.5]], [1], [1]),
+        ([[1]], [True], [1]),
+        ([[1]], [1], [F(1), 0.5]),
+    ],
+)
+def test_simplex_max_rejects_mismatched_shapes_and_non_rational_entries(a, b, c):
+    with pytest.raises(BadParameter):
+        simplex_max(a, b, c)
+
+
 def test_simplex_max_reports_unbounded_objective_as_certificate_error():
     with pytest.raises(SimplexInternalError, match="unbounded"):
         simplex_max([[F(-1)]], [F(1)], [F(1)])
@@ -131,13 +148,26 @@ def test_pivot_raises_on_inexact_division():
         pivot(tableau, 0, 0, 3)
 
 
-@pytest.mark.parametrize("check", ["primal and dual", "row strategy", "column strategy"])
-def test_zero_sum_value_certificate_failures_are_typed(monkeypatch, check):
+@pytest.mark.parametrize(
+    "check, decision",
+    [
+        pytest.param("primal and dual", False, id="primal and dual"),
+        pytest.param("row strategy", False, id="row strategy"),
+        pytest.param("column strategy", False, id="column strategy"),
+        pytest.param("column strategy", True, id="column strategy at a decision stop"),
+    ],
+)
+def test_zero_sum_value_certificate_failures_are_typed(monkeypatch, check, decision):
+    # Value 1 runs each LP to its optimum; the negated matrix has value -1,
+    # where decision mode stops and certifies with the column mixture alone.
     matrix = [[F(3), F(-1)], [F(-2), F(4)]]
+    if decision:
+        matrix = [[-v for v in row] for row in matrix]
+        assert zero_sum_value(matrix, decision=True)[:2] == (F(-1), None)
     true_simplex = lp.simplex_max
 
-    def broken(a, b, c):
-        total, w, y = true_simplex(a, b, c)
+    def broken(a, b, c, **kwargs):
+        total, w, y = true_simplex(a, b, c, **kwargs)
         if check == "primal and dual":
             return total, w, tuple(2 * v for v in y)
         if check == "row strategy":  # a pure row mixture cannot hold the value
@@ -146,4 +176,4 @@ def test_zero_sum_value_certificate_failures_are_typed(monkeypatch, check):
 
     monkeypatch.setattr(lp, "simplex_max", broken)
     with pytest.raises(SimplexInternalError, match=check):
-        zero_sum_value(matrix)
+        zero_sum_value(matrix, decision=decision)

@@ -28,6 +28,7 @@ from periodic_games import (
     interim_correlated_game,
     interim_game,
     linalg,
+    lp,
     make_game,
     nash_support_enumeration,
     rationalizability,
@@ -545,6 +546,72 @@ def test_simplex_matches_reference_on_bench_sized_game_lps():
         assert simplex_max(shifted, ones_b, ones_c) == reference_simplex(shifted, ones_b, ones_c), matrix
 
 
+def test_simplex_reruns_blands_rule_exactly_when_the_optimum_may_not_be_unique(monkeypatch):
+    # The largest-coefficient optimum of a 20x20 LP with k/d payoffs is
+    # unique; the degenerate {0,1} LPs fail the test and rerun Bland's rule,
+    # whose result is the reference's. (The test above pins the results of
+    # LPs with k/d payoffs; their Fraction reference is slow at 20x20.)
+    rules = []
+    loop = lp._pivot_loop
+
+    def counted(tableau, rule, stop):
+        rules.append(rule)
+        return loop(tableau, rule, stop)
+
+    monkeypatch.setattr(lp, "_pivot_loop", counted)
+    rng = random.Random(2020)
+    for kind, expected in (("rational", [lp._largest_coefficient]), ("binary", [lp._largest_coefficient, lp._bland])):
+        entry = _entry_maker(rng, kind)
+        for _ in range(3):
+            matrix = [[entry() for _ in range(20)] for _ in range(20)]
+            shift = 1 - min(min(row) for row in matrix)
+            shifted = [[v + shift for v in row] for row in matrix]
+            ones = [F(1)] * 20
+            rules.clear()
+            result = simplex_max(shifted, ones, ones)
+            assert rules == expected, (kind, matrix)
+            if kind == "binary":
+                assert result == reference_simplex(shifted, ones, ones), matrix
+
+
+def test_simplex_ends_on_beales_cycling_lp():
+    # Beale (1955): the largest-coefficient rule alone, with the same ratio
+    # test, cycles through six bases without moving off the origin; the
+    # switch to Bland's rule after the first degenerate pivot ends it.
+    a = [[F(1, 4), F(-8), F(-1), F(9)], [F(1, 2), F(-12), F(-1, 2), F(3)], [F(0), F(0), F(1), F(0)]]
+    b = [F(0), F(0), F(1)]
+    c = [F(3, 4), F(-20), F(1, 2), F(-6)]
+    result = simplex_max(a, b, c)
+    assert result == reference_simplex(a, b, c)
+    assert result[:2] == (F(5, 4), (F(1), F(0), F(1), F(0)))
+
+
+def test_decision_mode_keeps_the_sign_and_every_positive_value():
+    """On seeded matrices whose values fall on both sides of 0: the decided
+    sign is the value's, a positive value comes with the full triple, and
+    a stop comes with a column mixture conceding at most its bound <= 0."""
+    rng = random.Random(1955)
+    seen = {"positive": 0, "stopped early": 0, "stopped at the value": 0}
+    for _ in range(400):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        entry = _entry_maker(rng, rng.choice(("int", "binary", "rational")))
+        offset = F(rng.randint(-2, 2), rng.randint(1, 3))
+        matrix = [[entry() + offset for _ in range(cols)] for _ in range(rows)]
+        full = zero_sum_value(matrix)
+        decided = zero_sum_value(matrix, decision=True)
+        assert (decided[0] > 0) == (full[0] > 0), matrix
+        if full[0] > 0:
+            assert decided == full
+            seen["positive"] += 1
+            continue
+        bound, row, col = decided
+        assert row is None and full[0] <= bound <= 0
+        assert min(col) >= 0 and sum(col) == 1
+        assert all(sum(v * q for v, q in zip(line, col)) <= bound for line in matrix)
+        seen["stopped early" if bound > full[0] else "stopped at the value"] += 1
+    assert min(seen.values()) > 20, seen
+
+
 def _scaled_game(g, factors):
     """Player i's payoffs times factors[i]; payoffs are stored row-major."""
     cols = g.shape[1]
@@ -597,7 +664,7 @@ def reference_find_dominator(g, i, action, alive, mode):
             return ("pure", b)
     if mode is DominanceMode.ALLOW_MIXED and len(others_alive) >= 2:
         gains = [[payoff_against(b, opp) - payoff_against(action, opp) for opp in profiles] for b in others_alive]
-        value, row_strategy, _ = zero_sum_value(gains)
+        value, row_strategy, _ = reference_zero_sum_value(gains)
         if value > 0:
             return ("mixed", tuple((b, w) for b, w in zip(others_alive, row_strategy) if w > 0))
     return None
@@ -653,9 +720,9 @@ def test_best_response_filter_skips_checks_and_no_dominated_action(monkeypatch):
     lps = []
     zero_sum_value = rationalizability.zero_sum_value
 
-    def counted(matrix):
+    def counted(matrix, **kwargs):
         lps.append(len(matrix))
-        return zero_sum_value(matrix)
+        return zero_sum_value(matrix, **kwargs)
 
     monkeypatch.setattr(rationalizability, "zero_sum_value", counted)
     skipped = {mode: 0 for mode in DominanceMode}
