@@ -307,7 +307,7 @@ def build_parser() -> _Parser:
 
     for name, help_text, func in (
         ("mixed", "payoff-equalizing mixtures and invariance spread", cmd_mixed),
-        ("nash", "Nash equilibria by exact support enumeration", cmd_nash),
+        ("nash", "all extreme Nash equilibria of a bimatrix game, exactly", cmd_nash),
         ("coco", "cooperative-competitive decomposition and solution", cmd_coco),
     ):
         p = sub.add_parser(name, help=help_text)

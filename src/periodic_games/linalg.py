@@ -5,14 +5,20 @@ Only this module turns rationals into integers (``common_denominator`` and
 of Bareiss 1968 elimination and of Edmonds 1967 integer pivoting); ``game``
 (the integer payoff view), ``lp``, ``bayes`` and ``mixed`` use these helpers.
 
+``exchange`` is the one dictionary pivot, as in lrs: ``pivot``, then the
+leaving variable's column written where the entering one was. The simplex
+of ``lp`` and the best-response polytope walk of ``mixed`` (Nash
+equilibria) both step with it.
+
 Desk-scale only: systems here have at most a handful of variables. Each row
 is scaled to integers by the lcm of its denominators and eliminated
 Gauss-Jordan with ``pivot`` (``_eliminate``), so entries stay integers,
 bounded by minors of the scaled matrix. Fractions are formed once, when a
 pivot row is divided by its pivot at the end.
 
-Vertex enumeration eliminates ``[a | b]`` once and solves only the bases:
-the column subsets of size rank(a), on the rank(a) independent rows.
+Vertex enumeration (``polytope_vertices``, for periodic mixtures)
+eliminates ``[a | b]`` once and solves only the bases: the column subsets
+of size rank(a), on the rank(a) independent rows.
 """
 
 from __future__ import annotations
@@ -29,9 +35,9 @@ from .errors import SizeLimit
 # whose entries grow with r (the r^5 term leads past r = 8), and the n
 # entries of a vertex. A unit measured 0.15-0.7 us raw over ranks 1-125
 # (CPython 3.11, a 2 GHz Xeon vCPU). More is a SizeLimit, raised before any
-# solve. Nash on 6x6 needs 20 bases of rank 3, 740 units; a 1001x1 game's
-# mixture about 1e6. At this bound, random integer systems of ranks 1-41
-# took at most 1.3 s raw (ranks 1-4, 27-1413 columns).
+# solve. A 1001x1 game's periodic mixture needs about 1e6. At this bound,
+# random integer systems of ranks 1-41 took at most 1.3 s raw (ranks 1-4,
+# 27-1413 columns).
 MAX_WORK = 2_000_000
 
 Matrix = list[list[Fraction]]
@@ -75,6 +81,23 @@ def pivot(rows: list[list[int]], r: int, c: int, det: int) -> int:
             reduced.append(q)
         rows[i] = reduced
     return p
+
+
+def exchange(rows: list[list[int]], r: int, c: int, det: int) -> int:
+    """One dictionary pivot, as in lrs; returns the new divisor.
+
+    ``rows`` hold one column per nonbasic variable (and any further columns,
+    such as a right-hand side), all over the divisor ``det``, with the basic
+    variable of row ``r`` leaving and the nonbasic variable of column ``c``
+    entering. ``pivot`` on (r, c) turns the leaving variable's implicit
+    column ``det * e_r`` into ``det`` in row ``r`` and ``-rows[i][c]``
+    elsewhere; that column is written where the entering one was.
+    """
+    column = [row[c] for row in rows]
+    next_det = pivot(rows, r, c, det)
+    for i, row in enumerate(rows):
+        row[c] = det if i == r else -column[i]
+    return next_det
 
 
 def _integer_rows(matrix) -> list[list[int]]:

@@ -11,8 +11,9 @@ tableau.
 
 The tableau is a dictionary, as in lrs: one column per nonbasic variable
 plus the right-hand side, since each basic column would only be ``det``
-times a unit vector. A pivot runs ``linalg.pivot`` on these columns, then
-writes the leaving variable's column where the entering one was.
+times a unit vector. A pivot is ``linalg.exchange``: ``linalg.pivot`` on
+these columns, then the leaving variable's column written where the
+entering one was. ``mixed`` walks best-response polytopes with the same step.
 
 The result is the one Bland's rule gives: of the variables with a negative
 reduced cost, the smallest enters, and the ratio test, done by
@@ -43,7 +44,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import BadParameter, CertificateError
-from .linalg import common_denominator, pivot, scaled
+from .linalg import common_denominator, exchange, scaled
 
 Vector = tuple[Fraction, ...]
 
@@ -113,13 +114,7 @@ def _pivot_loop(
         if tableau[leaving][-1] == 0:
             # A zero ratio leaves the objective unchanged: a degenerate pivot.
             rule = _bland
-        column = [row[entering] for row in tableau]
-        next_det = pivot(tableau, leaving, entering, det)
-        # The entering column becomes the leaving variable's: pivoting turns
-        # its det * e_leaving into det in the pivot row and -column[i] elsewhere.
-        for i, row in enumerate(tableau):
-            row[entering] = det if i == leaving else -column[i]
-        det = next_det
+        det = exchange(tableau, leaving, entering, det)
         nonbasic[entering], basis[leaving] = basis[leaving], nonbasic[entering]
         if stop is not None and stop(tableau[-1][-1], det):
             return basis, nonbasic, det, True

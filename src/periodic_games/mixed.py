@@ -1,38 +1,37 @@
 """Mixed periodic strategies, and Nash equilibria of bimatrix games.
 
-Both rest on one indifference system: a mixture q on the simplex such that
-some rows of a payoff matrix pay the same against q. At a mixed Nash
-equilibrium the opponent's mixture makes a player's payoff the same across
-the player's own support, rows of the player's own payoff matrix. A
-periodic mixture of a player makes the player's own payoff the same across
-every opponent pure profile, the rows of the transpose of that matrix;
-against independent opponent mixtures the payoff is a convex combination
-of those, so this is the N-player condition too. ``_equalizer_vertices``
-solves the system for both, on the integer payoff view of the game
-(``Game.own_payoffs``). Nash equilibria are the completely
-labelled pairs of vertices of the two best-response polyhedra; a mixture
-is such a vertex iff it is a vertex of the indifference system on its own
-best-response rows (Mangasarian 1964), so each own support is solved once
-and each vertex kept from exactly one support. Degenerate indifference
-systems contribute the vertices of their solution segments. Each vertex
+A periodic mixture of a player makes the player's own payoff the same
+across every opponent pure profile, the rows of the transpose of the
+player's payoff matrix; against independent opponent mixtures the payoff is
+a convex combination of those, so this is the N-player condition too.
+``_equalizer_vertices`` gives the vertices of that indifference system, on
+the integer payoff view of the game (``Game.own_payoffs``), by
+``linalg.polytope_vertices``.
+
+Nash equilibria are the completely labelled pairs of vertices of the two
+best-response polyhedra (Mangasarian 1964). Each polyhedron's vertices are
+those of a polytope Q = {y >= 0 : (M + shift) y <= 1}, found as in lrsNash
+(Avis, Rosenberg, Savani and von Stengel 2010): a depth-first walk over the
+bases the lexicographic ratio test reaches, one integer pivot
+(``linalg.exchange``, the simplex's dictionary step) per basis. Each vertex
 carries the owner's best-response set and best payoff, computed once by
 integer dot products, so a pair is tested by set inclusion alone.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
 from .errors import BadDimension, Infeasible, SizeLimit
 from .game import Game, validate_mixture
-from .linalg import common_denominator, matrix_rank, polytope_vertices, scaled
+from .linalg import common_denominator, exchange, matrix_rank, polytope_vertices, scaled
 
 Vector = tuple[Fraction, ...]
 
-MAX_SUPPORT_ACTIONS = 6
+MAX_SUPPORT_ACTIONS = 10
 
 NASH = "nash"
 PERIODIC = "periodic"
@@ -82,12 +81,17 @@ def _equalizer_vertices(matrix: Sequence[Sequence[int]], rows: Sequence[int]) ->
     return polytope_vertices(_equalizer_system(matrix, rows), rhs, len(matrix[0]))
 
 
+def _row_payoffs(matrix: Sequence[Sequence[int]], weights: Sequence[int]) -> list[int]:
+    """Each row of an integer matrix dotted with integer weights on its columns."""
+    nonzero = [(b, w) for b, w in enumerate(weights) if w]
+    return [sum(row[b] * w for b, w in nonzero) for row in matrix]
+
+
 def _payoffs_against(matrix: Sequence[Sequence[int]], q: Sequence[Fraction]) -> tuple[list[int], int]:
     """Each row of an integer matrix against a mixture q over its columns,
     times the lcm of q's denominators, and that lcm."""
     den = common_denominator(q)
-    weights = [(b, w) for b, w in enumerate(scaled(q, den)) if w]
-    return [sum(row[b] * w for b, w in weights) for row in matrix], den
+    return _row_payoffs(matrix, scaled(q, den)), den
 
 
 def periodic_mixed(g: Game, player: Union[int, str]) -> PeriodicMixed:
@@ -132,9 +136,9 @@ def _support(vec: Vector) -> tuple[int, ...]:
 
 
 class _Candidate(NamedTuple):
-    """A vertex of an indifference system, with the best responses to it of
-    the matrix's owner (the rows paying most against ``mixture``) and their
-    payoff."""
+    """An opponent mixture at a vertex of the owner's best-response
+    polyhedron, with the owner's best responses to it (the rows paying most
+    against ``mixture``) and their payoff."""
 
     mixture: Vector
     support: frozenset[int]
@@ -147,27 +151,115 @@ def _mutual_best_responses(p: _Candidate, q: _Candidate) -> bool:
     return p.support <= q.replies and q.support <= p.replies
 
 
+def _lex_leaving(rows: list[list[int]], basis: Sequence[int], nonbasic: Sequence[int], c: int, det: int) -> int:
+    """The row that leaves when nonbasic column ``c`` enters, by the
+    lexicographic ratio test of lrs: the smallest ``(rhs, row of B^-1)``
+    over the entering coefficient, among the rows where it is positive.
+
+    Row i's entry of B^-1 for slack k is the dictionary entry of slack k
+    while it is nonbasic, and ``det`` times a unit vector while it is basic.
+    Both vectors are compared by cross-multiplication. The rows of B^-1 are
+    independent, so the test never ties; the polytope is bounded, so some
+    row is positive in every column.
+    """
+    best = -1
+    for i, row in enumerate(rows):
+        a = row[c]
+        if a <= 0:
+            continue
+        if best < 0:
+            best = i
+            continue
+        top = rows[best]
+        b = top[c]
+        d = row[-1] * b - top[-1] * a
+        if d == 0:
+            # The ratios tie: compare the rows of B^-1 the same way.
+            n = len(nonbasic)
+            column = {var - n: j for j, var in enumerate(nonbasic) if var >= n}
+            for k in range(len(rows)):
+                j = column.get(k)
+                if j is None:
+                    x = det if basis[i] == n + k else 0
+                    y = det if basis[best] == n + k else 0
+                else:
+                    x, y = row[j], top[j]
+                d = x * b - y * a
+                if d:
+                    break
+        if d < 0:
+            best = i
+    return best
+
+
 def _best_response_vertices(g: Game, owner: int) -> list[_Candidate]:
     """The opponent mixtures q at the vertices of the owner's best-response
     polyhedron {(q, v) : q on the simplex, M q <= v}, M the owner's payoff
     matrix, each with the owner's best responses to it and their payoff.
 
-    q is such a vertex iff it is a vertex of ``_equalizer_vertices`` on its
-    own best-response rows (Mangasarian 1964). Each own support is solved
-    once, on the integer view ``g.own_payoffs``, and a vertex is kept only
-    from the support equal to its best responses, so it is kept once.
+    Those are the q = y / sum(y) of the vertices y != 0 of the polytope
+    Q = {y >= 0 : (M + shift) y <= 1}, with M the integer view
+    ``g.own_payoffs`` shifted to entries >= 1 (von Stengel 2002). The walk
+    of lrsNash (Avis, Rosenberg, Savani and von Stengel 2010) visits them:
+    from the all-slack basis, feasible since the right-hand side is 1, a
+    depth-first walk on an explicit stack pivots each nonbasic column in,
+    with the leaving row the lexicographic ratio test gives
+    (``_lex_leaving``). The bases it reaches are the vertices of a
+    perturbed, nondegenerate Q, whose graph is connected, so every vertex
+    of Q is reached, each basis once (a visited set), each by one
+    ``linalg.exchange`` from a visited one. A degenerate vertex reached
+    from several bases is kept once. Sorted by best responses in
+    combination order, then by mixture.
     """
     ints, scale = g.own_payoffs[owner].rows, g.payoff_scale
+    shift = 1 - min(min(row) for row in ints)
+    n = len(ints[0])
+    # One column per nonbasic variable, then the rhs; y_b is variable b and
+    # the slack of row a is variable n + a.
+    start = [[v + shift for v in row] + [1] for row in ints]
+    basis = tuple(range(n, n + len(ints)))
+    # A basis is keyed by the bit set of its variables.
+    key = sum(1 << var for var in basis)
+    seen = {key}
+    stack = [(start, basis, tuple(range(n)), 1, key)]
+    # Each y != 0 over its entries' gcd: one key per vertex, whatever the
+    # basis and its divisor.
+    vertices: set[tuple[int, ...]] = set()
+    while stack:
+        rows, basis, nonbasic, det, key = stack.pop()
+        y = [0] * n
+        for row, var in zip(rows, basis):
+            if var < n:
+                y[var] = row[-1]
+        common = math.gcd(*y)
+        if common:
+            vertices.add(tuple(v // common for v in y))
+        for c, entering in enumerate(nonbasic):
+            r = _lex_leaving(rows, basis, nonbasic, c, det)
+            after = key ^ (1 << basis[r]) ^ (1 << entering)
+            if after in seen:
+                continue
+            seen.add(after)
+            moved = [row[:] for row in rows]
+            moved_det = exchange(moved, r, c, det)
+            stack.append((
+                moved,
+                basis[:r] + (entering,) + basis[r + 1:],
+                nonbasic[:c] + (basis[r],) + nonbasic[c + 1:],
+                moved_det,
+                after,
+            ))
     out = []
-    for size in range(1, len(ints) + 1):
-        for rows in itertools.combinations(range(len(ints)), size):
-            for q in _equalizer_vertices(ints, rows):
-                payoffs, den = _payoffs_against(ints, q)
-                best = max(payoffs)
-                replies = frozenset(a for a, v in enumerate(payoffs) if v == best)
-                if replies == frozenset(rows):
-                    support = frozenset(b for b, v in enumerate(q) if v)
-                    out.append(_Candidate(q, support, replies, Fraction(best, scale * den)))
+    for y in vertices:
+        # The owner's payoffs against q = y / sum(y), times sum(y).
+        total = sum(y)
+        payoffs = _row_payoffs(ints, y)
+        best = max(payoffs)
+        replies = frozenset(a for a, v in enumerate(payoffs) if v == best)
+        support = frozenset(b for b, v in enumerate(y) if v)
+        q = tuple(Fraction(v, total) for v in y)
+        out.append(_Candidate(q, support, replies, Fraction(best, scale * total)))
+    out.sort(key=lambda c: (len(c.replies), sorted(c.replies), c.mixture))
     return out
 
 
@@ -177,13 +269,14 @@ def nash_support_enumeration(g: Game) -> list[EquilibriumReport]:
     The extreme equilibria are the completely labelled pairs of vertices of
     the two best-response polyhedra (Mangasarian 1964): a row mixture p and
     a column mixture q, each supported on best responses to the other
-    (``_best_response_vertices``, ``_mutual_best_responses``). Degenerate
-    indifference systems contribute every vertex of their solution
-    segments. The utilities are the two best payoffs.
+    (``_best_response_vertices``, ``_mutual_best_responses``). A
+    degenerate game can have a component of equilibria of positive
+    dimension; the pairs at its corners are reported. The utilities are the
+    two best payoffs.
     """
     require_bimatrix(g)
     if max(g.shape) > MAX_SUPPORT_ACTIONS:
-        raise SizeLimit(f"support enumeration limited to {MAX_SUPPORT_ACTIONS} actions per player")
+        raise SizeLimit(f"equilibrium enumeration limited to {MAX_SUPPORT_ACTIONS} actions per player")
     p_vertices = _best_response_vertices(g, 1)
     q_vertices = _best_response_vertices(g, 0)
     found = sorted(

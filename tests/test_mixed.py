@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,12 +8,13 @@ from periodic_games import (
     expected_utility,
     invariance_check,
     make_game,
+    mixed,
     nash_support_enumeration,
     periodic_mixed,
     periodic_profile_report,
 )
 from periodic_games.errors import BadDimension, Infeasible, SizeLimit, ValidationError
-from periodic_games.mixed import PeriodicMixed
+from periodic_games.mixed import MAX_SUPPORT_ACTIONS, PeriodicMixed
 
 from conftest import transformed_game
 
@@ -103,7 +105,7 @@ def test_periodic_profile_report(coordination):
 
 
 def test_size_limit():
-    size = 7
+    size = MAX_SUPPORT_ACTIONS + 1
     table = [[(0, 0)] * size for _ in range(size)]
     g = make_game(
         ["A", "B"],
@@ -190,9 +192,9 @@ def test_invariance_check_reads_only_exact_distributions(bos):
     assert invariance_check(bos, 0, [1, 0]) == invariance_check(bos, 0, [F(1), F(0)]) == F(2)
 
 
-def _bimatrix(rng, rows, cols, binary):
+def _bimatrix(rng, rows, cols, binary, den=3):
     def entry():
-        return rng.randint(0, 1) if binary else F(rng.randint(-9, 9), rng.randint(1, 3))
+        return rng.randint(0, 1) if binary else F(rng.randint(-9, 9), rng.randint(1, den))
 
     return make_game(
         ["R", "C"],
@@ -285,3 +287,90 @@ def test_a_positive_affine_map_of_one_players_payoffs(a, b):
             assert after.probabilities == before.probabilities
             assert after.dimension == before.dimension
             assert after.value == a * before.value + b
+
+
+def _labelled_bimatrix(rows, cols, payoff):
+    return make_game(
+        ["R", "C"],
+        [[f"r{k}" for k in range(rows)], [f"c{k}" for k in range(cols)]],
+        [[payoff(r, c) for c in range(cols)] for r in range(rows)],
+    )
+
+
+def _identity(n):
+    return _labelled_bimatrix(n, n, lambda r, c: (int(r == c), int(r == c)))
+
+
+def _uniform(n, support):
+    return tuple(F(1, len(support)) if k in support else F(0) for k in range(n))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_an_identity_coordination_game_has_one_equilibrium_per_nonempty_action_set(n):
+    """Both players mixing uniformly on the same nonempty action set S, each
+    getting 1/|S|, are its extreme equilibria: 2^n - 1 of them."""
+    g = _identity(n)
+    expected = sorted(
+        (_uniform(n, s), _uniform(n, s), (F(1, size), F(1, size)))
+        for size in range(1, n + 1)
+        for s in itertools.combinations(range(n), size)
+    )
+    assert len(expected) == 2**n - 1
+    assert _equilibria(g) == expected
+
+
+def _pure(n, a):
+    return tuple(F(int(k == a)) for k in range(n))
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 5), (4, 1), (3, 7), (6, 6), (MAX_SUPPORT_ACTIONS, 4),
+                                        (MAX_SUPPORT_ACTIONS, MAX_SUPPORT_ACTIONS)])
+def test_a_constant_game_has_its_pure_profiles_as_extreme_equilibria(rows, cols):
+    """Every mixture is a best response to every other, so the extreme
+    equilibria are the pairs of vertices of the two simplices."""
+    u = (F(-3, 7), F(2))
+    g = _labelled_bimatrix(rows, cols, lambda r, c: u)
+    expected = [(_pure(rows, r), _pure(cols, c), u) for r in range(rows) for c in range(cols)]
+    assert _equilibria(g) == sorted(expected)
+    assert len(expected) == rows * cols
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_the_nash_walk_pivots_once_per_vertex_of_the_perturbed_polytope(monkeypatch, n):
+    """Each basis is reached by one exchange from a visited basis, and the
+    lexicographic ratio test reaches only the vertices of a perturbed,
+    nondegenerate Q: all 2^n of the identity game's Q, which is
+    nondegenerate already, and k + 1 for a constant game whose owner's
+    opponent has k actions (the owner's rows are parallel facets of Q, and
+    the perturbation keeps one)."""
+    pivots = []
+    exchange = mixed.exchange
+
+    def counted(rows, r, c, det):
+        pivots.append((r, c))
+        return exchange(rows, r, c, det)
+
+    monkeypatch.setattr(mixed, "exchange", counted)
+    identity = _identity(n)
+    constant = _labelled_bimatrix(4, n, lambda r, c: (F(-3, 7), F(2)))
+    for g, owner, vertices in ((identity, 0, 2**n), (identity, 1, 2**n), (constant, 0, n + 1), (constant, 1, 5)):
+        pivots.clear()
+        mixed._best_response_vertices(g, owner)
+        assert len(pivots) == vertices - 1, (g, owner)
+
+
+def test_permuting_both_players_actions_permutes_the_equilibria():
+    rng = random.Random(37)
+    checked = 0
+    for k in range(48):
+        rows, cols = rng.randint(3, 6), rng.randint(3, 6)
+        g = _bimatrix(rng, rows, cols, binary=k % 2 == 0, den=1)
+        # Action c of player j in the permuted game is its action orders[j][c].
+        orders = [rng.sample(range(n), n) for n in g.shape]
+        permuted = transformed_game(g, [0, 1], orders)
+        moved = sorted(
+            (tuple(p[a] for a in orders[0]), tuple(q[b] for b in orders[1]), u) for p, q, u in _equilibria(g)
+        )
+        assert _equilibria(permuted) == moved
+        checked += len(moved)
+    assert checked > 150

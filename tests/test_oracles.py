@@ -30,6 +30,7 @@ from periodic_games import (
     linalg,
     lp,
     make_game,
+    mixed,
     nash_support_enumeration,
     rationalizability,
     validate_bayesian_game,
@@ -409,10 +410,13 @@ def test_best_response_vertices_match_the_slack_system_polytope():
     every action is unplayed by its owner or a best response to the other
     mixture."""
     rng = random.Random(1964)
+    games = [_random_bimatrix(rng, rng.randint(1, 4), rng.randint(1, 5), binary=k % 3 == 0) for k in range(150)]
+    # The oracle solves C(rows + cols, cols) bases per side, 0.1-0.2 s for 6x6.
+    rng = random.Random(2010)
+    larger = [(5, 5), (6, 6), (5, 6), (6, 5)]
+    games += [_random_bimatrix(rng, rows, cols, binary) for rows, cols in larger for binary in (False, True)]
     pairs = equilibria = 0
-    for k in range(150):
-        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
-        g = _random_bimatrix(rng, rows, cols, binary=k % 3 == 0)
+    for g in games:
         m_row, m_col = own_payoff_matrix(g, 0), own_payoff_matrix(g, 1)
         q_side, p_side = reference_best_response_polytope(m_row), reference_best_response_polytope(m_col)
         for owner, side in ((0, q_side), (1, p_side)):
@@ -429,6 +433,52 @@ def test_best_response_vertices_match_the_slack_system_polytope():
         pairs += len(p_side) * len(q_side)
         equilibria += len(labelled)
     assert pairs > 3500 and equilibria > 250
+
+
+def reference_lex_feasible_bases(ints):
+    """The number of bases B of the slack system {(M + shift) y + s = 1,
+    y, s >= 0}, M an integer matrix shifted to entries >= 1, at which every
+    row of [B^-1 1 | B^-1] is lexicographically positive: the vertices of
+    that polytope with the right-hand side of row k perturbed by eps^(k+1),
+    by textbook elimination of [B | 1 | I] for every column subset."""
+    m, n = len(ints), len(ints[0])
+    shift = 1 - min(min(row) for row in ints)
+    system = [[v + shift for v in row] + [int(a == k) for k in range(m)] for a, row in enumerate(ints)]
+    count = 0
+    for basis in itertools.combinations(range(n + m), m):
+        reduced, pivots = reference_rref(
+            [[row[j] for j in basis] + [1] + [int(a == k) for k in range(m)] for a, row in enumerate(system)]
+        )
+        if pivots == list(range(m)) and all(next(v for v in row[m:] if v) > 0 for row in reduced):
+            count += 1
+    return count
+
+
+def test_the_nash_walk_visits_each_lex_feasible_basis_once(monkeypatch):
+    """Each basis is reached by one ``exchange`` from a visited one, so the
+    walk pivots once per lexicographically feasible basis but the first;
+    a walk that broke ratio ties otherwise would reach other bases."""
+    pivots = []
+    exchange = mixed.exchange
+
+    def counted(rows, r, c, det):
+        pivots.append((r, c))
+        return exchange(rows, r, c, det)
+
+    monkeypatch.setattr(mixed, "exchange", counted)
+    rng = random.Random(2011)
+    degenerate = 0
+    for k in range(60):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        g = _random_bimatrix(rng, rows, cols, binary=k % 4 != 0)
+        for owner in (0, 1):
+            pivots.clear()
+            mixed._best_response_vertices(g, owner)
+            bases = reference_lex_feasible_bases(g.own_payoffs[owner].rows)
+            assert len(pivots) == bases - 1, (g, owner)
+            # More bases than vertices (0 included) means a degenerate Q.
+            degenerate += bases - 1 > len(_best_response_vertices(g, owner))
+    assert degenerate > 10
 
 
 class Unbounded(Exception):
