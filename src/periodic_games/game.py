@@ -179,6 +179,13 @@ def make_game(
     cut: a node of the wrong length is a MissingProfile, which is both a
     ParseError and a ValidationError, and a payoff vector of the wrong
     length a BadDimension.
+
+    Each distinct literal text is parsed once per call: a dict local to the
+    call maps text to its ``Fraction``, which entries may share since a
+    Fraction is immutable. Only ``str`` tokens are looked up there, because
+    ``True``, ``1`` and ``1.0`` hash equal; every other token goes to
+    ``parse_fraction`` itself. Entries are read in row-major order, so the
+    first bad literal raises.
     """
     players = tuple(players)
     actions = tuple(tuple(a) for a in actions)
@@ -198,7 +205,17 @@ def make_game(
     for k, vec in enumerate(level):
         if not isinstance(vec, (list, tuple)) or len(vec) != n:
             raise BadDimension(f"payoff vector at profile {_prefix(k, shape)} must have length {n}")
-    payoffs = tuple(tuple(map(parse_fraction, vec)) for vec in level)
+    parsed: dict[str, Fraction] = {}
+
+    def literal(token) -> Fraction:
+        if type(token) is not str:
+            return parse_fraction(token)
+        value = parsed.get(token)
+        if value is None:
+            value = parsed[token] = parse_fraction(token)
+        return value
+
+    payoffs = tuple(tuple(map(literal, vec)) for vec in level)
     return Game(players=players, actions=actions, payoffs=payoffs)
 
 

@@ -2,7 +2,11 @@
 
 Files are JSON with payoffs written as strings ("3", "-1/2", "0.25") so
 fractions survive the round trip exactly. Serialization is deterministic:
-identical inputs produce byte-identical output.
+identical inputs produce byte-identical output. Game documents and machine
+reports are written by one writer, ``_dumps``: the text of ``json.dumps``
+with ``indent=2`` (reports with sorted keys), from an explicit stack rather
+than the standard library's recursive pure-Python encoder, which ``indent``
+selects. A list of strings or of Fractions is written as one join.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
 
 from .bayes import BayesianGame
@@ -21,8 +26,8 @@ from .periodicity import Cycle, Node, PeriodicityGraph
 # the input, checked level by level after decoding. A game's payoffs nest
 # one level per player plus one, so only documents with absurdly many
 # players come near it. No reader or writer here recurses; only the JSON
-# decoder and encoder do, and this bound keeps them far from the
-# interpreter's recursion limit.
+# decoder does, and this bound keeps what it decodes far from the
+# interpreter's recursion limit. The writer nests as deep as its value.
 MAX_NESTING = 100
 
 
@@ -111,7 +116,7 @@ def parse_game(text: str) -> Game:
 def serialize_game(g: Game) -> str:
     # The row-major payoff vectors, cut into runs of each axis size from
     # the innermost axis out, nest as the document does.
-    tensor = [[format_fraction(v) for v in vec] for vec in g.payoffs]
+    tensor = g.payoffs
     for size in reversed(g.shape):
         tensor = [tensor[k:k + size] for k in range(0, len(tensor), size)]
     doc = {
@@ -119,7 +124,7 @@ def serialize_game(g: Game) -> str:
         "actions": {p: list(acts) for p, acts in zip(g.players, g.actions)},
         "payoffs": tensor[0],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _dumps(doc, sort_keys=False) + "\n"
 
 
 def parse_bayes(text: str) -> BayesianGame:
@@ -217,5 +222,74 @@ def _report_value(value):
     raise TypeError(f"a report value of type {type(value).__name__} has no JSON form")
 
 
+_END = object()  # marks an open container with no child left
+
+
+def _dumps(value, sort_keys: bool) -> str:
+    """``json.dumps(value, indent=2, sort_keys=sort_keys,
+    default=_report_value)`` for a tree of the report types (``str``,
+    ``int``, ``bool``, ``None``, lists, tuples and dicts keyed by ``str``),
+    written from an explicit stack of open containers, so a value of any
+    depth is written. A list holding only strings, or only Fractions, is
+    written as one join. Any other value goes through ``_report_value``, and
+    a key that is not a string is a TypeError."""
+    out = []
+    pads = ["\n"]  # pads[d]: a line break and the indentation of depth d
+    stack = []  # per open container: [children, text before the next child, separator, closing, keyed]
+    text = ""  # what precedes ``value`` in the output
+    while True:
+        if isinstance(value, (list, tuple, dict)):
+            keyed = isinstance(value, dict)
+            if not value:
+                out.append(text + ("{}" if keyed else "[]"))
+            else:
+                depth = len(stack) + 1
+                if depth == len(pads):
+                    pads.append(pads[-1] + "  ")
+                indent = pads[depth]
+                closing = pads[depth - 1] + ("}" if keyed else "]")
+                kinds = () if keyed else set(map(type, value))
+                if kinds == {str}:
+                    items = ("," + indent).join(map(encode_basestring_ascii, value))
+                    out.append(text + "[" + indent + items + closing)
+                elif kinds == {Fraction}:
+                    items = ('",' + indent + '"').join(map(format_fraction, value))
+                    out.append(text + "[" + indent + '"' + items + '"' + closing)
+                else:
+                    children = iter((sorted(value.items()) if sort_keys else value.items()) if keyed else value)
+                    stack.append([children, indent, "," + indent, closing, keyed])
+                    out.append(text + ("{" if keyed else "["))
+        elif isinstance(value, str):
+            out.append(text + encode_basestring_ascii(value))
+        elif value is None:
+            out.append(text + "null")
+        elif value is True or value is False:
+            out.append(text + ("true" if value else "false"))
+        elif isinstance(value, int):
+            out.append(text + int.__repr__(value))
+        else:
+            value = _report_value(value)
+            continue
+        # The next value is the next child of the innermost open container.
+        while stack:
+            frame = stack[-1]
+            child = next(frame[0], _END)
+            if child is not _END:
+                break
+            out.append(frame[3])
+            stack.pop()
+        else:
+            return "".join(out)
+        text = frame[1]
+        frame[1] = frame[2]
+        if frame[4]:
+            key, value = child
+            if not isinstance(key, str):
+                raise TypeError(f"a report key of type {type(key).__name__} is not a string")
+            text += encode_basestring_ascii(key) + ": "
+        else:
+            value = child
+
+
 def dump_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True, default=_report_value) + "\n"
+    return _dumps(report, sort_keys=True) + "\n"

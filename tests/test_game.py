@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -29,7 +30,7 @@ from periodic_games.errors import (
     ParseError,
     ValidationError,
 )
-from periodic_games.game import validate_mixed
+from periodic_games.game import parse_fraction, validate_mixed
 from periodic_games.io import parse_game, serialize_game
 from periodic_games.generate import random_game
 
@@ -86,6 +87,60 @@ def test_make_game_rejects_bad_literals_with_one_typed_error(entry):
         make_game(["A", "B"], [["x"], ["l"]], [[(entry, 1)]])
     assert isinstance(info.value, ValidationError)
     assert isinstance(info.value, ParseError)
+
+
+def _two_by_two(tokens):
+    """A 2x2 table whose eight entries, in row-major order, are ``tokens``."""
+    pairs = [tokens[k:k + 2] for k in range(0, 8, 2)]
+    return [[pairs[0], pairs[1]], [pairs[2], pairs[3]]]
+
+
+def _read_table(tokens, through_json):
+    table = _two_by_two(tokens)
+    if through_json:
+        doc = {"players": ["A", "B"], "actions": {"A": ["x", "y"], "B": ["l", "r"]}, "payoffs": table}
+        return parse_game(json.dumps(doc))
+    return make_game(["A", "B"], [["x", "y"], ["l", "r"]], table)
+
+
+def _literal_error(token) -> str:
+    with pytest.raises(BadLiteral) as info:
+        parse_fraction(token)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("through_json", [False, True], ids=["make_game", "parse_game"])
+@pytest.mark.parametrize("good, bad", [(1, True), (1, 1.0), ("1", True), ("1", 1.0), (0, False)])
+def test_a_literal_read_earlier_never_admits_a_bad_one_that_hashes_equal(through_json, good, bad):
+    # True == 1 == 1.0 as dict keys: a memo keyed by raw tokens would take
+    # the bad token for the good one read before it.
+    tokens = [good, good, good, "0", bad, "0", good, "0"]
+    with pytest.raises(BadLiteral) as info:
+        _read_table(tokens, through_json)
+    assert str(info.value) == _literal_error(bad)
+
+
+@pytest.mark.parametrize(
+    "tokens, first_bad",
+    [
+        (["1/2", "abc", "1/2", True, "abc", "0", "0", "0"], "abc"),
+        (["1/2", True, "abc", "abc", "0", "0", "0", "0"], True),
+        (["1/2", "1/0", "1/2", "abc", "1/0", "0", "0", "0"], "1/0"),
+    ],
+)
+def test_the_first_bad_literal_in_row_major_order_raises_even_when_repeated(tokens, first_bad):
+    for through_json in (False, True):
+        with pytest.raises(BadLiteral) as info:
+            _read_table(tokens, through_json)
+        assert str(info.value) == _literal_error(first_bad)
+
+
+def test_repeated_literal_texts_read_as_the_unmemoized_parse():
+    tokens = ["1/2", "2/4", "1/2", "0.5", "5e-1", "1/2", 3, "3"]
+    for through_json in (False, True):
+        g = _read_table(tokens, through_json)
+        assert [v for vec in g.payoffs for v in vec] == [parse_fraction(t) for t in tokens]
+        assert all(type(v) is Fraction for vec in g.payoffs for v in vec)
 
 
 def test_directly_built_game_with_inexact_payoffs_rejected():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from periodic_games import build_periodicity_graph, enumerate_cycles, export_dot
+from periodic_games import Game, build_periodicity_graph, enumerate_cycles, ex_ante_game, export_dot, interim_game
 from periodic_games.errors import BadLiteral, ParseError, SizeLimit
 from periodic_games.game import MAX_LITERAL_DIGITS
 from periodic_games.io import (
@@ -19,7 +19,7 @@ from periodic_games.io import (
 )
 from periodic_games.periodicity import Node
 
-from conftest import FIXTURES
+from conftest import FIXTURES, colliding_strategies_bayes
 
 
 def test_parse_fraction():
@@ -335,6 +335,123 @@ def test_dump_report_sorts_a_set_of_fractions_by_value_and_refuses_other_objects
     }
     with pytest.raises(TypeError, match="report value of type object"):
         dump_report({"x": object()})
+
+
+def _stdlib_report(report):
+    """The standard library's text for a machine report."""
+
+    def jsonable(value):
+        return str(value) if isinstance(value, Fraction) else sorted(value)
+
+    return json.dumps(report, indent=2, sort_keys=True, default=jsonable) + "\n"
+
+
+def _stdlib_game(g):
+    """The standard library's text for a game document."""
+    tensor = [[str(v) for v in vec] for vec in g.payoffs]
+    for size in reversed(g.shape):
+        tensor = [tensor[k:k + size] for k in range(0, len(tensor), size)]
+    doc = {
+        "players": list(g.players),
+        "actions": {p: list(acts) for p, acts in zip(g.players, g.actions)},
+        "payoffs": tensor[0],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# Quotes, backslashes, control characters, non-ASCII, astral characters
+# (written as surrogate pairs), a lone surrogate and the empty string.
+HOSTILE_LABELS = ['say "hi"', "back\\slash", "tab\tline\nnul\x00\x1f\x7f", "na\u00efve \u20ac", "clef \U0001d11e \U0001f600", "\ud800", ""]
+
+
+def test_machine_reports_match_the_standard_library_on_hostile_values():
+    report = {
+        "labels": HOSTILE_LABELS,
+        "by label": {label: [k, -k, str(k)] for k, label in enumerate(HOSTILE_LABELS)},
+        "empty": [[], {}, (), ""],
+        "empty list": [],
+        "empty object": {},
+        "sets": [{3, 1, 2}, frozenset({Fraction(1, 2), Fraction(-1)}), {frozenset({1, 2}), frozenset({1})}, set()],
+        "ints": [-1, 0, 2**64, 2**64 + 1, -(2**70), 10**40],
+        "constants": [True, False, None, [None], {"t": True}],
+        "fractions": [Fraction(1, 3), Fraction(-7), Fraction(0), Fraction(10**30, 7)],
+        "mixed": [Fraction(1, 2), "1/2", 1, True, None, [Fraction(3)], ("a",)],
+        "tuples": (1, ("a", ()), ({"k": ()},)),
+    }
+    assert dump_report(report) == _stdlib_report(report)
+    for label in HOSTILE_LABELS:
+        assert dump_report({label: label}) == _stdlib_report({label: label})
+
+
+def test_game_documents_match_the_standard_library_on_hostile_labels(two_type_bayes):
+    labels = HOSTILE_LABELS
+    g = Game(
+        players=tuple(labels[:3]),
+        actions=(tuple(labels[3:5]), tuple(labels[5:]), ("",)),
+        payoffs=tuple(
+            (Fraction(k, 3), Fraction(-(2**70) - k), Fraction(k * k, 7)) for k in range(4)
+        ),
+    )
+    assert serialize_game(g) == _stdlib_game(g)
+    # Companion games name a strategy by JSON text when labels collide.
+    colliding = parse_bayes(colliding_strategies_bayes())
+    for companion in (ex_ante_game(colliding), interim_game(colliding), ex_ante_game(two_type_bayes)):
+        assert serialize_game(companion) == _stdlib_game(companion)
+    assert '"[\\"a\\",\\"aa\\"]"' in serialize_game(ex_ante_game(colliding))
+
+
+@pytest.mark.parametrize(
+    "report, message",
+    [
+        ({"x": object()}, "report value of type object"),
+        ({"x": [Fraction(1, 2), 0.5]}, "report value of type float"),
+        ({"x": 1e300}, "report value of type float"),
+        ({1: "a"}, "report key of type int"),
+        ({"x": [{None: 2}]}, "report key of type NoneType"),
+        ({"y": 1, 2: 2}, "not supported between"),
+        ({"x": {(1, 2): 3}}, "report key of type tuple"),
+    ],
+)
+def test_a_report_value_or_key_with_no_json_form_is_a_type_error(report, message):
+    with pytest.raises(TypeError, match=message):
+        dump_report(report)
+
+
+def _nested_text(levels, first_indent, leaves):
+    """The text of ``levels`` nested lists, the outermost opened at indent
+    ``first_indent - 1`` and the innermost holding ``leaves`` (JSON texts)."""
+    opening = "[" + "".join("\n" + "  " * depth + "[" for depth in range(first_indent, first_indent + levels - 1))
+    inner = "  " * (first_indent + levels - 1)
+    items = ",".join("\n" + inner + leaf for leaf in leaves)
+    closing = "".join("\n" + "  " * depth + "]" for depth in reversed(range(first_indent - 1, first_indent + levels - 1)))
+    return opening + items + closing
+
+
+def test_writers_take_documents_deeper_than_the_recursion_limit():
+    # json.dumps itself raises RecursionError on both.
+    levels = 3000
+    deep = ["leaf", 0]
+    for _ in range(levels - 1):
+        deep = [deep]
+    report = {"deep": deep, "z": None}
+    expected = '{\n  "deep": ' + _nested_text(levels, 2, ['"leaf"', "0"]) + ',\n  "z": null\n}\n'
+    assert dump_report(report) == expected
+
+    # 1,200 one-action players: the payoffs nest 1,200 lists around one vector.
+    n = 1200
+    g = Game(
+        players=tuple(f"p{k}" for k in range(n)),
+        actions=(("a",),) * n,
+        payoffs=(tuple(Fraction(k, 2) for k in range(n)),),
+    )
+    players = ",".join(f'\n    "p{k}"' for k in range(n))
+    actions = ",".join(f'\n    "p{k}": [\n      "a"\n    ]' for k in range(n))
+    payoffs = _nested_text(n + 1, 2, [f'"{Fraction(k, 2)}"' for k in range(n)])
+    expected = (
+        '{\n  "players": [' + players + '\n  ],\n  "actions": {' + actions + '\n  },\n'
+        '  "payoffs": ' + payoffs + "\n}\n"
+    )
+    assert serialize_game(g) == expected
 
 
 def test_a_value_too_long_to_print_is_a_size_limit():
