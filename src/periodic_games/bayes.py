@@ -4,7 +4,8 @@ A Bayesian game stores one payoff Game per state plus a prior over
 (state, type profile). The module derives interim beliefs and builds the
 complete-information companions: the ex-ante game over type-contingent
 strategies and the interim game over player-type pairs. The interim game
-with correlated conditioning on joint types equals one of the two.
+with correlated conditioning on joint types equals one of the two. Both
+are built from integer sums over the games' integer payoff views.
 """
 
 from __future__ import annotations
@@ -173,15 +174,15 @@ def _integer_expectation(bg: BayesianGame, rows: Sequence[int]):
     Returns ``(sums, mass, dp, du)``. ``dp`` is the lcm of the denominators
     of the positive prior probabilities and ``du`` the lcm of the games'
     ``payoff_scale``s, so a positive prior entry has the integer weight
-    ``w = prob * dp`` and payoff vectors ``U = u * du``. A companion profile
-    is one action per pair, and the pairs' product runs through them in
-    row-major order. ``sums[r][k]`` sums ``w * U_i`` over the entries whose
-    pair q = (i, t_i) has ``rows[q] == r``, each at the payoff vector its
-    type profile's pairs choose at profile k; ``mass[q]`` sums the ``w`` of
-    pair q's entries. The entries of one type profile are summed once per
-    base payoff vector. A sum of ``prob * u`` is then an integer sum over
-    ``dp * du``: one Fraction per result instead of a Fraction product per
-    term.
+    ``w = prob * dp`` and payoff vectors ``U = u * du`` (its game's
+    ``scaled_payoffs`` times a factor folded into the weight). A companion
+    profile is one action per pair, and the pairs' product runs through
+    them in row-major order. ``sums[r][k]`` sums ``w * U_i`` over the
+    entries whose pair q = (i, t_i) has ``rows[q] == r``, each at the payoff
+    vector its type profile's pairs choose at profile k; ``mass[q]`` sums
+    the ``w`` of pair q's entries. The entries of one type profile are
+    summed once per base payoff vector. A sum of ``prob * u`` is then an
+    integer sum over ``dp * du``, with no Fraction product per term.
     """
     ids = _player_type_ids(bg)
     position = {node: q for q, node in enumerate(ids)}
@@ -192,10 +193,10 @@ def _integer_expectation(bg: BayesianGame, rows: Sequence[int]):
     dp = common_denominator(probs)
     # The lcm of the games' cached scales: 1/scale has denominator scale.
     du = common_denominator(Fraction(1, g.payoff_scale) for g in bg.games)
-    payoffs = [[scaled(vec, du) for vec in g.payoffs] for g in bg.games]
-    by_types: dict[TypeProfile, list[tuple[int, int]]] = {}
+    by_types: dict[TypeProfile, list[tuple[int, int, tuple]]] = {}
     for ((theta, tp), _), w in zip(positive, scaled(probs, dp)):
-        by_types.setdefault(tp, []).append((w, theta))
+        g = bg.games[theta]
+        by_types.setdefault(tp, []).append((w, w * (du // g.payoff_scale), g.scaled_payoffs))
     base = range(len(bg.games[0].payoffs))
     sums = [[0] * math.prod(shape[i] for i, _ in ids) for _ in range(max(rows) + 1)]
     mass = [0] * len(ids)
@@ -211,10 +212,10 @@ def _integer_expectation(bg: BayesianGame, rows: Sequence[int]):
             stride = moves.get(q, 0)
             index = [k + a * stride for k in index for a in range(shape[i])]
         for i, q in enumerate(pairs):
-            column = [sum(w * payoffs[theta][k][i] for w, theta in entries) for k in base]
+            column = [sum(wu * vecs[k][i] for _, wu, vecs in entries) for k in base]
             r = rows[q]
             sums[r] = list(map(operator.add, sums[r], map(column.__getitem__, index)))
-            mass[q] += sum(w for w, _ in entries)
+            mass[q] += sum(w for w, _, _ in entries)
     return sums, mass, dp, du
 
 
@@ -256,7 +257,8 @@ def ex_ante_game(bg: BayesianGame) -> Game:
     player two of whose concatenations coincide, the compact JSON text of
     the list of those labels (``["a","aa"]``). Payoffs are prior
     expectations, summed exactly in integers (prior and payoffs scaled by
-    the lcm of their denominators) and divided once per payoff entry.
+    the lcm of their denominators); the game is built from those sums over
+    their one scale, ``dp * du``.
     """
     _check_profile_count(bg, "ex-ante", bg.num_players)
     n = bg.num_players
@@ -268,8 +270,7 @@ def ex_ante_game(bg: BayesianGame) -> Game:
     # A strategy profile is a companion profile of ``_integer_expectation``,
     # and each prior entry adds to one of a player's pairs: one row a player.
     sums, _, dp, du = _integer_expectation(bg, [i for i, _ in _player_type_ids(bg)])
-    columns = [[Fraction(total, dp * du) for total in totals] for totals in sums]
-    return Game(players=bg.players, actions=labels, payoffs=tuple(zip(*columns)))
+    return Game._from_integers(bg.players, labels, zip(*sums), (dp * du,) * n)
 
 
 def _player_type_ids(bg: BayesianGame) -> tuple[tuple[int, int], ...]:
@@ -295,16 +296,17 @@ def interim_game(bg: BayesianGame) -> Game:
     the type-conditional expectation of the original utility, with opponent
     actions taken from the realized opponent types' choices. A pair's
     expectation is an integer sum over its prior entries (scaled as in
-    ``ex_ante_game``) divided once by ``du`` times the pair's integer mass.
+    ``ex_ante_game``) over ``du`` times the pair's integer mass, and the
+    game is built from those sums, each pair's over its own scale: the lcm
+    of many distinct masses can dwarf every payoff.
     """
     ids = _player_type_ids(bg)
     _check_profile_count(bg, "interim", len(ids))
     sums, mass, _, du = _integer_expectation(bg, range(len(ids)))
     if 0 in mass:
         raise _zero_probability_type(bg, *ids[mass.index(0)])
-    columns = [[Fraction(v, du * m) for v in totals] for totals, m in zip(sums, mass)]
     actions = tuple(bg.actions[i] for i, _ in ids)
-    return Game(players=_player_type_labels(bg), actions=actions, payoffs=tuple(zip(*columns)))
+    return Game._from_integers(_player_type_labels(bg), actions, zip(*sums), [du * m for m in mass])
 
 
 def interim_correlated_game(bg: BayesianGame) -> Game:

@@ -1,10 +1,10 @@
 """Finite N-player strategic form games with exact rational payoffs.
 
-Payoffs are stored as a dense tensor in row-major player order; every
-quantity is a ``fractions.Fraction`` so all downstream computation is exact.
-A Game is valid by construction: its constructor runs ``validate_game``, so
-no algorithm re-checks one. Game objects are immutable and safe to share
-between threads.
+Payoffs are a row-major tensor of ``fractions.Fraction``s with the integer
+view every algorithm reads (``payoff_scale``, ``scaled_payoffs``). A Game is
+valid by construction: ``Game(...)`` runs ``validate_game``, and the library's
+``Game._from_integers`` takes only ints and checks labels and shape, so no
+algorithm re-checks one. Games are immutable and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -97,6 +97,38 @@ class Game:
     def __post_init__(self) -> None:
         validate_game(self)
 
+    @classmethod
+    def _from_integers(cls, players, actions, vectors, scales, fractions=()) -> Game:
+        """The game of row-major int payoff vectors, player i's over the
+        positive int ``scales[i]`` (else a ValidationError); only labels and
+        shape are checked. Each distinct (entry, scale) is one shared
+        ``Fraction``, from ``fractions`` (entry to Fraction) where a parse made
+        it. Over one scale, one ``gcd`` reduces it to ``payoff_scale`` and the
+        integer view is stored; the lcm of several can dwarf every entry, so
+        their view is derived only if read."""
+        players, scales, vectors = tuple(players), tuple(scales), tuple(map(tuple, vectors))
+        flat = list(itertools.chain.from_iterable(vectors))
+        if len(scales) != len(players) or not set(map(type, [*flat, *scales])) <= {int} or min(scales, default=0) < 1:
+            raise ValidationError("integer payoffs need int entries over one positive int scale per player")
+        g = cls.__new__(cls)
+        g.__dict__.update(players=players, actions=tuple(map(tuple, actions)))
+        _check_labels_and_shape(g, vectors)
+        n = g.num_players
+        # One memo per scale, shared by the players over it.
+        columns = list(zip(*vectors))
+        values: dict[int, dict[int, Fraction]] = {s: dict(fractions) for s in scales}
+        for column, s in zip(columns, scales):
+            values[s].update({v: Fraction(v, s) for v in set(column).difference(values[s])})
+        g.__dict__["payoffs"] = tuple(zip(*(map(values[s].__getitem__, c) for c, s in zip(columns, scales))))
+        if len(values) == 1:
+            common = math.gcd(scales[0], *flat)
+            if common > 1:
+                reduced = {v: v // common for v in set(flat)}
+                # zip over n references to one iterator cuts entries into vectors of n.
+                vectors = tuple(zip(*[map(reduced.__getitem__, flat)] * n))
+            g.__dict__.update(payoff_scale=scales[0] // common, scaled_payoffs=vectors)
+        return g
+
     @property
     def num_players(self) -> int:
         return len(self.players)
@@ -130,18 +162,22 @@ class Game:
         return common_denominator(v for vec in self.payoffs for v in vec)
 
     @functools.cached_property
+    def scaled_payoffs(self) -> tuple[tuple[int, ...], ...]:
+        """The payoff vectors times ``payoff_scale``, in row-major order."""
+        return tuple(tuple(scaled(vec, self.payoff_scale)) for vec in self.payoffs)
+
+    @functools.cached_property
     def own_payoffs(self) -> tuple[OwnPayoffs, ...]:
         """Per player i, i's own payoffs times ``payoff_scale``: one row per
         own action, one column per opponent profile (the opponents' action
         indices in player order, enumerated in row-major order)."""
-        flat = [scaled(vec, self.payoff_scale) for vec in self.payoffs]
         views = []
         for i, size in enumerate(self.shape):
             after = math.prod(self.shape[i + 1:])
             rows = [[] for _ in range(size)]
             # Profile k has own action k // after % size, and the profiles
             # of one own action come in the row-major order of the others.
-            for k, vec in enumerate(flat):
+            for k, vec in enumerate(self.scaled_payoffs):
                 rows[k // after % size].append(vec[i])
             opponents = itertools.product(*(range(n) for j, n in enumerate(self.shape) if j != i))
             views.append(OwnPayoffs(tuple(map(tuple, rows)), tuple(opponents)))
@@ -180,12 +216,9 @@ def make_game(
     ParseError and a ValidationError, and a payoff vector of the wrong
     length a BadDimension.
 
-    Each distinct literal text is parsed once per call: a dict local to the
-    call maps text to its ``Fraction``, which entries may share since a
-    Fraction is immutable. Only ``str`` tokens are looked up there, because
-    ``True``, ``1`` and ``1.0`` hash equal; every other token goes to
-    ``parse_fraction`` itself. Entries are read in row-major order, so the
-    first bad literal raises.
+    Each distinct ``str`` token is parsed once, and every other token on
+    its own, in row-major order so the first bad literal raises; the game
+    is built from the values' integers over the lcm of their denominators.
     """
     players = tuple(players)
     actions = tuple(tuple(a) for a in actions)
@@ -205,18 +238,16 @@ def make_game(
     for k, vec in enumerate(level):
         if not isinstance(vec, (list, tuple)) or len(vec) != n:
             raise BadDimension(f"payoff vector at profile {_prefix(k, shape)} must have length {n}")
-    parsed: dict[str, Fraction] = {}
-
-    def literal(token) -> Fraction:
-        if type(token) is not str:
-            return parse_fraction(token)
-        value = parsed.get(token)
-        if value is None:
-            value = parsed[token] = parse_fraction(token)
-        return value
-
-    payoffs = tuple(tuple(map(literal, vec)) for vec in level)
-    return Game(players=players, actions=actions, payoffs=payoffs)
+    tokens = list(itertools.chain.from_iterable(level))
+    # Only str tokens share a parse (True, 1 and 1.0 hash equal, and a list
+    # does not hash); any other token is keyed by its index, which no str is.
+    keys = tokens if set(map(type, tokens)) == {str} else [t if type(t) is str else k for k, t in enumerate(tokens)]
+    texts = dict(zip(keys, tokens))  # in row-major order of first use
+    values = list(map(parse_fraction, texts.values()))
+    scale = common_denominator(values)
+    ints = dict(zip(texts, scaled(values, scale)))
+    vectors = zip(*[map(ints.__getitem__, keys)] * n)
+    return Game._from_integers(players, actions, vectors, (scale,) * n, dict(zip(ints.values(), values)))
 
 
 def _prefix(k: int, sizes: Sequence[int]) -> Profile:
@@ -231,6 +262,14 @@ def _prefix(k: int, sizes: Sequence[int]) -> Profile:
 def validate_game(g: Game) -> None:
     """Check all Game invariants; raises a ValidationError subclass on
     failure. ``Game`` calls it on construction."""
+    _check_labels_and_shape(g, g.payoffs)
+    for k, vec in enumerate(g.payoffs):
+        if not all(isinstance(v, Fraction) for v in vec):
+            raise ValidationError(f"payoff vector at flat index {k} has an entry that is not a Fraction")
+
+
+def _check_labels_and_shape(g: Game, payoffs: Sequence[Sequence]) -> None:
+    """The checks of ``validate_game`` that read no entry of ``payoffs``."""
     n = g.num_players
     if n < 2:
         raise BadDimension(f"a game needs at least 2 players, got {n}")
@@ -250,13 +289,11 @@ def validate_game(g: Game) -> None:
     expected = 1
     for size in g.shape:
         expected *= size
-    if len(g.payoffs) != expected:
-        raise MissingProfile(f"payoff tensor has {len(g.payoffs)} profiles, expected {expected}")
-    for k, vec in enumerate(g.payoffs):
-        if len(vec) != n:
-            raise BadDimension(f"payoff vector at flat index {k} has length {len(vec)}, expected {n}")
-        if not all(isinstance(v, Fraction) for v in vec):
-            raise ValidationError(f"payoff vector at flat index {k} has an entry that is not a Fraction")
+    if len(payoffs) != expected:
+        raise MissingProfile(f"payoff tensor has {len(payoffs)} profiles, expected {expected}")
+    if set(map(len, payoffs)) - {n}:
+        k = next(k for k, vec in enumerate(payoffs) if len(vec) != n)
+        raise BadDimension(f"payoff vector at flat index {k} has length {len(payoffs[k])}, expected {n}")
 
 
 def payoff(g: Game, profile: Sequence[int]) -> tuple[Fraction, ...]:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 from typing import Optional
 
 from .game import Game
@@ -16,11 +15,6 @@ def random_game(rng: random.Random, num_players: Optional[int] = None) -> Game:
     contract: a seed names the same games in every release."""
     n = num_players if num_players is not None else rng.randint(2, 4)
     shape = [rng.randint(2, 4) for _ in range(n)]
-    payoffs = tuple(
-        tuple(Fraction(rng.randint(-9, 9)) for _ in range(n)) for _ in range(math.prod(shape))
-    )
-    return Game(
-        players=tuple(f"P{i + 1}" for i in range(n)),
-        actions=tuple(tuple(f"s{k + 1}" for k in range(size)) for size in shape),
-        payoffs=payoffs,
-    )
+    vectors = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(math.prod(shape))]
+    actions = [[f"s{k + 1}" for k in range(size)] for size in shape]
+    return Game._from_integers([f"P{i + 1}" for i in range(n)], actions, vectors, (1,) * n)

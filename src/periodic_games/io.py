@@ -2,10 +2,10 @@
 
 Files are JSON with payoffs written as strings ("3", "-1/2", "0.25") so
 fractions survive the round trip exactly. Serialization is deterministic:
-identical inputs produce byte-identical output. Game documents and machine
-reports are written by one writer, ``_dumps``: the text of ``json.dumps``
-with ``indent=2`` (reports with sorted keys), from an explicit stack rather
-than the standard library's recursive pure-Python encoder, which ``indent``
+identical inputs produce byte-identical output. Game documents (one text
+per payoff object) and machine reports are written by one writer, ``_dumps``:
+the text of ``json.dumps`` with ``indent=2`` (reports with sorted keys), from
+an explicit stack rather than the recursive pure-Python encoder ``indent``
 selects. A list of strings or of Fractions is written as one join.
 """
 
@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
 
@@ -114,11 +115,15 @@ def parse_game(text: str) -> Game:
 
 
 def serialize_game(g: Game) -> str:
-    # The row-major payoff vectors, cut into runs of each axis size from
-    # the innermost axis out, nest as the document does.
-    tensor = g.payoffs
-    for size in reversed(g.shape):
-        tensor = [tensor[k:k + size] for k in range(0, len(tensor), size)]
+    # One text per Fraction object, keyed by id, as a Fraction hashes in Python
+    # (a built or parsed game shares one object per value). The row-major texts,
+    # cut into vectors and runs of each axis size, innermost first, nest as the document.
+    flat = list(chain.from_iterable(g.payoffs))
+    ids = list(map(id, flat))
+    texts = {k: format_fraction(v) for k, v in dict(zip(ids, flat)).items()}
+    tensor = list(map(texts.__getitem__, ids))
+    for size in (g.num_players, *reversed(g.shape)):
+        tensor = list(zip(*[iter(tensor)] * size))
     doc = {
         "players": list(g.players),
         "actions": {p: list(acts) for p, acts in zip(g.players, g.actions)},

@@ -54,6 +54,26 @@ def many_types_bayes(types):
     return json.dumps(doc, separators=(",", ":"))
 
 
+def distinct_masses_bayes(types=40, actions=10, digits=1500):
+    """A Bayesian game document of two players with ``actions`` actions and
+    one type each beside a one-action player with ``types`` types, type k
+    drawn with weight ``10**digits + k``: about 120 KB, but the lcm of its
+    interim pairs' masses has about ``types * digits`` digits."""
+    weights = [10**digits + k for k in range(1, types + 1)]
+    total = sum(weights)
+    labels = [f"a{i}" for i in range(actions)]
+    table = [[[[str(i - j), str(j), str((i + j) % 5 + 1)]] for j in range(actions)] for i in range(actions)]
+    doc = {
+        "players": ["A", "C", "B"],
+        "actions": {"A": labels, "C": labels, "B": ["b"]},
+        "thetas": ["th"],
+        "types": {"A": ["a"], "C": ["c"], "B": [f"t{k}" for k in range(types)]},
+        "prior": [["th", ["a", "c", f"t{k}"], f"{w}/{total}"] for k, w in enumerate(weights)],
+        "payoffs": {"th": table},
+    }
+    return json.dumps(doc, separators=(",", ":"))
+
+
 def many_cycles_game(num_players=7):
     """A seeded game document with 2 actions per player and integer
     payoffs in [-9, 9]: about 30 KB for 7 players, but its periodicity graph

@@ -14,7 +14,7 @@ import periodic_games
 from periodic_games import Game, cli, game, lp, periodicity, rationalizability
 from periodic_games.cli import main
 
-from conftest import FIXTURES, colliding_strategies_bayes, many_cycles_game, many_types_bayes, recursion_limit, shift_game, tall_game
+from conftest import FIXTURES, colliding_strategies_bayes, distinct_masses_bayes, many_cycles_game, many_types_bayes, recursion_limit, shift_game, tall_game
 from test_io import deep_payoffs_game, deep_prior_bayes, long_bare_integer_game, one_action_game
 
 BOS = str(FIXTURES / "battle_of_sexes.game.json")
@@ -274,10 +274,18 @@ def test_analyze_runs_iesds_once_and_intersects_its_survivors(capsys, monkeypatc
 
 
 def _count_view_builds(monkeypatch) -> dict:
-    """Counts of the builds of the two cached properties of ``Game`` that
-    make its integer payoff view."""
-    builds = {"payoff_scale": 0, "own_payoffs": 0}
-    for name in builds:
+    """Counts of the games built from integers, whose constructor stores the
+    integer payoff view, and of the builds of the cached properties of
+    ``Game`` that derive the view or read it into per-player rows."""
+    builds = {"_from_integers": 0, "payoff_scale": 0, "scaled_payoffs": 0, "own_payoffs": 0}
+    construct = Game._from_integers.__func__
+
+    def constructed(cls, *args):
+        builds["_from_integers"] += 1
+        return construct(cls, *args)
+
+    monkeypatch.setattr(Game, "_from_integers", classmethod(constructed))
+    for name in ("payoff_scale", "scaled_payoffs", "own_payoffs"):
         build = getattr(Game, name).func
 
         def counted(g, name=name, build=build):
@@ -290,18 +298,24 @@ def _count_view_builds(monkeypatch) -> dict:
     return builds
 
 
+# A parsed game's integer view is built once, by its constructor; the
+# algorithms read it (own_payoffs slices it into rows once) and never
+# derive it again.
+ONE_VIEW = {"_from_integers": 1, "payoff_scale": 0, "scaled_payoffs": 0, "own_payoffs": 1}
+
+
 def test_analyze_builds_the_payoff_view_once(capsys, monkeypatch):
     builds = _count_view_builds(monkeypatch)
     # analyze builds the periodicity graph twice and runs IESDS.
     assert main(["analyze", BOS, "--format", "machine"]) == 0
-    assert builds == {"payoff_scale": 1, "own_payoffs": 1}
+    assert builds == ONE_VIEW
     assert json.loads(capsys.readouterr().out)["periodic_actions"] == {"A": ["a1", "a2"], "B": ["b1", "b2"]}
 
 
 def test_coco_builds_the_payoff_matrices_once(capsys, monkeypatch):
     builds = _count_view_builds(monkeypatch)
     assert main(["coco", BOS, "--format", "machine"]) == 0
-    assert builds == {"payoff_scale": 1, "own_payoffs": 1}
+    assert builds == ONE_VIEW
     doc = json.loads(capsys.readouterr().out)
     assert doc["cooperative_matrix"] == [["3/2", "0"], ["0", "3/2"]]
     assert doc["competitive_matrix"] == [["1/2", "0"], ["0", "-1/2"]]
@@ -472,23 +486,40 @@ def test_a_companion_game_with_too_many_payoff_entries_is_an_error(tmp_path, cap
     assert "Traceback" not in captured.err
 
 
+def test_an_interim_game_over_many_distinct_masses_is_quick(tmp_path, capsys):
+    # Each pair's payoffs are over du times its own mass: over the lcm of
+    # the 42 masses (about 60,000 digits) every entry would be that long.
+    path = tmp_path / "distinct_masses.bayes.json"
+    path.write_text(distinct_masses_bayes())
+    start = time.perf_counter()
+    assert main(["bayes", str(path), "--to", "interim"]) == 0
+    assert time.perf_counter() - start < 5
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["players"]) == 42
+    # The payoff vector at (a3, a4) and the one action of each of 40 types.
+    vector = functools.reduce(lambda node, _: node[0], range(40), doc["payoffs"][3][4])
+    assert vector == ["-1", "4", *(["3"] * 40)]
+
+
 def test_coco_validates_the_game_once(capsys, monkeypatch):
-    # Every module binding of validate_game is counted, not just the one
-    # the Game constructor calls.
-    calls = []
-    original = game.validate_game
+    # Every module binding of both checks is counted, not just the ones the
+    # Game constructors call. A parsed game is built from integers, so its
+    # labels and shape are checked once and its entries are never walked.
+    calls = {"validate_game": 0, "_check_labels_and_shape": 0}
+    for name in calls:
+        original = getattr(game, name)
 
-    def counted(g):
-        calls.append(g)
-        return original(g)
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
 
-    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "periodic_games"]
-    for module in modules:
-        for name, value in list(vars(module).items()):
-            if value is original:
-                monkeypatch.setattr(module, name, counted)
+        modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "periodic_games"]
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
     assert main(["coco", BOS, "--format", "machine"]) == 0
-    assert len(calls) == 1
+    assert calls == {"validate_game": 0, "_check_labels_and_shape": 1}
     assert json.loads(capsys.readouterr().out)["vsharp"] == "3"
 
 
@@ -706,6 +737,34 @@ def test_the_module_exits_with_the_code_main_returns(tmp_path, capsys):
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert (done.returncode, done.stdout, done.stderr) == (code, captured.out, captured.err)
+
+
+def test_outputs_do_not_depend_on_the_hash_seed():
+    # Set and dict memos (one Fraction or text per distinct value) must not
+    # leak their iteration order, which for strings follows the hash seed.
+    argvs = [["bayes", str(path), "--to", to] for path in sorted(FIXTURES.glob("*.bayes.json"))
+             for to in ("ex-ante", "interim")]
+    for path in sorted(FIXTURES.glob("*.game.json")):
+        argvs.append(["cycles", str(path), "--format", "machine"])
+        if len(json.loads(path.read_text())["players"]) == 2:
+            argvs.append(["coco", str(path), "--format", "machine"])
+    script = (
+        "import json, sys\n"
+        "from periodic_games.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    sys.stdout.write(f'{argv} exit {main(argv)}\\n')\n"
+    )
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(periodic_games.__file__).parents[1]), PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argvs)],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0 and done.stderr == b"", done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b" exit 0\n") == len(argvs) == 13
 
 
 def readme_commands() -> list[str]:

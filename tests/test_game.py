@@ -30,6 +30,7 @@ from periodic_games.errors import (
     ParseError,
     ValidationError,
 )
+from periodic_games import game
 from periodic_games.game import parse_fraction, validate_mixed
 from periodic_games.io import parse_game, serialize_game
 from periodic_games.generate import random_game
@@ -141,6 +142,21 @@ def test_repeated_literal_texts_read_as_the_unmemoized_parse():
         g = _read_table(tokens, through_json)
         assert [v for vec in g.payoffs for v in vec] == [parse_fraction(t) for t in tokens]
         assert all(type(v) is Fraction for vec in g.payoffs for v in vec)
+
+
+def test_a_mixed_table_parses_each_text_once_and_every_other_token_alone(monkeypatch):
+    calls = []
+
+    def counted(token):
+        calls.append(token)
+        return parse_fraction(token)
+
+    monkeypatch.setattr(game, "parse_fraction", counted)
+    tokens = ["1/2", 3, "1/2", Fraction(1, 3), "1/2", 3, "0", "0"]
+    g = _read_table(tokens, through_json=False)
+    assert calls == ["1/2", 3, Fraction(1, 3), 3, "0"]
+    assert g == Game(g.players, g.actions, g.payoffs) and g.payoff_scale == 6
+    assert [v for vec in g.payoffs for v in vec] == [parse_fraction(t) for t in tokens]
 
 
 def test_directly_built_game_with_inexact_payoffs_rejected():

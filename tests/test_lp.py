@@ -16,6 +16,14 @@ from periodic_games.lp import SimplexInternalError, simplex_max, zero_sum_value
 F = Fraction
 
 
+class Index(int):
+    """An int subclass other than bool: exact, so it passes the entry checks."""
+
+
+class Ratio(Fraction):
+    """A Fraction subclass: exact too."""
+
+
 def test_solve_exact_unique():
     status, x = solve_exact([[F(2), F(1)], [F(1), F(-1)]], [F(5), F(1)])
     assert status == "unique"
@@ -116,6 +124,8 @@ def test_simplex_max_rejects_negative_rhs():
         ([[1.5]], [1], [1]),
         ([[1]], [True], [1]),
         ([[1]], [1], [F(1), 0.5]),
+        ([[1]], ["1"], [1]),
+        ([[Index(1)]], [1], [1.0]),
     ],
 )
 def test_simplex_max_rejects_mismatched_shapes_and_non_rational_entries(a, b, c):
@@ -129,11 +139,18 @@ def test_simplex_max_reports_unbounded_objective_as_certificate_error():
 
 
 @pytest.mark.parametrize(
-    "matrix", [[], [[]], [[F(1), F(2)], [F(3)]], [[F(1), 0.5]], [[F(1)], [True]], [[False, 2]]]
+    "matrix",
+    [[], [[]], [[F(1), F(2)], [F(3)]], [[F(1), 0.5]], [[F(1)], [True]], [[False, 2]], [["1", 2]], [[Index(1), True]]],
 )
 def test_zero_sum_value_rejects_empty_and_ragged_matrices(matrix):
     with pytest.raises(BadParameter):
         zero_sum_value(matrix)
+
+
+def test_int_and_fraction_subclasses_pass_the_entry_checks():
+    matrix = [[Index(2), Ratio(-1, 2)], [Index(0), Ratio(3)]]
+    assert zero_sum_value(matrix) == zero_sum_value([[F(v) for v in row] for row in matrix])
+    assert simplex_max([[Index(1)]], [Ratio(1)], [Index(1)]) == simplex_max([[1]], [F(1)], [1])
 
 
 def test_simplex_internal_error_is_a_typed_certificate_error():

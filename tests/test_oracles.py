@@ -2,8 +2,8 @@
 Nash equilibria, the best-response polyhedron vertices they pair and the
 indifference vertices those share with periodic mixtures, of the
 dominance check, of the Bayesian companion
-games, of the cycle search, of the report and game writers and of the
-seeded game generator against slow, independent reference
+games, of the cycle search, of the report and game writers, of the
+seeded game generator and of the games built from integers against slow, independent reference
 implementations kept here, plus metamorphic tests under positive payoff
 scaling."""
 
@@ -36,10 +36,10 @@ from periodic_games import (
     validate_bayesian_game,
     validate_game,
 )
-from periodic_games.errors import Infeasible, ZeroProbabilityType
+from periodic_games.errors import Infeasible, ValidationError, ZeroProbabilityType
 from periodic_games.game import payoff
 from periodic_games.generate import random_game
-from periodic_games.io import dump_report, format_fraction, serialize_game
+from periodic_games.io import dump_report, format_fraction, parse_bayes, parse_game, serialize_game
 from periodic_games.linalg import (
     affine_dimension,
     common_denominator,
@@ -1286,3 +1286,75 @@ def test_machine_reports_match_the_recursive_encoder(tmp_path, capsys, monkeypat
         commands.add(command)
     assert commands == {"analyze", "cycles", "mixed", "nash", "coco"}
     assert any(None in r.get("periodic_mixed", {}).values() for r in reports)
+
+
+def assert_same_as_public(g):
+    """A game built from integers against the public constructor's game of
+    the same Fractions: equal, hashed alike, with the same integer view and
+    the same document bytes."""
+    public = Game(g.players, g.actions, g.payoffs)
+    assert g == public and hash(g) == hash(public)
+    assert all(type(v) is Fraction for vec in g.payoffs for v in vec)
+    assert g.payoff_scale == public.payoff_scale
+    assert g.scaled_payoffs == public.scaled_payoffs
+    assert g.own_payoffs == public.own_payoffs
+    assert serialize_game(g) == serialize_game(public)
+
+
+def _integer_expectation_bayes(rng):
+    """Payoffs k/3 under a prior of 1/4 per entry, the payoffs of the two
+    thetas summing to a multiple of 4 at every profile, so every ex-ante and
+    interim expectation is an integer: the sums over ``dp * du`` and over
+    ``du`` times the masses reduce to scale 1."""
+    players, actions = ("A", "B"), (("U", "D"), ("L", "R", "M"))
+    profiles = list(itertools.product(range(2), range(3)))
+    first = [[rng.randint(-9, 9) for _ in players] for _ in profiles]
+    second = [[12 * rng.randint(-3, 3) - x for x in vec] for vec in first]
+    games = tuple(Game(players, actions, tuple(tuple(F(x, 3) for x in vec) for vec in table))
+                  for table in (first, second))
+    prior = {(theta, (t, 0)): F(1, 4) for theta in range(2) for t in range(2)}
+    return BayesianGame(("th", "thp"), (("t", "tp"), ("u",)), prior, games)
+
+
+def test_games_built_from_integers_equal_the_public_constructors():
+    rng = random.Random(2021)
+    games = [random_game(rng, n) for n in (None, 2, 3, 4) for _ in range(10)]
+    documents = sorted(FIXTURES.glob("*.game.json"))
+    games += [parse_game(path.read_text()) for path in documents]
+    bayesian = [parse_bayes(path.read_text()) for path in sorted(FIXTURES.glob("*.bayes.json"))]
+    bayesian += [_random_bayesian_game(rng, k) for k in range(40)]
+    bayesian += [_coprime_prior_game(rng, k) for k in range(40)]
+    integral = [_integer_expectation_bayes(rng) for _ in range(5)]
+    games += [g for bg in bayesian[:2] for g in bg.games]
+    for bg in bayesian + integral:
+        for build in (ex_ante_game, interim_game, interim_correlated_game):
+            companion = _outcome(build, bg)
+            if isinstance(companion, Game):
+                games.append(companion)
+    for bg in integral:
+        assert bg.games[0].payoff_scale == 3
+        for build, reference in ((ex_ante_game, reference_ex_ante_game), (interim_game, reference_interim_correlated_game)):
+            g = build(bg)
+            assert g == reference(bg) and g.payoff_scale == 1
+    assert len(documents) == 5 and sum(len(t) > 1 for bg in bayesian for t in bg.types) >= 40
+    for g in games:
+        assert_same_as_public(g)
+
+
+@pytest.mark.parametrize("entry", [0.5, 1.0, True, False, "1", F(1)])
+def test_games_built_from_integers_take_only_ints(entry):
+    with pytest.raises(ValidationError):
+        Game._from_integers(("A", "B"), (("x",), ("l",)), [(1, entry)], (1, 1))
+
+
+@pytest.mark.parametrize("scales", [(1, 0), (-2, 1), (1.0, 1), (1, True), (F(2), 2), (1,), (1, 1, 1)])
+def test_games_built_from_integers_take_one_positive_int_scale_per_player(scales):
+    with pytest.raises(ValidationError):
+        Game._from_integers(("A", "B"), (("x",), ("l",)), [(1, 2)], scales)
+
+
+def test_games_built_over_several_scales_derive_their_integer_view():
+    g = Game._from_integers(("A", "B"), (("x", "y"), ("l",)), [(3, 2), (-6, 5)], (6, 4))
+    assert g.payoffs == ((F(1, 2), F(1, 2)), (F(-1), F(5, 4)))
+    assert g.payoff_scale == 4 and g.scaled_payoffs == ((2, 2), (-4, 5))
+    assert_same_as_public(g)
