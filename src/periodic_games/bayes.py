@@ -20,7 +20,7 @@ from typing import Mapping, Sequence, Union
 
 from .errors import BadDimension, DuplicateLabel, SizeLimit, ValidationError, ZeroProbabilityType
 from .game import Game, label_index
-from .linalg import common_denominator, scaled
+from .linalg import common_denominator, integer_column
 
 TypeProfile = tuple[int, ...]
 PriorKey = tuple[int, TypeProfile]  # (theta index, type profile)
@@ -172,10 +172,11 @@ def _integer_expectation(bg: BayesianGame, rows: Sequence[int]):
     pair q of ``_player_type_ids``.
 
     Returns ``(sums, mass, dp, du)``. ``dp`` is the lcm of the denominators
-    of the positive prior probabilities and ``du`` the lcm of the games'
-    ``payoff_scale``s, so a positive prior entry has the integer weight
-    ``w = prob * dp`` and payoff vectors ``U = u * du`` (its game's
-    ``scaled_payoffs`` times a factor folded into the weight). A companion
+    of the positive prior probabilities and ``du`` the lcm of the players'
+    own scales over all games (``Game.own_payoffs``), each player's payoff
+    column read in integers over its own scale. So a positive prior entry
+    has the integer weight ``w = prob * dp`` and payoffs ``U_i = u_i * du``
+    (the column times a factor folded into the weight). A companion
     profile is one action per pair, and the pairs' product runs through
     them in row-major order. ``sums[r][k]`` sums ``w * U_i`` over the
     entries whose pair q = (i, t_i) has ``rows[q] == r``, each at the payoff
@@ -189,16 +190,15 @@ def _integer_expectation(bg: BayesianGame, rows: Sequence[int]):
     shape = bg.games[0].shape
     strides = [math.prod(shape[i + 1:]) for i in range(len(shape))]
     positive = [(key, prob) for key, prob in bg.prior.items() if prob > 0]
-    probs = [prob for _, prob in positive]
-    dp = common_denominator(probs)
-    # The lcm of the games' cached scales: 1/scale has denominator scale.
-    du = common_denominator(Fraction(1, g.payoff_scale) for g in bg.games)
-    by_types: dict[TypeProfile, list[tuple[int, int, tuple]]] = {}
-    for ((theta, tp), _), w in zip(positive, scaled(probs, dp)):
-        g = bg.games[theta]
-        by_types.setdefault(tp, []).append((w, w * (du // g.payoff_scale), g.scaled_payoffs))
+    weights, dp = integer_column([prob for _, prob in positive])
+    columns = [list(map(integer_column, zip(*g.payoffs))) for g in bg.games]
+    du = common_denominator(Fraction(1, s) for game in columns for _, s in game)  # 1/s has denominator s
+    by_types: dict[TypeProfile, list[tuple[int, int]]] = {}
+    for ((theta, tp), _), w in zip(positive, weights):
+        by_types.setdefault(tp, []).append((w, theta))
     base = range(len(bg.games[0].payoffs))
-    sums = [[0] * math.prod(shape[i] for i, _ in ids) for _ in range(max(rows) + 1)]
+    profiles = math.prod(shape[i] for i, _ in ids)
+    sums = [[0] * profiles for _ in range(max(rows) + 1)]
     mass = [0] * len(ids)
     # A one-action pair multiplies the companion profiles by one.
     moving = [(q, i) for q, (i, _) in enumerate(ids) if shape[i] > 1]
@@ -212,10 +212,11 @@ def _integer_expectation(bg: BayesianGame, rows: Sequence[int]):
             stride = moves.get(q, 0)
             index = [k + a * stride for k in index for a in range(shape[i])]
         for i, q in enumerate(pairs):
-            column = [sum(wu * vecs[k][i] for _, wu, vecs in entries) for k in base]
+            terms = [(w * (du // columns[theta][i][1]), columns[theta][i][0]) for w, theta in entries]
+            column = [sum(wu * ints[k] for wu, ints in terms) for k in base]
             r = rows[q]
             sums[r] = list(map(operator.add, sums[r], map(column.__getitem__, index)))
-            mass[q] += sum(w for w, _, _ in entries)
+            mass[q] += sum(w for w, _ in entries)
     return sums, mass, dp, du
 
 

@@ -339,10 +339,10 @@ def main(argv=None) -> int:
     except DegenerateArgmax as exc:
         sys.stderr.write(f"degenerate argmax: {exc}\n")
         return EXIT_DEGENERATE
-    except (ParseError, ValidationError) as exc:
+    except (ParseError, ValidationError, UnicodeDecodeError) as exc:  # undecodable bytes too
         sys.stderr.write(f"invalid input: {exc}\n")
         return EXIT_INVALID
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory, no permission
         sys.stderr.write(f"cannot read input: {exc}\n")
         return EXIT_INVALID
     except GameError as exc:

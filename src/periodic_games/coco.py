@@ -2,7 +2,8 @@
 
 A bimatrix game splits into a common-payoff half-sum game and a zero-sum
 half-difference game. The solution combines the maximal joint payoff with
-the zero-sum value and balances the chosen profile with a side payment.
+the zero-sum value and balances the chosen profile with a side payment;
+the only sum of two players' payoffs, over the lcm of their own scales.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from fractions import Fraction
 
 from .errors import CertificateError
 from .game import Game, payoff
+from .linalg import common_denominator
 from .lp import zero_sum_value
 from .mixed import require_bimatrix
 
@@ -36,11 +38,19 @@ class CocoSolution:
     decomposition: Decomposition
 
 
+def _bimatrix(g: Game) -> tuple[list, list, int]:
+    """The row and column players' payoff matrices, rows by columns, in
+    integers over the lcm of the two players' scales, and that lcm."""
+    require_bimatrix(g)
+    scale = common_denominator(Fraction(1, own.scale) for own in g.own_payoffs)  # 1/s has denominator s
+    a, b = ([[x * (scale // own.scale) for x in row] for row in own.rows] for own in g.own_payoffs)
+    return a, list(zip(*b)), scale
+
+
 def decompose(g: Game) -> Decomposition:
     """Entrywise half-sum / half-difference split of the two payoff matrices."""
-    require_bimatrix(g)
-    a, b = g.own_payoffs[0].rows, list(zip(*g.own_payoffs[1].rows))
-    half = 2 * g.payoff_scale
+    a, b, scale = _bimatrix(g)
+    half = 2 * scale
     cooperative = tuple(
         tuple(Fraction(x + y, half) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
     )
@@ -55,12 +65,11 @@ def max_combined_payoff(g: Game) -> tuple[Fraction, tuple[int, int], tuple[tuple
 
     Returns (value, lexicographically first argmax, all tied argmax profiles).
     """
-    require_bimatrix(g)
-    a, b = g.own_payoffs[0].rows, list(zip(*g.own_payoffs[1].rows))
+    a, b, scale = _bimatrix(g)
     combined = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
     best = max(max(row) for row in combined)
     tied = tuple((r, c) for r, row in enumerate(combined) for c, v in enumerate(row) if v == best)
-    return Fraction(best, g.payoff_scale), tied[0], tied
+    return Fraction(best, scale), tied[0], tied
 
 
 def coco_solution(g: Game) -> CocoSolution:

@@ -1,10 +1,11 @@
 """Finite N-player strategic form games with exact rational payoffs.
 
-Payoffs are a row-major tensor of ``fractions.Fraction``s with the integer
-view every algorithm reads (``payoff_scale``, ``scaled_payoffs``). A Game is
-valid by construction: ``Game(...)`` runs ``validate_game``, and the library's
-``Game._from_integers`` takes only ints and checks labels and shape, so no
-algorithm re-checks one. Games are immutable and safe to share between threads.
+Payoffs are a row-major tensor of ``fractions.Fraction``s. Every algorithm
+reads ``own_payoffs``: each player's own payoffs as integers over that
+player's own scale, derived once per game. ``Game(...)`` is the one way to
+build a game and runs ``validate_game``, so a Game is valid by construction
+and no algorithm re-checks one. Games are immutable and safe to share
+between threads.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (
     MissingProfile,
     ValidationError,
 )
-from .linalg import common_denominator, scaled
+from .linalg import integer_column
 
 Profile = tuple[int, ...]
 MixedProfile = tuple[tuple[Fraction, ...], ...]
@@ -76,10 +77,11 @@ def parse_fraction(token: RationalLike) -> Fraction:
 
 
 class OwnPayoffs(NamedTuple):
-    """One player's own payoffs times the game's ``payoff_scale``."""
+    """One player's own payoffs, as integers over the player's own scale."""
 
     rows: tuple[tuple[int, ...], ...]  # one per own action
     opponents: tuple[Profile, ...]  # column labels: opponent action indices
+    scale: int  # the lcm of the player's own payoff denominators
 
 
 @dataclass(frozen=True)
@@ -98,36 +100,21 @@ class Game:
         validate_game(self)
 
     @classmethod
-    def _from_integers(cls, players, actions, vectors, scales, fractions=()) -> Game:
-        """The game of row-major int payoff vectors, player i's over the
-        positive int ``scales[i]`` (else a ValidationError); only labels and
-        shape are checked. Each distinct (entry, scale) is one shared
-        ``Fraction``, from ``fractions`` (entry to Fraction) where a parse made
-        it. Over one scale, one ``gcd`` reduces it to ``payoff_scale`` and the
-        integer view is stored; the lcm of several can dwarf every entry, so
-        their view is derived only if read."""
+    def _from_integers(cls, players, actions, vectors, scales) -> Game:
+        """The game of row-major int payoff vectors, player i's entries over
+        the positive int ``scales[i]`` (else a ValidationError). Each
+        distinct (entry, scale) is one shared ``Fraction``."""
         players, scales, vectors = tuple(players), tuple(scales), tuple(map(tuple, vectors))
-        flat = list(itertools.chain.from_iterable(vectors))
-        if len(scales) != len(players) or not set(map(type, [*flat, *scales])) <= {int} or min(scales, default=0) < 1:
-            raise ValidationError("integer payoffs need int entries over one positive int scale per player")
-        g = cls.__new__(cls)
-        g.__dict__.update(players=players, actions=tuple(map(tuple, actions)))
-        _check_labels_and_shape(g, vectors)
-        n = g.num_players
+        lengths, types = set(map(len, (*vectors, scales))), set(map(type, itertools.chain(*vectors, scales)))
+        if lengths - {len(players)} or not types <= {int} or min(scales, default=0) < 1:
+            raise ValidationError("integer payoffs need, per player, an int in each vector and a positive int scale")
         # One memo per scale, shared by the players over it.
         columns = list(zip(*vectors))
-        values: dict[int, dict[int, Fraction]] = {s: dict(fractions) for s in scales}
+        values: dict[int, dict[int, Fraction]] = {s: {} for s in scales}
         for column, s in zip(columns, scales):
             values[s].update({v: Fraction(v, s) for v in set(column).difference(values[s])})
-        g.__dict__["payoffs"] = tuple(zip(*(map(values[s].__getitem__, c) for c, s in zip(columns, scales))))
-        if len(values) == 1:
-            common = math.gcd(scales[0], *flat)
-            if common > 1:
-                reduced = {v: v // common for v in set(flat)}
-                # zip over n references to one iterator cuts entries into vectors of n.
-                vectors = tuple(zip(*[map(reduced.__getitem__, flat)] * n))
-            g.__dict__.update(payoff_scale=scales[0] // common, scaled_payoffs=vectors)
-        return g
+        payoffs = tuple(zip(*(map(values[s].__getitem__, c) for c, s in zip(columns, scales))))
+        return cls(players, tuple(map(tuple, actions)), payoffs)
 
     @property
     def num_players(self) -> int:
@@ -156,31 +143,19 @@ class Game:
         return label_index(self.actions[i], action, "action", f" for player {self.players[i]!r}")
 
     @functools.cached_property
-    def payoff_scale(self) -> int:
-        """The lcm of all payoff denominators; one scale for all players,
-        whose payoffs CO-CO adds."""
-        return common_denominator(v for vec in self.payoffs for v in vec)
-
-    @functools.cached_property
-    def scaled_payoffs(self) -> tuple[tuple[int, ...], ...]:
-        """The payoff vectors times ``payoff_scale``, in row-major order."""
-        return tuple(tuple(scaled(vec, self.payoff_scale)) for vec in self.payoffs)
-
-    @functools.cached_property
     def own_payoffs(self) -> tuple[OwnPayoffs, ...]:
-        """Per player i, i's own payoffs times ``payoff_scale``: one row per
-        own action, one column per opponent profile (the opponents' action
-        indices in player order, enumerated in row-major order)."""
-        views = []
-        for i, size in enumerate(self.shape):
-            after = math.prod(self.shape[i + 1:])
-            rows = [[] for _ in range(size)]
-            # Profile k has own action k // after % size, and the profiles
-            # of one own action come in the row-major order of the others.
-            for k, vec in enumerate(self.scaled_payoffs):
-                rows[k // after % size].append(vec[i])
-            opponents = itertools.product(*(range(n) for j, n in enumerate(self.shape) if j != i))
-            views.append(OwnPayoffs(tuple(map(tuple, rows)), tuple(opponents)))
+        """Per player i, i's own payoffs times the lcm of their denominators:
+        one row per own action, one column per opponent profile (the
+        opponents' action indices in player order, enumerated in row-major
+        order)."""
+        shape, views = self.shape, []
+        for i, (size, column) in enumerate(zip(shape, zip(*self.payoffs))):
+            ints, scale = integer_column(column)
+            # Runs as long as the later players' profile count; run r has own action r % size.
+            runs = list(zip(*[iter(ints)] * math.prod(shape[i + 1:])))
+            rows = tuple(tuple(itertools.chain.from_iterable(runs[a::size])) for a in range(size))
+            opponents = itertools.product(*(range(n) for j, n in enumerate(shape) if j != i))
+            views.append(OwnPayoffs(rows, tuple(opponents), scale))
         return tuple(views)
 
 
@@ -217,8 +192,8 @@ def make_game(
     length a BadDimension.
 
     Each distinct ``str`` token is parsed once, and every other token on
-    its own, in row-major order so the first bad literal raises; the game
-    is built from the values' integers over the lcm of their denominators.
+    its own, in row-major order so the first bad literal raises; the
+    entries of one text share one ``Fraction``.
     """
     players = tuple(players)
     actions = tuple(tuple(a) for a in actions)
@@ -243,11 +218,9 @@ def make_game(
     # does not hash); any other token is keyed by its index, which no str is.
     keys = tokens if set(map(type, tokens)) == {str} else [t if type(t) is str else k for k, t in enumerate(tokens)]
     texts = dict(zip(keys, tokens))  # in row-major order of first use
-    values = list(map(parse_fraction, texts.values()))
-    scale = common_denominator(values)
-    ints = dict(zip(texts, scaled(values, scale)))
-    vectors = zip(*[map(ints.__getitem__, keys)] * n)
-    return Game._from_integers(players, actions, vectors, (scale,) * n, dict(zip(ints.values(), values)))
+    values = dict(zip(texts, map(parse_fraction, texts.values())))
+    # zip over n references to one iterator cuts entries into vectors of n.
+    return Game(players, actions, tuple(zip(*[map(values.__getitem__, keys)] * n)))
 
 
 def _prefix(k: int, sizes: Sequence[int]) -> Profile:
@@ -262,14 +235,6 @@ def _prefix(k: int, sizes: Sequence[int]) -> Profile:
 def validate_game(g: Game) -> None:
     """Check all Game invariants; raises a ValidationError subclass on
     failure. ``Game`` calls it on construction."""
-    _check_labels_and_shape(g, g.payoffs)
-    for k, vec in enumerate(g.payoffs):
-        if not all(isinstance(v, Fraction) for v in vec):
-            raise ValidationError(f"payoff vector at flat index {k} has an entry that is not a Fraction")
-
-
-def _check_labels_and_shape(g: Game, payoffs: Sequence[Sequence]) -> None:
-    """The checks of ``validate_game`` that read no entry of ``payoffs``."""
     n = g.num_players
     if n < 2:
         raise BadDimension(f"a game needs at least 2 players, got {n}")
@@ -286,14 +251,17 @@ def _check_labels_and_shape(g: Game, payoffs: Sequence[Sequence]) -> None:
             raise ValidationError(f"action labels of player {g.players[i]!r} must be strings")
         if len(set(acts)) != len(acts):
             raise DuplicateLabel(f"duplicate action label for player {g.players[i]!r}")
-    expected = 1
-    for size in g.shape:
-        expected *= size
-    if len(payoffs) != expected:
-        raise MissingProfile(f"payoff tensor has {len(payoffs)} profiles, expected {expected}")
-    if set(map(len, payoffs)) - {n}:
-        k = next(k for k, vec in enumerate(payoffs) if len(vec) != n)
-        raise BadDimension(f"payoff vector at flat index {k} has length {len(payoffs[k])}, expected {n}")
+    expected = math.prod(g.shape)
+    if len(g.payoffs) != expected:
+        raise MissingProfile(f"payoff tensor has {len(g.payoffs)} profiles, expected {expected}")
+    if set(map(len, g.payoffs)) - {n}:
+        k = next(k for k, vec in enumerate(g.payoffs) if len(vec) != n)
+        raise BadDimension(f"payoff vector at flat index {k} has length {len(g.payoffs[k])}, expected {n}")
+    if set(map(type, itertools.chain.from_iterable(g.payoffs))) <= {Fraction}:  # at C speed
+        return
+    for k, vec in enumerate(g.payoffs):
+        if not all(isinstance(v, Fraction) for v in vec):
+            raise ValidationError(f"payoff vector at flat index {k} has an entry that is not a Fraction")
 
 
 def payoff(g: Game, profile: Sequence[int]) -> tuple[Fraction, ...]:

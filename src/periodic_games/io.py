@@ -28,7 +28,8 @@ from .periodicity import Cycle, Node, PeriodicityGraph
 # one level per player plus one, so only documents with absurdly many
 # players come near it. No reader or writer here recurses; only the JSON
 # decoder does, and this bound keeps what it decodes far from the
-# interpreter's recursion limit. The writer nests as deep as its value.
+# interpreter's recursion limit. A report nests as deep as its value; a game
+# document deeper than this is a SizeLimit, so every one written reads back.
 MAX_NESTING = 100
 
 
@@ -115,6 +116,11 @@ def parse_game(text: str) -> Game:
 
 
 def serialize_game(g: Game) -> str:
+    """The document of ``g``, which nests the top-level object, one list per
+    player and the payoff vectors: past ``MAX_NESTING`` levels, a SizeLimit
+    raised before anything is formatted."""
+    if g.num_players + 2 > MAX_NESTING:
+        raise SizeLimit(f"a game of {g.num_players} players makes a document nested {g.num_players + 2} levels deep")
     # One text per Fraction object, keyed by id, as a Fraction hashes in Python
     # (a built or parsed game shares one object per value). The row-major texts,
     # cut into vectors and runs of each axis size, innermost first, nest as the document.

@@ -1,9 +1,10 @@
 """Exact linear algebra over Fractions, and the package's one integer kernel.
 
-Only this module turns rationals into integers (``common_denominator`` and
-``scaled``) and divides integers exactly (``pivot``, the fraction-free step
-of Bareiss 1968 elimination and of Edmonds 1967 integer pivoting); ``game``
-(the integer payoff view), ``lp``, ``bayes`` and ``mixed`` use these helpers.
+Only this module turns rationals into integers (``common_denominator``,
+``scaled`` and ``integer_column``) and divides integers exactly (``pivot``,
+the fraction-free step of Bareiss 1968 elimination and of Edmonds 1967
+integer pivoting); ``game`` (each player's integer payoff view), ``lp``,
+``bayes``, ``coco`` and ``mixed`` use these helpers.
 
 ``exchange`` is the one dictionary pivot, as in lrs: ``pivot``, then the
 leaving variable's column written where the entering one was. The simplex
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -46,12 +48,24 @@ Vector = tuple[Fraction, ...]
 
 def common_denominator(values) -> int:
     """The lcm of the denominators of some rationals (ints count as n/1)."""
-    return math.lcm(*(v.denominator for v in values))
+    return math.lcm(*map(operator.attrgetter("denominator"), values))
 
 
 def scaled(values, scale: int) -> list[int]:
     """Rationals times ``scale``, a multiple of each of their denominators."""
+    if scale == 1:  # every value is an integer
+        return list(map(operator.attrgetter("numerator"), values))
     return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def integer_column(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Rationals times the lcm of their denominators, and that lcm, reading
+    each distinct object once (a built or parsed game shares them)."""
+    ids = list(map(id, values))
+    objects = dict(zip(ids, values))
+    scale = common_denominator(objects.values())
+    ints = dict(zip(objects, scaled(objects.values(), scale)))
+    return list(map(ints.__getitem__, ids)), scale
 
 
 def pivot(rows: list[list[int]], r: int, c: int, det: int) -> int:

@@ -44,7 +44,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import BadParameter, CertificateError
-from .linalg import common_denominator, exchange, scaled
+from .linalg import common_denominator, exchange, integer_column, scaled
 
 Vector = tuple[Fraction, ...]
 
@@ -237,8 +237,7 @@ def zero_sum_value(
     # <= value against every row and the row mixture guarantees >= value
     # against every column. The inequalities are checked in integers,
     # multiplied through by the positive common denominators.
-    col_den = common_denominator(col_strategy)
-    q = scaled(col_strategy, col_den)
+    q, col_den = integer_column(col_strategy)
     if min(q) < 0 or sum(q) != col_den:
         raise SimplexInternalError("column strategy is not a distribution")
     conceded = value.numerator * scale * col_den
@@ -252,8 +251,7 @@ def zero_sum_value(
     if dual_total * scale != total:
         raise SimplexInternalError("primal and dual optima differ")
     row_strategy = tuple(yi / dual_total for yi in y)
-    row_den = common_denominator(row_strategy)
-    p = scaled(row_strategy, row_den)
+    p, row_den = integer_column(row_strategy)
     if min(p) < 0 or sum(p) != row_den:
         raise SimplexInternalError("row strategy is not a distribution")
     guaranteed = value.numerator * scale * row_den

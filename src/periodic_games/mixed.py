@@ -5,8 +5,8 @@ across every opponent pure profile, the rows of the transpose of the
 player's payoff matrix; against independent opponent mixtures the payoff is
 a convex combination of those, so this is the N-player condition too.
 ``_equalizer_vertices`` gives the vertices of that indifference system, on
-the integer payoff view of the game (``Game.own_payoffs``), by
-``linalg.polytope_vertices``.
+the player's integer payoff view over its own scale (``Game.own_payoffs``),
+by ``linalg.polytope_vertices``.
 
 Nash equilibria are the completely labelled pairs of vertices of the two
 best-response polyhedra (Mangasarian 1964). Each polyhedron's vertices are
@@ -109,7 +109,7 @@ def periodic_mixed(g: Game, player: Union[int, str]) -> PeriodicMixed:
         )
     best = vertices[0]
     payoffs, den = _payoffs_against(columns[:1], best)
-    value = Fraction(payoffs[0], g.payoff_scale * den)
+    value = Fraction(payoffs[0], g.own_payoffs[i].scale * den)
     # The vertices' barycenter is positive exactly on their joint support S,
     # so the polytope's affine hull is the system's solutions that vanish
     # off S, of dimension |S| - rank of the system on S's columns.
@@ -128,7 +128,7 @@ def invariance_check(g: Game, player: Union[int, str], p: Sequence[Fraction]) ->
     i = g.player_index(player)
     validate_mixture(g, i, p)
     payoffs, den = _payoffs_against(list(zip(*g.own_payoffs[i].rows)), p)
-    return Fraction(max(payoffs) - min(payoffs), g.payoff_scale * den)
+    return Fraction(max(payoffs) - min(payoffs), g.own_payoffs[i].scale * den)
 
 
 def _support(vec: Vector) -> tuple[int, ...]:
@@ -211,7 +211,7 @@ def _best_response_vertices(g: Game, owner: int) -> list[_Candidate]:
     from several bases is kept once. Sorted by best responses in
     combination order, then by mixture.
     """
-    ints, scale = g.own_payoffs[owner].rows, g.payoff_scale
+    ints, _, scale = g.own_payoffs[owner]
     shift = 1 - min(min(row) for row in ints)
     n = len(ints[0])
     # One column per nonbasic variable, then the rhs; y_b is variable b and

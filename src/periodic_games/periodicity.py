@@ -101,7 +101,7 @@ def best_deviation_profile(
     """
     i = g.player_index(player)
     a = g.action_index(i, action)
-    rows, opponents = g.own_payoffs[i]
+    rows, opponents, _ = g.own_payoffs[i]
     best_value = max(rows[a])
     best_profiles = [opp for opp, value in zip(opponents, rows[a]) if value == best_value]
     strict = len(best_profiles) == 1

@@ -52,7 +52,7 @@ def _find_dominator(
     if not others_alive:
         return None
     others = [j for j in range(g.num_players) if j != i]
-    matrix, opponents = g.own_payoffs[i]
+    matrix, opponents, _ = g.own_payoffs[i]
     columns = [
         k
         for k, opp in enumerate(opponents)

@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import json
+import math
 import pathlib
 import random
 import sys
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from periodic_games import Game, make_game
+from periodic_games.game import payoff
 from periodic_games.io import parse_bayes, parse_game
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -167,11 +169,30 @@ def brute_force_deviation(g, i, a):
     return dict(zip(others, best))
 
 
+def assert_own_views(g):
+    """Each player's integer payoff view against the game's Fractions: its
+    scale is the lcm of the player's own denominators, and each int entry
+    over that scale is the player's payoff at the profile it stands for."""
+    for i, (rows, opponents, scale) in enumerate(g.own_payoffs):
+        assert scale == math.lcm(*(vec[i].denominator for vec in g.payoffs))
+        others = [j for j in range(g.num_players) if j != i]
+        assert list(opponents) == list(itertools.product(*(range(g.shape[j]) for j in others)))
+        assert len(rows) == g.shape[i]
+        for a, row in enumerate(rows):
+            assert len(row) == len(opponents)
+            for opp, value in zip(opponents, row):
+                profile = [0] * g.num_players
+                profile[i] = a
+                for j, b in zip(others, opp):
+                    profile[j] = b
+                assert type(value) is int and Fraction(value, scale) == payoff(g, profile)[i]
+
+
 def own_payoff_matrix(g, i):
     """Player i's own payoffs as Fractions, read off ``g.own_payoffs``; its
     columns are labelled by ``g.own_payoffs[i].opponents``."""
-    scale = g.payoff_scale
-    return [[Fraction(v, scale) for v in row] for row in g.own_payoffs[i].rows]
+    rows, _, scale = g.own_payoffs[i]
+    return [[Fraction(v, scale) for v in row] for row in rows]
 
 
 def pure_profile(g, profile):

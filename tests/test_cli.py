@@ -12,7 +12,9 @@ import pytest
 
 import periodic_games
 from periodic_games import Game, cli, game, lp, periodicity, rationalizability
+from periodic_games.bayes import interim_game
 from periodic_games.cli import main
+from periodic_games.io import parse_bayes, parse_game
 
 from conftest import FIXTURES, colliding_strategies_bayes, distinct_masses_bayes, many_cycles_game, many_types_bayes, recursion_limit, shift_game, tall_game
 from test_io import deep_payoffs_game, deep_prior_bayes, long_bare_integer_game, one_action_game
@@ -162,6 +164,24 @@ def test_missing_file_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["analyze"], ["cycles"], ["mixed"], ["nash"], ["coco"], ["bayes", "--to", "interim"]],
+    ids=lambda argv: argv[0],
+)
+def test_unreadable_input_exit_code(tmp_path, capsys, command):
+    # A directory cannot be read as a file; UTF-16 text starts with the
+    # bytes ff fe, which are not UTF-8.
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe" + '{"players": ["A", "B"]}'.encode("utf-16-le"))
+    name, *flags = command
+    cases = ((tmp_path, "cannot read input: "), (utf16, "invalid input: 'utf-8' codec can't decode byte 0xff"))
+    for path, message in cases:
+        assert main([name, str(path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(message), captured.err
+
+
 def test_invalid_document_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -273,49 +293,36 @@ def test_analyze_runs_iesds_once_and_intersects_its_survivors(capsys, monkeypatc
     assert doc["rationalizable_periodic"] == {"A": [], "B": []}
 
 
-def _count_view_builds(monkeypatch) -> dict:
-    """Counts of the games built from integers, whose constructor stores the
-    integer payoff view, and of the builds of the cached properties of
-    ``Game`` that derive the view or read it into per-player rows."""
-    builds = {"_from_integers": 0, "payoff_scale": 0, "scaled_payoffs": 0, "own_payoffs": 0}
-    construct = Game._from_integers.__func__
+def _count_view_builds(monkeypatch) -> list:
+    """The games whose integer payoff view, the cached ``Game.own_payoffs``,
+    is built, one entry per build."""
+    built = []
+    build = Game.own_payoffs.func
 
-    def constructed(cls, *args):
-        builds["_from_integers"] += 1
-        return construct(cls, *args)
+    def counted(g):
+        built.append(g)
+        return build(g)
 
-    monkeypatch.setattr(Game, "_from_integers", classmethod(constructed))
-    for name in ("payoff_scale", "scaled_payoffs", "own_payoffs"):
-        build = getattr(Game, name).func
-
-        def counted(g, name=name, build=build):
-            builds[name] += 1
-            return build(g)
-
-        view = functools.cached_property(counted)
-        view.__set_name__(Game, name)
-        monkeypatch.setattr(Game, name, view)
-    return builds
+    view = functools.cached_property(counted)
+    view.__set_name__(Game, "own_payoffs")
+    monkeypatch.setattr(Game, "own_payoffs", view)
+    return built
 
 
-# A parsed game's integer view is built once, by its constructor; the
-# algorithms read it (own_payoffs slices it into rows once) and never
-# derive it again.
-ONE_VIEW = {"_from_integers": 1, "payoff_scale": 0, "scaled_payoffs": 0, "own_payoffs": 1}
-
-
+# A parsed game's integer view is built once, when an algorithm first reads
+# it; every later read shares it.
 def test_analyze_builds_the_payoff_view_once(capsys, monkeypatch):
-    builds = _count_view_builds(monkeypatch)
-    # analyze builds the periodicity graph twice and runs IESDS.
+    built = _count_view_builds(monkeypatch)
+    # analyze builds the periodicity graph and runs IESDS.
     assert main(["analyze", BOS, "--format", "machine"]) == 0
-    assert builds == ONE_VIEW
+    assert len(built) == 1
     assert json.loads(capsys.readouterr().out)["periodic_actions"] == {"A": ["a1", "a2"], "B": ["b1", "b2"]}
 
 
 def test_coco_builds_the_payoff_matrices_once(capsys, monkeypatch):
-    builds = _count_view_builds(monkeypatch)
+    built = _count_view_builds(monkeypatch)
     assert main(["coco", BOS, "--format", "machine"]) == 0
-    assert builds == ONE_VIEW
+    assert len(built) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["cooperative_matrix"] == [["3/2", "0"], ["0", "3/2"]]
     assert doc["competitive_matrix"] == [["1/2", "0"], ["0", "-1/2"]]
@@ -501,11 +508,45 @@ def test_an_interim_game_over_many_distinct_masses_is_quick(tmp_path, capsys):
     assert vector == ["-1", "4", *(["3"] * 40)]
 
 
+def _one_pair_beside_many_types(types):
+    """A Bayesian game document of a two-action player with one type beside
+    a one-action player with ``types`` equally likely types: its interim
+    game has ``types + 1`` players and two profiles."""
+    doc = {
+        "players": ["A", "B"],
+        "actions": {"A": ["x", "y"], "B": ["b"]},
+        "thetas": ["th"],
+        "types": {"A": ["a"], "B": [f"t{k}" for k in range(types)]},
+        "prior": [["th", ["a", f"t{k}"], f"1/{types}"] for k in range(types)],
+        "payoffs": {"th": [[["1", "2"]], [["3", "-4"]]]},
+    }
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("types", [98, 120, 2000])
+def test_bayes_writes_no_game_document_too_deep_to_read_back(tmp_path, capsys, types):
+    path = tmp_path / "many.bayes.json"
+    path.write_text(_one_pair_beside_many_types(types))
+    start = time.perf_counter()
+    assert main(["bayes", str(path), "--to", "interim"]) == 2
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: a game of {types + 1} players makes a document nested")
+
+
+def test_bayes_writes_a_game_document_at_the_nesting_bound(tmp_path, capsys):
+    path = tmp_path / "many.bayes.json"
+    path.write_text(_one_pair_beside_many_types(97))
+    assert main(["bayes", str(path), "--to", "interim"]) == 0
+    g = parse_game(capsys.readouterr().out)
+    assert g == interim_game(parse_bayes(path.read_text())) and g.num_players == 98
+
+
 def test_coco_validates_the_game_once(capsys, monkeypatch):
-    # Every module binding of both checks is counted, not just the ones the
-    # Game constructors call. A parsed game is built from integers, so its
-    # labels and shape are checked once and its entries are never walked.
-    calls = {"validate_game": 0, "_check_labels_and_shape": 0}
+    # Every module binding of the check is counted, not just the one the
+    # Game constructor calls: the parsed game is checked once, by Game(...).
+    calls = {"validate_game": 0}
     for name in calls:
         original = getattr(game, name)
 
@@ -519,7 +560,7 @@ def test_coco_validates_the_game_once(capsys, monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
     assert main(["coco", BOS, "--format", "machine"]) == 0
-    assert calls == {"validate_game": 0, "_check_labels_and_shape": 1}
+    assert calls == {"validate_game": 1}
     assert json.loads(capsys.readouterr().out)["vsharp"] == "3"
 
 

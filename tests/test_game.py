@@ -12,8 +12,11 @@ from periodic_games import (
     Game,
     build_periodicity_graph,
     coco_solution,
+    ex_ante_game,
     expected_utility,
     iesds,
+    interim_correlated_game,
+    interim_game,
     make_game,
     nash_support_enumeration,
     payoff,
@@ -32,10 +35,10 @@ from periodic_games.errors import (
 )
 from periodic_games import game
 from periodic_games.game import parse_fraction, validate_mixed
-from periodic_games.io import parse_game, serialize_game
+from periodic_games.io import parse_bayes, parse_game, serialize_game
 from periodic_games.generate import random_game
 
-from conftest import pure_profile
+from conftest import FIXTURES, assert_own_views, pure_profile
 
 
 def small():
@@ -155,7 +158,8 @@ def test_a_mixed_table_parses_each_text_once_and_every_other_token_alone(monkeyp
     tokens = ["1/2", 3, "1/2", Fraction(1, 3), "1/2", 3, "0", "0"]
     g = _read_table(tokens, through_json=False)
     assert calls == ["1/2", 3, Fraction(1, 3), 3, "0"]
-    assert g == Game(g.players, g.actions, g.payoffs) and g.payoff_scale == 6
+    # Player A's entries 1/2, 1/2, 1/2, 0; player B's 3, 1/3, 3, 0.
+    assert g == Game(g.players, g.actions, g.payoffs) and [own.scale for own in g.own_payoffs] == [2, 3]
     assert [v for vec in g.payoffs for v in vec] == [parse_fraction(t) for t in tokens]
 
 
@@ -208,7 +212,7 @@ def test_own_payoffs_match_payoff_lookup():
         g = _random_shape_game(rng, one_action=k % 3 == 0)
         for i in range(g.num_players):
             others = [j for j in range(g.num_players) if j != i]
-            rows, columns = g.own_payoffs[i]
+            rows, columns, scale = g.own_payoffs[i]
             assert list(columns) == list(itertools.product(*(range(g.shape[j]) for j in others)))
             assert len(rows) == g.shape[i]
             for a, row in enumerate(rows):
@@ -218,7 +222,7 @@ def test_own_payoffs_match_payoff_lookup():
                     profile[i] = a
                     for j, b in zip(others, opp):
                         profile[j] = b
-                    assert Fraction(value, g.payoff_scale) == payoff(g, profile)[i]
+                    assert Fraction(value, scale) == payoff(g, profile)[i]
 
 
 def test_duplicate_player_label():
@@ -342,10 +346,74 @@ def test_expected_utility_reads_only_exact_mixtures():
     )
 
 
-def test_the_integer_payoff_view_scales_by_the_lcm_of_all_denominators():
+def test_the_integer_payoff_view_scales_each_player_by_the_lcm_of_their_denominators():
     rng = random.Random(405)
     for k in range(30):
-        g = _random_shape_game(rng, one_action=k % 3 == 0)
-        assert g.payoff_scale == math.lcm(*(v.denominator for vec in g.payoffs for v in vec))
-        for view in g.own_payoffs:
-            assert all(type(v) is int for row in view.rows for v in row)
+        assert_own_views(_random_shape_game(rng, one_action=k % 3 == 0))
+
+
+def _state_weighted_bayes(types, actions=1):
+    """Player A with ``types`` types and ``actions`` actions beside a
+    two-action player B with one type; type k has weight k in one state and
+    k + 1 in the other, so its interim conditional has denominator 2k + 1."""
+    weights = [(k, k + 1) for k in range(1, types + 1)]
+    total = sum(map(sum, weights))
+    prior = {(theta, (k, 0)): Fraction(w[theta], total) for k, w in enumerate(weights) for theta in (0, 1)}
+    labels = (tuple(f"a{k}" for k in range(actions)), ("l", "r"))
+    games = tuple(
+        Game(("A", "B"), labels, tuple(
+            (Fraction(3 * a - b + theta), Fraction(a + 2 * b - theta, 3)) for a in range(actions) for b in range(2)
+        ))
+        for theta in range(2)
+    )
+    type_labels = (tuple(f"t{k}" for k in range(types)), ("u",))
+    return BayesianGame(("s0", "s1"), type_labels, prior, games)
+
+
+def _random_games():
+    rng = random.Random(406)
+    return [random_game(rng) for _ in range(20)]
+
+
+def _companions(build):
+    """``build`` on the Bayesian fixtures and on a state-weighted game whose
+    types have distinct conditional denominators."""
+    bayesian = [parse_bayes(path.read_text()) for path in sorted(FIXTURES.glob("*.bayes.json"))]
+    return [build(bg) for bg in bayesian + [_state_weighted_bayes(6, actions=2)]]
+
+
+F = Fraction
+# Each construction route of a Game, and the games it builds.
+ROUTES = {
+    "Game": lambda: [Game(("A", "B"), (("x",), ("l", "r")), ((F(1, 2), F(-3)), (F(5, 6), F(7, 4))))],
+    "replace": lambda: [dataclasses.replace(small(), payoffs=small().payoffs[:3] + ((F(2, 9), F(1, 10)),))],
+    "make_game": lambda: [
+        make_game(
+            ["A", "B"], [["x", "y"], ["l", "r"]], _two_by_two(["1/2", 3, "0.25", F(1, 3), 2, "5/6", "-7", F(3, 8)])
+        )
+    ],
+    "parse_game": lambda: [parse_game(path.read_text()) for path in sorted(FIXTURES.glob("*.game.json"))],
+    "random_game": _random_games,
+    "ex_ante_game": lambda: _companions(ex_ante_game),
+    "interim_game": lambda: _companions(interim_game),
+    "interim_correlated_game": lambda: _companions(interim_correlated_game),
+}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_every_construction_route_derives_one_integer_view_per_player(route):
+    games = ROUTES[route]()
+    assert games
+    for g in games:
+        assert_own_views(g)
+
+
+def test_interim_players_keep_small_scales_over_many_distinct_denominators():
+    g = interim_game(_state_weighted_bayes(300))
+    scales = [own.scale for own in g.own_payoffs]
+    assert len(scales) == 301
+    # A's payoffs are integers, so type k's pair is over a divisor of
+    # 2k + 1; one scale for all players would be the lcm of all of them.
+    assert max(scales[:300]) <= 601 and len(set(scales)) > 200
+    assert len(str(math.lcm(*scales))) > 200
+    assert_own_views(g)

@@ -1,7 +1,9 @@
 """Every module of the package uses every name it imports (the package
 ``__init__`` is left out: it imports names only to re-export them), only
-``linalg`` turns rationals into integers with ``math.lcm``, and no function
-calls itself, so a deep input meets no recursion limit in the package's own code."""
+``linalg`` turns rationals into integers with ``math.lcm``, no object is
+built past its constructor, so every ``Game`` passes ``validate_game``, and
+no function calls itself, so a deep input meets no recursion limit in the
+package's own code."""
 
 import ast
 import pathlib
@@ -56,6 +58,34 @@ def test_checker_finds_lcm_uses():
 def test_only_linalg_scales_rationals_to_integers(path):
     uses = lcm_uses(path.read_text(encoding="utf-8"))
     assert (uses > 0) == (path.name == "linalg.py")
+
+
+def constructor_bypasses(source: str) -> list[str]:
+    """The ``__new__``, ``__dict__`` and ``__setattr__`` attributes a module
+    reads or writes: the ways to make an object without running its
+    ``__init__`` or to set a field of a frozen dataclass."""
+    names = {"__new__", "__dict__", "__setattr__"}
+    nodes = ast.walk(ast.parse(source))
+    return sorted(node.attr for node in nodes if isinstance(node, ast.Attribute) and node.attr in names)
+
+
+def test_checker_finds_constructor_bypasses():
+    source = (
+        "class Game:\n"
+        "    def __new__(cls):\n        return object.__new__(cls)\n"
+        "def build(cls):\n"
+        "    g = cls.__new__(cls)\n"
+        "    g.__dict__.update(players=())\n"
+        "    g.__dict__['payoffs'] = ()\n"
+        "    object.__setattr__(g, 'actions', ())\n"
+        "    return vars(g), g.__class__\n"
+    )
+    assert constructor_bypasses(source) == ["__dict__", "__dict__", "__new__", "__new__", "__setattr__"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_object_is_built_past_its_constructor(path):
+    assert constructor_bypasses(path.read_text(encoding="utf-8")) == []
 
 
 def _calls(node: ast.AST, name: str) -> bool:

@@ -437,8 +437,9 @@ def test_writers_take_documents_deeper_than_the_recursion_limit():
     expected = '{\n  "deep": ' + _nested_text(levels, 2, ['"leaf"', "0"]) + ',\n  "z": null\n}\n'
     assert dump_report(report) == expected
 
-    # 1,200 one-action players: the payoffs nest 1,200 lists around one vector.
-    n = 1200
+    # The most one-action players a game document has: the payoffs nest
+    # that many lists around one vector.
+    n = MAX_NESTING - 2
     g = Game(
         players=tuple(f"p{k}" for k in range(n)),
         actions=(("a",),) * n,
@@ -452,6 +453,20 @@ def test_writers_take_documents_deeper_than_the_recursion_limit():
         '  "payoffs": ' + payoffs + "\n}\n"
     )
     assert serialize_game(g) == expected
+
+
+@pytest.mark.parametrize("n", [MAX_NESTING - 1, 1200])
+def test_a_game_document_too_deep_to_read_back_is_a_size_limit(n, monkeypatch):
+    g = Game(tuple(f"p{k}" for k in range(n)), (("a",),) * n, ((Fraction(1, 2),) * n,))
+    monkeypatch.setattr("periodic_games.io.format_fraction", None)  # nothing is formatted
+    with pytest.raises(SizeLimit, match=f"nested {n + 2} levels deep"):
+        serialize_game(g)
+
+
+def test_a_game_document_at_the_nesting_bound_reads_back():
+    n = MAX_NESTING - 2
+    g = Game(tuple(f"p{k}" for k in range(n)), (("a",),) * n, ((Fraction(1, 2),) * n,))
+    assert parse_game(serialize_game(g)) == g
 
 
 def test_a_value_too_long_to_print_is_a_size_limit():

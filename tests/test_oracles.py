@@ -1290,13 +1290,11 @@ def test_machine_reports_match_the_recursive_encoder(tmp_path, capsys, monkeypat
 
 def assert_same_as_public(g):
     """A game built from integers against the public constructor's game of
-    the same Fractions: equal, hashed alike, with the same integer view and
+    the same Fractions: equal, hashed alike, with the same integer views and
     the same document bytes."""
     public = Game(g.players, g.actions, g.payoffs)
     assert g == public and hash(g) == hash(public)
     assert all(type(v) is Fraction for vec in g.payoffs for v in vec)
-    assert g.payoff_scale == public.payoff_scale
-    assert g.scaled_payoffs == public.scaled_payoffs
     assert g.own_payoffs == public.own_payoffs
     assert serialize_game(g) == serialize_game(public)
 
@@ -1332,10 +1330,10 @@ def test_games_built_from_integers_equal_the_public_constructors():
             if isinstance(companion, Game):
                 games.append(companion)
     for bg in integral:
-        assert bg.games[0].payoff_scale == 3
+        assert math.lcm(*(own.scale for own in bg.games[0].own_payoffs)) == 3
         for build, reference in ((ex_ante_game, reference_ex_ante_game), (interim_game, reference_interim_correlated_game)):
             g = build(bg)
-            assert g == reference(bg) and g.payoff_scale == 1
+            assert g == reference(bg) and all(own.scale == 1 for own in g.own_payoffs)
     assert len(documents) == 5 and sum(len(t) > 1 for bg in bayesian for t in bg.types) >= 40
     for g in games:
         assert_same_as_public(g)
@@ -1353,8 +1351,9 @@ def test_games_built_from_integers_take_one_positive_int_scale_per_player(scales
         Game._from_integers(("A", "B"), (("x",), ("l",)), [(1, 2)], scales)
 
 
-def test_games_built_over_several_scales_derive_their_integer_view():
+def test_games_built_over_several_scales_derive_a_view_per_player():
     g = Game._from_integers(("A", "B"), (("x", "y"), ("l",)), [(3, 2), (-6, 5)], (6, 4))
     assert g.payoffs == ((F(1, 2), F(1, 2)), (F(-1), F(5, 4)))
-    assert g.payoff_scale == 4 and g.scaled_payoffs == ((2, 2), (-4, 5))
+    # A's entries 1/2 and -1 over 2, B's 1/2 and 5/4 over 4.
+    assert g.own_payoffs == ((((1,), (-2,)), ((0,),), 2), (((2, 5),), ((0,), (1,)), 4))
     assert_same_as_public(g)
