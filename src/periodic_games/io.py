@@ -138,6 +138,15 @@ def serialize_game(g: Game) -> str:
     return _dumps(doc, sort_keys=False) + "\n"
 
 
+def _first_indices(labels: Sequence[str]) -> dict[str, int]:
+    """Each label's index, the first one for a duplicate, as ``tuple.index``
+    gives; ``BayesianGame`` rejects the duplicate itself."""
+    index: dict[str, int] = {}
+    for k, label in enumerate(labels):
+        index.setdefault(label, k)
+    return index
+
+
 def parse_bayes(text: str) -> BayesianGame:
     """Parse a Bayesian game document, one Game per parameter value, each
     read by ``make_game``; the BayesianGame validates itself."""
@@ -147,6 +156,8 @@ def parse_bayes(text: str) -> BayesianGame:
     thetas = _labels(_require(doc, "thetas"), "'thetas'")
     types = _label_map(doc, "types", players, "type", "type label lists")
 
+    theta_index = _first_indices(thetas)
+    type_index = [_first_indices(labels) for labels in types]
     prior: dict[tuple[int, tuple[int, ...]], Fraction] = {}
     prior_doc = _require(doc, "prior")
     if not isinstance(prior_doc, list):
@@ -159,15 +170,14 @@ def parse_bayes(text: str) -> BayesianGame:
             raise ParseError(f"type profile {type_labels!r} must name one type per player")
         # A reference is read as the labels it names are: text as is, an integer as its text.
         theta_label, *type_labels = _labels([theta_label, *type_labels], "prior references")
-        if theta_label not in thetas:
+        if theta_label not in theta_index:
             raise ParseError(f"unknown parameter label {theta_label!r}")
-        theta = thetas.index(theta_label)
         tp = []
         for i, label in enumerate(type_labels):
-            if label not in types[i]:
+            if label not in type_index[i]:
                 raise ParseError(f"unknown type {label!r} for player {players[i]!r}")
-            tp.append(types[i].index(label))
-        key = (theta, tuple(tp))
+            tp.append(type_index[i][label])
+        key = (theta_index[theta_label], tuple(tp))
         prior[key] = prior.get(key, Fraction(0)) + parse_fraction(prob)
 
     payoffs_doc = _require(doc, "payoffs")

@@ -523,7 +523,7 @@ def _one_pair_beside_many_types(types):
     return json.dumps(doc)
 
 
-@pytest.mark.parametrize("types", [98, 120, 2000])
+@pytest.mark.parametrize("types", [98, 120, 2000, 20000])
 def test_bayes_writes_no_game_document_too_deep_to_read_back(tmp_path, capsys, types):
     path = tmp_path / "many.bayes.json"
     path.write_text(_one_pair_beside_many_types(types))

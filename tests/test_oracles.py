@@ -597,10 +597,10 @@ def test_simplex_matches_reference_on_bench_sized_game_lps():
 
 
 def test_simplex_reruns_blands_rule_exactly_when_the_optimum_may_not_be_unique(monkeypatch):
-    # The largest-coefficient optimum of a 20x20 LP with k/d payoffs is
-    # unique; the degenerate {0,1} LPs fail the test and rerun Bland's rule,
-    # whose result is the reference's. (The test above pins the results of
-    # LPs with k/d payoffs; their Fraction reference is slow at 20x20.)
+    # The normalized-cost optimum of a 20x20 LP with k/d payoffs is unique;
+    # the degenerate {0,1} LPs fail the test and rerun Bland's rule, whose
+    # result is the reference's. (The test above pins the results of LPs
+    # with k/d payoffs; their Fraction reference is slow at 20x20.)
     rules = []
     loop = lp._pivot_loop
 
@@ -610,7 +610,7 @@ def test_simplex_reruns_blands_rule_exactly_when_the_optimum_may_not_be_unique(m
 
     monkeypatch.setattr(lp, "_pivot_loop", counted)
     rng = random.Random(2020)
-    for kind, expected in (("rational", [lp._largest_coefficient]), ("binary", [lp._largest_coefficient, lp._bland])):
+    for kind, expected in (("rational", [lp._normalized_cost]), ("binary", [lp._normalized_cost, lp._bland])):
         entry = _entry_maker(rng, kind)
         for _ in range(3):
             matrix = [[entry() for _ in range(20)] for _ in range(20)]
@@ -624,16 +624,76 @@ def test_simplex_reruns_blands_rule_exactly_when_the_optimum_may_not_be_unique(m
                 assert result == reference_simplex(shifted, ones, ones), matrix
 
 
-def test_simplex_ends_on_beales_cycling_lp():
-    # Beale (1955): the largest-coefficient rule alone, with the same ratio
-    # test, cycles through six bases without moving off the origin; the
-    # switch to Bland's rule after the first degenerate pivot ends it.
+def reference_largest_coefficient(tableau, nonbasic):
+    """Dantzig's rule: the column of the most negative reduced cost, ties to
+    the smallest variable."""
+    objective = tableau[-1]
+    n = len(nonbasic)
+    best = min(objective[:n], default=0)
+    if best >= 0:
+        return None
+    return min((j for j in range(n) if objective[j] == best), key=nonbasic.__getitem__)
+
+
+def test_normalized_cost_takes_fewer_pivots_than_dantzigs_rule(monkeypatch):
+    # Steps, not wall time: linalg.exchange calls over the 20x20 game LPs
+    # with k/d payoffs, first-run rule and any rerun of Bland's rule both.
+    pivots = [0]
+    exchange = lp.exchange
+
+    def counted(*args):
+        pivots[0] += 1
+        return exchange(*args)
+
+    monkeypatch.setattr(lp, "exchange", counted)
+    rng = random.Random(2023)
+    entry = _entry_maker(rng, "rational")
+    lps = []
+    for _ in range(12):
+        matrix = [[entry() for _ in range(20)] for _ in range(20)]
+        shift = 1 - min(min(row) for row in matrix)
+        lps.append([[v + shift for v in row] for row in matrix])
+    ones = [F(1)] * 20
+    results, totals = {}, {}
+    for name, rule in (("normalized", lp._normalized_cost), ("largest", reference_largest_coefficient)):
+        monkeypatch.setattr(lp, "_normalized_cost", rule)
+        pivots[0] = 0
+        results[name] = [simplex_max(a, ones, ones) for a in lps]
+        totals[name] = pivots[0]
+    assert results["normalized"] == results["largest"]
+    assert totals["normalized"] < totals["largest"], totals
+
+
+def test_simplex_ends_on_beales_cycling_lp(monkeypatch):
+    # Beale (1955): Dantzig's rule alone, with the same ratio test, cycles
+    # through six bases without moving off the origin. The normalized rule
+    # alone would end in 3 pivots, but its first pivot is degenerate too, so
+    # Bland's rule, which cannot cycle, picks every later entering column.
+    events = []
+    for name in ("_bland", "_normalized_cost"):
+        rule = getattr(lp, name)
+
+        def recorded(tableau, nonbasic, name=name, rule=rule):
+            events.append(name)
+            return rule(tableau, nonbasic)
+
+        monkeypatch.setattr(lp, name, recorded)
+    exchange = lp.exchange
+
+    def pivot(rows, r, c, det):
+        events.append("degenerate" if rows[r][-1] == 0 else "pivot")
+        return exchange(rows, r, c, det)
+
+    monkeypatch.setattr(lp, "exchange", pivot)
     a = [[F(1, 4), F(-8), F(-1), F(9)], [F(1, 2), F(-12), F(-1, 2), F(3)], [F(0), F(0), F(1), F(0)]]
     b = [F(0), F(0), F(1)]
     c = [F(3, 4), F(-20), F(1, 2), F(-6)]
     result = simplex_max(a, b, c)
     assert result == reference_simplex(a, b, c)
     assert result[:2] == (F(5, 4), (F(1), F(0), F(1), F(0)))
+    first = events.index("degenerate")
+    assert set(events[:first]) == {"_normalized_cost"}
+    assert set(events[first + 1 :]) == {"_bland", "degenerate", "pivot"}
 
 
 def test_decision_mode_keeps_the_sign_and_every_positive_value():
