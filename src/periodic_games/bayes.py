@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -182,13 +181,14 @@ def _integer_expectation(bg: BayesianGame, rows: Sequence[int]):
     entries whose pair q = (i, t_i) has ``rows[q] == r``, each at the payoff
     vector its type profile's pairs choose at profile k; ``mass[q]`` sums
     the ``w`` of pair q's entries. The entries of one type profile are
-    summed once per base payoff vector. A sum of ``prob * u`` is then an
-    integer sum over ``dp * du``, with no Fraction product per term.
+    summed once per base payoff vector, and each player's column of those
+    sums is laid over the companion profiles by ``_spread``. A sum of
+    ``prob * u`` is then an integer sum over ``dp * du``, with no Fraction
+    product per term.
     """
     ids = _player_type_ids(bg)
     position = {node: q for q, node in enumerate(ids)}
     shape = bg.games[0].shape
-    strides = [math.prod(shape[i + 1:]) for i in range(len(shape))]
     positive = [(key, prob) for key, prob in bg.prior.items() if prob > 0]
     weights, dp = integer_column([prob for _, prob in positive])
     columns = [list(map(integer_column, zip(*g.payoffs))) for g in bg.games]
@@ -196,28 +196,40 @@ def _integer_expectation(bg: BayesianGame, rows: Sequence[int]):
     by_types: dict[TypeProfile, list[tuple[int, int]]] = {}
     for ((theta, tp), _), w in zip(positive, weights):
         by_types.setdefault(tp, []).append((w, theta))
-    base = range(len(bg.games[0].payoffs))
-    profiles = math.prod(shape[i] for i, _ in ids)
-    sums = [[0] * profiles for _ in range(max(rows) + 1)]
+    # counts[q]: the profile count of the pairs before pair q.
+    counts = list(itertools.accumulate((shape[i] for i, _ in ids), operator.mul, initial=1))
+    sums = [[0] * counts[-1] for _ in range(max(rows) + 1)]
     mass = [0] * len(ids)
-    # A one-action pair multiplies the companion profiles by one.
-    moving = [(q, i) for q, (i, _) in enumerate(ids) if shape[i] > 1]
     for tp, entries in by_types.items():
         pairs = [position[node] for node in enumerate(tp)]
-        # Action a of pair (i, t_i) moves the flat index of the payoff
-        # vector by a times i's row-major stride; other pairs do not move it.
-        moves = {q: strides[i] for i, q in enumerate(pairs)}
-        index = [0]
-        for q, i in moving:
-            stride = moves.get(q, 0)
-            index = [k + a * stride for k in index for a in range(shape[i])]
+        # The profile counts of the other pairs: those before the first of
+        # the type profile's pairs, and those after each one up to the next.
+        gaps = [counts[end] // counts[q + 1] for q, end in zip(pairs, [*pairs[1:], len(ids)])]
         for i, q in enumerate(pairs):
-            terms = [(w * (du // columns[theta][i][1]), columns[theta][i][0]) for w, theta in entries]
-            column = [sum(wu * ints[k] for wu, ints in terms) for k in base]
+            # One weighted column per entry, summed position by position.
+            terms = [map((w * (du // columns[theta][i][1])).__mul__, columns[theta][i][0]) for w, theta in entries]
+            column = terms[0]
+            for term in terms[1:]:
+                column = map(operator.add, column, term)
             r = rows[q]
-            sums[r] = list(map(operator.add, sums[r], map(column.__getitem__, index)))
+            sums[r] = list(map(operator.add, sums[r], _spread(list(column), shape, gaps, counts[pairs[0]])))
             mass[q] += sum(w for w, _ in entries)
     return sums, mass, dp, du
+
+
+def _spread(values: list[int], shape: Sequence[int], gaps: Sequence[int], before: int) -> list[int]:
+    """``values``, row-major over one action per player, laid over every
+    companion profile, row-major over the pairs. Each player's pair stands
+    among other pairs: ``before`` profiles of theirs come before the first,
+    and ``gaps[i]`` between player i's pair and the next one (or the end).
+    Innermost first, each run of ``values`` that one prefix of actions fixes
+    is repeated once per profile of the other pairs after it, at C level."""
+    run = 1
+    for size, gap in zip(reversed(shape), reversed(gaps)):
+        if gap > 1:
+            values = list(itertools.chain.from_iterable(map(operator.mul, zip(*[iter(values)] * run), itertools.repeat(gap))))
+        run *= size * gap
+    return values * before
 
 
 def _strategy_labels(bg: BayesianGame, player: int, choices: Sequence[TypeProfile]) -> tuple[str, ...]:
@@ -281,13 +293,16 @@ def _player_type_ids(bg: BayesianGame) -> tuple[tuple[int, int], ...]:
 
 
 def _player_type_labels(bg: BayesianGame) -> tuple[str, ...]:
-    flat_labels = [label for labels in bg.types for label in labels]
-    unique = len(set(flat_labels)) == len(flat_labels)
-    out = []
-    for i, t in _player_type_ids(bg):
-        label = bg.types[i][t]
-        out.append(label if unique else f"{bg.players[i]}.{label}")
-    return tuple(out)
+    """The labels of the interim game's players, one per (player, type)
+    pair: the type labels when they are distinct, else ``player.type``, or,
+    when two of those coincide (player ``A`` with type ``B.b`` and player
+    ``A.B`` with type ``b``), the compact JSON text of each pair
+    (``["A","B.b"]``), as ``_strategy_labels`` names colliding strategies."""
+    pairs = [(bg.players[i], bg.types[i][t]) for i, t in _player_type_ids(bg)]
+    for labels in ([t for _, t in pairs], [f"{p}.{t}" for p, t in pairs]):
+        if len(set(labels)) == len(labels):
+            return tuple(labels)
+    return tuple(json.dumps(pair, separators=(",", ":")) for pair in pairs)
 
 
 def interim_game(bg: BayesianGame) -> Game:
@@ -299,7 +314,8 @@ def interim_game(bg: BayesianGame) -> Game:
     expectation is an integer sum over its prior entries (scaled as in
     ``ex_ante_game``) over ``du`` times the pair's integer mass, and the
     game is built from those sums, each pair's over its own scale: the lcm
-    of many distinct masses can dwarf every payoff.
+    of many distinct masses can dwarf every payoff. The pairs are named as
+    ``_player_type_labels`` says.
     """
     ids = _player_type_ids(bg)
     _check_profile_count(bg, "interim", len(ids))

@@ -2,11 +2,13 @@
 
 Files are JSON with payoffs written as strings ("3", "-1/2", "0.25") so
 fractions survive the round trip exactly. Serialization is deterministic:
-identical inputs produce byte-identical output. Game documents (one text
-per payoff object) and machine reports are written by one writer, ``_dumps``:
-the text of ``json.dumps`` with ``indent=2`` (reports with sorted keys), from
-an explicit stack rather than the recursive pure-Python encoder ``indent``
-selects. A list of strings or of Fractions is written as one join.
+identical inputs produce byte-identical output, the text of ``json.dumps``
+with ``indent=2`` (reports with sorted keys). Machine reports and the head of
+a game document (players and actions) are written by one writer, ``_dumps``,
+from an explicit stack rather than the recursive pure-Python encoder
+``indent`` selects; a list of strings or of Fractions is written as one
+join. A game document's payoffs are nested level by level, one join per
+list, from one text per payoff object.
 """
 
 from __future__ import annotations
@@ -116,26 +118,28 @@ def parse_game(text: str) -> Game:
 
 
 def serialize_game(g: Game) -> str:
-    """The document of ``g``, which nests the top-level object, one list per
-    player and the payoff vectors: past ``MAX_NESTING`` levels, a SizeLimit
-    raised before anything is formatted."""
-    if g.num_players + 2 > MAX_NESTING:
-        raise SizeLimit(f"a game of {g.num_players} players makes a document nested {g.num_players + 2} levels deep")
-    # One text per Fraction object, keyed by id, as a Fraction hashes in Python
-    # (a built or parsed game shares one object per value). The row-major texts,
-    # cut into vectors and runs of each axis size, innermost first, nest as the document.
+    """The document of ``g``, as ``json.dumps(doc, indent=2)`` writes it: the
+    top-level object, one list per player and the payoff vectors. Past
+    ``MAX_NESTING`` levels, a SizeLimit raised before anything is formatted."""
+    n = g.num_players
+    if n + 2 > MAX_NESTING:
+        raise SizeLimit(f"a game of {n} players makes a document nested {n + 2} levels deep")
+    # One quoted text per Fraction object, keyed by id, as a Fraction hashes in
+    # Python (a built or parsed game shares one object per value).
     flat = list(chain.from_iterable(g.payoffs))
     ids = list(map(id, flat))
-    texts = {k: format_fraction(v) for k, v in dict(zip(ids, flat)).items()}
-    tensor = list(map(texts.__getitem__, ids))
-    for size in (g.num_players, *reversed(g.shape)):
-        tensor = list(zip(*[iter(tensor)] * size))
-    doc = {
-        "players": list(g.players),
-        "actions": {p: list(acts) for p, acts in zip(g.players, g.actions)},
-        "payoffs": tensor[0],
-    }
-    return _dumps(doc, sort_keys=False) + "\n"
+    texts = {k: '"' + format_fraction(v) + '"' for k, v in dict(zip(ids, flat)).items()}
+    items = list(map(texts.__getitem__, ids))
+    # The row-major texts, cut into vectors and runs of each axis size,
+    # innermost first: each cut writes its containers, one join each, at
+    # their depth (the vectors at n + 2, the payoffs list at 2).
+    for depth, size in zip(range(n + 2, 1, -1), (n, *reversed(g.shape))):
+        pad = "\n" + "  " * depth
+        container = "[" + pad + "%s\n" + "  " * (depth - 1) + "]"
+        items = list(map(container.__mod__, map(("," + pad).join, zip(*[iter(items)] * size))))
+    head = _dumps({"players": list(g.players), "actions": dict(zip(g.players, map(list, g.actions)))}, sort_keys=False)
+    # The head's closing line "\n}" makes way for the payoffs.
+    return head[:-2] + ',\n  "payoffs": ' + items[0] + "\n}\n"
 
 
 def _first_indices(labels: Sequence[str]) -> dict[str, int]:

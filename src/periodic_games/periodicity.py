@@ -13,7 +13,7 @@ import enum
 import functools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import NamedTuple, Union
+from typing import Iterator, NamedTuple, Union
 
 from .errors import AnchorNotOnCycle, BadParameter, DegenerateArgmax, SizeLimit
 from .game import Game
@@ -61,8 +61,48 @@ class PeriodicityGraph:
 
     @functools.cached_property
     def cyclic_nodes(self) -> frozenset[Node]:
-        """Nodes reachable from themselves; computed once per graph."""
-        return frozenset(node for node in self.nodes if _shortest_walk(self, node, {node}) is not None)
+        """Nodes reachable from themselves, computed once per graph: the
+        nodes of the strongly connected components with more than one node
+        (no edge joins two nodes of one player, so no node is its own
+        successor). One pass of Tarjan's algorithm (SIAM J. Comput. 1972),
+        depth first over an explicit stack of successor iterators."""
+        order: dict[Node, int] = {}  # discovery index of every node reached
+        low: dict[Node, int] = {}  # least index reachable through the node's open subtree
+        open_nodes: list[Node] = []  # reached nodes whose component is not yet known
+        position: dict[Node, int] = {}  # each open node's index in open_nodes
+        cyclic: list[Node] = []
+
+        def reach(node: Node) -> tuple[Node, Iterator[Node]]:
+            order[node] = low[node] = len(order)
+            position[node] = len(open_nodes)
+            open_nodes.append(node)
+            return node, iter(self.edges[node])
+
+        for root in self.nodes:
+            if root in order:
+                continue
+            stack = [reach(root)]
+            while stack:
+                node, successors = stack[-1]
+                for nxt in successors:
+                    if nxt not in order:
+                        stack.append(reach(nxt))
+                        break
+                    if nxt in position:
+                        low[node] = min(low[node], order[nxt])
+                else:  # every successor is done: close the node
+                    stack.pop()
+                    if stack:
+                        parent = stack[-1][0]
+                        low[parent] = min(low[parent], low[node])
+                    if low[node] == order[node]:  # the node roots a component: the open nodes from it up
+                        component = open_nodes[position[node]:]
+                        del open_nodes[position[node]:]
+                        for member in component:
+                            del position[member]
+                        if len(component) > 1:
+                            cyclic.extend(component)
+        return frozenset(cyclic)
 
 
 def _shortest_walk(graph: PeriodicityGraph, start: Node, targets) -> tuple[Node, ...] | None:
@@ -85,8 +125,17 @@ def _shortest_walk(graph: PeriodicityGraph, start: Node, targets) -> tuple[Node,
     return None
 
 
-def _opponents(g: Game, i: int) -> tuple[int, ...]:
-    return tuple(j for j in range(g.num_players) if j != i)
+def _best_column(row: tuple[int, ...], opponents: tuple[tuple[int, ...], ...], node: Node, policy: TiePolicy) -> tuple[int, bool]:
+    """The argmax of one own-payoff row (``OwnPayoffs``) of ``node``: the
+    column of the row's first maximum, the lexicographically smallest
+    opponent profile, and whether no other column ties it. A tie raises
+    DegenerateArgmax under the strict policy, naming the tied profiles in
+    lexicographic order."""
+    best = max(row)
+    strict = row.count(best) == 1
+    if not strict and policy is TiePolicy.STRICT:
+        raise DegenerateArgmax(node, [opp for opp, value in zip(opponents, row) if value == best])
+    return row.index(best), strict
 
 
 def best_deviation_profile(
@@ -102,27 +151,31 @@ def best_deviation_profile(
     i = g.player_index(player)
     a = g.action_index(i, action)
     rows, opponents, _ = g.own_payoffs[i]
-    best_value = max(rows[a])
-    best_profiles = [opp for opp, value in zip(opponents, rows[a]) if value == best_value]
-    strict = len(best_profiles) == 1
-    if not strict and policy is TiePolicy.STRICT:
-        raise DegenerateArgmax(Node(i, a), best_profiles)
-    return best_profiles[0], strict
+    column, strict = _best_column(rows[a], opponents, Node(i, a), policy)
+    return opponents[column], strict
 
 
 def build_periodicity_graph(g: Game, policy: TiePolicy = TiePolicy.LEX) -> PeriodicityGraph:
-    """Graph with one edge per (node, opponent); deterministic for a fixed policy."""
-    nodes = tuple(Node(i, a) for i in range(g.num_players) for a in range(g.shape[i]))
+    """Graph with one edge per (node, opponent); deterministic for a fixed
+    policy. Each player's own-payoff rows are read once, in node order; the
+    graph holds one ``Node`` per (player, action), and the nodes whose
+    argmax is one opponent profile share one target tuple."""
+    nodes = [[Node(i, a) for a in range(size)] for i, size in enumerate(g.shape)]
     edges: dict[Node, tuple[Node, ...]] = {}
     degenerate: set[Node] = set()
-    for node in nodes:
-        opp_profile, strict = best_deviation_profile(g, node.player, node.action, policy)
-        edges[node] = tuple(Node(j, b) for j, b in zip(_opponents(g, node.player), opp_profile))
-        if not strict:
-            degenerate.add(node)
+    for i, (rows, opponents, _) in enumerate(g.own_payoffs):
+        others = nodes[:i] + nodes[i + 1:]  # the opponents' nodes, in player order
+        targets: dict[int, tuple[Node, ...]] = {}  # by argmax column
+        for node, row in zip(nodes[i], rows):
+            column, strict = _best_column(row, opponents, node, policy)
+            if column not in targets:
+                targets[column] = tuple(map(list.__getitem__, others, opponents[column]))
+            edges[node] = targets[column]
+            if not strict:
+                degenerate.add(node)
     return PeriodicityGraph(
         num_players=g.num_players,
-        nodes=nodes,
+        nodes=tuple(edges),
         edges=edges,
         degenerate_flags=frozenset(degenerate),
     )

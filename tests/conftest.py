@@ -41,6 +41,22 @@ def colliding_strategies_bayes() -> str:
     return json.dumps(doc)
 
 
+def colliding_pairs_bayes() -> str:
+    """A 2x2 Bayesian game document of players "A" and "A.B", both with a
+    type "x", so its interim players are qualified as ``player.type``; but
+    A's type "B.b" and A.B's type "b" both qualify to "A.B.b"."""
+    types = {"A": ["B.b", "x"], "A.B": ["b", "x"]}
+    doc = {
+        "players": ["A", "A.B"],
+        "actions": {"A": ["U", "D"], "A.B": ["L", "R"]},
+        "thetas": ["th"],
+        "types": types,
+        "prior": [["th", [s, t], "1/4"] for s in types["A"] for t in types["A.B"]],
+        "payoffs": {"th": [[["1", "0"], ["0", "1"]], [["0", "2"], ["3", "0"]]]},
+    }
+    return json.dumps(doc)
+
+
 def many_types_bayes(types):
     """A 2x2 Bayesian game document with ``types`` types per player, type k
     of one player meeting type k of the other with probability 1/types:

@@ -16,7 +16,7 @@ from periodic_games.bayes import interim_game
 from periodic_games.cli import main
 from periodic_games.io import parse_bayes, parse_game
 
-from conftest import FIXTURES, colliding_strategies_bayes, distinct_masses_bayes, many_cycles_game, many_types_bayes, recursion_limit, shift_game, tall_game
+from conftest import FIXTURES, colliding_pairs_bayes, colliding_strategies_bayes, distinct_masses_bayes, many_cycles_game, many_types_bayes, recursion_limit, shift_game, tall_game
 from test_io import deep_payoffs_game, deep_prior_bayes, long_bare_integer_game, one_action_game
 
 BOS = str(FIXTURES / "battle_of_sexes.game.json")
@@ -135,6 +135,18 @@ def test_bayes_interim(capsys):
     assert main(["bayes", BAYES, "--to", "interim"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["players"] == ["t1", "t1p", "t2"]
+
+
+@pytest.mark.parametrize("to", ["interim", "interim-correlated"])
+def test_bayes_interim_with_colliding_qualified_pair_labels(tmp_path, capsys, to):
+    path = tmp_path / "colliding_pairs.bayes.json"
+    path.write_text(colliding_pairs_bayes())
+    assert main(["bayes", str(path), "--to", to]) == 0
+    text = capsys.readouterr().out
+    assert json.loads(text)["players"] == ['["A","B.b"]', '["A","x"]', '["A.B","b"]', '["A.B","x"]']
+    game_path = tmp_path / "interim.game.json"
+    game_path.write_text(text)
+    assert main(["cycles", str(game_path), "--format", "machine"]) == 0
 
 
 def test_check_is_deterministic(capsys):

@@ -1,11 +1,21 @@
 import json
+import math
+import random
 import re
 import time
 from fractions import Fraction
 
 import pytest
 
-from periodic_games import Game, build_periodicity_graph, enumerate_cycles, ex_ante_game, export_dot, interim_game
+from periodic_games import (
+    Game,
+    build_periodicity_graph,
+    enumerate_cycles,
+    ex_ante_game,
+    export_dot,
+    interim_correlated_game,
+    interim_game,
+)
 from periodic_games.errors import BadLiteral, ParseError, SizeLimit
 from periodic_games.game import MAX_LITERAL_DIGITS
 from periodic_games.io import (
@@ -19,7 +29,7 @@ from periodic_games.io import (
 )
 from periodic_games.periodicity import Node
 
-from conftest import FIXTURES, colliding_strategies_bayes
+from conftest import FIXTURES, colliding_pairs_bayes, colliding_strategies_bayes, random_rational_game
 
 
 def test_parse_fraction():
@@ -398,6 +408,35 @@ def test_game_documents_match_the_standard_library_on_hostile_labels(two_type_ba
     for companion in (ex_ante_game(colliding), interim_game(colliding), ex_ante_game(two_type_bayes)):
         assert serialize_game(companion) == _stdlib_game(companion)
     assert '"[\\"a\\",\\"aa\\"]"' in serialize_game(ex_ante_game(colliding))
+
+
+def one_action_games(rng, count):
+    """Seeded games of 2-4 players with 1-3 actions each, one action half
+    the time, and payoffs k/s for k in [-12, 12], each player over its own
+    scale s in [1, 4]."""
+    games = []
+    for _ in range(count):
+        n = rng.randint(2, 4)
+        shape = [max(1, rng.randint(0, 3)) for _ in range(n)]
+        vectors = [[rng.randint(-12, 12) for _ in range(n)] for _ in range(math.prod(shape))]
+        scales = [rng.randint(1, 4) for _ in range(n)]
+        actions = [[f"s{k + 1}" for k in range(size)] for size in shape]
+        games.append(Game._from_integers([f"P{i + 1}" for i in range(n)], actions, vectors, scales))
+    return games
+
+
+def test_game_documents_match_the_standard_library():
+    games = [parse_game(path.read_text()) for path in sorted(FIXTURES.glob("*.game.json"))]
+    rng = random.Random(24)
+    games += one_action_games(rng, 40) + [random_rational_game(rng) for _ in range(10)]
+    assert sum(1 in g.shape for g in games) > 20
+    bayes = [parse_bayes(path.read_text()) for path in sorted(FIXTURES.glob("*.bayes.json"))]
+    bayes += [parse_bayes(colliding_strategies_bayes()), parse_bayes(colliding_pairs_bayes())]
+    games += [build(bg) for bg in bayes for build in (ex_ante_game, interim_game, interim_correlated_game)]
+    n = MAX_NESTING - 2
+    games.append(Game(tuple(f"p{k}" for k in range(n)), (("a",),) * n, (tuple(Fraction(k, 3) for k in range(n)),)))
+    for g in games:
+        assert serialize_game(g) == _stdlib_game(g)
 
 
 @pytest.mark.parametrize(

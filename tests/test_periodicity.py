@@ -1,5 +1,8 @@
+import itertools
+import math
 import random
 import sys
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -16,11 +19,11 @@ from periodic_games import (
     periodicity_number,
     reach_cycle,
 )
-from periodic_games import periodicity
+from periodic_games import Game, periodicity
 from periodic_games.errors import AnchorNotOnCycle, BadParameter, DegenerateArgmax, IndexOutOfRange, SizeLimit
 from periodic_games.generate import random_game
 from periodic_games.io import parse_game
-from periodic_games.periodicity import Cycle, all_cycles
+from periodic_games.periodicity import Cycle, PeriodicityGraph, all_cycles
 
 from conftest import (
     brute_force_deviation,
@@ -244,3 +247,101 @@ def test_a_cycle_longer_than_the_recursion_limit_is_found():
         assert all_cycles(graph, 2 * n) == expected
         assert enumerate_cycles(graph, Node(0, 0), 2 * n) == expected
         assert enumerate_cycles(graph, Node(1, n - 1), 2 * n) == [Cycle(expected[0].nodes[-1:] + expected[0].nodes[:-1])]
+
+
+def per_node_graph(g, policy):
+    """The periodicity graph built one node at a time, as a reference: each
+    node lists every opponent profile at its row's maximum and takes the
+    first, and under the strict policy the first tied node in node order
+    raises."""
+    nodes = tuple(Node(i, a) for i in range(g.num_players) for a in range(g.shape[i]))
+    edges, degenerate = {}, set()
+    for node in nodes:
+        rows, opponents, _ = g.own_payoffs[node.player]
+        row = rows[node.action]
+        tied = [opp for opp, value in zip(opponents, row) if value == max(row)]
+        if len(tied) > 1:
+            if policy is TiePolicy.STRICT:
+                raise DegenerateArgmax(node, tied)
+            degenerate.add(node)
+        others = [j for j in range(g.num_players) if j != node.player]
+        edges[node] = tuple(Node(j, b) for j, b in zip(others, tied[0]))
+    return PeriodicityGraph(g.num_players, nodes, edges, frozenset(degenerate))
+
+
+def bfs_cyclic_nodes(graph):
+    """The nodes reachable from themselves, one breadth-first search per
+    node, as a reference."""
+    cyclic = set()
+    for start in graph.nodes:
+        seen = set(graph.edges[start])
+        frontier = deque(seen)
+        while frontier and start not in seen:
+            for nxt in graph.edges[frontier.popleft()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        if start in seen:
+            cyclic.add(start)
+    return frozenset(cyclic)
+
+
+def binary_game(rng):
+    """A seeded game of 2-4 players with 2-4 actions each and payoffs in
+    {0, 1}: most of its argmaxes tie."""
+    n = rng.randint(2, 4)
+    shape = [rng.randint(2, 4) for _ in range(n)]
+    vectors = [[rng.randint(0, 1) for _ in range(n)] for _ in range(math.prod(shape))]
+    actions = [[f"s{k + 1}" for k in range(size)] for size in shape]
+    return Game._from_integers([f"P{i + 1}" for i in range(n)], actions, vectors, (1,) * n)
+
+
+@pytest.mark.parametrize("policy", list(TiePolicy))
+def test_graph_matches_the_per_node_construction_and_cycles_the_searches_per_node(policy):
+    rng = random.Random(24)
+    games = [binary_game(rng) if k % 2 else random_game(rng) for k in range(120)]
+    raised = 0
+    for g in games:
+        try:
+            expected = per_node_graph(g, policy)
+        except DegenerateArgmax as reference:
+            with pytest.raises(DegenerateArgmax) as info:
+                build_periodicity_graph(g, policy)
+            assert (info.value.node, info.value.tied_profiles) == (reference.node, reference.tied_profiles)
+            raised += 1
+            continue
+        graph = build_periodicity_graph(g, policy)
+        assert graph == expected and graph.nodes == expected.nodes
+        assert graph.degenerate_flags == expected.degenerate_flags
+        assert graph.cyclic_nodes == bfs_cyclic_nodes(expected)
+        for node in graph.nodes:
+            profile, strict = best_deviation_profile(g, node.player, node.action, policy)
+            assert graph.edges[node] == tuple(Node(j, b) for j, b in zip(
+                (j for j in range(g.num_players) if j != node.player), profile))
+            assert strict == (node not in graph.degenerate_flags)
+    # Under the strict policy most games raise (nearly every {0,1} one) and
+    # the rest still compare.
+    assert raised == (99 if policy is TiePolicy.STRICT else 0)
+
+
+def test_cyclic_nodes_take_one_pass_and_no_walk(monkeypatch):
+    n = 200
+    vectors = [(int(a == b), int(a == (b + 1) % n)) for a, b in itertools.product(range(n), repeat=2)]
+    g = Game._from_integers(["A", "B"], [[f"a{k}" for k in range(n)], [f"b{k}" for k in range(n)]], vectors, (1, 1))
+    graph = build_periodicity_graph(g)
+    walk = periodicity._shortest_walk
+    walks = []
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(periodicity, "_shortest_walk", counted)
+    assert graph.cyclic_nodes == frozenset(graph.nodes) and len(graph.nodes) == 2 * n
+    assert walks == []
+    # reach_cycle still walks when its start is off every cycle.
+    tail = Game._from_integers(["A", "B"], [["a0", "a1", "a2"], ["b0", "b1"]],
+                               [(1, 1), (0, 0), (0, 0), (1, 1), (0, 2), (2, 0)], (1, 1))
+    tail_graph = build_periodicity_graph(tail)
+    assert Node(0, 2) not in tail_graph.cyclic_nodes
+    assert reach_cycle(tail_graph, Node(0, 2))[-1] in tail_graph.cyclic_nodes and len(walks) == 1
