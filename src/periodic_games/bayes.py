@@ -206,13 +206,12 @@ def _integer_expectation(bg: BayesianGame, rows: Sequence[int]):
         # the type profile's pairs, and those after each one up to the next.
         gaps = [counts[end] // counts[q + 1] for q, end in zip(pairs, [*pairs[1:], len(ids)])]
         for i, q in enumerate(pairs):
-            # One weighted column per entry, summed position by position.
+            # One weighted column per entry, summed position by position in
+            # one flat pass, however many entries share the type profile.
             terms = [map((w * (du // columns[theta][i][1])).__mul__, columns[theta][i][0]) for w, theta in entries]
-            column = terms[0]
-            for term in terms[1:]:
-                column = map(operator.add, column, term)
+            column = list(map(sum, zip(*terms)))
             r = rows[q]
-            sums[r] = list(map(operator.add, sums[r], _spread(list(column), shape, gaps, counts[pairs[0]])))
+            sums[r] = list(map(operator.add, sums[r], _spread(column, shape, gaps, counts[pairs[0]])))
             mass[q] += sum(w for w, _ in entries)
     return sums, mass, dp, du
 

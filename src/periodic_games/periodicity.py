@@ -157,20 +157,16 @@ def best_deviation_profile(
 
 def build_periodicity_graph(g: Game, policy: TiePolicy = TiePolicy.LEX) -> PeriodicityGraph:
     """Graph with one edge per (node, opponent); deterministic for a fixed
-    policy. Each player's own-payoff rows are read once, in node order; the
-    graph holds one ``Node`` per (player, action), and the nodes whose
-    argmax is one opponent profile share one target tuple."""
+    policy. Each player's own-payoff rows are read once, in node order, and
+    the graph holds one ``Node`` per (player, action)."""
     nodes = [[Node(i, a) for a in range(size)] for i, size in enumerate(g.shape)]
     edges: dict[Node, tuple[Node, ...]] = {}
     degenerate: set[Node] = set()
     for i, (rows, opponents, _) in enumerate(g.own_payoffs):
         others = nodes[:i] + nodes[i + 1:]  # the opponents' nodes, in player order
-        targets: dict[int, tuple[Node, ...]] = {}  # by argmax column
         for node, row in zip(nodes[i], rows):
             column, strict = _best_column(row, opponents, node, policy)
-            if column not in targets:
-                targets[column] = tuple(map(list.__getitem__, others, opponents[column]))
-            edges[node] = targets[column]
+            edges[node] = tuple(map(list.__getitem__, others, opponents[column]))
             if not strict:
                 degenerate.add(node)
     return PeriodicityGraph(

@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -296,3 +298,26 @@ def test_ex_ante_with_a_one_action_player_of_many_types_is_quick():
     assert time.perf_counter() - start < 1
     assert len(g.payoffs) == 2**14
     assert g.payoffs == ex_ante_game(parse_bayes(doc(14))).payoffs
+
+
+def test_many_parameter_values_of_one_type_profile_sum_flat():
+    # 20,000 parameter values share the one type profile; their weighted
+    # payoff columns are summed in one flat pass, not one nested step per
+    # value. Nested steps take C stack per value: on a thread of 1 MiB
+    # stack, 20,000 of them crash the interpreter (200,000 on an 8 MiB
+    # main thread).
+    n = 20_000
+    game = Game(players=("A", "B"), actions=(("a",), ("b",)), payoffs=((F(1), F(-2, 3)),))
+    bg = BayesianGame(
+        thetas=tuple(f"s{k}" for k in range(n)),
+        types=(("t",), ("u",)),
+        prior={(k, (0, 0)): F(1, n) for k in range(n)},
+        games=(game,) * n,
+    )
+    previous = threading.stack_size(1 << 20)
+    try:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            companion = pool.submit(ex_ante_game, bg)
+    finally:
+        threading.stack_size(previous)
+    assert companion.result().payoffs == ((F(1), F(-2, 3)),)
