@@ -15,11 +15,11 @@ import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import BadDimension, DuplicateLabel, SizeLimit, ValidationError, ZeroProbabilityType
 from .game import Game, label_index
-from .linalg import common_denominator, integer_column
+from .linalg import common_scale, integer_column
 
 TypeProfile = tuple[int, ...]
 PriorKey = tuple[int, TypeProfile]  # (theta index, type profile)
@@ -192,7 +192,7 @@ def _integer_expectation(bg: BayesianGame, rows: Sequence[int]):
     positive = [(key, prob) for key, prob in bg.prior.items() if prob > 0]
     weights, dp = integer_column([prob for _, prob in positive])
     columns = [list(map(integer_column, zip(*g.payoffs))) for g in bg.games]
-    du = common_denominator(Fraction(1, s) for game in columns for _, s in game)  # 1/s has denominator s
+    du = common_scale(s for game in columns for _, s in game)
     by_types: dict[TypeProfile, list[tuple[int, int]]] = {}
     for ((theta, tp), _), w in zip(positive, weights):
         by_types.setdefault(tp, []).append((w, theta))
@@ -231,14 +231,13 @@ def _spread(values: list[int], shape: Sequence[int], gaps: Sequence[int], before
     return values * before
 
 
-def _strategy_labels(bg: BayesianGame, player: int, choices: Sequence[TypeProfile]) -> tuple[str, ...]:
-    """The labels of one player's strategies, as ``ex_ante_game`` describes
-    them; distinct label lists have distinct JSON texts."""
-    chosen = [[bg.actions[player][a] for a in choice] for choice in choices]
-    joined = ["".join(labels) for labels in chosen]
-    if len(set(joined)) == len(joined):
-        return tuple(joined)
-    return tuple(json.dumps(labels, separators=(",", ":")) for labels in chosen)
+def _distinct_labels(candidates: Iterable[Sequence[str]], entries: Sequence) -> tuple[str, ...]:
+    """The first candidate label list whose labels are distinct, else the
+    compact JSON text of each entry (distinct entries, distinct texts)."""
+    for labels in candidates:
+        if len(set(labels)) == len(labels):
+            return tuple(labels)
+    return tuple(json.dumps(entry, separators=(",", ":")) for entry in entries)
 
 
 def _check_profile_count(bg: BayesianGame, what: str, players: int) -> None:
@@ -274,11 +273,9 @@ def ex_ante_game(bg: BayesianGame) -> Game:
     """
     _check_profile_count(bg, "ex-ante", bg.num_players)
     n = bg.num_players
-    strategy_sets = [
-        list(itertools.product(range(len(bg.actions[i])), repeat=len(bg.types[i])))
-        for i in range(n)
-    ]
-    labels = tuple(_strategy_labels(bg, i, strategy_sets[i]) for i in range(n))
+    # Each player's strategies, as the action labels they choose per type.
+    chosen = [list(itertools.product(bg.actions[i], repeat=len(bg.types[i]))) for i in range(n)]
+    labels = tuple(_distinct_labels([list(map("".join, c))], c) for c in chosen)
     # A strategy profile is a companion profile of ``_integer_expectation``,
     # and each prior entry adds to one of a player's pairs: one row a player.
     sums, _, dp, du = _integer_expectation(bg, [i for i, _ in _player_type_ids(bg)])
@@ -296,12 +293,10 @@ def _player_type_labels(bg: BayesianGame) -> tuple[str, ...]:
     pair: the type labels when they are distinct, else ``player.type``, or,
     when two of those coincide (player ``A`` with type ``B.b`` and player
     ``A.B`` with type ``b``), the compact JSON text of each pair
-    (``["A","B.b"]``), as ``_strategy_labels`` names colliding strategies."""
+    (``["A","B.b"]``), picked by ``_distinct_labels`` as ``ex_ante_game``
+    names its strategies."""
     pairs = [(bg.players[i], bg.types[i][t]) for i, t in _player_type_ids(bg)]
-    for labels in ([t for _, t in pairs], [f"{p}.{t}" for p, t in pairs]):
-        if len(set(labels)) == len(labels):
-            return tuple(labels)
-    return tuple(json.dumps(pair, separators=(",", ":")) for pair in pairs)
+    return _distinct_labels(([t for _, t in pairs], [f"{p}.{t}" for p, t in pairs]), pairs)
 
 
 def interim_game(bg: BayesianGame) -> Game:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import CertificateError
 from .game import Game, payoff
-from .linalg import common_denominator
+from .linalg import common_scale
 from .lp import zero_sum_value
 from .mixed import require_bimatrix
 
@@ -42,7 +42,7 @@ def _bimatrix(g: Game) -> tuple[list, list, int]:
     """The row and column players' payoff matrices, rows by columns, in
     integers over the lcm of the two players' scales, and that lcm."""
     require_bimatrix(g)
-    scale = common_denominator(Fraction(1, own.scale) for own in g.own_payoffs)  # 1/s has denominator s
+    scale = common_scale(own.scale for own in g.own_payoffs)
     a, b = ([[x * (scale // own.scale) for x in row] for row in own.rows] for own in g.own_payoffs)
     return a, list(zip(*b)), scale
 

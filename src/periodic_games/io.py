@@ -14,7 +14,9 @@ list, from one text per payoff object.
 from __future__ import annotations
 
 import json
+import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -52,9 +54,18 @@ def _too_deep() -> ParseError:
     return ParseError(f"document nests lists and objects deeper than {MAX_NESTING} levels")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A decoded JSON object; a key it repeats is a ParseError."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        key = next(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
+        raise ParseError(f"key {key!r} appears more than once in one object")
+    return doc
+
+
 def _load_json(text: str) -> dict:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
     except ValueError as exc:  # a bare integer past the int-string conversion limit
@@ -83,13 +94,16 @@ def _require(doc: dict, key: str):
 
 
 def _labels(value, what: str) -> tuple[str, ...]:
-    """A JSON list of labels, each a string or an integer (kept as its
-    text); anything else, there or in place of the list, is a ParseError."""
+    """A JSON list of labels, each an integer (kept as its text) or a string
+    with no lone surrogate (UTF-8 cannot encode one, so no output could);
+    anything else, there or in place of the list, is a ParseError."""
     if not isinstance(value, list):
         raise ParseError(f"{what} must be a JSON list, got {value!r}")
     for v in value:
         if not isinstance(v, (str, int)) or isinstance(v, bool):
             raise ParseError(f"{what} must be strings or integers, got the label {json.dumps(v)}")
+        if isinstance(v, str) and re.search(r"[\ud800-\udfff]", v):
+            raise ParseError(f"{what} must encode as UTF-8, got the label {json.dumps(v)}")
     return tuple(str(v) for v in value)
 
 

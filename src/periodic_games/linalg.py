@@ -1,10 +1,10 @@
 """Exact linear algebra over Fractions, and the package's one integer kernel.
 
-Only this module turns rationals into integers (``common_denominator``,
-``scaled`` and ``integer_column``) and divides integers exactly (``pivot``,
-the fraction-free step of Bareiss 1968 elimination and of Edmonds 1967
-integer pivoting); ``game`` (each player's integer payoff view), ``lp``,
-``bayes``, ``coco`` and ``mixed`` use these helpers.
+Only this module turns rationals into integers (``integer_column``),
+combines their scales (``common_scale``) and divides integers exactly
+(``pivot``, the fraction-free step of Bareiss 1968 elimination and of
+Edmonds 1967 integer pivoting); ``game`` (each player's integer payoff
+view), ``lp``, ``bayes``, ``coco`` and ``mixed`` use these helpers.
 
 ``exchange`` is the one dictionary pivot, as in lrs: ``pivot``, then the
 leaving variable's column written where the entering one was. The simplex
@@ -28,7 +28,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import SizeLimit
 
@@ -46,26 +46,18 @@ Matrix = list[list[Fraction]]
 Vector = tuple[Fraction, ...]
 
 
-def common_denominator(values) -> int:
-    """The lcm of the denominators of some rationals (ints count as n/1)."""
-    return math.lcm(*map(operator.attrgetter("denominator"), values))
-
-
-def scaled(values, scale: int) -> list[int]:
-    """Rationals times ``scale``, a multiple of each of their denominators."""
-    if scale == 1:  # every value is an integer
-        return list(map(operator.attrgetter("numerator"), values))
-    return [v.numerator * (scale // v.denominator) for v in values]
-
-
 def integer_column(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Rationals times the lcm of their denominators, and that lcm, reading
-    each distinct object once (a built or parsed game shares them)."""
-    ids = list(map(id, values))
-    objects = dict(zip(ids, values))
-    scale = common_denominator(objects.values())
-    ints = dict(zip(objects, scaled(objects.values(), scale)))
-    return list(map(ints.__getitem__, ids)), scale
+    """Rationals (an int counts as n/1) times the lcm of their denominators,
+    and that lcm: the one way the package turns rationals into integers."""
+    scale = math.lcm(*map(operator.attrgetter("denominator"), values))
+    if scale == 1:  # every value is an integer
+        return list(map(operator.attrgetter("numerator"), values)), 1
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def common_scale(scales: Iterable[int]) -> int:
+    """The lcm of positive int scales, over which integers of each combine."""
+    return math.lcm(*scales)
 
 
 def pivot(rows: list[list[int]], r: int, c: int, det: int) -> int:
@@ -84,9 +76,6 @@ def pivot(rows: list[list[int]], r: int, c: int, det: int) -> int:
         if i == r:
             continue
         f = row[c]
-        if det == 1:
-            rows[i] = [p * x - f * y for x, y in zip(row, top)]
-            continue
         reduced = []
         for x, y in zip(row, top):
             q, rem = divmod(p * x - f * y, det)
@@ -117,7 +106,7 @@ def exchange(rows: list[list[int]], r: int, c: int, det: int) -> int:
 def _integer_rows(matrix) -> list[list[int]]:
     """Each row scaled to integers by the lcm of its denominators, which
     leaves the row space unchanged; zero rows are left out."""
-    return [ints for ints in (scaled(row, common_denominator(row)) for row in matrix) if any(ints)]
+    return [ints for ints, _ in map(integer_column, matrix) if any(ints)]
 
 
 def _eliminate(m: list[list[int]], cols: int) -> list[int]:
@@ -175,10 +164,7 @@ def solve_exact(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> tuple
 
 
 def matrix_rank(a: Sequence[Sequence[Fraction]]) -> int:
-    if not a:
-        return 0
-    _, pivots = rref([list(row) for row in a])
-    return len(pivots)
+    return len(rref(a)[1])
 
 
 def polytope_vertices(

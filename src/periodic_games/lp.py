@@ -1,8 +1,8 @@
 """Exact simplex on an integer tableau, and the zero-sum matrix game value.
 
 ``simplex_max`` scales ``a`` and ``b`` by one lcm of their denominators and
-``c`` by the lcm of its own (``linalg.common_denominator`` and
-``linalg.scaled``), then pivots on an integer tableau that shares one
+``c`` by the lcm of its own (two calls of ``linalg.integer_column``), then
+pivots on an integer tableau that shares one
 positive denominator ``det`` with ``linalg.pivot``, the fraction-free step
 that ``rref`` also uses (integer pivoting, as in Edmonds 1967 and Avis's
 lrs). Every entry stays an integer, a minor of the scaled data, so each
@@ -47,7 +47,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import BadParameter, CertificateError
-from .linalg import common_denominator, exchange, integer_column, scaled
+from .linalg import exchange, integer_column
 
 Vector = tuple[Fraction, ...]
 
@@ -159,13 +159,12 @@ def simplex_max(
     _check_entries(data + list(c), "simplex_max")
     if any(bi < 0 for bi in b):
         raise BadParameter("simplex_max requires b >= 0")
-    scale_ab = common_denominator(data)
-    scale_c = common_denominator(c)
+    ints, scale_ab = integer_column(data)
+    costs, scale_c = integer_column(c)
     # One column per nonbasic variable, then the rhs; the last row is the
     # objective.
-    scaled_b = scaled(b, scale_ab)
-    initial = [scaled(a[i], scale_ab) + [scaled_b[i]] for i in range(m)]
-    initial.append([-v for v in scaled(c, scale_c)] + [0])
+    initial = [ints[i * n : (i + 1) * n] + [ints[m * n + i]] for i in range(m)]
+    initial.append([-v for v in costs] + [0])
     loop_stop = None if stop is None else (lambda top, det: stop(top, det * scale_c))
 
     tableau = [row[:] for row in initial]
@@ -218,8 +217,8 @@ def zero_sum_value(
         raise BadParameter("ragged payoff matrix")
     entries = [v for row in matrix for v in row]
     _check_entries(entries, "payoff matrix")
-    scale = common_denominator(entries)
-    ints = [scaled(row, scale) for row in matrix]
+    flat, scale = integer_column(entries)
+    ints = [flat[i * cols : (i + 1) * cols] for i in range(rows)]
 
     # Shift all entries to at least 1 so the value is > 0 and the LP below is
     # sound. In units of 1/scale the shift 1 - min(m) is an integer.

@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence, Union
 
 from .errors import BadDimension, Infeasible, SizeLimit
 from .game import Game, validate_mixture
-from .linalg import common_denominator, exchange, matrix_rank, polytope_vertices, scaled
+from .linalg import exchange, integer_column, matrix_rank, polytope_vertices
 
 Vector = tuple[Fraction, ...]
 
@@ -90,8 +90,8 @@ def _row_payoffs(matrix: Sequence[Sequence[int]], weights: Sequence[int]) -> lis
 def _payoffs_against(matrix: Sequence[Sequence[int]], q: Sequence[Fraction]) -> tuple[list[int], int]:
     """Each row of an integer matrix against a mixture q over its columns,
     times the lcm of q's denominators, and that lcm."""
-    den = common_denominator(q)
-    return _row_payoffs(matrix, scaled(q, den)), den
+    weights, den = integer_column(q)
+    return _row_payoffs(matrix, weights), den
 
 
 def periodic_mixed(g: Game, player: Union[int, str]) -> PeriodicMixed:

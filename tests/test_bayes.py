@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -20,6 +21,7 @@ from periodic_games import (
 )
 from periodic_games import bayes
 from periodic_games.errors import (
+    BadDimension,
     DuplicateLabel,
     IndexOutOfRange,
     SizeLimit,
@@ -321,3 +323,41 @@ def test_many_parameter_values_of_one_type_profile_sum_flat():
     finally:
         threading.stack_size(previous)
     assert companion.result().payoffs == ((F(1), F(-2, 3)),)
+
+
+BAYES_CHECKS = {
+    "no parameter value": (lambda bg: {"thetas": (), "games": ()}, BadDimension, "at least one parameter value is required"),
+    "one game for two values": (lambda bg: {"games": bg.games[:1]}, ValidationError, "needs one Game per parameter value"),
+    "not a game": (lambda bg: {"games": (bg.games[0], "game")}, ValidationError, "needs one Game per parameter value"),
+    "other players": (
+        lambda bg: {"games": (bg.games[0], dataclasses.replace(bg.games[1], players=("1", "3")))},
+        ValidationError,
+        "the games of all parameter values must have the same players and actions",
+    ),
+    "other actions": (
+        lambda bg: {"games": (bg.games[0], dataclasses.replace(bg.games[1], actions=(("U", "D"), ("L", "M"))))},
+        ValidationError,
+        "the games of all parameter values must have the same players and actions",
+    ),
+    "types of one player": (lambda bg: {"types": bg.types[:1]}, BadDimension, "types must be given for every player"),
+    "unknown parameter index": (lambda bg: {"prior": {(2, (0, 0)): F(1)}}, ValidationError, "prior references unknown parameter index 2"),
+    "type profile length": (lambda bg: {"prior": {(0, (0,)): F(1)}}, ValidationError, "prior type profile (0,) has wrong length"),
+    "unknown type index": (
+        lambda bg: {"prior": {(0, (0, 1)): F(1)}},
+        ValidationError,
+        "prior references unknown type index 1 of player 1",
+    ),
+    "negative probability": (
+        lambda bg: {"prior": {(0, (0, 0)): F(-1, 2), (1, (1, 0)): F(3, 2)}},
+        ValidationError,
+        "negative prior probability",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAYES_CHECKS)
+def test_every_shape_check_of_a_bayesian_game_raises_its_error(two_type_bayes, case):
+    changes, error, message = BAYES_CHECKS[case]
+    with pytest.raises(error, match=re.escape(message)) as info:
+        dataclasses.replace(two_type_bayes, **changes(two_type_bayes))
+    assert type(info.value) is error

@@ -17,7 +17,7 @@ from periodic_games.cli import main
 from periodic_games.io import parse_bayes, parse_game
 
 from conftest import FIXTURES, colliding_pairs_bayes, colliding_strategies_bayes, distinct_masses_bayes, many_cycles_game, many_types_bayes, recursion_limit, shift_game, tall_game
-from test_io import deep_payoffs_game, deep_prior_bayes, long_bare_integer_game, one_action_game
+from test_io import DOCUMENT_CHECKS, deep_payoffs_game, deep_prior_bayes, long_bare_integer_game, one_action_game
 
 BOS = str(FIXTURES / "battle_of_sexes.game.json")
 PD = str(FIXTURES / "prisoners_dilemma.game.json")
@@ -262,6 +262,52 @@ def test_a_bare_integer_past_the_conversion_limit_is_invalid_input(tmp_path, cap
     assert main(["nash", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid input: number too long") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["analyze"], ["mixed"], ["cycles", "--format", "dot"], ["cycles", "--format", "machine"]],
+    ids=" ".join,
+)
+def test_a_label_with_a_lone_surrogate_is_invalid_input(tmp_path, capsys, command):
+    doc = {"players": ["A", "B"], "actions": {"A": ["x", "\ud800"], "B": ["l", "r"]},
+           "payoffs": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]}
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps(doc))
+    name, *flags = command
+    assert main([name, str(path), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == 'invalid input: actions of player \'A\' must encode as UTF-8, got the label "\\ud800"\n'
+
+
+@pytest.mark.parametrize(
+    "command, source, old, key",
+    [(["analyze"], PD, '"actions": {', "A"), (["bayes", "--to", "interim"], BAYES, '"payoffs": {', "th")],
+    ids=["analyze", "bayes"],
+)
+def test_a_repeated_key_is_invalid_input(tmp_path, capsys, command, source, old, key):
+    # An empty list for player A, or an empty table for parameter th, ahead
+    # of the real one: reading the last of the two would hide it.
+    text = pathlib.Path(source).read_text(encoding="utf-8")
+    path = tmp_path / "repeated.json"
+    path.write_text(text.replace(old, old + f'"{key}": [], ', 1))
+    name, *flags = command
+    assert main([name, str(path), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid input: key {key!r} appears more than once in one object\n"
+
+
+@pytest.mark.parametrize("case", DOCUMENT_CHECKS)
+def test_every_shape_check_of_a_document_is_invalid_input(tmp_path, capsys, case):
+    text, parse, message = DOCUMENT_CHECKS[case]
+    path = tmp_path / "document.json"
+    path.write_text(text)
+    command = ["analyze"] if parse is parse_game else ["bayes", "--to", "interim"]
+    assert main([command[0], str(path), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"invalid input: {message}\n"
 
 
 @pytest.mark.parametrize("players", ["AB", 5])

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -417,3 +418,37 @@ def test_interim_players_keep_small_scales_over_many_distinct_denominators():
     assert max(scales[:300]) <= 601 and len(set(scales)) > 200
     assert len(str(math.lcm(*scales))) > 200
     assert_own_views(g)
+
+
+SQUARE = make_game(("A", "B"), (("x", "y"), ("l", "r")), [[[1, 1], [0, 0]], [[0, 0], [1, 1]]])
+
+GAME_CHECKS = {
+    "profile_index out of range": (lambda: SQUARE.profile_index((0, 2)), IndexOutOfRange, "action index 2 out of range for size 2"),
+    "make_game action lists": (lambda: make_game(("A", "B"), (("x",),), [[1, 1]]), BadDimension, "1 action lists for 2 players"),
+    "validate_game action lists": (lambda: Game(("A", "B"), (("x",),), ((F(1), F(1)),)), BadDimension, "1 action lists for 2 players"),
+    "empty action set": (lambda: Game(("A", "B"), (("x",), ()), ()), BadDimension, "player 'B' has an empty action set"),
+    "profile count": (
+        lambda: Game(("A", "B"), (("x",), ("l", "r")), ((F(1), F(1)),)),
+        MissingProfile,
+        "payoff tensor has 1 profiles, expected 2",
+    ),
+    "vector length": (
+        lambda: Game(("A", "B"), (("x",), ("l",)), ((F(1),),)),
+        BadDimension,
+        "payoff vector at flat index 0 has length 1, expected 2",
+    ),
+    "payoff profile length": (lambda: payoff(SQUARE, (0,)), IndexOutOfRange, "profile length 1 != 2 players"),
+    "mixture length": (
+        lambda: validate_mixed(SQUARE, ((F(1),), (F(1), F(0)))),
+        DimensionMismatch,
+        "player 'A' mixture has 1 entries, expected 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", GAME_CHECKS)
+def test_every_shape_check_of_a_game_raises_its_error(case):
+    call, error, message = GAME_CHECKS[case]
+    with pytest.raises(error, match=re.escape(message)) as info:
+        call()
+    assert type(info.value) is error

@@ -218,8 +218,7 @@ def _bayes_with_label(place, label):
     return json.dumps(doc)
 
 
-@pytest.mark.parametrize("label", BAD_LABELS, ids=repr)
-@pytest.mark.parametrize(
+LABEL_PLACES = pytest.mark.parametrize(
     "place, parse, document",
     [
         ("players", parse_game, _game_with_label),
@@ -231,9 +230,103 @@ def _bayes_with_label(place, label):
     ],
     ids=["players", "actions", "thetas", "types", "prior theta", "prior type"],
 )
+
+
+@pytest.mark.parametrize("label", BAD_LABELS, ids=repr)
+@LABEL_PLACES
 def test_a_label_must_be_a_string_or_an_integer(place, parse, document, label):
     with pytest.raises(ParseError, match=re.escape(f"got the label {json.dumps(label)}")):
         parse(document(place, label))
+
+
+@pytest.mark.parametrize("label", ["\ud800", "x\udfff", "\udc00\ud800"], ids=ascii)
+@LABEL_PLACES
+def test_a_label_with_a_lone_surrogate_is_a_parse_error(place, parse, document, label):
+    # Valid JSON (an escape of one surrogate code unit), but text no output
+    # can encode.
+    text = document(place, label)
+    assert label not in text and json.dumps(label) in text
+    message = f"must encode as UTF-8, got the label {json.dumps(label)}"
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse(text)
+
+
+def test_a_surrogate_pair_escape_is_one_character_of_a_label():
+    g = parse_game(_game_with_label("actions", "\U0001f600"))
+    assert g.actions[0] == ("x", "\U0001f600")
+    assert '"\\ud83d\\ude00"' in serialize_game(g)
+
+
+def _bayes_text_with_a_second_table(theta):
+    text = (FIXTURES / "two_type.bayes.json").read_text()
+    zeros = json.dumps([[["0", "0"], ["0", "0"]]] * 2)
+    return text.replace('"payoffs": {', f'"payoffs": {{\n    "{theta}": {zeros},', 1)
+
+
+DUPLICATE_KEYS = [
+    ("actions", '{"players": ["A", "B"], "actions": {"A": ["x"], "B": ["l"], "A": ["u", "v"]}, '
+                '"payoffs": [[[1, 1]], [[0, 0]]]}', parse_game, "A"),
+    ("top level", '{"players": ["A", "B"], "actions": {"A": ["x"], "B": ["l"]}, '
+                  '"payoffs": [[[1, 1]]], "players": ["B", "A"]}', parse_game, "players"),
+    ("payoffs", _bayes_text_with_a_second_table("th"), parse_bayes, "th"),
+    ("types", (FIXTURES / "two_type.bayes.json").read_text().replace(
+        '"2": ["t2"]}', '"2": ["t2"], "1": ["t1", "t1p"]}', 1), parse_bayes, "1"),
+]
+
+
+@pytest.mark.parametrize("where, text, parse, key", DUPLICATE_KEYS, ids=[case[0] for case in DUPLICATE_KEYS])
+def test_a_key_repeated_in_one_object_is_a_parse_error(where, text, parse, key):
+    json.loads(text)  # valid JSON: the standard library keeps the last value
+    with pytest.raises(ParseError, match=re.escape(f"key {key!r} appears more than once in one object")):
+        parse(text)
+
+
+def _edited(name, edit):
+    doc = json.loads((FIXTURES / name).read_text())
+    edit(doc)
+    return json.dumps(doc)
+
+
+GAME_DOC, BAYES_DOC = "prisoners_dilemma.game.json", "two_type.bayes.json"
+
+DOCUMENT_CHECKS = {
+    "top level": ("[]", parse_game, "top-level document must be an object"),
+    "actions": (
+        _edited(GAME_DOC, lambda doc: doc.__setitem__("actions", [["A1", "A2"], ["B1", "B2"]])),
+        parse_game,
+        "'actions' must map player names to label lists",
+    ),
+    "types": (
+        _edited(BAYES_DOC, lambda doc: doc.__setitem__("types", [["t1", "t1p"], ["t2"]])),
+        parse_bayes,
+        "'types' must map player names to type label lists",
+    ),
+    "no action list": (_edited(GAME_DOC, lambda doc: doc["actions"].pop("B")), parse_game, "no action list for player 'B'"),
+    "prior entry": (
+        _edited(BAYES_DOC, lambda doc: doc["prior"][0].pop()),
+        parse_bayes,
+        "prior entries are [theta, [types...], probability], got ['th', ['t1', 't2']]",
+    ),
+    "parameter label": (
+        _edited(BAYES_DOC, lambda doc: doc["prior"][1].__setitem__(0, "nope")),
+        parse_bayes,
+        "unknown parameter label 'nope'",
+    ),
+    "payoffs": (
+        _edited(BAYES_DOC, lambda doc: doc.__setitem__("payoffs", list(doc["payoffs"].values()))),
+        parse_bayes,
+        "'payoffs' must map parameter labels to payoff tables",
+    ),
+    "payoff table": (_edited(BAYES_DOC, lambda doc: doc["payoffs"].pop("thp")), parse_bayes, "no payoff table for parameter 'thp'"),
+}
+
+
+@pytest.mark.parametrize("case", DOCUMENT_CHECKS)
+def test_every_shape_check_of_a_document_raises_a_parse_error(case):
+    text, parse, message = DOCUMENT_CHECKS[case]
+    with pytest.raises(ParseError, match=re.escape(message)) as info:
+        parse(text)
+    assert type(info.value) is ParseError
 
 
 def test_integer_labels_keep_their_text():

@@ -1,7 +1,9 @@
-"""Vertex enumeration by bases: ``polytope_vertices`` eliminates ``[a | b]``
-once and solves only the column subsets of size rank(a). Edge cases of that
-reduction, and a comparison with the search over every column subset on
-systems wider than the kernel oracle in ``test_oracles.py`` reaches."""
+"""The one rational-to-integer scaling (``integer_column`` and
+``common_scale``) against Fraction arithmetic. Vertex enumeration by bases:
+``polytope_vertices`` eliminates ``[a | b]`` once and solves only the
+column subsets of size rank(a). Edge cases of that reduction, and a
+comparison with the search over every column subset on systems wider than
+the kernel oracle in ``test_oracles.py`` reaches."""
 
 import itertools
 import random
@@ -11,9 +13,79 @@ import pytest
 
 from periodic_games import linalg
 from periodic_games.errors import SizeLimit
-from periodic_games.linalg import polytope_vertices, solve_exact
+from periodic_games.linalg import common_scale, integer_column, polytope_vertices, solve_exact
 
 F = Fraction
+
+
+class Count(int):
+    pass
+
+
+class Ratio(Fraction):
+    pass
+
+
+def reference_scale(values):
+    """The least positive int that makes every value an integer, by
+    Fraction arithmetic: each value times the scale so far has the missing
+    factor as its denominator."""
+    scale = 1
+    for v in values:
+        scale *= (F(v) * scale).denominator
+    return scale
+
+
+def assert_integer_column(values):
+    ints, scale = integer_column(values)
+    assert scale == reference_scale(values)
+    assert ints == [F(v) * scale for v in values]
+    assert all(type(x) is int for x in ints) and type(scale) is int
+
+
+@pytest.mark.parametrize(
+    "values, expected",
+    [
+        ([], ([], 1)),
+        ([3, -4, 0], ([3, -4, 0], 1)),
+        ([F(2), F(-6), 7], ([2, -6, 7], 1)),
+        ([Count(5), Ratio(-3), True], ([5, -3, 1], 1)),
+        ([F(1, 2), F(-2, 3), 5, F(7, 12)], ([6, -8, 60, 7], 12)),
+        ([Ratio(1, 4), Count(3), F(-5, 6)], ([3, 36, -10], 12)),
+    ],
+    ids=["empty", "ints", "integer Fractions", "subclasses over 1", "mixed denominators", "subclasses over 12"],
+)
+def test_integer_column_scales_by_the_lcm_of_the_denominators(values, expected):
+    assert integer_column(values) == expected
+    assert_integer_column(values)
+
+
+def test_integer_column_reads_repeated_objects_and_equal_ones_alike():
+    half, third = F(1, 2), F(-1, 3)
+    shared = [half, third, half, half, third, 4]
+    apart = [F(1, 2), F(-1, 3), F(1, 2), F(2, 4), F(-2, 6), 4]
+    assert integer_column(shared) == integer_column(apart) == ([3, -2, 3, 3, -2, 24], 6)
+    assert integer_column((half,) * 5) == ([1] * 5, 2)
+
+
+def test_integer_column_and_common_scale_match_fraction_arithmetic():
+    rng = random.Random(25)
+    pool = [F(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(8)]
+    for _ in range(300):
+        kind = rng.random()
+        if kind < 0.25:  # integers only, some as int subclasses
+            values = [rng.choice([int, Count, F])(rng.randint(-9, 9)) for _ in range(rng.randint(0, 9))]
+        else:  # shared objects from a pool, fresh ones, subclasses and ints
+            values = [
+                rng.choice([lambda: rng.choice(pool), lambda: F(rng.randint(-50, 50), rng.randint(1, 40)),
+                            lambda: Ratio(rng.randint(-9, 9), rng.randint(1, 9)), lambda: rng.randint(-9, 9)])()
+                for _ in range(rng.randint(0, 12))
+            ]
+        assert_integer_column(values)
+        scales = [rng.randint(1, 60) for _ in range(rng.randint(0, 6))]
+        assert common_scale(scales) == reference_scale([F(1, s) for s in scales])
+        assert common_scale(iter(scales)) == common_scale(scales)
+    assert common_scale([]) == 1
 
 
 def all_subsets_vertices(a, b, n):

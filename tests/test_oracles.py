@@ -42,11 +42,10 @@ from periodic_games.generate import random_game
 from periodic_games.io import dump_report, format_fraction, parse_bayes, parse_game, serialize_game
 from periodic_games.linalg import (
     affine_dimension,
-    common_denominator,
+    integer_column,
     pivot,
     polytope_vertices,
     rref,
-    scaled,
     solve_exact,
 )
 from periodic_games.lp import SimplexInternalError, simplex_max, zero_sum_value
@@ -205,8 +204,9 @@ def test_rref_pivots_are_leading_minors(monkeypatch):
 
 def integer_matrix(matrix):
     """A Fraction matrix times the lcm of all its denominators, and that lcm."""
-    scale = common_denominator(v for row in matrix for v in row)
-    return [scaled(row, scale) for row in matrix], scale
+    cols = len(matrix[0])
+    flat, scale = integer_column([v for row in matrix for v in row])
+    return [flat[k : k + cols] for k in range(0, len(flat), cols)], scale
 
 
 def _is_best_response(matrix, own, opp):
