@@ -102,7 +102,7 @@ def _labels(value, what: str) -> tuple[str, ...]:
     for v in value:
         if not isinstance(v, (str, int)) or isinstance(v, bool):
             raise ParseError(f"{what} must be strings or integers, got the label {json.dumps(v)}")
-        if isinstance(v, str) and re.search(r"[\ud800-\udfff]", v):
+        if isinstance(v, str) and not v.isascii() and re.search(r"[\ud800-\udfff]", v):
             raise ParseError(f"{what} must encode as UTF-8, got the label {json.dumps(v)}")
     return tuple(str(v) for v in value)
 

@@ -68,20 +68,24 @@ def test_integer_column_reads_repeated_objects_and_equal_ones_alike():
     assert integer_column((half,) * 5) == ([1] * 5, 2)
 
 
+def _random_value(rng, pool, integers):
+    """An int, an int subclass or an integer Fraction when ``integers``;
+    else also a Fraction shared from ``pool``, a fresh one or a subclass."""
+    kind = rng.randrange(3 if integers else 6)
+    if kind < 3:
+        return (int, Count, F)[kind](rng.randint(-9, 9))
+    if kind == 3:
+        return rng.choice(pool)
+    if kind == 4:
+        return F(rng.randint(-50, 50), rng.randint(1, 40))
+    return Ratio(rng.randint(-9, 9), rng.randint(1, 9))
+
+
 def test_integer_column_and_common_scale_match_fraction_arithmetic():
     rng = random.Random(25)
     pool = [F(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(8)]
-    for _ in range(300):
-        kind = rng.random()
-        if kind < 0.25:  # integers only, some as int subclasses
-            values = [rng.choice([int, Count, F])(rng.randint(-9, 9)) for _ in range(rng.randint(0, 9))]
-        else:  # shared objects from a pool, fresh ones, subclasses and ints
-            values = [
-                rng.choice([lambda: rng.choice(pool), lambda: F(rng.randint(-50, 50), rng.randint(1, 40)),
-                            lambda: Ratio(rng.randint(-9, 9), rng.randint(1, 9)), lambda: rng.randint(-9, 9)])()
-                for _ in range(rng.randint(0, 12))
-            ]
-        assert_integer_column(values)
+    for k in range(300):
+        assert_integer_column([_random_value(rng, pool, k % 4 == 0) for _ in range(rng.randint(0, 12))])
         scales = [rng.randint(1, 60) for _ in range(rng.randint(0, 6))]
         assert common_scale(scales) == reference_scale([F(1, s) for s in scales])
         assert common_scale(iter(scales)) == common_scale(scales)

@@ -122,10 +122,13 @@ def test_reach_cycle_walks_into_cycle(four_by_four):
 
 
 def test_reach_cycle_rejects_a_node_not_in_the_graph(bos):
+    # enumerate_cycles names the missing node as reach_cycle does.
     graph = build_periodicity_graph(bos)
     for node in (Node(0, 2), Node(2, 0)):
         with pytest.raises(AnchorNotOnCycle, match="not in graph"):
             reach_cycle(graph, node)
+        with pytest.raises(AnchorNotOnCycle, match="not in graph"):
+            enumerate_cycles(graph, node, 4)
 
 
 def test_graphs_compare_by_their_edges():
