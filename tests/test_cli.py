@@ -304,8 +304,8 @@ def test_every_shape_check_of_a_document_is_invalid_input(tmp_path, capsys, case
     text, parse, message = DOCUMENT_CHECKS[case]
     path = tmp_path / "document.json"
     path.write_text(text)
-    command = ["analyze"] if parse is parse_game else ["bayes", "--to", "interim"]
-    assert main([command[0], str(path), *command[1:]]) == 2
+    name, *flags = ["analyze"] if parse is parse_game else ["bayes", "--to", "interim"]
+    assert main([name, str(path), *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"invalid input: {message}\n"
 
