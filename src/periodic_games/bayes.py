@@ -5,7 +5,7 @@ A Bayesian game stores one payoff Game per state plus a prior over
 complete-information companions: the ex-ante game over type-contingent
 strategies and the interim game over player-type pairs. The interim game
 with correlated conditioning on joint types equals one of the two. Both
-are built from integer sums over the games' integer payoff views.
+are built from integer sums over the games' stored integer columns.
 """
 
 from __future__ import annotations
@@ -171,28 +171,27 @@ def _integer_expectation(bg: BayesianGame, rows: Sequence[int]):
     pair q of ``_player_type_ids``.
 
     Returns ``(sums, mass, dp, du)``. ``dp`` is the lcm of the denominators
-    of the positive prior probabilities and ``du`` the lcm of the players'
-    own scales over all games (``Game.own_payoffs``), each player's payoff
-    column read in integers over its own scale. So a positive prior entry
-    has the integer weight ``w = prob * dp`` and payoffs ``U_i = u_i * du``
-    (the column times a factor folded into the weight). A companion
-    profile is one action per pair, and the pairs' product runs through
-    them in row-major order. ``sums[r][k]`` sums ``w * U_i`` over the
-    entries whose pair q = (i, t_i) has ``rows[q] == r``, each at the payoff
-    vector its type profile's pairs choose at profile k; ``mass[q]`` sums
-    the ``w`` of pair q's entries. The entries of one type profile are
-    summed once per base payoff vector, and each player's column of those
-    sums is laid over the companion profiles by ``_spread``. A sum of
-    ``prob * u`` is then an integer sum over ``dp * du``, with no Fraction
-    product per term.
+    of the positive prior probabilities and ``du`` that of the scales of all
+    games (``Game.scales``), whose stored integer columns are read. So a
+    positive prior entry has the integer weight ``w = prob * dp`` and
+    payoffs ``U_i = u_i * du`` (the column times a factor folded into the
+    weight). A companion profile is one action per pair, and the pairs'
+    product runs through them in row-major order. ``sums[r][k]`` sums
+    ``w * U_i`` over the entries whose pair q = (i, t_i) has ``rows[q] == r``,
+    each at the payoff vector its type profile's pairs choose at profile k;
+    ``mass[q]`` sums the ``w`` of pair q's entries. The entries of one type
+    profile are summed once per base payoff vector, and each player's column
+    of those sums is laid over the companion profiles by ``_spread``. A sum
+    of ``prob * u`` is then an integer sum over ``dp * du``, with no
+    Fraction product per term.
     """
     ids = _player_type_ids(bg)
     position = {node: q for q, node in enumerate(ids)}
     shape = bg.games[0].shape
     positive = [(key, prob) for key, prob in bg.prior.items() if prob > 0]
     weights, dp = integer_column([prob for _, prob in positive])
-    columns = [list(map(integer_column, zip(*g.payoffs))) for g in bg.games]
-    du = common_scale(s for game in columns for _, s in game)
+    games = bg.games
+    du = common_scale(s for g in games for s in g.scales)
     by_types: dict[TypeProfile, list[tuple[int, int]]] = {}
     for ((theta, tp), _), w in zip(positive, weights):
         by_types.setdefault(tp, []).append((w, theta))
@@ -208,7 +207,7 @@ def _integer_expectation(bg: BayesianGame, rows: Sequence[int]):
         for i, q in enumerate(pairs):
             # One weighted column per entry, summed position by position in
             # one flat pass, however many entries share the type profile.
-            terms = [map((w * (du // columns[theta][i][1])).__mul__, columns[theta][i][0]) for w, theta in entries]
+            terms = [map((w * (du // games[theta].scales[i])).__mul__, games[theta].columns[i]) for w, theta in entries]
             column = list(map(sum, zip(*terms)))
             r = rows[q]
             sums[r] = list(map(operator.add, sums[r], _spread(column, shape, gaps, counts[pairs[0]])))

@@ -13,8 +13,8 @@ import sys
 
 from . import __version__
 from .coco import coco_solution
-from .errors import DegenerateArgmax, GameError, IndexOutOfRange, ParseError, ValidationError
-from .game import Game, expected_utility
+from .errors import CertificateError, DegenerateArgmax, GameError, IndexOutOfRange, ParseError, ValidationError
+from .game import Game
 from .generate import random_game
 from .io import (
     dump_report,
@@ -170,31 +170,31 @@ def cmd_mixed(args) -> int:
     report = _base_report(args)
     lines = []
     components = {}
-    vectors = []
     for i, player in enumerate(g.players):
         try:
             result = periodic_mixed(g, i)
         except Infeasible:
             components[player] = None
-            vectors.append(None)
             lines.append(f"{player}: no payoff-equalizing mixture exists")
             continue
         spread = invariance_check(g, i, result.probabilities)
+        if spread:
+            raise CertificateError(f"the mixture of player {player!r} moves its payoff by {format_fraction(spread)}")
         components[player] = {
             "probabilities": list(result.probabilities),
             "value": result.value,
             "solution_dimension": result.dimension,
             "payoff_spread": spread,
         }
-        vectors.append(result.probabilities)
         lines.append(
             f"{player}: p={_strs(result.probabilities)} "
             f"value={format_fraction(result.value)} spread={format_fraction(spread)}"
         )
     report["periodic_mixed"] = components
-    if all(v is not None for v in vectors):
-        utils = expected_utility(g, tuple(vectors))
-        report["joint_expected_utilities"] = list(utils)
+    if None not in components.values():
+        # No opponent moves a periodic mixture's value, so it is the owner's expected utility.
+        utils = [c["value"] for c in components.values()]
+        report["joint_expected_utilities"] = utils
         lines.append("joint expected utilities: " + str(_strs(utils)))
     _emit(args, report, lines)
     return EXIT_OK

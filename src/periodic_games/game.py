@@ -1,11 +1,11 @@
 """Finite N-player strategic form games with exact rational payoffs.
 
-Payoffs are a row-major tensor of ``fractions.Fraction``s. Every algorithm
-reads ``own_payoffs``: each player's own payoffs as integers over that
-player's own scale, derived once per game. ``Game(...)`` is the one way to
-build a game and runs ``validate_game``, so a Game is valid by construction
-and no algorithm re-checks one. Games are immutable and safe to share
-between threads.
+A Game stores each player's payoffs as a row-major integer column over the
+player's own scale, and forms ``payoffs``, the tensor of ``Fraction``s, on
+first read unless ``Game(...)`` was given it. Every algorithm reads
+``own_payoffs``, the columns cut into rows. ``Game(...)`` is the one checked
+constructor, so a Game is valid by construction and no algorithm re-checks
+one. Games are not changed once built and may be shared between threads.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence, Union
@@ -46,7 +47,7 @@ def _too_long(token: str) -> bool:
         return False
     mantissa, _, exponent = token.replace("E", "e").partition("e")
     digits = sum(ch.isdigit() for ch in mantissa)
-    magnitude = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    magnitude = exponent.strip().lstrip("+-").lstrip("0")
     if not magnitude.isdecimal():
         return digits > MAX_LITERAL_DIGITS  # no exponent, or one Fraction rejects
     if len(magnitude) > len(str(MAX_LITERAL_DIGITS)):
@@ -58,13 +59,16 @@ def parse_fraction(token: RationalLike) -> Fraction:
     """The exact value of an int, a Fraction or a rational string ("-1/2", "0.25").
 
     ``bool`` and ``float`` are rejected: ``True`` is not a payoff, and binary
-    floats would silently break exactness. A string whose mantissa digits
-    plus exponent magnitude exceed ``MAX_LITERAL_DIGITS`` is rejected before
-    any work. A bad literal raises BadLiteral, which is both a ParseError
-    and a ValidationError.
+    floats would silently break exactness. A string with an underscore
+    (which ``Fraction`` reads from Python 3.11 on), or whose mantissa digits
+    plus exponent magnitude exceed ``MAX_LITERAL_DIGITS``, is rejected
+    before any work. A bad literal raises BadLiteral, which is both a
+    ParseError and a ValidationError.
     """
     if isinstance(token, (bool, float)):
         raise BadLiteral(f"payoff entries must be integers or strings, got {token!r}")
+    if isinstance(token, str) and "_" in token:
+        raise BadLiteral(f"bad rational literal {token!r}: underscores are not part of a literal")
     if isinstance(token, str) and _too_long(token):
         raise BadLiteral(
             f"rational literal has more than {MAX_LITERAL_DIGITS} digits"
@@ -84,37 +88,63 @@ class OwnPayoffs(NamedTuple):
     scale: int  # the lcm of the player's own payoff denominators
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, eq=False)
 class Game:
     """An N-player strategic form game.
 
     ``payoffs[k]`` is the length-N utility vector of the k-th action profile,
     profiles enumerated in row-major order over the players' action indices.
+    A game stores ``columns[i]``, player i's row-major payoffs times
+    ``scales[i]``, the lcm of their denominators; ``==`` and ``hash`` read
+    that canonical pair. Nothing guards the attributes: do not assign them.
     """
 
     players: tuple[str, ...]
     actions: tuple[tuple[str, ...], ...]
     payoffs: tuple[tuple[Fraction, ...], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, players, actions, payoffs, _integers=None) -> None:
+        # _from_integers passes payoffs None and its checked (columns, scales).
+        self.players, self.actions, self._payoffs = players, actions, payoffs
+        self.columns, self.scales = _integers or (None, None)
         validate_game(self)
+        if _integers is None:  # the Fraction vectors, kept as given
+            ints, self.scales = zip(*map(integer_column, zip(*payoffs)))
+            self.columns = tuple(map(tuple, ints))
 
     @classmethod
     def _from_integers(cls, players, actions, vectors, scales) -> Game:
         """The game of row-major int payoff vectors, player i's entries over
-        the positive int ``scales[i]`` (else a ValidationError). Each
-        distinct (entry, scale) is one shared ``Fraction``."""
+        the positive int ``scales[i]`` (else a ValidationError), built with
+        no ``Fraction``: each scale is reduced by one gcd with its column."""
         players, scales, vectors = tuple(players), tuple(scales), tuple(map(tuple, vectors))
         lengths, types = set(map(len, (*vectors, scales))), set(map(type, itertools.chain(*vectors, scales)))
         if lengths - {len(players)} or not types <= {int} or min(scales, default=0) < 1:
             raise ValidationError("integer payoffs need, per player, an int in each vector and a positive int scale")
-        # One memo per scale, shared by the players over it.
-        columns = list(zip(*vectors))
-        values: dict[int, dict[int, Fraction]] = {s: {} for s in scales}
-        for column, s in zip(columns, scales):
-            values[s].update({v: Fraction(v, s) for v in set(column).difference(values[s])})
-        payoffs = tuple(zip(*(map(values[s].__getitem__, c) for c, s in zip(columns, scales))))
-        return cls(players, tuple(map(tuple, actions)), payoffs)
+        columns = [tuple(map(operator.itemgetter(i), vectors)) for i in range(len(players))]
+        divisors = [math.gcd(s, *column) for column, s in zip(columns, scales)]
+        columns = tuple(c if d == 1 else tuple(v // d for v in c) for c, d in zip(columns, divisors))
+        return cls(players, tuple(map(tuple, actions)), None, (columns, tuple(map(operator.floordiv, scales, divisors))))
+
+    @property
+    def payoffs(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The vectors given to ``Game(...)``, else formed from the columns
+        on first read, one ``Fraction`` per distinct (value, scale), and kept."""
+        if self._payoffs is None:
+            values: dict[int, dict[int, Fraction]] = {s: {} for s in self.scales}
+            for column, s in zip(self.columns, self.scales):
+                values[s].update({v: Fraction(v, s) for v in set(column).difference(values[s])})
+            self._payoffs = tuple(zip(*(map(values[s].__getitem__, c) for c, s in zip(self.columns, self.scales))))
+        return self._payoffs
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.players, self.actions, self.columns, self.scales) == (
+            other.players, other.actions, other.columns, other.scales)
+
+    def __hash__(self) -> int:
+        return hash((self.players, self.actions, self.columns, self.scales))
 
     @property
     def num_players(self) -> int:
@@ -149,8 +179,7 @@ class Game:
         opponents' action indices in player order, enumerated in row-major
         order)."""
         shape, views = self.shape, []
-        for i, (size, column) in enumerate(zip(shape, zip(*self.payoffs))):
-            ints, scale = integer_column(column)
+        for i, (size, ints, scale) in enumerate(zip(shape, self.columns, self.scales)):
             # Runs as long as the later players' profile count; run r has own action r % size.
             runs = list(zip(*[iter(ints)] * math.prod(shape[i + 1:])))
             rows = tuple(tuple(itertools.chain.from_iterable(runs[a::size])) for a in range(size))
@@ -251,15 +280,16 @@ def validate_game(g: Game) -> None:
             raise ValidationError(f"action labels of player {g.players[i]!r} must be strings")
         if len(set(acts)) != len(acts):
             raise DuplicateLabel(f"duplicate action label for player {g.players[i]!r}")
-    expected = math.prod(g.shape)
-    if len(g.payoffs) != expected:
-        raise MissingProfile(f"payoff tensor has {len(g.payoffs)} profiles, expected {expected}")
-    if set(map(len, g.payoffs)) - {n}:
-        k = next(k for k, vec in enumerate(g.payoffs) if len(vec) != n)
-        raise BadDimension(f"payoff vector at flat index {k} has length {len(g.payoffs[k])}, expected {n}")
-    if set(map(type, itertools.chain.from_iterable(g.payoffs))) <= {Fraction}:  # at C speed
+    expected, vectors = math.prod(g.shape), g._payoffs
+    count = len(g.columns[0] if vectors is None else vectors)  # columns: as _from_integers checked them
+    if count != expected:
+        raise MissingProfile(f"payoff tensor has {count} profiles, expected {expected}")
+    if vectors is not None and set(map(len, vectors)) - {n}:
+        k = next(k for k, vec in enumerate(vectors) if len(vec) != n)
+        raise BadDimension(f"payoff vector at flat index {k} has length {len(vectors[k])}, expected {n}")
+    if vectors is None or set(map(type, itertools.chain.from_iterable(vectors))) <= {Fraction}:  # at C speed
         return
-    for k, vec in enumerate(g.payoffs):
+    for k, vec in enumerate(vectors):
         if not all(isinstance(v, Fraction) for v in vec):
             raise ValidationError(f"payoff vector at flat index {k} has an entry that is not a Fraction")
 

@@ -8,12 +8,13 @@ a game document (players and actions) are written by one writer, ``_dumps``,
 from an explicit stack rather than the recursive pure-Python encoder
 ``indent`` selects; a list of strings or of Fractions is written as one
 join. A game document's payoffs are nested level by level, one join per
-list, from one text per payoff object.
+list, from one text per distinct value of a player's integer column.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from collections import Counter
@@ -48,6 +49,13 @@ def format_fraction(value: Fraction) -> str:
             f"a computed value has more than {sys.get_int_max_str_digits()} digits"
             " in its numerator or denominator, too long to print"
         ) from None
+
+
+def _ratio_text(value: int, scale: int) -> str:
+    """The text ``format_fraction(Fraction(value, scale))`` gives, with one gcd
+    and no Fraction, for an int over a positive int scale."""
+    d = math.gcd(value, scale)
+    return format_fraction(value // d) + ("" if d == scale else "/" + format_fraction(scale // d))
 
 
 def _too_deep() -> ParseError:
@@ -138,12 +146,12 @@ def serialize_game(g: Game) -> str:
     n = g.num_players
     if n + 2 > MAX_NESTING:
         raise SizeLimit(f"a game of {n} players makes a document nested {n + 2} levels deep")
-    # One quoted text per Fraction object, keyed by id, as a Fraction hashes in
-    # Python (a built or parsed game shares one object per value).
-    flat = list(chain.from_iterable(g.payoffs))
-    ids = list(map(id, flat))
-    texts = {k: '"' + format_fraction(v) + '"' for k, v in dict(zip(ids, flat)).items()}
-    items = list(map(texts.__getitem__, ids))
+    # One quoted text per distinct value of each player's column, interleaved.
+    columns = []
+    for column, scale in zip(g.columns, g.scales):
+        texts = {v: '"' + _ratio_text(v, scale) + '"' for v in set(column)}
+        columns.append(map(texts.__getitem__, column))
+    items = list(chain.from_iterable(zip(*columns)))
     # The row-major texts, cut into vectors and runs of each axis size,
     # innermost first: each cut writes its containers, one join each, at
     # their depth (the vectors at n + 2, the payoffs list at 2).

@@ -11,7 +11,7 @@ import pytest
 
 from periodic_games import Game, make_game
 from periodic_games.game import payoff
-from periodic_games.io import parse_bayes, parse_game
+from periodic_games.io import parse_bayes, parse_game, serialize_game
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -202,6 +202,17 @@ def assert_own_views(g):
                 for j, b in zip(others, opp):
                     profile[j] = b
                 assert type(value) is int and Fraction(value, scale) == payoff(g, profile)[i]
+
+
+def assert_same_as_public(g):
+    """A game against the public constructor's game of the same Fractions:
+    equal, hashed alike, with the same integer views and the same document
+    bytes."""
+    public = Game(g.players, g.actions, g.payoffs)
+    assert g == public and hash(g) == hash(public)
+    assert all(type(v) is Fraction for vec in g.payoffs for v in vec)
+    assert g.own_payoffs == public.own_payoffs
+    assert serialize_game(g) == serialize_game(public)
 
 
 def own_payoff_matrix(g, i):

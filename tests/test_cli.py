@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -73,6 +74,35 @@ def test_mixed(capsys):
     assert doc["periodic_mixed"]["A"]["payoff_spread"] == "0"
     assert doc["joint_expected_utilities"] == ["2/3", "2/3"]
     assert doc["tie_policy"] == "lex"
+
+
+@pytest.mark.parametrize("command", ["coco", "nash", "mixed", "analyze"])
+def test_an_underscore_in_a_payoff_literal_exits_2_on_every_python(tmp_path, capsys, command):
+    doc = {"players": ["A", "B"], "actions": {"A": ["x", "y"], "B": ["l", "r"]},
+           "payoffs": [[["1_0", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]]}
+    path = tmp_path / "underscore.game.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("invalid input: bad rational literal '1_0'")
+
+
+def test_mixed_reports_each_value_as_its_players_expected_utility(capsys, monkeypatch):
+    def unused(*args):
+        raise AssertionError("expected_utility called")
+
+    monkeypatch.setattr(game, "expected_utility", unused)
+    monkeypatch.setattr(cli, "expected_utility", unused, raising=False)
+    assert main(["mixed", str(FIXTURES / "three_player.game.json"), "--format", "machine"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["joint_expected_utilities"] == [doc["periodic_mixed"][p]["value"] for p in ("A", "B", "C")]
+
+
+def test_mixed_with_a_nonzero_payoff_spread_is_a_certificate_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "invariance_check", lambda g, i, p: Fraction(1, 3))
+    assert main(["mixed", BOS, "--format", "machine"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: the mixture of player 'A' moves its payoff by 1/3\n"
 
 
 def test_mixed_on_three_players(capsys):

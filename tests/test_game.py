@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from periodic_games.errors import (
     IndexOutOfRange,
     MissingProfile,
     ParseError,
+    SizeLimit,
     ValidationError,
 )
 from periodic_games import game
@@ -39,7 +41,7 @@ from periodic_games.game import parse_fraction, validate_mixed
 from periodic_games.io import parse_bayes, parse_game, serialize_game
 from periodic_games.generate import random_game
 
-from conftest import FIXTURES, assert_own_views, pure_profile
+from conftest import FIXTURES, assert_own_views, assert_same_as_public, pure_profile
 
 
 def small():
@@ -407,6 +409,73 @@ def test_every_construction_route_derives_one_integer_view_per_player(route):
     assert games
     for g in games:
         assert_own_views(g)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_every_construction_route_stores_canonical_integer_columns(route):
+    for g in ROUTES[route]():
+        assert len(g.columns) == len(g.scales) == g.num_players
+        for i, (column, scale) in enumerate(zip(g.columns, g.scales)):
+            # The lcm of the player's denominators, so no common factor is left.
+            assert type(column) is tuple and {type(v) for v in column} | {type(scale)} == {int}
+            assert scale == math.lcm(*(vec[i].denominator for vec in g.payoffs))
+            assert math.gcd(scale, *column) == 1
+            assert column == tuple(vec[i] * scale for vec in g.payoffs)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_every_construction_route_builds_the_game_of_the_public_constructor(route):
+    for g in ROUTES[route]():
+        assert_same_as_public(g)
+
+
+class FormedFraction(Exception):
+    pass
+
+
+def test_games_built_from_integers_form_a_fraction_only_when_payoffs_are_read(monkeypatch):
+    bayesian = [parse_bayes(path.read_text()) for path in sorted(FIXTURES.glob("*.bayes.json"))]
+    bayesian.append(_state_weighted_bayes(6, actions=2))
+    rng = random.Random(407)
+
+    def no_fraction(*args):
+        raise FormedFraction(args)
+
+    monkeypatch.setattr(game, "Fraction", no_fraction)
+    games = [random_game(rng) for _ in range(20)]
+    games += [build(bg) for bg in bayesian for build in (ex_ante_game, interim_game, interim_correlated_game)]
+    for g in games:
+        assert len(g.own_payoffs) == g.num_players
+        assert serialize_game(g).endswith("\n}\n")
+        with pytest.raises(FormedFraction):
+            g.payoffs
+    monkeypatch.undo()
+    for g in games:
+        assert_same_as_public(g)
+
+
+def test_a_parsed_game_keeps_the_payoff_vectors_it_was_built_from():
+    g = small()
+    vectors = g.payoffs
+    assert dataclasses.replace(g).payoffs is vectors and Game(g.players, g.actions, vectors).payoffs is vectors
+
+
+@pytest.mark.parametrize(
+    "vector, scales",
+    [((10 ** sys.get_int_max_str_digits(), 1), (1, 1)), ((1, 1), (10 ** sys.get_int_max_str_digits(), 1)),
+     ((-(10 ** 5000) - 1, 2), (7, 1))],
+)
+def test_serializing_a_game_built_from_integers_with_a_value_too_long_to_print_is_a_size_limit(vector, scales):
+    g = Game._from_integers(("A", "B"), (("x",), ("l",)), [vector], scales)
+    with pytest.raises(SizeLimit, match="too long to print"):
+        serialize_game(g)
+
+
+def test_a_game_built_from_integers_reduces_each_scale_by_its_gcd():
+    g = Game._from_integers(("A", "B"), (("x", "y"), ("l",)), [(6, 0), (-9, 10)], (12, 4))
+    assert (g.columns, g.scales) == (((2, -3), (0, 5)), (4, 2))
+    assert g.payoffs == ((F(1, 2), F(0)), (F(-3, 4), F(5, 2)))
+    assert g == Game(g.players, g.actions, g.payoffs)
 
 
 def test_interim_players_keep_small_scales_over_many_distinct_denominators():

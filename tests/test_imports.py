@@ -3,10 +3,12 @@
 ``linalg`` turns rationals into integers with ``math.lcm``, no object is
 built past its constructor, so every ``Game`` passes ``validate_game``, and
 no function calls itself, so a deep input meets no recursion limit in the
-package's own code."""
+package's own code, and every absolute import names a standard library
+module, so the package has no third-party runtime dependency."""
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -141,3 +143,30 @@ def test_checker_finds_functions_that_call_themselves():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_function_calls_itself(path):
     assert self_calls(path.read_text(encoding="utf-8")) == []
+
+
+def third_party_imports(source: str) -> list[str]:
+    """The top-level modules a source imports absolutely that are not in the
+    standard library (``sys.stdlib_module_names``); relative imports are the
+    package's own."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return sorted(names - sys.stdlib_module_names)
+
+
+def test_checker_finds_third_party_imports():
+    source = (
+        "from __future__ import annotations\nimport os.path, numpy as np\nfrom . import game\n"
+        "from .linalg import pivot\nfrom scipy.optimize import linprog\nimport xml.dom\n"
+        "def f():\n    import sympy\n"
+    )
+    assert third_party_imports(source) == ["numpy", "scipy", "sympy"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.name)
+def test_the_package_imports_only_the_standard_library(path):
+    assert third_party_imports(path.read_text(encoding="utf-8")) == []

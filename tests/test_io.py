@@ -38,6 +38,22 @@ def test_parse_fraction():
     assert parse_fraction(4) == Fraction(4)
 
 
+# Fraction(str) reads underscores from Python 3.11 on; 3.10 rejects them.
+@pytest.mark.parametrize("text", ["1_0", "1_000/3", "1/1_0", "0.2_5", "1e1_0", "-1_0", "_1", "1_"])
+def test_a_literal_with_an_underscore_is_bad_on_every_python(text):
+    with pytest.raises(BadLiteral, match="underscores are not part of a literal"):
+        parse_fraction(text)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [(" 1/2 ", Fraction(1, 2)), ("+.5", Fraction(1, 2)), ("-7/2", Fraction(-7, 2)), ("2.5e-1", Fraction(1, 4)),
+     ("10", Fraction(10)), ("\t-3E2\n", Fraction(-300))],
+)
+def test_the_rational_literal_grammar(text, value):
+    assert parse_fraction(text) == value
+
+
 def test_parse_fraction_rejects_floats_and_bools():
     with pytest.raises(ParseError):
         parse_fraction(0.5)

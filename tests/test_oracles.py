@@ -59,7 +59,7 @@ from periodic_games.mixed import (
 from periodic_games.periodicity import Cycle, all_cycles
 from periodic_games.rationalizability import DominanceMode, Elimination, SurvivorSet, _find_dominator
 
-from conftest import FIXTURES, own_payoff_matrix, random_rational_game
+from conftest import FIXTURES, assert_same_as_public, own_payoff_matrix, random_rational_game
 
 F = Fraction
 
@@ -1346,17 +1346,6 @@ def test_machine_reports_match_the_recursive_encoder(tmp_path, capsys, monkeypat
         commands.add(command)
     assert commands == {"analyze", "cycles", "mixed", "nash", "coco"}
     assert any(None in r.get("periodic_mixed", {}).values() for r in reports)
-
-
-def assert_same_as_public(g):
-    """A game built from integers against the public constructor's game of
-    the same Fractions: equal, hashed alike, with the same integer views and
-    the same document bytes."""
-    public = Game(g.players, g.actions, g.payoffs)
-    assert g == public and hash(g) == hash(public)
-    assert all(type(v) is Fraction for vec in g.payoffs for v in vec)
-    assert g.own_payoffs == public.own_payoffs
-    assert serialize_game(g) == serialize_game(public)
 
 
 def _integer_expectation_bayes(rng):
