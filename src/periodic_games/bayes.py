@@ -278,7 +278,7 @@ def ex_ante_game(bg: BayesianGame) -> Game:
     # A strategy profile is a companion profile of ``_integer_expectation``,
     # and each prior entry adds to one of a player's pairs: one row a player.
     sums, _, dp, du = _integer_expectation(bg, [i for i, _ in _player_type_ids(bg)])
-    return Game._from_integers(bg.players, labels, zip(*sums), (dp * du,) * n)
+    return Game._from_integers(bg.players, labels, sums, (dp * du,) * n)
 
 
 def _player_type_ids(bg: BayesianGame) -> tuple[tuple[int, int], ...]:
@@ -316,7 +316,7 @@ def interim_game(bg: BayesianGame) -> Game:
     if 0 in mass:
         raise _zero_probability_type(bg, *ids[mass.index(0)])
     actions = tuple(bg.actions[i] for i, _ in ids)
-    return Game._from_integers(_player_type_labels(bg), actions, zip(*sums), [du * m for m in mass])
+    return Game._from_integers(_player_type_labels(bg), actions, sums, [du * m for m in mass])
 
 
 def interim_correlated_game(bg: BayesianGame) -> Game:

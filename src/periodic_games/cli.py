@@ -102,9 +102,9 @@ def _graph_command(args, describe) -> int:
     """The graph path of ``analyze`` and ``cycles``: the game, its graph
     under ``--tie-policy``, one id per node, and the cycles of at most
     ``--max-len`` edges, through the node whose id is ``--through`` or all.
-    ``describe(g, graph, cycles, ids, report)`` fills in the report
-    and returns the text lines; ``--format dot`` writes the graph instead and
-    does not call it, since the DOT text shows nothing it computes."""
+    ``describe(g, graph, cycles, ids, report, text)`` fills in the report and
+    returns the text lines, none unless ``text`` (``--format text``); ``--format
+    dot`` writes the graph instead, since its text shows nothing ``describe`` computes."""
     g = parse_game(_read(args.game))
     graph = build_periodicity_graph(g, TiePolicy(args.tie_policy))
     ids = {n: node_id(g, n) for n in graph.nodes}  # one id per node, read per cycle
@@ -121,11 +121,11 @@ def _graph_command(args, describe) -> int:
         sys.stdout.write(export_dot(graph, g, cycles))
     else:
         report = _base_report(args)
-        _emit(args, report, describe(g, graph, cycles, ids, report))
+        _emit(args, report, describe(g, graph, cycles, ids, report, args.format == "text"))
     return EXIT_OK
 
 
-def _analyze_report(g, graph, cycles, ids, report) -> list[str]:
+def _analyze_report(g, graph, cycles, ids, report, text) -> list[str]:
     periodic = periodic_actions(graph)
     survivors = iesds(g, DominanceMode.ALLOW_MIXED).survivors
     # What rationalizable_periodic computes, from the sets already at hand.
@@ -134,13 +134,9 @@ def _analyze_report(g, graph, cycles, ids, report) -> list[str]:
     report["iesds_survivors"] = _action_sets(g, survivors)
     report["rationalizable_periodic"] = _action_sets(g, rationalizable)
     cycle_docs = []
-    lines = [f"game: {', '.join(g.players)}"]
-    lines.append("periodic actions: " + str(report["periodic_actions"]))
-    lines.append("iesds survivors: " + str(report["iesds_survivors"]))
-    lines.append("rationalizable periodic: " + str(report["rationalizable_periodic"]))
     for cycle in cycles:
         doc = {
-            "nodes": [ids[n] for n in cycle.nodes],
+            "nodes": list(map(ids.__getitem__, cycle.nodes)),
             "players": [g.players[p] for p in cycle.player_sequence],
             "length": cycle.length,
         }
@@ -150,19 +146,26 @@ def _analyze_report(g, graph, cycles, ids, report) -> list[str]:
             doc["types"] = counts.types
             doc["errors"] = counts.errors
         cycle_docs.append(doc)
-        lines.append("cycle: " + " -> ".join(doc["nodes"]) + f" (length {cycle.length})")
-        if "types" in doc:
-            lines.append(f"  types={doc['types']} errors={doc['errors']}")
     report["cycles"] = cycle_docs
     report["degenerate_nodes"] = sorted(ids[n] for n in graph.degenerate_flags)
+    if not text:
+        return []
+    lines = [f"game: {', '.join(g.players)}"]
+    lines.append("periodic actions: " + str(report["periodic_actions"]))
+    lines.append("iesds survivors: " + str(report["iesds_survivors"]))
+    lines.append("rationalizable periodic: " + str(report["rationalizable_periodic"]))
+    for doc in cycle_docs:
+        lines.append("cycle: " + " -> ".join(doc["nodes"]) + f" (length {doc['length']})")
+        if "types" in doc:
+            lines.append(f"  types={doc['types']} errors={doc['errors']}")
     return lines
 
 
-def _cycles_report(g, graph, cycles, ids, report) -> list[str]:
-    report["cycles"] = [[ids[n] for n in c.nodes] for c in cycles]
-    if not cycles:
-        return ["no cycles"]
-    return ["cycles:"] + ["  " + " -> ".join(path) for path in report["cycles"]]
+def _cycles_report(g, graph, cycles, ids, report, text) -> list[str]:
+    report["cycles"] = [list(map(ids.__getitem__, c.nodes)) for c in cycles]
+    if not text:
+        return []
+    return ["cycles:"] + ["  " + " -> ".join(path) for path in report["cycles"]] if cycles else ["no cycles"]
 
 
 def cmd_mixed(args) -> int:

@@ -113,15 +113,14 @@ class Game:
             self.columns = tuple(map(tuple, ints))
 
     @classmethod
-    def _from_integers(cls, players, actions, vectors, scales) -> Game:
-        """The game of row-major int payoff vectors, player i's entries over
-        the positive int ``scales[i]`` (else a ValidationError), built with
-        no ``Fraction``: each scale is reduced by one gcd with its column."""
-        players, scales, vectors = tuple(players), tuple(scales), tuple(map(tuple, vectors))
-        lengths, types = set(map(len, (*vectors, scales))), set(map(type, itertools.chain(*vectors, scales)))
-        if lengths - {len(players)} or not types <= {int} or min(scales, default=0) < 1:
-            raise ValidationError("integer payoffs need, per player, an int in each vector and a positive int scale")
-        columns = [tuple(map(operator.itemgetter(i), vectors)) for i in range(len(players))]
+    def _from_integers(cls, players, actions, columns, scales) -> Game:
+        """The game of one row-major int payoff column per player, player i's
+        over the positive int ``scales[i]`` (else a ValidationError), built
+        with no ``Fraction``: each scale is reduced by one gcd with its column."""
+        players, scales, columns = tuple(players), tuple(scales), tuple(map(tuple, columns))
+        ragged = len(set(map(len, columns))) > 1 or {len(columns), len(scales)} != {len(players)}
+        if ragged or not set(map(type, itertools.chain(*columns, scales))) <= {int} or min(scales, default=0) < 1:
+            raise ValidationError("integer payoffs need per player an int column, all of one length, and a positive int scale")
         divisors = [math.gcd(s, *column) for column, s in zip(columns, scales)]
         columns = tuple(c if d == 1 else tuple(v // d for v in c) for c, d in zip(columns, divisors))
         return cls(players, tuple(map(tuple, actions)), None, (columns, tuple(map(operator.floordiv, scales, divisors))))

@@ -19,7 +19,7 @@ import re
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
 
@@ -277,9 +277,9 @@ def _dumps(value, sort_keys: bool) -> str:
     default=_report_value)`` for a tree of the report types (``str``,
     ``int``, ``bool``, ``None``, lists, tuples and dicts keyed by ``str``),
     written from an explicit stack of open containers, so a value of any
-    depth is written. A list holding only strings, or only Fractions, is
-    written as one join. Any other value goes through ``_report_value``, and
-    a key that is not a string is a TypeError."""
+    depth is written. A list holding only strings, or only Fractions, is one
+    join, a list of non-empty string lists one join per row. Any other value
+    goes through ``_report_value``; a key that is not a string is a TypeError."""
     out = []
     pads = ["\n"]  # pads[d]: a line break and the indentation of depth d
     stack = []  # per open container: [children, text before the next child, separator, closing, keyed]
@@ -302,6 +302,11 @@ def _dumps(value, sort_keys: bool) -> str:
                 elif kinds == {Fraction}:
                     items = ('",' + indent + '"').join(map(format_fraction, value))
                     out.append(text + "[" + indent + '"' + items + '"' + closing)
+                elif not keyed and kinds <= {list, tuple} and all(value) and set(map(type, chain.from_iterable(value))) == {str}:
+                    inner = indent + "  "  # rows of strings: one join per row, one for the list
+                    rows = map(("," + inner).join, map(map, repeat(encode_basestring_ascii), value))
+                    row = "[" + inner + "%s" + indent + "]"
+                    out.append(text + "[" + indent + ("," + indent).join(map(row.__mod__, rows)) + closing)
                 else:
                     children = iter((sorted(value.items()) if sort_keys else value.items()) if keyed else value)
                     stack.append([children, indent, "," + indent, closing, keyed])

@@ -104,6 +104,14 @@ class PeriodicityGraph:
                             cyclic.extend(component)
         return frozenset(cyclic)
 
+    @functools.cached_property
+    def cyclic_view(self) -> tuple[tuple[Node, ...], tuple[tuple[int, ...], ...]]:
+        """The cyclic nodes in sorted order, and per node the indices of its cyclic successors in
+        opponent order. Indices follow ``Node`` order, so index tuples sort as the nodes they name."""
+        nodes = tuple(sorted(self.cyclic_nodes))
+        index = dict(zip(nodes, range(len(nodes))))
+        return nodes, tuple(tuple(index[m] for m in self.edges[n] if m in index) for n in nodes)
+
 
 def _shortest_walk(graph: PeriodicityGraph, start: Node, targets) -> tuple[Node, ...] | None:
     """Node sequence of a shortest walk of at least one edge from ``start``
@@ -195,34 +203,34 @@ def _check_max_len(max_len: int) -> None:
         raise BadParameter(f"max_len must be at least 2, got {max_len}")
 
 
-def _cycles_from(graph: PeriodicityGraph, start: Node, max_len: int, allowed, budget: int) -> list[Cycle]:
-    """Simple cycles through ``start`` of at most ``max_len`` edges whose
-    other nodes all lie in ``allowed``, each starting at ``start``, sorted
-    by length then node sequence (depth-first search over an explicit stack
-    of successor iterators, one per path node, so a path may outgrow the
-    recursion limit). SizeLimit once more than ``budget`` are found."""
-    cycles: list[Cycle] = []
-    path: list[Node] = [start]
-    on_path = {start}
-    stack = [iter(graph.edges[start])]
+def _cycles_from(successors, start: int, lowest: int, max_len: int, budget: int) -> list[tuple[int, ...]]:
+    """Simple cycles through index ``start`` of at most ``max_len`` edges over the
+    indices of ``PeriodicityGraph.cyclic_view`` not below ``lowest``, as index tuples
+    from ``start``, sorted by length then indices (depth-first search over an explicit
+    stack of successor iterators, so a path may outgrow the recursion limit; one flag
+    per index blocks the path and the indices below ``lowest``). SizeLimit once more
+    than ``budget`` are found."""
+    cycles: list[tuple[int, ...]] = []
+    path = [start]
+    blocked = [True] * lowest + [False] * (len(successors) - lowest)
+    blocked[start] = True
+    stack = [iter(successors[start])]
     while stack:
         for nxt in stack[-1]:
-            if nxt == start:
-                if 2 <= len(path) <= max_len:
-                    if len(cycles) == budget:
-                        raise SizeLimit(f"the periodicity graph has more than {MAX_CYCLES} cycles to report")
-                    cycles.append(Cycle(tuple(path)))
-                continue
-            if nxt in on_path or len(path) >= max_len or nxt not in allowed:
-                continue
-            path.append(nxt)
-            on_path.add(nxt)
-            stack.append(iter(graph.edges[nxt]))
-            break
+            if nxt == start:  # no node is its own successor, so the path has 2 nodes or more
+                if len(cycles) == budget:
+                    raise SizeLimit(f"the periodicity graph has more than {MAX_CYCLES} cycles to report")
+                cycles.append(tuple(path))
+            elif not blocked[nxt] and len(path) < max_len:
+                path.append(nxt)
+                blocked[nxt] = True
+                stack.append(iter(successors[nxt]))
+                break
         else:  # every successor of the last path node is done: backtrack
             stack.pop()
-            on_path.remove(path.pop())
-    cycles.sort(key=lambda c: (c.length, c.nodes))
+            blocked[path.pop()] = False
+    cycles.sort()
+    cycles.sort(key=len)
     return cycles
 
 
@@ -237,7 +245,9 @@ def enumerate_cycles(graph: PeriodicityGraph, through: Node, max_len: int) -> li
     if through not in graph.edges:
         raise AnchorNotOnCycle(f"node {through} not in graph")
     # Every node of a cycle is in the cyclic set, so the search skips the rest.
-    return _cycles_from(graph, through, max_len, graph.cyclic_nodes, MAX_CYCLES)
+    nodes, successors = graph.cyclic_view
+    found = _cycles_from(successors, nodes.index(through), 0, max_len, MAX_CYCLES) if through in graph.cyclic_nodes else []
+    return [Cycle(tuple(map(nodes.__getitem__, c))) for c in found]
 
 
 def all_cycles(graph: PeriodicityGraph, max_len: int) -> list[Cycle]:
@@ -251,12 +261,11 @@ def all_cycles(graph: PeriodicityGraph, max_len: int) -> list[Cycle]:
     ``MAX_CYCLES``, counted across all start nodes.
     """
     _check_max_len(max_len)
-    cyclic = graph.cyclic_nodes
-    out: list[Cycle] = []
-    for node in sorted(cyclic):
-        allowed = {n for n in cyclic if n > node}
-        out.extend(_cycles_from(graph, node, max_len, allowed, MAX_CYCLES - len(out)))
-    return out
+    nodes, successors = graph.cyclic_view
+    found: list[tuple[int, ...]] = []
+    for start in range(len(nodes)):
+        found.extend(_cycles_from(successors, start, start, max_len, MAX_CYCLES - len(found)))
+    return [Cycle(tuple(map(nodes.__getitem__, c))) for c in found]
 
 
 def reach_cycle(graph: PeriodicityGraph, start: Node) -> tuple[Node, ...]:

@@ -44,6 +44,44 @@ def test_analyze_text(capsys):
     assert "types=2 errors=1" in out
 
 
+THREE_PLAYER_CYCLES = [
+    "A:a1 -> B:b2",
+    "A:a1 -> C:c2",
+    "A:a1 -> B:b2 -> C:c1",
+    "A:a1 -> C:c2 -> B:b2",
+    "A:a1 -> B:b2 -> C:c1 -> B:b1",
+    "A:a1 -> C:c2 -> B:b2 -> C:c1",
+    "A:a1 -> B:b2 -> C:c1 -> B:b1 -> C:c2",
+    "A:a1 -> C:c2 -> B:b2 -> C:c1 -> B:b1",
+    "B:b1 -> C:c2 -> B:b2 -> C:c1",
+]
+
+
+def test_graph_commands_print_their_text_lines(capsys):
+    three = str(FIXTURES / "three_player.game.json")
+    assert main(["cycles", three, "--format", "text"]) == 0
+    assert capsys.readouterr().out == "cycles:\n" + "".join(f"  {c}\n" for c in THREE_PLAYER_CYCLES)
+    assert main(["analyze", three, "--format", "text"]) == 0
+    assert capsys.readouterr().out == "".join(line + "\n" for line in [
+        "game: A, B, C",
+        "periodic actions: {'A': ['a1'], 'B': ['b1', 'b2'], 'C': ['c1', 'c2']}",
+        "iesds survivors: {'A': ['a1', 'a2'], 'B': ['b1', 'b2'], 'C': ['c1', 'c2']}",
+        "rationalizable periodic: {'A': ['a1'], 'B': ['b1', 'b2'], 'C': ['c1', 'c2']}",
+        *(f"cycle: {c} (length {c.count('->') + 1})" for c in THREE_PLAYER_CYCLES),
+    ])
+    assert main(["analyze", BOS, "--format", "text"]) == 0
+    assert capsys.readouterr().out == "".join(line + "\n" for line in [
+        "game: A, B",
+        "periodic actions: {'A': ['a1', 'a2'], 'B': ['b1', 'b2']}",
+        "iesds survivors: {'A': ['a1', 'a2'], 'B': ['b1', 'b2']}",
+        "rationalizable periodic: {'A': ['a1', 'a2'], 'B': ['b1', 'b2']}",
+        "cycle: A:a1 -> B:b1 (length 2)",
+        "  types=2 errors=1",
+        "cycle: A:a2 -> B:b2 (length 2)",
+        "  types=2 errors=1",
+    ])
+
+
 def test_analyze_machine(capsys):
     assert main(["analyze", BOS, "--format", "machine"]) == 0
     doc = json.loads(capsys.readouterr().out)

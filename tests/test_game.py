@@ -466,13 +466,13 @@ def test_a_parsed_game_keeps_the_payoff_vectors_it_was_built_from():
      ((-(10 ** 5000) - 1, 2), (7, 1))],
 )
 def test_serializing_a_game_built_from_integers_with_a_value_too_long_to_print_is_a_size_limit(vector, scales):
-    g = Game._from_integers(("A", "B"), (("x",), ("l",)), [vector], scales)
+    g = Game._from_integers(("A", "B"), (("x",), ("l",)), [[v] for v in vector], scales)
     with pytest.raises(SizeLimit, match="too long to print"):
         serialize_game(g)
 
 
 def test_a_game_built_from_integers_reduces_each_scale_by_its_gcd():
-    g = Game._from_integers(("A", "B"), (("x", "y"), ("l",)), [(6, 0), (-9, 10)], (12, 4))
+    g = Game._from_integers(("A", "B"), (("x", "y"), ("l",)), [(6, -9), (0, 10)], (12, 4))
     assert (g.columns, g.scales) == (((2, -3), (0, 5)), (4, 2))
     assert g.payoffs == ((F(1, 2), F(0)), (F(-3, 4), F(5, 2)))
     assert g == Game(g.players, g.actions, g.payoffs)

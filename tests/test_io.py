@@ -20,6 +20,7 @@ from periodic_games.errors import BadLiteral, ParseError, SizeLimit
 from periodic_games.game import MAX_LITERAL_DIGITS
 from periodic_games.io import (
     MAX_NESTING,
+    _dumps,
     dump_report,
     format_fraction,
     parse_bayes,
@@ -502,6 +503,21 @@ def test_machine_reports_match_the_standard_library_on_hostile_values():
         assert dump_report({label: label}) == _stdlib_report({label: label})
 
 
+def test_lists_of_label_rows_match_the_standard_library():
+    # Rows of strings are joined one row at a time; a row that is empty, or
+    # holds anything but strings, takes the general path.
+    rows = [HOSTILE_LABELS, ["A:a1", "B:b1"], ("t", "u"), ['"', "\\", "\u00e9\u20ac"], ["%s", "%%"]]
+    reports = [
+        {"cycles": rows, "one": [["x"]], "nested": [[rows, rows[1]], rows]},
+        {"cycles": [["a"], [], ["b"]], "tuples": (("a", "b"), ("c",)), "empty": [(), []]},
+        {"mixed": [["a"], ["b", 1], [Fraction(1, 2)], ["c", None]], "dicts": [{"k": ["v"]}, ["w"]]},
+        [["A:a1", "B:b2", "C:c1"], ("A:a2", "B:b1")],
+    ]
+    for report in reports:
+        for sort_keys in (True, False):
+            assert _dumps(report, sort_keys) == json.dumps(report, indent=2, sort_keys=sort_keys, default=str)
+
+
 def test_game_documents_match_the_standard_library_on_hostile_labels(two_type_bayes):
     labels = HOSTILE_LABELS
     g = Game(
@@ -530,7 +546,7 @@ def one_action_games(rng, count):
         vectors = [[rng.randint(-12, 12) for _ in range(n)] for _ in range(math.prod(shape))]
         scales = [rng.randint(1, 4) for _ in range(n)]
         actions = [[f"s{k + 1}" for k in range(size)] for size in shape]
-        games.append(Game._from_integers([f"P{i + 1}" for i in range(n)], actions, vectors, scales))
+        games.append(Game._from_integers([f"P{i + 1}" for i in range(n)], actions, list(zip(*vectors)), scales))
     return games
 
 

@@ -7,10 +7,12 @@ seeded game generator and of the games built from integers against slow, indepen
 implementations kept here, plus metamorphic tests under positive payoff
 scaling."""
 
+import functools
 import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -32,11 +34,12 @@ from periodic_games import (
     make_game,
     mixed,
     nash_support_enumeration,
+    periodicity,
     rationalizability,
     validate_bayesian_game,
     validate_game,
 )
-from periodic_games.errors import Infeasible, ValidationError, ZeroProbabilityType
+from periodic_games.errors import Infeasible, SizeLimit, ValidationError, ZeroProbabilityType
 from periodic_games.game import payoff
 from periodic_games.generate import random_game
 from periodic_games.io import dump_report, format_fraction, parse_bayes, parse_game, serialize_game
@@ -1170,18 +1173,20 @@ def _count_expanded(graph):
 
 
 def test_cycle_search_matches_the_rotate_and_dedupe_reference():
+    # The last graphs have a node on a cycle pointing at a node on none.
     rng = random.Random(1972)
-    cycles_seen = degenerate = 0
-    for g in _cycle_test_games(rng, 60):
-        graph = build_periodicity_graph(g)
+    graphs = [build_periodicity_graph(g) for g in _cycle_test_games(rng, 60)] + _games_with_cycle_exits(rng, 4)
+    cycles_seen = degenerate = off_cycle = 0
+    for graph in graphs:
         degenerate += bool(graph.degenerate_flags)
+        off_cycle += len(graph.nodes) - len(graph.cyclic_nodes)
         for max_len in range(2, len(graph.nodes) + 1):
             expected = reference_all_cycles(graph, max_len)
             assert all_cycles(graph, max_len) == expected
             cycles_seen += len(expected)
-        for node in graph.nodes:
-            assert enumerate_cycles(graph, node, 4) == reference_enumerate_cycles(graph, node, 4)
-    assert cycles_seen > 500 and degenerate >= 10, (cycles_seen, degenerate)
+            for node in graph.nodes:
+                assert enumerate_cycles(graph, node, max_len) == reference_enumerate_cycles(graph, node, max_len)
+    assert cycles_seen > 500 and degenerate >= 10 and off_cycle >= 40, (cycles_seen, degenerate, off_cycle)
 
 
 def _cycle_exits(graph):
@@ -1215,6 +1220,53 @@ def test_cycle_search_expands_only_cyclic_nodes_and_each_cycle_once():
         assert cycles == reference_all_cycles(graph, len(graph.nodes))
         assert all(min(c.nodes) == c.nodes[0] for c in cycles)
         assert len({c.nodes for c in cycles}) == len(cycles)
+
+
+def _games_with_cycle_exits(rng, count):
+    """The first ``count`` seeded random 3-4 player games whose graph has a
+    node on a cycle pointing at a node on none."""
+    graphs = []
+    while len(graphs) < count:
+        graph = build_periodicity_graph(random_game(rng, rng.randint(3, 4)))
+        if _cycle_exits(graph):
+            graphs.append(graph)
+    return graphs
+
+
+def test_cycle_searches_succeed_at_their_exact_budget_and_stop_one_below(monkeypatch):
+    rng = random.Random(1975)
+    graphs = [build_periodicity_graph(g) for g in _cycle_test_games(rng, 12)] + _games_with_cycle_exits(rng, 2)
+    searches = []
+    for graph in graphs:
+        searches.append(functools.partial(all_cycles, graph, len(graph.nodes)))
+        searches += [functools.partial(enumerate_cycles, graph, node, len(graph.nodes)) for node in sorted(graph.cyclic_nodes)]
+    found = [search() for search in searches]
+    for search, cycles in zip(searches, found):
+        monkeypatch.setattr(periodicity, "MAX_CYCLES", len(cycles))
+        assert search() == cycles
+        monkeypatch.setattr(periodicity, "MAX_CYCLES", len(cycles) - 1)
+        message = f"the periodicity graph has more than {len(cycles) - 1} cycles to report"
+        with pytest.raises(SizeLimit, match=f"^{re.escape(message)}$"):
+            search()
+    assert len(searches) > 50 and sum(map(len, found)) > 1000
+
+
+def reference_random_game(rng, num_players=None):
+    """``random_game`` as first written: one ``randint(-9, 9)`` per payoff."""
+    n = num_players if num_players is not None else rng.randint(2, 4)
+    shape = [rng.randint(2, 4) for _ in range(n)]
+    vectors = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(math.prod(shape))]
+    actions = [[f"s{k + 1}" for k in range(size)] for size in shape]
+    return Game([f"P{i + 1}" for i in range(n)], actions, tuple(tuple(map(Fraction, v)) for v in vectors))
+
+
+def test_random_games_draw_what_one_randint_per_payoff_draws():
+    for seed in range(100):
+        rng, reference = random.Random(seed), random.Random(seed)
+        for k in range(20):
+            n = (None, 2, 3, 4)[k % 4]
+            assert random_game(rng, n) == reference_random_game(reference, n)
+            assert rng.getstate() == reference.getstate()
 
 
 def reference_to_jsonable(value):
@@ -1391,17 +1443,17 @@ def test_games_built_from_integers_equal_the_public_constructors():
 @pytest.mark.parametrize("entry", [0.5, 1.0, True, False, "1", F(1)])
 def test_games_built_from_integers_take_only_ints(entry):
     with pytest.raises(ValidationError):
-        Game._from_integers(("A", "B"), (("x",), ("l",)), [(1, entry)], (1, 1))
+        Game._from_integers(("A", "B"), (("x",), ("l",)), [(1,), (entry,)], (1, 1))
 
 
 @pytest.mark.parametrize("scales", [(1, 0), (-2, 1), (1.0, 1), (1, True), (F(2), 2), (1,), (1, 1, 1)])
 def test_games_built_from_integers_take_one_positive_int_scale_per_player(scales):
     with pytest.raises(ValidationError):
-        Game._from_integers(("A", "B"), (("x",), ("l",)), [(1, 2)], scales)
+        Game._from_integers(("A", "B"), (("x",), ("l",)), [(1,), (2,)], scales)
 
 
 def test_games_built_over_several_scales_derive_a_view_per_player():
-    g = Game._from_integers(("A", "B"), (("x", "y"), ("l",)), [(3, 2), (-6, 5)], (6, 4))
+    g = Game._from_integers(("A", "B"), (("x", "y"), ("l",)), [(3, -6), (2, 5)], (6, 4))
     assert g.payoffs == ((F(1, 2), F(1, 2)), (F(-1), F(5, 4)))
     # A's entries 1/2 and -1 over 2, B's 1/2 and 5/4 over 4.
     assert g.own_payoffs == ((((1,), (-2,)), ((0,),), 2), (((2, 5),), ((0,), (1,)), 4))

@@ -296,7 +296,7 @@ def binary_game(rng):
     shape = [rng.randint(2, 4) for _ in range(n)]
     vectors = [[rng.randint(0, 1) for _ in range(n)] for _ in range(math.prod(shape))]
     actions = [[f"s{k + 1}" for k in range(size)] for size in shape]
-    return Game._from_integers([f"P{i + 1}" for i in range(n)], actions, vectors, (1,) * n)
+    return Game._from_integers([f"P{i + 1}" for i in range(n)], actions, list(zip(*vectors)), (1,) * n)
 
 
 @pytest.mark.parametrize("policy", list(TiePolicy))
@@ -329,8 +329,9 @@ def test_graph_matches_the_per_node_construction_and_cycles_the_searches_per_nod
 
 def test_cyclic_nodes_take_one_pass_and_no_walk(monkeypatch):
     n = 200
-    vectors = [(int(a == b), int(a == (b + 1) % n)) for a, b in itertools.product(range(n), repeat=2)]
-    g = Game._from_integers(["A", "B"], [[f"a{k}" for k in range(n)], [f"b{k}" for k in range(n)]], vectors, (1, 1))
+    pairs = list(itertools.product(range(n), repeat=2))
+    columns = [[int(a == b) for a, b in pairs], [int(a == (b + 1) % n) for a, b in pairs]]
+    g = Game._from_integers(["A", "B"], [[f"a{k}" for k in range(n)], [f"b{k}" for k in range(n)]], columns, (1, 1))
     graph = build_periodicity_graph(g)
     walk = periodicity._shortest_walk
     walks = []
@@ -344,7 +345,7 @@ def test_cyclic_nodes_take_one_pass_and_no_walk(monkeypatch):
     assert walks == []
     # reach_cycle still walks when its start is off every cycle.
     tail = Game._from_integers(["A", "B"], [["a0", "a1", "a2"], ["b0", "b1"]],
-                               [(1, 1), (0, 0), (0, 0), (1, 1), (0, 2), (2, 0)], (1, 1))
+                               [(1, 0, 0, 1, 0, 2), (1, 0, 0, 1, 2, 0)], (1, 1))
     tail_graph = build_periodicity_graph(tail)
     assert Node(0, 2) not in tail_graph.cyclic_nodes
     assert reach_cycle(tail_graph, Node(0, 2))[-1] in tail_graph.cyclic_nodes and len(walks) == 1
