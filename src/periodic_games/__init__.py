@@ -29,7 +29,6 @@ from .mixed import (
     invariance_check,
     nash_support_enumeration,
     periodic_mixed,
-    periodic_profile_report,
 )
 from .rationalizability import (
     DominanceMode,
@@ -73,7 +72,6 @@ __all__ = [
     "PeriodicMixed",
     "EquilibriumReport",
     "periodic_mixed",
-    "periodic_profile_report",
     "nash_support_enumeration",
     "invariance_check",
     "DominanceMode",

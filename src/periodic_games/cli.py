@@ -36,7 +36,7 @@ from .periodicity import (
     periodic_actions,
     reach_cycle,
 )
-from .rationalizability import DominanceMode, iesds, type_count
+from .rationalizability import DominanceMode, iesds, rationalizable_periodic, type_count
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -126,13 +126,10 @@ def _graph_command(args, describe) -> int:
 
 
 def _analyze_report(g, graph, cycles, ids, report, text) -> list[str]:
-    periodic = periodic_actions(graph)
-    survivors = iesds(g, DominanceMode.ALLOW_MIXED).survivors
-    # What rationalizable_periodic computes, from the sets already at hand.
-    rationalizable = tuple(p & s for p, s in zip(periodic, survivors))
-    report["periodic_actions"] = _action_sets(g, periodic)
-    report["iesds_survivors"] = _action_sets(g, survivors)
-    report["rationalizable_periodic"] = _action_sets(g, rationalizable)
+    survivors = iesds(g, DominanceMode.ALLOW_MIXED)
+    report["periodic_actions"] = _action_sets(g, periodic_actions(graph))
+    report["iesds_survivors"] = _action_sets(g, survivors.survivors)
+    report["rationalizable_periodic"] = _action_sets(g, rationalizable_periodic(graph, survivors))
     cycle_docs = []
     for cycle in cycles:
         doc = {

@@ -33,9 +33,6 @@ Vector = tuple[Fraction, ...]
 
 MAX_SUPPORT_ACTIONS = 10
 
-NASH = "nash"
-PERIODIC = "periodic"
-
 
 @dataclass(frozen=True)
 class PeriodicMixed:
@@ -52,7 +49,6 @@ class PeriodicMixed:
 
 @dataclass(frozen=True)
 class EquilibriumReport:
-    kind: str
     row_strategy: Vector
     col_strategy: Vector
     utilities: tuple[Fraction, Fraction]
@@ -287,7 +283,6 @@ def nash_support_enumeration(g: Game) -> list[EquilibriumReport]:
     )
     return [
         EquilibriumReport(
-            kind=NASH,
             row_strategy=p,
             col_strategy=q,
             utilities=utilities,
@@ -295,20 +290,3 @@ def nash_support_enumeration(g: Game) -> list[EquilibriumReport]:
         )
         for p, q, utilities in found
     ]
-
-
-def periodic_profile_report(g: Game) -> EquilibriumReport:
-    """Joint report when both players admit a periodic mixture.
-
-    Each player's payoff is its mixture's value whatever the opponent plays.
-    """
-    require_bimatrix(g)
-    p = periodic_mixed(g, 0)
-    q = periodic_mixed(g, 1)
-    return EquilibriumReport(
-        kind=PERIODIC,
-        row_strategy=p.probabilities,
-        col_strategy=q.probabilities,
-        utilities=(p.value, q.value),
-        support=(_support(p.probabilities), _support(q.probabilities)),
-    )

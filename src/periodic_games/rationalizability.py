@@ -14,7 +14,7 @@ from typing import Sequence
 from .errors import NotTwoPlayer
 from .game import Game
 from .lp import zero_sum_value
-from .periodicity import Cycle, TiePolicy, build_periodicity_graph, periodic_actions, periodicity_number
+from .periodicity import Cycle, PeriodicityGraph, periodic_actions, periodicity_number
 
 
 class DominanceMode(enum.Enum):
@@ -105,13 +105,11 @@ def iesds(g: Game, mode: DominanceMode = DominanceMode.PURE_ONLY) -> SurvivorSet
     return SurvivorSet(survivors=tuple(alive), trace=tuple(trace))
 
 
-def rationalizable_periodic(
-    g: Game, policy: TiePolicy = TiePolicy.LEX
-) -> tuple[frozenset[int], ...]:
-    """Per-player intersection of periodic actions with IESDS survivors."""
-    periodic = periodic_actions(build_periodicity_graph(g, policy))
-    survivors = iesds(g, DominanceMode.ALLOW_MIXED).survivors
-    return tuple(p & s for p, s in zip(periodic, survivors))
+def rationalizable_periodic(graph: PeriodicityGraph, survivors: SurvivorSet) -> tuple[frozenset[int], ...]:
+    """Per-player intersection of the graph's periodic actions with the IESDS
+    survivors (``iesds`` of the same game, in ``ALLOW_MIXED`` mode for
+    rationalizability)."""
+    return tuple(p & s for p, s in zip(periodic_actions(graph), survivors.survivors))
 
 
 @dataclass(frozen=True)

@@ -591,13 +591,41 @@ def test_a_container_label_is_invalid_input(tmp_path, capsys, label):
     assert captured.err.startswith("invalid input: ") and "got the label" in captured.err
 
 
+class _CountedReads:
+    """A successor table that counts its item reads: one per node the cycle
+    search pushes onto its path, the start node included."""
+
+    def __init__(self, successors):
+        self.successors = successors
+        self.reads = 0
+
+    def __len__(self):
+        return len(self.successors)
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return self.successors[index]
+
+
 @pytest.mark.parametrize("command", [["cycles"], ["cycles", "--through", "P1:s1"], ["analyze"]], ids=" ".join)
-def test_a_game_with_too_many_cycles_is_an_error_not_unbounded_work(tmp_path, capsys, command):
+def test_a_game_with_too_many_cycles_is_an_error_not_unbounded_work(tmp_path, capsys, monkeypatch, command):
     path = tmp_path / "many_cycles.json"
     path.write_text(many_cycles_game())
+    search = periodicity._cycles_from
+    tables = []
+
+    def counted(successors, *rest):
+        tables.append(_CountedReads(successors))
+        return search(tables[-1], *rest)
+
+    monkeypatch.setattr(periodicity, "_cycles_from", counted)
     start = time.perf_counter()
     assert main([command[0], str(path), *command[1:], "--format", "machine"]) == 2
     assert time.perf_counter() - start < 2
+    # The same bound on any machine: the search stops within a small
+    # multiple of the cycle budget in path pushes.
+    pushes = sum(t.reads for t in tables)
+    assert 0 < pushes <= 2 * (periodicity.MAX_CYCLES + 1), pushes
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "more than 100000 cycles" in captured.err

@@ -23,7 +23,6 @@ from periodic_games import (
     nash_support_enumeration,
     payoff,
     periodic_mixed,
-    rationalizable_periodic,
 )
 from periodic_games.errors import (
     BadDimension,
@@ -70,7 +69,7 @@ def test_float_payoff_rejected():
 
 @pytest.mark.parametrize(
     "algorithm",
-    [build_periodicity_graph, rationalizable_periodic, iesds, nash_support_enumeration, periodic_mixed, coco_solution],
+    [build_periodicity_graph, iesds, nash_support_enumeration, periodic_mixed, coco_solution],
     ids=lambda f: f.__name__,
 )
 def test_every_algorithm_rejects_a_float_payoff_in_a_directly_built_game(algorithm):

@@ -11,7 +11,6 @@ from periodic_games import (
     mixed,
     nash_support_enumeration,
     periodic_mixed,
-    periodic_profile_report,
 )
 from periodic_games.errors import BadDimension, Infeasible, SizeLimit, ValidationError
 from periodic_games.mixed import MAX_SUPPORT_ACTIONS, PeriodicMixed
@@ -98,10 +97,11 @@ def test_nash_all_candidates_are_equilibria(bos, coordination, prisoners):
                 assert expected_utility(g, (e.row_strategy, dev))[1] <= utils[1]
 
 
-def test_periodic_profile_report(coordination):
-    report = periodic_profile_report(coordination)
-    assert report.kind == "periodic"
-    assert report.utilities == (F(2, 3), F(1, 2))
+def test_periodic_profile_utilities_in_coordination(coordination):
+    # When both players mix periodically, each one's value is its utility.
+    p, q = periodic_mixed(coordination, 0), periodic_mixed(coordination, 1)
+    assert (p.value, q.value) == (F(2, 3), F(1, 2))
+    assert expected_utility(coordination, (p.probabilities, q.probabilities)) == (F(2, 3), F(1, 2))
 
 
 def test_size_limit():
@@ -125,11 +125,9 @@ def _zero_three_player_game():
 
 
 def test_requires_two_players():
-    # Nash equilibria and the joint periodic report are bimatrix-only.
-    g = _zero_three_player_game()
-    for bimatrix_only in (nash_support_enumeration, periodic_profile_report):
-        with pytest.raises(BadDimension):
-            bimatrix_only(g)
+    # Nash equilibria are bimatrix-only.
+    with pytest.raises(BadDimension):
+        nash_support_enumeration(_zero_three_player_game())
 
 
 def test_periodic_mixtures_take_n_player_games():
@@ -235,9 +233,7 @@ def test_periodic_profile_utilities_are_the_values_against_any_opponent_action()
         p, q = _periodic(g, 0), _periodic(g, 1)
         if p is None or q is None:
             continue
-        report = periodic_profile_report(g)
-        assert report.utilities == (p.value, q.value)
-        assert report.utilities == expected_utility(g, (p.probabilities, q.probabilities))
+        assert expected_utility(g, (p.probabilities, q.probabilities)) == (p.value, q.value)
         for b in range(g.shape[1]):
             pure = tuple(F(int(k == b)) for k in range(g.shape[1]))
             assert expected_utility(g, (p.probabilities, pure))[0] == p.value

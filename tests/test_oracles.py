@@ -21,6 +21,7 @@ from periodic_games import (
     BayesianGame,
     cli,
     Game,
+    TiePolicy,
     build_periodicity_graph,
     conditional_belief,
     enumerate_cycles,
@@ -34,12 +35,14 @@ from periodic_games import (
     make_game,
     mixed,
     nash_support_enumeration,
+    periodic_actions,
     periodicity,
     rationalizability,
+    rationalizable_periodic,
     validate_bayesian_game,
     validate_game,
 )
-from periodic_games.errors import Infeasible, SizeLimit, ValidationError, ZeroProbabilityType
+from periodic_games.errors import DegenerateArgmax, Infeasible, SizeLimit, ValidationError, ZeroProbabilityType
 from periodic_games.game import payoff
 from periodic_games.generate import random_game
 from periodic_games.io import dump_report, format_fraction, parse_bayes, parse_game, serialize_game
@@ -915,6 +918,76 @@ def test_iesds_skipping_unchanged_players_matches_the_every_player_loop(monkeypa
             late_rounds += any(e.round >= 3 for e in want.trace)
     assert late_rounds > 0
     assert checks["kernel"] < checks["reference"]
+
+
+def reference_rationalizable_periodic(g, policy=TiePolicy.LEX):
+    """``rationalizable_periodic`` as first written, on the game: it builds
+    the periodicity graph under ``policy`` and runs IESDS with mixed
+    dominators itself."""
+    periodic = periodic_actions(build_periodicity_graph(g, policy))
+    survivors = iesds(g, DominanceMode.ALLOW_MIXED).survivors
+    return tuple(p & s for p, s in zip(periodic, survivors))
+
+
+def _rationalizability_test_games(rng, count):
+    """2-4 players: the even games with {0,1} payoffs, so best deviations
+    tie; of the odd ones, every other has k/d payoffs, the rest integers."""
+    for k, g in enumerate(_cycle_test_games(rng, count)):
+        yield random_rational_game(rng) if k % 4 == 3 else g
+
+
+def _degenerate_or(compute):
+    try:
+        return compute()
+    except DegenerateArgmax as exc:
+        return ("DegenerateArgmax", str(exc))
+
+
+@pytest.mark.parametrize("policy", list(TiePolicy))
+def test_rationalizable_periodic_of_a_graph_matches_the_game_level_reference(policy):
+    rng = random.Random(1959)
+    outcomes = []
+    for g in _rationalizability_test_games(rng, 120):
+        expected = _degenerate_or(lambda: reference_rationalizable_periodic(g, policy))
+        found = _degenerate_or(
+            lambda: rationalizable_periodic(build_periodicity_graph(g, policy), iesds(g, DominanceMode.ALLOW_MIXED))
+        )
+        assert found == expected
+        outcomes.append(found)
+    sets = [o for o in outcomes if o[0] != "DegenerateArgmax"]
+    # Some games leave a player a rationalizable periodic action, some none.
+    assert any(any(o) for o in sets) and any(not all(o) for o in sets)
+    raised = len(outcomes) - len(sets)
+    assert raised == 0 if policy is TiePolicy.LEX else 30 < raised < 90, raised
+
+
+def _action_labels(g, sets):
+    return {g.players[i]: sorted(g.actions[i][a] for a in actions) for i, actions in enumerate(sets)}
+
+
+def test_analyze_reports_the_library_sets(tmp_path, capsys):
+    rng = random.Random(1961)
+    players = set()
+    for k, g in enumerate(_rationalizability_test_games(rng, 24)):
+        path = tmp_path / f"seeded{k}.game.json"
+        path.write_text(serialize_game(g))
+        for policy in TiePolicy:
+            code = cli.main(["analyze", str(path), "--format", "machine", "--tie-policy", policy.value])
+            out = capsys.readouterr().out
+            try:
+                graph = build_periodicity_graph(g, policy)
+            except DegenerateArgmax:
+                assert (code, out) == (cli.EXIT_DEGENERATE, "")
+                continue
+            assert code == 0
+            survivors = iesds(g, DominanceMode.ALLOW_MIXED)
+            doc = json.loads(out)
+            assert doc["periodic_actions"] == _action_labels(g, periodic_actions(graph))
+            assert doc["iesds_survivors"] == _action_labels(g, survivors.survivors)
+            assert doc["rationalizable_periodic"] == _action_labels(g, rationalizable_periodic(graph, survivors))
+            assert doc["rationalizable_periodic"] == _action_labels(g, reference_rationalizable_periodic(g, policy))
+            players.add(g.num_players)
+    assert players == {2, 3, 4}
 
 
 def reference_interim_correlated_game(bg):

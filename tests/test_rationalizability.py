@@ -60,12 +60,14 @@ def test_mixed_dominance_found():
 
 
 def test_rationalizable_periodic_intersection(prisoners):
-    assert periodic_actions(build_periodicity_graph(prisoners)) == (frozenset({0}), frozenset({0}))
-    assert rationalizable_periodic(prisoners) == (frozenset(), frozenset())
+    graph = build_periodicity_graph(prisoners)
+    assert periodic_actions(graph) == (frozenset({0}), frozenset({0}))
+    assert rationalizable_periodic(graph, iesds(prisoners, DominanceMode.ALLOW_MIXED)) == (frozenset(), frozenset())
 
 
 def test_rationalizable_periodic_bos(bos):
-    assert rationalizable_periodic(bos, TiePolicy.LEX) == (
+    graph = build_periodicity_graph(bos, TiePolicy.LEX)
+    assert rationalizable_periodic(graph, iesds(bos, DominanceMode.ALLOW_MIXED)) == (
         frozenset({0, 1}),
         frozenset({0, 1}),
     )
