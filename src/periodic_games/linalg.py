@@ -159,8 +159,8 @@ def solve_exact(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> tuple
     x = [Fraction(0)] * n
     for k, c in enumerate(pivots):
         x[c] = Fraction(m[k][-1], m[k][c])
-    kind = "unique" if len(pivots) == n else "many"
-    return (kind, tuple(x))
+    status = "unique" if len(pivots) == n else "many"
+    return (status, tuple(x))
 
 
 def matrix_rank(a: Sequence[Sequence[Fraction]]) -> int:
@@ -197,9 +197,9 @@ def polytope_vertices(
     zero = Fraction(0)
     vertices: set[Vector] = set()
     for basis in itertools.combinations(range(n), r):
-        kind, solution = solve_exact([[row[j] for j in basis] for row in rows], rhs)
+        status, solution = solve_exact([[row[j] for j in basis] for row in rows], rhs)
         # A Fraction has the sign of its numerator.
-        if kind != "unique" or any(v.numerator < 0 for v in solution):
+        if status != "unique" or any(v.numerator < 0 for v in solution):
             continue
         full = [zero] * n
         for j, v in zip(basis, solution):
