@@ -17,6 +17,7 @@ from .errors import CertificateError, DegenerateArgmax, GameError, IndexOutOfRan
 from .game import Game
 from .generate import random_game
 from .io import (
+    _ratio_text,
     dump_report,
     export_dot,
     format_fraction,
@@ -228,8 +229,9 @@ def cmd_coco(args) -> int:
     solution = coco_solution(g)
     split = solution.decomposition
     report = _base_report(args)
-    report["cooperative_matrix"] = [list(row) for row in split.cooperative]
-    report["competitive_matrix"] = [list(row) for row in split.competitive]
+    if args.format == "machine":  # the matrices' texts, from their integers
+        report["cooperative_matrix"] = [[_ratio_text(v, split.scale) for v in row] for row in split.sums]
+        report["competitive_matrix"] = [[_ratio_text(v, split.scale) for v in row] for row in split.differences]
     report["vsharp"] = solution.vsharp
     report["vs"] = solution.vs
     report["profile"] = [

@@ -4,10 +4,14 @@ A bimatrix game splits into a common-payoff half-sum game and a zero-sum
 half-difference game. The solution combines the maximal joint payoff with
 the zero-sum value and balances the chosen profile with a side payment;
 the only sum of two players' payoffs, over the lcm of their own scales.
+The split stays in integers, over twice that lcm, from the payoff views to
+the zero-sum LP; ``Fraction``s are formed only for the values reported.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,12 +22,43 @@ from .lp import zero_sum_value
 from .mixed import require_bimatrix
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+IntMatrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decomposition:
-    cooperative: Matrix  # half-sum, shared by both players
-    competitive: Matrix  # half-difference, zero-sum
+    """The half-sum and half-difference games as int matrices, rows by
+    columns, over one positive ``scale``: ``cooperative[r][c]`` is
+    ``sums[r][c] / scale`` and ``competitive[r][c]`` is
+    ``differences[r][c] / scale``. ``==`` and ``hash`` read those two
+    ``Fraction`` matrices, so decompositions over different scales compare
+    by value."""
+
+    sums: IntMatrix  # a + b
+    differences: IntMatrix  # a - b
+    scale: int
+
+    @functools.cached_property
+    def cooperative(self) -> Matrix:
+        """Half-sum, shared by both players; formed on first read."""
+        return _fractions(self.sums, self.scale)
+
+    @functools.cached_property
+    def competitive(self) -> Matrix:
+        """Half-difference, zero-sum; formed on first read."""
+        return _fractions(self.differences, self.scale)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.cooperative, self.competitive) == (other.cooperative, other.competitive)
+
+    def __hash__(self) -> int:
+        return hash((self.cooperative, self.competitive))
+
+
+def _fractions(rows: IntMatrix, scale: int) -> Matrix:
+    return tuple(tuple(Fraction(v, scale) for v in row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -48,16 +83,22 @@ def _bimatrix(g: Game) -> tuple[list, list, int]:
 
 
 def decompose(g: Game) -> Decomposition:
-    """Entrywise half-sum / half-difference split of the two payoff matrices."""
+    """Entrywise half-sum / half-difference split of the two payoff
+    matrices, in integers over twice the lcm of the players' scales."""
     a, b, scale = _bimatrix(g)
-    half = 2 * scale
-    cooperative = tuple(
-        tuple(Fraction(x + y, half) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
+    return Decomposition(
+        sums=tuple(tuple(map(operator.add, ra, rb)) for ra, rb in zip(a, b)),
+        differences=tuple(tuple(map(operator.sub, ra, rb)) for ra, rb in zip(a, b)),
+        scale=2 * scale,
     )
-    competitive = tuple(
-        tuple(Fraction(x - y, half) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-    return Decomposition(cooperative=cooperative, competitive=competitive)
+
+
+def _joint_maximum(split: Decomposition) -> tuple[Fraction, tuple[int, int], tuple[tuple[int, int], ...]]:
+    """``max_combined_payoff`` read off a decomposition: the joint payoff
+    is twice the cooperative one."""
+    best = max(map(max, split.sums))
+    tied = tuple((r, c) for r, row in enumerate(split.sums) for c, v in enumerate(row) if v == best)
+    return Fraction(2 * best, split.scale), tied[0], tied
 
 
 def max_combined_payoff(g: Game) -> tuple[Fraction, tuple[int, int], tuple[tuple[int, int], ...]]:
@@ -65,18 +106,14 @@ def max_combined_payoff(g: Game) -> tuple[Fraction, tuple[int, int], tuple[tuple
 
     Returns (value, lexicographically first argmax, all tied argmax profiles).
     """
-    a, b, scale = _bimatrix(g)
-    combined = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-    best = max(max(row) for row in combined)
-    tied = tuple((r, c) for r, row in enumerate(combined) for c, v in enumerate(row) if v == best)
-    return Fraction(best, scale), tied[0], tied
+    return _joint_maximum(decompose(g))
 
 
 def coco_solution(g: Game) -> CocoSolution:
     """Full cooperative-competitive solution of a bimatrix game."""
     split = decompose(g)
-    vsharp, profile, tied = max_combined_payoff(g)
-    vs, row_strategy, col_strategy = zero_sum_value(split.competitive)
+    vsharp, profile, tied = _joint_maximum(split)
+    vs, row_strategy, col_strategy = zero_sum_value(split.differences, scale=split.scale)
     final = (vsharp / 2 + vs, vsharp / 2 - vs)
     row_payoff, col_payoff = payoff(g, profile)
     side_payment = final[0] - row_payoff

@@ -27,7 +27,7 @@ from .errors import (
     MissingProfile,
     ValidationError,
 )
-from .linalg import integer_column
+from .linalg import common_scale, integer_column
 
 Profile = tuple[int, ...]
 MixedProfile = tuple[tuple[Fraction, ...], ...]
@@ -38,6 +38,11 @@ RationalLike = Union[int, str, Fraction]
 # string literal may have at most this many mantissa digits plus exponent
 # magnitude, so no literal makes a longer numerator or denominator.
 MAX_LITERAL_DIGITS = 4300
+
+# The longest text ``parse_rational`` reads by ``int`` alone: below 640, the
+# least int-string conversion limit an interpreter can be set to, so that
+# ``int`` never meets ``sys.get_int_max_str_digits()`` on this path.
+PLAIN_LENGTH = 600
 
 
 def _too_long(token: str) -> bool:
@@ -55,16 +60,29 @@ def _too_long(token: str) -> bool:
     return digits + int(magnitude) > MAX_LITERAL_DIGITS
 
 
-def parse_fraction(token: RationalLike) -> Fraction:
-    """The exact value of an int, a Fraction or a rational string ("-1/2", "0.25").
+def parse_rational(token: RationalLike) -> tuple[int, int]:
+    """The exact value of an int, a Fraction or a rational string ("-1/2",
+    "0.25") as a reduced ``(numerator, denominator)`` pair of ints, the
+    denominator positive: the one rational-literal parser.
 
-    ``bool`` and ``float`` are rejected: ``True`` is not a payoff, and binary
-    floats would silently break exactness. A string with an underscore
-    (which ``Fraction`` reads from Python 3.11 on), or whose mantissa digits
-    plus exponent magnitude exceed ``MAX_LITERAL_DIGITS``, is rejected
-    before any work. A bad literal raises BadLiteral, which is both a
-    ParseError and a ValidationError.
+    A plain ASCII text, ``-?digits`` or ``-?digits/digits`` with a nonzero
+    denominator, of at most ``PLAIN_LENGTH`` characters is read by ``int``
+    and one gcd, with no ``Fraction``. Every other token goes through
+    ``Fraction``: ``bool`` and ``float`` are rejected (``True`` is not a
+    payoff, and binary floats would silently break exactness), and a string
+    with an underscore (which ``Fraction`` reads from Python 3.11 on), or
+    whose mantissa digits plus exponent magnitude exceed
+    ``MAX_LITERAL_DIGITS``, is rejected before any work. A bad literal
+    raises BadLiteral, which is both a ParseError and a ValidationError.
     """
+    if type(token) is str and len(token) <= PLAIN_LENGTH and token.isascii():
+        num, slash, den = token.partition("/")
+        # On ASCII text, isdigit() holds for 0-9 only; "", "+" and "--" fail it.
+        if (num[1:] if num[:1] == "-" else num).isdigit() and (not slash or den.isdigit()):
+            n, d = int(num), int(den) if slash else 1
+            if d:
+                g = math.gcd(n, d)
+                return n // g, d // g
     if isinstance(token, (bool, float)):
         raise BadLiteral(f"payoff entries must be integers or strings, got {token!r}")
     if isinstance(token, str) and "_" in token:
@@ -75,9 +93,15 @@ def parse_fraction(token: RationalLike) -> Fraction:
             " (mantissa digits plus exponent magnitude)"
         )
     try:
-        return Fraction(token)
+        value = Fraction(token)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise BadLiteral(f"bad rational literal {token!r}: {exc}") from None
+    return value.numerator, value.denominator
+
+
+def parse_fraction(token: RationalLike) -> Fraction:
+    """``parse_rational``'s value as a ``Fraction``, with its errors."""
+    return Fraction(*parse_rational(token))
 
 
 class OwnPayoffs(NamedTuple):
@@ -119,7 +143,7 @@ class Game:
         with no ``Fraction``: each scale is reduced by one gcd with its column."""
         players, scales, columns = tuple(players), tuple(scales), tuple(map(tuple, columns))
         ragged = len(set(map(len, columns))) > 1 or {len(columns), len(scales)} != {len(players)}
-        if ragged or not set(map(type, itertools.chain(*columns, scales))) <= {int} or min(scales, default=0) < 1:
+        if ragged or not set(map(type, itertools.chain(*columns, scales))) <= {int} or min(scales, default=1) < 1:
             raise ValidationError("integer payoffs need per player an int column, all of one length, and a positive int scale")
         divisors = [math.gcd(s, *column) for column, s in zip(columns, scales)]
         columns = tuple(c if d == 1 else tuple(v // d for v in c) for c, d in zip(columns, divisors))
@@ -219,9 +243,11 @@ def make_game(
     ParseError and a ValidationError, and a payoff vector of the wrong
     length a BadDimension.
 
-    Each distinct ``str`` token is parsed once, and every other token on
-    its own, in row-major order so the first bad literal raises; the
-    entries of one text share one ``Fraction``.
+    Each distinct ``str`` token is parsed once by ``parse_rational``, and
+    every other token on its own, in row-major order so the first bad
+    literal raises. Each player's column is written over the lcm of that
+    player's denominators and the game built by ``Game._from_integers``, so
+    a plain ``k`` or ``k/d`` text forms no ``Fraction``.
     """
     players = tuple(players)
     actions = tuple(tuple(a) for a in actions)
@@ -246,9 +272,16 @@ def make_game(
     # does not hash); any other token is keyed by its index, which no str is.
     keys = tokens if set(map(type, tokens)) == {str} else [t if type(t) is str else k for k, t in enumerate(tokens)]
     texts = dict(zip(keys, tokens))  # in row-major order of first use
-    values = dict(zip(texts, map(parse_fraction, texts.values())))
-    # zip over n references to one iterator cuts entries into vectors of n.
-    return Game(players, actions, tuple(zip(*[map(values.__getitem__, keys)] * n)))
+    pairs = dict(zip(texts, map(parse_rational, texts.values())))
+    columns, scales = [], []
+    for i in range(n):
+        own = keys[i::n]  # player i's entries, row-major
+        distinct = set(own)
+        scale = common_scale(pairs[k][1] for k in distinct)
+        values = {k: pairs[k][0] * (scale // pairs[k][1]) for k in distinct}
+        columns.append(tuple(map(values.__getitem__, own)))
+        scales.append(scale)
+    return Game._from_integers(players, actions, columns, scales)
 
 
 def _prefix(k: int, sizes: Sequence[int]) -> Profile:
@@ -297,7 +330,8 @@ def payoff(g: Game, profile: Sequence[int]) -> tuple[Fraction, ...]:
     """Utility vector of a pure action profile."""
     if len(profile) != g.num_players:
         raise IndexOutOfRange(f"profile length {len(profile)} != {g.num_players} players")
-    return g.payoffs[g.profile_index(profile)]
+    k = g.profile_index(profile)
+    return tuple(Fraction(column[k], scale) for column, scale in zip(g.columns, g.scales))
 
 
 def validate_mixture(g: Game, i: int, vec: Sequence[Fraction]) -> None:

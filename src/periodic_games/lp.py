@@ -43,6 +43,7 @@ before it returns.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -193,14 +194,17 @@ def simplex_max(
 
 
 def zero_sum_value(
-    matrix: Sequence[Sequence[Fraction]], *, decision: bool = False
+    matrix: Sequence[Sequence[Fraction]], *, decision: bool = False, scale: int = 1
 ) -> tuple[Fraction, Optional[Vector], Vector]:
-    """Exact minimax value of a zero-sum matrix game (row player maximizes).
+    """Exact minimax value of the zero-sum matrix game ``matrix / scale``
+    (row player maximizes).
 
-    Entries must be Fractions or ints, not bools, as in a mixture; anything
-    else is a BadParameter. Returns (value, optimal row mixture, optimal
-    column mixture). Strong duality (row maximin == column minimax)
-    is re-checked against every pure response before returning.
+    Entries must be Fractions or ints, not bools, as in a mixture, and
+    ``scale`` a positive int, not a bool; anything else is a BadParameter.
+    An int matrix over ``scale`` gives the LP the data of the matching
+    Fraction matrix, so the same result. Returns (value, optimal row
+    mixture, optimal column mixture). Strong duality (row maximin == column
+    minimax) is re-checked against every pure response before returning.
 
     With ``decision=True`` the LP stops as soon as the value is known to be
     <= 0, and returns (bound, None, column mixture): the bound is >= the
@@ -217,7 +221,17 @@ def zero_sum_value(
         raise BadParameter("ragged payoff matrix")
     entries = [v for row in matrix for v in row]
     _check_entries(entries, "payoff matrix")
-    flat, scale = integer_column(entries)
+    if type(scale) is not int or scale < 1:
+        raise BadParameter(f"the scale of a payoff matrix must be a positive int, got {scale!r}")
+    # The integers over the lcm of the values' denominators, as the Fraction
+    # matrix gives them. A common factor left in would not change Bland's
+    # answer, but normalized pricing could take other pivots, and so a
+    # decision-mode stop return another bound.
+    flat, entry_scale = integer_column(entries)
+    scale *= entry_scale
+    d = math.gcd(scale, *flat)
+    if d > 1:
+        flat, scale = [v // d for v in flat], scale // d
     ints = [flat[i * cols : (i + 1) * cols] for i in range(rows)]
 
     # Shift all entries to at least 1 so the value is > 0 and the LP below is

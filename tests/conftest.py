@@ -10,7 +10,8 @@ from fractions import Fraction
 import pytest
 
 from periodic_games import Game, make_game
-from periodic_games.game import payoff
+from periodic_games.errors import BadLiteral
+from periodic_games.game import MAX_LITERAL_DIGITS, payoff
 from periodic_games.io import parse_bayes, parse_game, serialize_game
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -136,6 +137,57 @@ def recursion_limit(limit):
         yield
     finally:
         sys.setrecursionlimit(before)
+
+
+@contextlib.contextmanager
+def int_max_str_digits(limit):
+    """The interpreter's int-string conversion limit set to ``limit`` for a block."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def reference_parse_fraction(token):
+    """The rational-literal parser as first written: every token through
+    ``Fraction``, after the checks for bools, floats, underscores and
+    literals longer than ``MAX_LITERAL_DIGITS``."""
+    if isinstance(token, (bool, float)):
+        raise BadLiteral(f"payoff entries must be integers or strings, got {token!r}")
+    if isinstance(token, str) and "_" in token:
+        raise BadLiteral(f"bad rational literal {token!r}: underscores are not part of a literal")
+    if isinstance(token, str) and _reference_too_long(token):
+        raise BadLiteral(
+            f"rational literal has more than {MAX_LITERAL_DIGITS} digits"
+            " (mantissa digits plus exponent magnitude)"
+        )
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise BadLiteral(f"bad rational literal {token!r}: {exc}") from None
+
+
+def _reference_too_long(token):
+    if len(token) <= MAX_LITERAL_DIGITS and "e" not in token and "E" not in token:
+        return False
+    mantissa, _, exponent = token.replace("E", "e").partition("e")
+    digits = sum(ch.isdigit() for ch in mantissa)
+    magnitude = exponent.strip().lstrip("+-").lstrip("0")
+    if not magnitude.isdecimal():
+        return digits > MAX_LITERAL_DIGITS
+    if len(magnitude) > len(str(MAX_LITERAL_DIGITS)):
+        return True
+    return digits + int(magnitude) > MAX_LITERAL_DIGITS
+
+
+def literal_outcome(parse, token):
+    """What ``parse`` makes of ``token``: its value, or its BadLiteral's message."""
+    try:
+        return parse(token)
+    except BadLiteral as exc:
+        return str(exc)
 
 
 @pytest.fixture

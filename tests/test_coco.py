@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from periodic_games import coco, coco_solution, decompose, max_combined_payoff, payoff
+from periodic_games import Decomposition, coco, coco_solution, decompose, game, max_combined_payoff, payoff
 from periodic_games.errors import CertificateError
 from periodic_games.generate import random_game
+from periodic_games.io import parse_game, serialize_game
 
 from conftest import random_rational_game, transformed_game
 
@@ -94,13 +95,13 @@ def test_zero_sum_strategies_certify_value(bos, prisoners, four_by_four):
 def test_solution_checks_its_identities_without_assert(prisoners, monkeypatch):
     # A joint maximum that no profile attains breaks the side-payment identity;
     # the check must raise a typed error, which python -O cannot strip.
-    true_max = coco.max_combined_payoff
+    true_max = coco._joint_maximum
 
-    def inflated(g):
-        value, profile, tied = true_max(g)
+    def inflated(split):
+        value, profile, tied = true_max(split)
         return value + 1, profile, tied
 
-    monkeypatch.setattr(coco, "max_combined_payoff", inflated)
+    monkeypatch.setattr(coco, "_joint_maximum", inflated)
     with pytest.raises(CertificateError, match="side payment"):
         coco_solution(prisoners)
 
@@ -118,3 +119,34 @@ def test_coco_follows_a_player_swap_and_a_common_positive_scale():
         t = coco_solution(transformed_game(g, [0, 1], payoff=lambda u: tuple(k * v for v in u)))
         assert (t.vsharp, t.vs, t.side_payment) == (k * s.vsharp, k * s.vs, k * s.side_payment)
         assert t.final_payoffs == (k * s.final_payoffs[0], k * s.final_payoffs[1])
+
+
+def test_decompositions_compare_by_their_fraction_matrices(bos, four_by_four):
+    split = decompose(bos)
+    assert (split.sums, split.differences, split.scale) == (((3, 0), (0, 3)), ((1, 0), (0, -1)), 2)
+    doubled = Decomposition(*(tuple(tuple(2 * v for v in row) for row in m) for m in (split.sums, split.differences)),
+                            2 * split.scale)
+    assert doubled == split and hash(doubled) == hash(split)
+    assert (doubled.cooperative, doubled.competitive) == (split.cooperative, split.competitive)
+    assert Decomposition(split.sums, split.differences, 3) != split
+    assert decompose(four_by_four) != split and split != (split.cooperative, split.competitive)
+
+
+def test_coco_solution_forms_no_fraction_per_payoff_entry(monkeypatch):
+    """Of the 800 entries of a 20x20 game's split, none becomes a Fraction:
+    coco forms the joint maximum and game the two payoffs at its profile."""
+    rng = random.Random(1951)
+    texts = [[[f"{rng.randint(-9, 9)}/{rng.randint(1, 12)}" for _ in "AB"] for _ in range(20)] for _ in range(20)]
+    g = parse_game(serialize_game(game.make_game("AB", [[f"a{k}" for k in range(20)]] * 2, texts)))
+    formed = []
+
+    def counted(*args):
+        formed.append(args)
+        return Fraction(*args)
+
+    for module in (coco, game):
+        monkeypatch.setattr(module, "Fraction", counted)
+    s = coco_solution(g)
+    assert len(formed) == 3, formed
+    assert s.decomposition.competitive == tuple(
+        tuple((u[0] - u[1]) / 2 for u in g.payoffs[r * 20:(r + 1) * 20]) for r in range(20))

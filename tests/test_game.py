@@ -36,11 +36,11 @@ from periodic_games.errors import (
     ValidationError,
 )
 from periodic_games import game
-from periodic_games.game import parse_fraction, validate_mixed
+from periodic_games.game import parse_fraction, parse_rational, validate_mixed
 from periodic_games.io import parse_bayes, parse_game, serialize_game
 from periodic_games.generate import random_game
 
-from conftest import FIXTURES, assert_own_views, assert_same_as_public, pure_profile
+from conftest import FIXTURES, assert_own_views, assert_same_as_public, pure_profile, random_rational_game
 
 
 def small():
@@ -154,9 +154,9 @@ def test_a_mixed_table_parses_each_text_once_and_every_other_token_alone(monkeyp
 
     def counted(token):
         calls.append(token)
-        return parse_fraction(token)
+        return parse_rational(token)
 
-    monkeypatch.setattr(game, "parse_fraction", counted)
+    monkeypatch.setattr(game, "parse_rational", counted)
     tokens = ["1/2", 3, "1/2", Fraction(1, 3), "1/2", 3, "0", "0"]
     g = _read_table(tokens, through_json=False)
     assert calls == ["1/2", 3, Fraction(1, 3), 3, "0"]
@@ -451,6 +451,31 @@ def test_games_built_from_integers_form_a_fraction_only_when_payoffs_are_read(mo
     monkeypatch.undo()
     for g in games:
         assert_same_as_public(g)
+
+
+def test_a_parsed_game_of_k_and_k_d_texts_forms_a_fraction_only_when_payoffs_are_read(monkeypatch):
+    rng = random.Random(408)
+    integral = [random_game(rng, n) for n in (2, 2, 3, 4)]
+    rational = [random_rational_game(rng, n) for n in (2, 2, 3, 4)]
+    texts = [serialize_game(g) for g in integral + rational]
+    texts += [path.read_text() for path in sorted(FIXTURES.glob("*.game.json"))]
+    assert any("/" in text for text in texts)
+
+    def no_fraction(*args):
+        raise FormedFraction(args)
+
+    monkeypatch.setattr(game, "Fraction", no_fraction)
+    games = [parse_game(text) for text in texts]
+    for g in games:
+        assert len(g.own_payoffs) == g.num_players
+        assert parse_game(serialize_game(g)) == g
+        with pytest.raises(FormedFraction):
+            g.payoffs
+    assert [serialize_game(g) for g in games[:8]] == texts[:8]
+    monkeypatch.undo()
+    for g in games:
+        assert_same_as_public(g)
+    assert games[:8] == integral + rational
 
 
 def test_a_parsed_game_keeps_the_payoff_vectors_it_was_built_from():

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 
@@ -17,7 +18,8 @@ from periodic_games import (
     interim_game,
 )
 from periodic_games.errors import BadLiteral, ParseError, SizeLimit
-from periodic_games.game import MAX_LITERAL_DIGITS
+from periodic_games import game
+from periodic_games.game import MAX_LITERAL_DIGITS, PLAIN_LENGTH, parse_rational
 from periodic_games.io import (
     MAX_NESTING,
     _dumps,
@@ -30,7 +32,15 @@ from periodic_games.io import (
 )
 from periodic_games.periodicity import Node
 
-from conftest import FIXTURES, colliding_pairs_bayes, colliding_strategies_bayes, random_rational_game
+from conftest import (
+    FIXTURES,
+    colliding_pairs_bayes,
+    colliding_strategies_bayes,
+    int_max_str_digits,
+    literal_outcome,
+    random_rational_game,
+    reference_parse_fraction,
+)
 
 
 def test_parse_fraction():
@@ -66,12 +76,48 @@ def test_parse_fraction_rejects_floats_and_bools():
         parse_fraction("abc")
 
 
+class FormedFraction(Exception):
+    pass
+
+
 @pytest.mark.parametrize("text", ["1e5000", "1e-5000", "2.5E+3000000", "1" * (MAX_LITERAL_DIGITS + 1)])
-def test_parse_fraction_bounds_a_literal_before_any_power_of_ten(text):
+def test_parse_fraction_bounds_a_literal_before_any_power_of_ten(text, monkeypatch):
+    def no_fraction(*args):
+        raise FormedFraction(args)
+
+    monkeypatch.setattr(game, "Fraction", no_fraction)  # the work: no Fraction is formed
     start = time.perf_counter()
     with pytest.raises(BadLiteral, match=f"more than {MAX_LITERAL_DIGITS} digits"):
         parse_fraction(text)
     assert time.perf_counter() - start < 0.5
+
+
+# Tokens at the edges of the plain k and k/d texts read without Fraction,
+# literals at and past MAX_LITERAL_DIGITS and PLAIN_LENGTH, and tokens that
+# are not strings.
+LITERAL_TOKENS = [
+    "-0", "007", "+1", " 1/2", "1/2 ", "1/0", "0/0", "1/-2", "-", "1/", "--1", "-/2", "1//2", "1/2/3", "-0/5",
+    "4/6", "-12/8", "0/7", "\u0661", "\uff11\uff12", "1/\uff12", "\u00b2", "1_0", "1e3", "0.5", "", " ", "-1 ",
+    "1" * MAX_LITERAL_DIGITS, "-" + "9" * MAX_LITERAL_DIGITS, "1" * (MAX_LITERAL_DIGITS + 1),
+    "1/" + "7" * (MAX_LITERAL_DIGITS - 1), "1/" + "7" * MAX_LITERAL_DIGITS, "1e4300", "1e4301",
+    "9" * PLAIN_LENGTH, "-" + "9" * (PLAIN_LENGTH - 1), "9" * (PLAIN_LENGTH + 1), "7/" + "3" * (PLAIN_LENGTH - 2),
+    "7/" + "3" * (PLAIN_LENGTH - 1), "9" * 640, "9" * 641,
+    0, -7, 10**700, True, False, 0.5, Fraction(2, 4), None, [1],
+]
+
+
+@pytest.mark.parametrize("limit", [None, 640], ids=["default limit", "limit 640"])
+def test_the_literal_parser_matches_the_fraction_parser_on_every_edge(limit):
+    before = sys.get_int_max_str_digits()
+    with int_max_str_digits(before if limit is None else limit):
+        for token in LITERAL_TOKENS:
+            expected = literal_outcome(reference_parse_fraction, token)
+            got = literal_outcome(parse_fraction, token)
+            assert type(got) is type(expected) and got == expected, token
+            if isinstance(expected, Fraction):
+                assert parse_rational(token) == (expected.numerator, expected.denominator), token
+                assert isinstance(token, (int, Fraction)) or expected == Fraction(token), token
+    assert sys.get_int_max_str_digits() == before
 
 
 def test_parse_fraction_keeps_literals_within_the_bound():

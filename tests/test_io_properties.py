@@ -1,7 +1,8 @@
 """Property tests of game documents: random shapes, labels and payoff
 literals round-trip through ``serialize_game`` and ``parse_game``, and the
-text written is the standard library's. Skipped where ``hypothesis`` is
-not installed."""
+text written is the standard library's; and of the rational-literal
+parser on k and k/d texts. Skipped where ``hypothesis`` is not
+installed."""
 
 import json
 import math
@@ -14,7 +15,10 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
+from periodic_games.game import parse_fraction, parse_rational
 from periodic_games.io import parse_game, serialize_game
+
+from conftest import literal_outcome, reference_parse_fraction
 
 # Integers (as JSON numbers and as text), k/d texts and long numerators.
 LITERALS = st.one_of(
@@ -59,3 +63,20 @@ def test_game_documents_round_trip_as_the_standard_library_writes_them(doc):
     text = serialize_game(g)
     assert text == json.dumps(canonical(doc), indent=2) + "\n"
     assert parse_game(text) == g
+
+
+# k or k/d texts with an optional sign or padding on either part, zero and
+# negative denominators included.
+PARTS = st.builds("{}{}{}".format, st.sampled_from(["", "-", "+", "0", "00", "--", " "]),
+                  st.integers(0, 10**40), st.sampled_from(["", "", "", " ", "_0"]))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(PARTS, st.one_of(st.none(), PARTS, st.integers(-(10**6), 10**6).map(str)))
+def test_k_and_k_d_texts_read_as_the_fraction_parser(numerator, denominator):
+    text = numerator if denominator is None else f"{numerator}/{denominator}"
+    expected = literal_outcome(reference_parse_fraction, text)
+    assert literal_outcome(parse_fraction, text) == expected
+    if isinstance(expected, Fraction):
+        assert expected == Fraction(text)
+        assert parse_rational(text) == (expected.numerator, expected.denominator)

@@ -18,8 +18,10 @@ from fractions import Fraction
 import pytest
 
 from periodic_games import (
+    __version__,
     BayesianGame,
     cli,
+    coco_solution,
     Game,
     TiePolicy,
     build_periodicity_graph,
@@ -42,7 +44,7 @@ from periodic_games import (
     validate_bayesian_game,
     validate_game,
 )
-from periodic_games.errors import DegenerateArgmax, Infeasible, SizeLimit, ValidationError, ZeroProbabilityType
+from periodic_games.errors import BadParameter, DegenerateArgmax, Infeasible, SizeLimit, ValidationError, ZeroProbabilityType
 from periodic_games.game import payoff
 from periodic_games.generate import random_game
 from periodic_games.io import dump_report, format_fraction, parse_bayes, parse_game, serialize_game
@@ -726,6 +728,50 @@ def test_decision_mode_keeps_the_sign_and_every_positive_value():
         assert all(sum(v * q for v, q in zip(line, col)) <= bound for line in matrix)
         seen["stopped early" if bound > full[0] else "stopped at the value"] += 1
     assert min(seen.values()) > 20, seen
+
+
+# Int matrices over a scale whose decision-mode bound differs from the
+# Fraction matrix's when the common factor of entries and scale is left in
+# the LP data: normalized pricing then takes other pivots before the stop.
+COMMON_FACTOR_CASES = [
+    (100, 1, [[9, -11, -2, 0, -5, 2], [-10, -7, 8, 6, 3, -8], [1, 0, 2, -3, -7, -12], [-8, 10, -1, -2, -6, -5]]),
+    (3, 3, [[-4, 2, -5, 6, -7, -1], [-2, 2, -8, 0, 6, -2], [-1, -9, 7, -8, -1, 4], [-8, 9, 7, 9, 9, -5],
+            [-9, 0, 4, 8, 4, -2], [6, 4, -6, -2, -1, -9]]),
+]
+
+
+def test_an_int_matrix_over_a_scale_has_the_value_of_its_fraction_matrix():
+    """``zero_sum_value(ints, scale=s)`` returns what the matching Fraction
+    matrix gives, in both modes, a common factor of the entries and the
+    scale included; so does a Fraction matrix over a scale."""
+    for factor, scale, ints in COMMON_FACTOR_CASES:
+        fractions = [[F(v, scale) for v in row] for row in ints]
+        scaled = [[factor * v for v in row] for row in ints]
+        for decision in (False, True):
+            expected = zero_sum_value(fractions, decision=decision)
+            assert zero_sum_value(scaled, scale=factor * scale, decision=decision) == expected
+    rng = random.Random(1956)
+    stopped = 0
+    for k in range(300):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        low, high = ((0, 1), (-9, 9), (-12, 12))[k % 3]
+        factor = rng.choice((1, 1, 2, 6))
+        ints = tuple(tuple(factor * rng.randint(low, high) for _ in range(cols)) for _ in range(rows))
+        scale = rng.choice((1, 2, 3, 4, 6, 12, 24))
+        fractions = [[F(v, scale) for v in row] for row in ints]
+        for decision in (False, True):
+            expected = zero_sum_value(fractions, decision=decision)
+            assert zero_sum_value(ints, scale=scale, decision=decision) == expected, (ints, scale)
+            stopped += expected[1] is None
+        halves = [[v / 2 for v in row] for row in fractions]
+        assert zero_sum_value(fractions, scale=2) == zero_sum_value(halves)
+    assert stopped > 50, stopped
+
+
+@pytest.mark.parametrize("scale", [0, -1, True, 2.0, F(2), F(1, 2), "2", None])
+def test_the_scale_of_a_zero_sum_matrix_is_a_positive_int(scale):
+    with pytest.raises(BadParameter, match="positive int"):
+        zero_sum_value([[1, 0], [0, 1]], scale=scale)
 
 
 def _scaled_game(g, factors):
@@ -1531,3 +1577,80 @@ def test_games_built_over_several_scales_derive_a_view_per_player():
     # A's entries 1/2 and -1 over 2, B's 1/2 and 5/4 over 4.
     assert g.own_payoffs == ((((1,), (-2,)), ((0,),), 2), (((2, 5),), ((0,), (1,)), 4))
     assert_same_as_public(g)
+
+
+def reference_coco_solution(g):
+    """The CO-CO solution as first written: the decomposition as Fraction
+    matrices, read off the payoff vectors, and ``zero_sum_value`` on the
+    Fraction competitive matrix."""
+    rows, cols = g.shape
+    u = [[g.payoffs[g.profile_index((r, c))] for c in range(cols)] for r in range(rows)]
+    joint = [[x + y for x, y in row] for row in u]
+    vsharp = max(map(max, joint))
+    tied = tuple((r, c) for r in range(rows) for c in range(cols) if joint[r][c] == vsharp)
+    competitive = tuple(tuple(F(x - y, 2) for x, y in row) for row in u)
+    vs, row_strategy, col_strategy = zero_sum_value(competitive)
+    final = (vsharp / 2 + vs, vsharp / 2 - vs)
+    return {
+        "vsharp": vsharp,
+        "vs": vs,
+        "profile": tied[0],
+        "tied_profiles": tied,
+        "side_payment": final[0] - u[tied[0][0]][tied[0][1]][0],
+        "final_payoffs": final,
+        "zero_sum_strategies": (row_strategy, col_strategy),
+        "cooperative": tuple(tuple(F(x + y, 2) for x, y in row) for row in u),
+        "competitive": competitive,
+    }
+
+
+def reference_coco_report(g, solution):
+    """``perigame coco --format machine`` as first written: the report of
+    Fraction matrices and values, through ``dump_report``."""
+    return dump_report({
+        "tool_version": __version__,
+        "command": "coco",
+        "tie_policy": "lex",
+        "cooperative_matrix": [list(row) for row in solution["cooperative"]],
+        "competitive_matrix": [list(row) for row in solution["competitive"]],
+        "vsharp": solution["vsharp"],
+        "vs": solution["vs"],
+        "profile": [g.actions[0][solution["profile"][0]], g.actions[1][solution["profile"][1]]],
+        "tied_profiles": [[g.actions[0][r], g.actions[1][c]] for r, c in solution["tied_profiles"]],
+        "side_payment": solution["side_payment"],
+        "final_payoffs": list(solution["final_payoffs"]),
+        "zero_sum_strategies": [list(s) for s in solution["zero_sum_strategies"]],
+    })
+
+
+def _coco_documents(count):
+    """Seeded 1x1 to 7x7 game documents, payoff texts in {0, 1} (degenerate
+    games), integers in [-9, 9] and k/d with d up to 12, in turn."""
+    rng = random.Random(1950)
+    draws = (lambda: str(rng.randint(0, 1)), lambda: str(rng.randint(-9, 9)),
+             lambda: f"{rng.randint(-12, 12)}/{rng.randint(1, 12)}")
+    for k in range(count):
+        rows, cols, draw = rng.randint(1, 7), rng.randint(1, 7), draws[k % 3]
+        actions = {"A": [f"r{r}" for r in range(rows)], "B": [f"c{c}" for c in range(cols)]}
+        payoffs = [[[draw(), draw()] for _ in range(cols)] for _ in range(rows)]
+        yield json.dumps({"players": ["A", "B"], "actions": actions, "payoffs": payoffs})
+
+
+def test_coco_matches_the_fraction_decomposition_and_its_report(tmp_path, capsys):
+    ties = 0
+    for k, text in enumerate(_coco_documents(300)):
+        g = parse_game(text)
+        solution, expected = coco_solution(g), reference_coco_solution(g)
+        got = {name: getattr(solution, name) for name in expected if name not in ("cooperative", "competitive")}
+        got["cooperative"] = solution.decomposition.cooperative
+        got["competitive"] = solution.decomposition.competitive
+        assert got == expected, text
+        values = [solution.vsharp, solution.vs, solution.side_payment, *solution.final_payoffs,
+                  *itertools.chain(*solution.zero_sum_strategies, *got["cooperative"], *got["competitive"])]
+        assert {type(v) for v in values} == {Fraction}
+        ties += len(solution.tied_profiles) > 1
+        path = tmp_path / f"coco{k}.game.json"
+        path.write_text(text)
+        assert cli.main(["coco", str(path), "--format", "machine"]) == 0
+        assert capsys.readouterr().out == reference_coco_report(g, expected), text
+    assert ties > 50, ties
