@@ -36,6 +36,7 @@ from .periodicity import Cycle, Node, PeriodicityGraph
 # interpreter's recursion limit. A report nests as deep as its value; a game
 # document deeper than this is a SizeLimit, so every one written reads back.
 MAX_NESTING = 100
+_CONTAINERS = frozenset((dict, list))
 
 
 def format_fraction(value: Fraction) -> str:
@@ -82,16 +83,21 @@ def _load_json(text: str) -> dict:
         raise _too_deep() from None
     if not isinstance(doc, dict):
         raise ParseError("top-level document must be an object")
-    level = [doc]  # the containers at one depth, walked without recursion
+    # The containers at one depth, walked without recursion. The decoder
+    # builds exact dicts and lists, so the types of a level's items are read
+    # at C speed; a level of leaves ends the walk unbuilt, and only a level
+    # mixing containers with leaves is filtered item by item.
+    level, kinds = [doc], {dict}
     for _ in range(MAX_NESTING):
-        level = [
-            child
-            for node in level
-            for child in (node.values() if isinstance(node, dict) else node)
-            if isinstance(child, (dict, list))
-        ]
-        if not level:
+        if dict in kinds:
+            level = [node.values() if type(node) is dict else node for node in level]
+        kinds = set(map(type, chain.from_iterable(level)))
+        if kinds.isdisjoint(_CONTAINERS):
             return doc
+        if kinds <= _CONTAINERS:
+            level = list(chain.from_iterable(level))
+        else:
+            level = [v for v in chain.from_iterable(level) if type(v) in _CONTAINERS]
     raise _too_deep()
 
 

@@ -15,7 +15,9 @@ Desk-scale only: systems here have at most a handful of variables. Each row
 is scaled to integers by the lcm of its denominators and eliminated
 Gauss-Jordan with ``pivot`` (``_eliminate``), so entries stay integers,
 bounded by minors of the scaled matrix. Fractions are formed once, when a
-pivot row is divided by its pivot at the end.
+pivot row is divided by its pivot at the end. ``solve_square`` forms none:
+it hands ``lp`` a square system's solution as integers over one
+denominator.
 
 Vertex enumeration (``polytope_vertices``, for periodic mixtures)
 eliminates ``[a | b]`` once and solves only the bases: the column subsets
@@ -129,6 +131,21 @@ def _eliminate(m: list[list[int]], cols: int) -> list[int]:
         if r + 1 == len(m):
             break
     return pivots
+
+
+def solve_square(a: list[list[int]], b: list[int]) -> Optional[tuple[list[int], int]]:
+    """The solution of a nonempty square integer system ``a x = b``, as
+    numerators over one positive denominator, or None when ``a`` is singular.
+
+    One ``_eliminate`` of ``[a | b]``: every pivot entry ends up equal to
+    the last pivot, so that pivot is the common denominator.
+    """
+    k = len(a)
+    m = [row + [v] for row, v in zip(a, b)]
+    if len(_eliminate(m, k)) < k:
+        return None
+    sign = 1 if m[0][0] > 0 else -1
+    return [sign * row[-1] for row in m], sign * m[0][0]
 
 
 def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:

@@ -34,11 +34,21 @@ Otherwise ``simplex_max`` reruns Bland's rule from the all-slack basis.
 Both runs are the one pivot loop ``_pivot_loop``, with the rule as a
 parameter.
 
-That loop also takes a stop predicate on the objective value. With
+Before any of that, ``simplex_max`` guesses the optimal basis with a small
+float simplex (``_float_support``) and checks it in integers
+(``_certified_optimum``, with ``linalg.solve_square``). A basis that passes
+the uniqueness test is the only optimal one, so its triple is Bland's and
+no pivot is taken; an optimal basis that fails it sends the LP straight to
+Bland's rule; anything else runs the pivot path above. Floats only pick
+which system to solve: every returned value is computed and checked in
+integers.
+
+The pivot loop also takes a stop predicate on the objective value. With
 ``decision=True``, ``zero_sum_value`` stops its LP as soon as the value is
 known to be <= 0, and returns that bound with a column mixture that
-certifies it. ``zero_sum_value`` re-checks its certificates in integers
-before it returns.
+certifies it. An LP with a stop predicate takes no guess.
+``zero_sum_value`` re-checks its certificates in integers before it
+returns.
 """
 
 from __future__ import annotations
@@ -48,9 +58,14 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import BadParameter, CertificateError
-from .linalg import exchange, integer_column
+from .linalg import exchange, integer_column, solve_square
 
 Vector = tuple[Fraction, ...]
+
+# The float guess of ``_float_support``: a reduced cost or pivot entry within
+# ``_TOLERANCE`` of 0 counts as 0, and it gives up after ``_FLOAT_PIVOTS``.
+_TOLERANCE = 1e-9
+_FLOAT_PIVOTS = 200
 
 
 class SimplexInternalError(CertificateError):
@@ -130,6 +145,98 @@ def _pivot_loop(
             return basis, nonbasic, det, True
 
 
+def _float_support(tableau: list[list[int]]) -> Optional[tuple[list[int], list[int]]]:
+    """A floating-point guess at the optimal basis of the integer dictionary
+    ``tableau``: (the rows whose slack is nonbasic, the structural columns
+    that are basic), at a nondegenerate optimum the rows of positive dual
+    and the columns of positive value. None when the guess gives up: a zero
+    right-hand side or a zero objective, an entry too large for a float, an
+    unbounded column or more than ``_FLOAT_PIVOTS`` pivots.
+
+    It pivots a float copy in which each row is divided by its right-hand
+    side and the objective by its largest entry, so values and reduced
+    costs compare with one tolerance whatever the scale of the data, and
+    prices columns by normalized cost, as ``_normalized_cost`` does.
+    """
+    m = len(tableau) - 1
+    n = len(tableau[-1]) - 1
+    try:
+        top = max(map(abs, tableau[-1]))
+        rows = [[v / row[-1] for v in row] for row in tableau[:m]] + [[v / top for v in tableau[-1]]]
+    except (ZeroDivisionError, OverflowError):
+        return None
+    nonbasic = list(range(n))
+    basis = list(range(n, n + m))
+    for _ in range(_FLOAT_PIVOTS):
+        objective = rows[-1]
+        candidates = [j for j in range(n) if objective[j] < -_TOLERANCE]
+        if not candidates:
+            return sorted(v - n for v in nonbasic if v >= n), sorted(v for v in basis if v < n)
+        entering = min(candidates, key=lambda j: objective[j] / sum(abs(row[j]) for row in rows))
+        ratios = [(rows[i][-1] / rows[i][entering], i) for i in range(m) if rows[i][entering] > _TOLERANCE]
+        if not ratios:
+            return None
+        leaving = min(ratios)[1]
+        p = rows[leaving][entering]
+        pivot_row = [v / p for v in rows[leaving]]
+        pivot_row[entering] = 1 / p
+        for i, row in enumerate(rows):
+            f = row[entering]
+            if i != leaving and f:
+                rows[i] = [v - f * w for v, w in zip(row, pivot_row)]
+                rows[i][entering] = -f / p
+        rows[leaving] = pivot_row
+        nonbasic[entering], basis[leaving] = basis[leaving], nonbasic[entering]
+    return None
+
+
+def _certified_optimum(
+    tableau: list[list[int]], support: Optional[tuple[list[int], list[int]]], scale_ab: int, scale_c: int
+) -> tuple[bool, Optional[tuple[Fraction, Vector, Vector]]]:
+    """Whether ``support`` (rows, columns), if any, proves in integers an
+    optimal basis, and the triple of Bland's rule when it proves the only one.
+
+    ``x`` solves the support's rows with equality on its columns, ``y``
+    solves the transposed system with the costs. The basis of the columns
+    and of the slacks of the other rows is optimal when that square system
+    is nonsingular and every basic value and reduced cost is >= 0: x and y
+    on the support, the slack of every other row and the reduced cost of
+    every other column. When all are > 0 it is the LP's only optimal basis,
+    which every simplex run, Bland's rule among them, ends at; when one is
+    0, no optimal basis passes the uniqueness test of ``simplex_max``.
+    """
+    rows, cols = support or ([], [])
+    if not cols or len(rows) != len(cols):
+        return False, None
+    a = tableau[:-1]
+    costs = [-v for v in tableau[-1][:-1]]
+    primal = solve_square([[a[i][j] for j in cols] for i in rows], [a[i][-1] for i in rows])
+    if primal is None:
+        return False, None
+    # The transposed matrix is nonsingular too.
+    dual = solve_square([[a[i][j] for i in rows] for j in cols], [costs[j] for j in cols])
+    (xs, x_den), (ys, y_den) = primal, dual
+    slacks = [
+        a[i][-1] * x_den - sum(a[i][j] * v for j, v in zip(cols, xs))
+        for i in set(range(len(a))).difference(rows)
+    ]
+    reduced = [
+        sum(a[i][j] * v for i, v in zip(rows, ys)) - costs[j] * y_den
+        for j in set(range(len(costs))).difference(cols)
+    ]
+    least = min(xs + ys + slacks + reduced)
+    if least <= 0:
+        return least == 0, None
+    x = [Fraction(0)] * len(costs)
+    for j, v in zip(cols, xs):
+        x[j] = Fraction(v, x_den)
+    y = [Fraction(0)] * len(a)
+    for i, v in zip(rows, ys):
+        y[i] = Fraction(v * scale_ab, y_den * scale_c)
+    value = Fraction(sum(costs[j] * v for j, v in zip(cols, xs)), x_den * scale_c)
+    return True, (value, tuple(x), tuple(y))
+
+
 def simplex_max(
     a: Sequence[Sequence[Fraction]],
     b: Sequence[Fraction],
@@ -168,10 +275,18 @@ def simplex_max(
     initial.append([-v for v in costs] + [0])
     loop_stop = None if stop is None else (lambda top, det: stop(top, det * scale_c))
 
+    rule = _normalized_cost
+    if stop is None:
+        optimal, certified = _certified_optimum(initial, _float_support(initial), scale_ab, scale_c)
+        if certified:
+            return certified
+        if optimal:  # but not the only optimum: go straight to Bland's rule
+            rule = _bland
+
     tableau = [row[:] for row in initial]
-    basis, nonbasic, det, stopped = _pivot_loop(tableau, _normalized_cost, loop_stop)
+    basis, nonbasic, det, stopped = _pivot_loop(tableau, rule, loop_stop)
     # Positive reduced costs make x the only optimum, positive basic values y.
-    if not stopped and not (
+    if rule is _normalized_cost and not stopped and not (
         all(v > 0 for v in tableau[-1][:n]) and all(row[-1] > 0 for row in tableau[:m])
     ):
         tableau = initial

@@ -1,6 +1,7 @@
 """Every module of the package uses every name it imports (the package
 ``__init__`` is left out: it imports names only to re-export them), only
-``linalg`` turns rationals into integers with ``math.lcm``, no object is
+``linalg`` turns rationals into integers with ``math.lcm``, only ``lp``
+holds a float literal (its support guess), no object is
 built past its constructor, so every ``Game`` passes ``validate_game``, and
 no function calls itself, so a deep input meets no recursion limit in the
 package's own code, and every absolute import names a standard library
@@ -60,6 +61,24 @@ def test_checker_finds_lcm_uses():
 def test_only_linalg_scales_rationals_to_integers(path):
     uses = lcm_uses(path.read_text(encoding="utf-8"))
     assert (uses > 0) == (path.name == "linalg.py")
+
+
+def float_constants(source: str) -> list[float]:
+    """The float and complex literals of a module."""
+    nodes = ast.walk(ast.parse(source))
+    return [node.value for node in nodes if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))]
+
+
+def test_checker_finds_float_constants():
+    source = "x = 1e-9\ny = [0.5, 2, '1.5', -3.0j]\nz = 1 / 2\n"
+    assert float_constants(source) == [1e-9, 0.5, 3.0j]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_lp_holds_a_float_constant(path):
+    # The float support guess of lp.simplex_max is the one place floats
+    # enter; every reported value is computed and checked in integers.
+    assert bool(float_constants(path.read_text(encoding="utf-8"))) == (path.name == "lp.py")
 
 
 def constructor_bypasses(source: str) -> list[str]:

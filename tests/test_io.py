@@ -23,6 +23,7 @@ from periodic_games.game import MAX_LITERAL_DIGITS, PLAIN_LENGTH, parse_rational
 from periodic_games.io import (
     MAX_NESTING,
     _dumps,
+    _load_json,
     dump_report,
     format_fraction,
     parse_bayes,
@@ -721,6 +722,21 @@ def test_parse_game_bounds_the_nesting_depth(text):
 def test_parse_game_reads_a_document_at_the_nesting_bound():
     g = parse_game(one_action_game(MAX_NESTING - 2))
     assert g.num_players == MAX_NESTING - 2 and g.payoffs == ((Fraction(0),) * (MAX_NESTING - 2),)
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING, MAX_NESTING + 1])
+def test_the_nesting_bound_counts_containers_down_to_a_list_of_strings(depth):
+    # The top-level object, then one object and lists down to a list of
+    # strings, with leaves beside the containers at every other level.
+    inner = ["a", "b"]
+    for k in range(depth - 2):
+        inner = {"x": inner, "y": 1} if k == 5 else [inner, str(k)] if k % 2 else [inner]
+    text = json.dumps({"deep": inner, "flat": ["c", 0, None], "n": 1})
+    if depth <= MAX_NESTING:
+        assert _load_json(text) == json.loads(text)
+    else:
+        with pytest.raises(ParseError, match=f"nests lists and objects deeper than {MAX_NESTING} levels"):
+            _load_json(text)
 
 
 @pytest.mark.parametrize("levels", [MAX_NESTING, 1200])

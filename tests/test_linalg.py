@@ -3,7 +3,8 @@
 ``polytope_vertices`` eliminates ``[a | b]`` once and solves only the
 column subsets of size rank(a). Edge cases of that reduction, and a
 comparison with the search over every column subset on systems wider than
-the kernel oracle in ``test_oracles.py`` reaches."""
+the kernel oracle in ``test_oracles.py`` reaches. ``solve_square`` against
+``solve_exact``."""
 
 import itertools
 import random
@@ -13,7 +14,7 @@ import pytest
 
 from periodic_games import linalg
 from periodic_games.errors import SizeLimit
-from periodic_games.linalg import common_scale, integer_column, polytope_vertices, solve_exact
+from periodic_games.linalg import common_scale, integer_column, polytope_vertices, solve_exact, solve_square
 
 F = Fraction
 
@@ -230,3 +231,22 @@ def test_more_work_than_the_bound_is_a_size_limit_before_any_solve(monkeypatch):
     with pytest.raises(SizeLimit, match="35 bases of rank 3 would take 1295 work units, more than 720"):
         polytope_vertices(*rank_three(7), 7)
     assert solves == []
+
+
+def test_solve_square_matches_solve_exact_over_one_positive_denominator():
+    rng = random.Random(2034)
+    singular = 0
+    for _ in range(300):
+        k = rng.randint(1, 6)
+        a = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+        b = [rng.randint(-9, 9) for _ in range(k)]
+        status, x = solve_exact(a, b)
+        solution = solve_square(a, b)
+        if status != "unique":
+            assert solution is None
+            singular += 1
+            continue
+        numerators, den = solution
+        assert den > 0 and all(type(v) is int for v in numerators + [den])
+        assert tuple(F(v, den) for v in numerators) == x
+    assert 10 < singular < 290

@@ -608,7 +608,9 @@ def test_simplex_reruns_blands_rule_exactly_when_the_optimum_may_not_be_unique(m
     # The normalized-cost optimum of a 20x20 LP with k/d payoffs is unique;
     # the degenerate {0,1} LPs fail the test and rerun Bland's rule, whose
     # result is the reference's. (The test above pins the results of LPs
-    # with k/d payoffs; their Fraction reference is slow at 20x20.)
+    # with k/d payoffs; their Fraction reference is slow at 20x20.) The
+    # float support guess is off, so every LP takes the exact pivot path.
+    monkeypatch.setattr(lp, "_float_support", lambda tableau: None)
     rules = []
     loop = lp._pivot_loop
 
@@ -645,7 +647,9 @@ def reference_largest_coefficient(tableau, nonbasic):
 
 def test_normalized_cost_takes_fewer_pivots_than_dantzigs_rule(monkeypatch):
     # Steps, not wall time: linalg.exchange calls over the 20x20 game LPs
-    # with k/d payoffs, first-run rule and any rerun of Bland's rule both.
+    # with k/d payoffs, first-run rule and any rerun of Bland's rule both,
+    # with the float support guess off so that the pivot loop runs.
+    monkeypatch.setattr(lp, "_float_support", lambda tableau: None)
     pivots = [0]
     exchange = lp.exchange
 
@@ -702,6 +706,171 @@ def test_simplex_ends_on_beales_cycling_lp(monkeypatch):
     first = events.index("degenerate")
     assert set(events[:first]) == {"_normalized_cost"}
     assert set(events[first + 1 :]) == {"_bland", "degenerate", "pivot"}
+
+
+def _unguessed_outcome(monkeypatch, a, b, c):
+    """``simplex_max`` with the float support guess off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "_float_support", lambda tableau: None)
+        return _kernel_outcome(a, b, c)
+
+
+def _assert_fraction_triple(outcome):
+    if outcome != "unbounded":
+        value, x, y = outcome
+        assert {type(v) for v in (value, *x, *y)} == {F}
+
+
+def _recorded_pivot_loops(monkeypatch):
+    """The rule of each run of ``lp._pivot_loop`` from here on."""
+    rules = []
+    loop = lp._pivot_loop
+
+    def recorded(tableau, rule, stop):
+        rules.append(rule)
+        return loop(tableau, rule, stop)
+
+    monkeypatch.setattr(lp, "_pivot_loop", recorded)
+    return rules
+
+
+def test_the_support_guess_changes_no_triple(monkeypatch):
+    # Integer, {0,1} and k/d LPs, square and rectangular, game LPs and
+    # general ones (some unbounded), some with a zero in b, which the guess
+    # gives up on. Both kinds of LP end both ways: certified from the guess,
+    # with no pivot, and by the pivot loop.
+    rules = _recorded_pivot_loops(monkeypatch)
+    rng = random.Random(2030)
+    seen = {"certified": 0, "pivoted": 0, "zero in b": 0, "unbounded": 0}
+    for k in range(600):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        entry = _entry_maker(rng, ("int", "binary", "rational")[k % 3])
+        if k % 2:
+            matrix = [[entry() for _ in range(cols)] for _ in range(rows)]
+            shift = 1 - min(min(row) for row in matrix)
+            a, b, c = [[v + shift for v in row] for row in matrix], [F(1)] * rows, [F(1)] * cols
+        else:
+            a = [[entry() for _ in range(cols)] for _ in range(rows)]
+            b = [abs(entry()) for _ in range(rows)]
+            c = [entry() for _ in range(cols)]
+        seen["zero in b"] += 0 in b
+        rules.clear()
+        guessed = _kernel_outcome(a, b, c)
+        seen["pivoted" if rules else "certified"] += 1
+        assert guessed == _unguessed_outcome(monkeypatch, a, b, c), (a, b, c)
+        _assert_fraction_triple(guessed)
+        seen["unbounded"] += guessed == "unbounded"
+    assert min(seen.values()) > 30, seen
+
+
+def test_a_perturbed_support_guess_changes_no_result(monkeypatch):
+    # The guess only picks a system to solve: one with a column added or
+    # dropped, or a row or column swapped for another, fails the integer
+    # checks, and the pivot path gives the LP's result.
+    rng = random.Random(2031)
+    guess = lp._float_support
+    for k in range(60):
+        size = rng.randint(3, 12)
+        entry = _entry_maker(rng, ("rational", "int")[k % 2])
+        matrix = [[entry() for _ in range(size + k % 3)] for _ in range(size)]
+        shift = 1 - min(min(row) for row in matrix)
+        a = [[v + shift for v in row] for row in matrix]
+        b, c = [F(1)] * len(a), [F(1)] * len(a[0])
+        supports = []
+        monkeypatch.setattr(lp, "_float_support", lambda tableau: supports.append(guess(tableau)) or supports[0])
+        expected = _kernel_outcome(a, b, c)
+        assert expected == _unguessed_outcome(monkeypatch, a, b, c)
+        rows, cols = supports[0]
+        perturbed = []
+        other_cols = [j for j in range(len(c)) if j not in cols]
+        other_rows = [i for i in range(len(b)) if i not in rows]
+        if other_cols:
+            perturbed.append((rows, sorted(cols + [rng.choice(other_cols)])))
+            perturbed.append((rows, sorted(cols[1:] + [rng.choice(other_cols)])))
+        perturbed.append((rows, cols[1:]))
+        if other_rows:
+            perturbed.append((sorted(rows[1:] + [rng.choice(other_rows)]), cols))
+        for wrong in perturbed:
+            monkeypatch.setattr(lp, "_float_support", lambda tableau, wrong=wrong: wrong)
+            assert simplex_max(a, b, c) == expected, (matrix, wrong)
+
+
+def test_entries_too_large_for_a_float_take_the_exact_path(monkeypatch):
+    big = 2**1100
+    guesses = []
+    guess = lp._float_support
+
+    def recorded(tableau):
+        guesses.append(guess(tableau))
+        return guesses[-1]
+
+    monkeypatch.setattr(lp, "_float_support", recorded)
+    # A row entry over its right-hand side overflows a float, so the first
+    # two LPs take the pivot path; the guess divides the costs by the
+    # largest, and so it runs on the third and fourth.
+    cases = [
+        ([[F(big), F(1)], [F(1), F(2)]], [F(1), F(1)], [F(1), F(1)], [None]),
+        ([[F(1), F(1)], [F(1), F(2)]], [F(1, big), F(1)], [F(1), F(1)], [None]),
+        ([[F(1), F(2)], [F(3), F(1)]], [F(1), F(1)], [F(big), F(1)], [([1], [0])]),
+        ([[F(1), F(2)], [F(3), F(1)]], [F(1), F(1)], [F(big), F(big - 1)], [([0, 1], [0, 1])]),
+    ]
+    for a, b, c, expected in cases:
+        guesses.clear()
+        guessed = _kernel_outcome(a, b, c)
+        assert guesses == expected
+        assert guessed == _unguessed_outcome(monkeypatch, a, b, c) == reference_simplex(a, b, c)
+        _assert_fraction_triple(guessed)
+    matrix = [[F(big), F(-1)], [F(-big), F(2)], [F(3), F(big, 7)]]
+    guesses.clear()
+    assert zero_sum_value(matrix) == reference_zero_sum_value(matrix)
+    assert guesses == [None]
+
+
+def test_bench_shaped_game_lps_are_certified_without_a_pivot(monkeypatch):
+    # The 20x20 and 25x25 zero-sum LPs of CO-CO on k/d payoffs (d <= 12):
+    # every optimum is unique, and the guess finds its support.
+    rules = _recorded_pivot_loops(monkeypatch)
+    rng = random.Random(2032)
+    entry = _entry_maker(rng, "rational")
+    for size in (20,) * 8 + (25,) * 2:
+        matrix = [[entry() for _ in range(size)] for _ in range(size)]
+        result = zero_sum_value(matrix, scale=2)
+        assert rules == [], matrix
+        if size == 20:
+            with monkeypatch.context() as patch:
+                patch.setattr(lp, "_float_support", lambda tableau: None)
+                assert zero_sum_value(matrix, scale=2) == result
+            rules.clear()
+
+
+def test_a_guessed_optimum_that_may_not_be_unique_goes_straight_to_blands_rule(monkeypatch):
+    # {0,1} 20x20 games: the guess proves the basis it found optimal, with a
+    # zero value or reduced cost, so no optimal basis passes the uniqueness
+    # test and the normalized-cost run would be thrown away.
+    rules = _recorded_pivot_loops(monkeypatch)
+    rng = random.Random(7)
+    runs = []
+    for _ in range(10):
+        matrix = [[F(rng.randint(0, 1)) for _ in range(20)] for _ in range(20)]
+        rules.clear()
+        result = zero_sum_value(matrix)
+        runs.append(tuple(rules))
+        with monkeypatch.context() as patch:
+            patch.setattr(lp, "_float_support", lambda tableau: None)
+            assert zero_sum_value(matrix) == result
+    assert sorted(runs) == [()] * 3 + [(lp._bland,)] * 7
+
+
+def test_decision_mode_never_guesses(monkeypatch):
+    def refused(tableau):
+        raise AssertionError("a decision-mode LP guessed a support")
+
+    rng = random.Random(2033)
+    entry = _entry_maker(rng, "rational")
+    matrix = [[entry() for _ in range(8)] for _ in range(8)]
+    expected = zero_sum_value(matrix, decision=True)
+    monkeypatch.setattr(lp, "_float_support", refused)
+    assert zero_sum_value(matrix, decision=True) == expected
 
 
 def test_decision_mode_keeps_the_sign_and_every_positive_value():
