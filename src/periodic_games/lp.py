@@ -47,13 +47,14 @@ The pivot loop also takes a stop predicate on the objective value. With
 ``decision=True``, ``zero_sum_value`` stops its LP as soon as the value is
 known to be <= 0, and returns that bound with a column mixture that
 certifies it. An LP with a stop predicate takes no guess.
-``zero_sum_value`` re-checks its certificates in integers before it
-returns.
+``zero_sum_value`` reads integers once off the triple, checks its
+certificates on them and forms ``Fraction``s only for what it returns.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -366,33 +367,31 @@ def zero_sum_value(
     total, w, y = simplex_max(shifted, [scale] * rows, [1] * cols, stop=stop)
     if total <= 0:
         raise SimplexInternalError("normalized LP returned a nonpositive optimum")
-    value_shifted = 1 / total
-    col_strategy = tuple(wi * value_shifted for wi in w)
-    value = value_shifted - Fraction(shift, scale)
 
-    # Certify: both mixtures are distributions, the column mixture concedes
-    # <= value against every row and the row mixture guarantees >= value
-    # against every column. The inequalities are checked in integers,
-    # multiplied through by the positive common denominators.
-    q, col_den = integer_column(col_strategy)
-    if min(q) < 0 or sum(q) != col_den:
+    # Certify in integers, read off w = q / w_den and y = p / y_den. Once
+    # total = total_q / w_den, the column mixture is q / total_q, the row
+    # mixture p / total_p and the value conceded / (total_q * scale). Each
+    # mixture is a distribution that concedes <= the value against every
+    # row, or guarantees >= it against every column: in integers, times the
+    # positive total_q * scale, and total_p for the rows.
+    q, w_den = integer_column(w)
+    total_q = sum(q)
+    if min(q) < 0 or total * w_den != total_q:
         raise SimplexInternalError("column strategy is not a distribution")
-    conceded = value.numerator * scale * col_den
-    for i in range(rows):
-        if sum(v * qj for v, qj in zip(ints[i], q)) * value.denominator > conceded:
-            raise SimplexInternalError("column strategy fails to guarantee the value")
-    if decision and value <= 0:
+    conceded = w_den * scale - shift * total_q
+    if any(sum(map(operator.mul, row, q)) > conceded for row in ints):
+        raise SimplexInternalError("column strategy fails to guarantee the value")
+    value = Fraction(conceded, total_q * scale)
+    col_strategy = tuple(Fraction(v, total_q) for v in q)
+    if decision and conceded <= 0:
         return value, None, col_strategy
 
-    dual_total = sum(y)
-    if dual_total * scale != total:
+    p, y_den = integer_column(y)
+    total_p = sum(p)
+    if scale * total_p * w_den != total_q * y_den:
         raise SimplexInternalError("primal and dual optima differ")
-    row_strategy = tuple(yi / dual_total for yi in y)
-    p, row_den = integer_column(row_strategy)
-    if min(p) < 0 or sum(p) != row_den:
+    if min(p) < 0:  # total_p > 0 now, as total_q is
         raise SimplexInternalError("row strategy is not a distribution")
-    guaranteed = value.numerator * scale * row_den
-    for j in range(cols):
-        if sum(p[i] * ints[i][j] for i in range(rows)) * value.denominator < guaranteed:
-            raise SimplexInternalError("row strategy fails to guarantee the value")
-    return value, row_strategy, col_strategy
+    if any(total_q * sum(map(operator.mul, p, column)) < conceded * total_p for column in zip(*ints)):
+        raise SimplexInternalError("row strategy fails to guarantee the value")
+    return value, tuple(Fraction(v, total_p) for v in p), col_strategy

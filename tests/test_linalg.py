@@ -4,7 +4,7 @@
 column subsets of size rank(a). Edge cases of that reduction, and a
 comparison with the search over every column subset on systems wider than
 the kernel oracle in ``test_oracles.py`` reaches. ``solve_square`` against
-``solve_exact``."""
+``solve_exact``, its work and its exactness check."""
 
 import itertools
 import random
@@ -14,7 +14,7 @@ import pytest
 
 from periodic_games import linalg
 from periodic_games.errors import SizeLimit
-from periodic_games.linalg import common_scale, integer_column, polytope_vertices, solve_exact, solve_square
+from periodic_games.linalg import common_scale, integer_column, pivot, polytope_vertices, solve_exact, solve_square
 
 F = Fraction
 
@@ -250,3 +250,38 @@ def test_solve_square_matches_solve_exact_over_one_positive_denominator():
         assert den > 0 and all(type(v) is int for v in numerators + [den])
         assert tuple(F(v, den) for v in numerators) == x
     assert 10 < singular < 290
+
+
+def test_solve_square_of_a_0x0_system_is_empty_over_1():
+    assert solve_square([], []) == ([], 1)
+
+
+def test_solve_square_eliminates_forward_only(monkeypatch):
+    # Each pivot reduces only the rows below its pivot row: k(k-1)/2 rows
+    # in all, where Gauss-Jordan elimination reduces k(k-1).
+    reduced = []
+
+    def counted(rows, r, c, det):
+        reduced.append(len(rows) - 1)
+        return pivot(rows, r, c, det)
+
+    monkeypatch.setattr(linalg, "pivot", counted)
+    rng = random.Random(1968)
+    for k in range(1, 15):
+        a = [[rng.randint(-3, 3) + 9 * (i == j) for j in range(k)] for i in range(k)]
+        reduced.clear()
+        assert solve_square(a, [rng.randint(-9, 9) for _ in range(k)]) is not None
+        assert sum(reduced) == k * (k - 1) // 2, k
+
+
+def test_solve_square_raises_on_a_wrong_back_substitution_divisor(monkeypatch):
+    # 2 x = 1: the last pivot is 2 and X = 2 * 1 / 2; a pivot row whose
+    # diagonal entry reads 3 leaves a remainder.
+    def corrupted(rows, r, c, det):
+        p = pivot(rows, r, c, det)
+        rows[r][c] += 1
+        return p
+
+    monkeypatch.setattr(linalg, "pivot", corrupted)
+    with pytest.raises(ArithmeticError, match="inexact division"):
+        solve_square([[2]], [1])

@@ -172,6 +172,9 @@ def test_pivot_raises_on_inexact_division():
         pytest.param("row strategy", False, id="row strategy"),
         pytest.param("column strategy", False, id="column strategy"),
         pytest.param("column strategy", True, id="column strategy at a decision stop"),
+        pytest.param("column strategy is not a distribution", False, id="total off sum(w)"),
+        pytest.param("column strategy is not a distribution", True, id="total off sum(w) at a decision stop"),
+        pytest.param("row strategy is not a distribution", False, id="negative row entry"),
     ],
 )
 def test_zero_sum_value_certificate_failures_are_typed(monkeypatch, check, decision):
@@ -189,6 +192,10 @@ def test_zero_sum_value_certificate_failures_are_typed(monkeypatch, check, decis
             return total, w, tuple(2 * v for v in y)
         if check == "row strategy":  # a pure row mixture cannot hold the value
             return total, w, (sum(y), F(0))
+        if check == "column strategy is not a distribution":
+            return 2 * total, w, y
+        if check == "row strategy is not a distribution":  # same sum, one entry < 0
+            return total, w, (2 * sum(y), -sum(y))
         return total, (sum(w), F(0)), y
 
     monkeypatch.setattr(lp, "simplex_max", broken)

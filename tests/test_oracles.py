@@ -210,6 +210,72 @@ def test_rref_pivots_are_leading_minors(monkeypatch):
     assert checked > 200
 
 
+def reference_solve_square(a, b):
+    """Gauss-Jordan elimination of ``[a | b]`` with ``linalg._eliminate``:
+    every pivot entry ends up equal to the last pivot, the denominator."""
+    k = len(a)
+    m = [list(row) + [v] for row, v in zip(a, b)]
+    if len(linalg._eliminate(m, k)) < k:
+        return None
+    sign = 1 if m[0][0] > 0 else -1
+    return [sign * row[-1] for row in m], sign * m[0][0]
+
+
+def _square_system_variants(a, b):
+    """``a x = b``, its first two rows swapped (the determinant negated), its
+    first column zero above the last row (row swaps), and singular copies:
+    a repeated row, a sum row and a zero column."""
+    k = len(a)
+    yield a, b
+    if k >= 2:
+        yield [a[1], a[0]] + a[2:], [b[1], b[0]] + b[2:]
+        yield [[0] + row[1:] for row in a[:-1]] + [a[-1]], b
+        yield a[:-1] + [a[0]], b
+    if k >= 3:
+        yield a[:-1] + [[x + y for x, y in zip(a[0], a[1])]], b
+    yield [row[:-1] + [0] for row in a], b
+
+
+def test_forward_solve_matches_gauss_jordan_on_square_systems():
+    rng = random.Random(1982)
+    seen = {"singular": 0, "negative determinant": 0, "positive determinant": 0, "row swap": 0}
+    for k in range(1, 15):
+        for low, high in ((0, 1), (-3, 3), (-(2**20), 2**20)):
+            a = [[rng.randint(low, high) for _ in range(k)] for _ in range(k)]
+            b = [rng.randint(low, high) for _ in range(k)]
+            for system in _square_system_variants(a, b):
+                expected = reference_solve_square(*system)
+                assert linalg.solve_square(*system) == expected, system
+                if expected is None:
+                    seen["singular"] += 1
+                    continue
+                seen["row swap"] += system[0][0][0] == 0
+                if k <= 10:
+                    det = reference_determinant(system[0])
+                    seen["negative determinant" if det < 0 else "positive determinant"] += 1
+    assert min(seen.values()) > 20, seen
+
+
+def test_forward_solve_matches_gauss_jordan_on_game_lp_supports(monkeypatch):
+    # The square systems of 20x20 zero-sum LPs on k/d payoffs (d <= 12), at
+    # the supports the float guess finds: x's system and the transposed one.
+    systems = []
+
+    def recorded(a, b):
+        systems.append(([row[:] for row in a], b[:]))
+        return linalg.solve_square(a, b)
+
+    monkeypatch.setattr(lp, "solve_square", recorded)
+    rng = random.Random(1968)
+    entry = _entry_maker(rng, "rational")
+    for _ in range(4):
+        zero_sum_value([[entry() for _ in range(20)] for _ in range(20)], scale=2)
+    assert len(systems) == 8
+    for a, b in systems:
+        expected = reference_solve_square(a, b)
+        assert expected is not None and linalg.solve_square(a, b) == expected
+
+
 def integer_matrix(matrix):
     """A Fraction matrix times the lcm of all its denominators, and that lcm."""
     cols = len(matrix[0])
