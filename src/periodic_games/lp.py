@@ -43,17 +43,13 @@ Bland's rule; anything else runs the pivot path above. Floats only pick
 which system to solve: every returned value is computed and checked in
 integers.
 
-The pivot loop also takes a stop predicate on the objective value. With
-``decision=True``, ``zero_sum_value`` stops its LP as soon as the value is
-known to be <= 0, and returns that bound with a column mixture that
-certifies it. An LP with a stop predicate takes no guess.
-``zero_sum_value`` reads integers once off the triple, checks its
-certificates on them and forms ``Fraction``s only for what it returns.
+``zero_sum_value`` solves every LP to its optimum, reads integers once off
+the triple, checks its certificates on them and forms ``Fraction``s only
+for what it returns.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -101,16 +97,12 @@ def _normalized_cost(tableau: list[list[int]], nonbasic: list[int]) -> Optional[
 
 
 def _pivot_loop(
-    tableau: list[list[int]],
-    rule: Callable[[list[list[int]], list[int]], Optional[int]],
-    stop: Optional[Callable[[int, int], bool]],
-) -> tuple[list[int], list[int], int, bool]:
-    """Pivot ``tableau`` in place from the all-slack basis.
+    tableau: list[list[int]], rule: Callable[[list[list[int]], list[int]], Optional[int]]
+) -> tuple[list[int], list[int], int]:
+    """Pivot ``tableau`` in place from the all-slack basis to an optimum.
 
     ``rule`` picks the entering column; it is Bland's rule from the first
-    degenerate pivot on. The loop ends at an optimum, or after a pivot at
-    which ``stop(objective[-1], det)`` holds. Returns (basis, nonbasic, det,
-    whether it stopped).
+    degenerate pivot on. Returns (basis, nonbasic, det).
     """
     m = len(tableau) - 1
     n = len(tableau[-1]) - 1
@@ -120,7 +112,7 @@ def _pivot_loop(
     while True:
         entering = rule(tableau, nonbasic)
         if entering is None:
-            return basis, nonbasic, det, False
+            return basis, nonbasic, det
         # Ratio test rhs_i / coef_i by cross-multiplication (coefficients are
         # positive), ties broken by smallest basis variable (Bland).
         leaving = None
@@ -142,8 +134,6 @@ def _pivot_loop(
             rule = _bland
         det = exchange(tableau, leaving, entering, det)
         nonbasic[entering], basis[leaving] = basis[leaving], nonbasic[entering]
-        if stop is not None and stop(tableau[-1][-1], det):
-            return basis, nonbasic, det, True
 
 
 def _float_support(tableau: list[list[int]]) -> Optional[tuple[list[int], list[int]]]:
@@ -239,11 +229,7 @@ def _certified_optimum(
 
 
 def simplex_max(
-    a: Sequence[Sequence[Fraction]],
-    b: Sequence[Fraction],
-    c: Sequence[Fraction],
-    *,
-    stop: Optional[Callable[[int, int], bool]] = None,
+    a: Sequence[Sequence[Fraction]], b: Sequence[Fraction], c: Sequence[Fraction]
 ) -> tuple[Fraction, Vector, Vector]:
     """Maximize c.x subject to a x <= b, x >= 0, with all b >= 0.
 
@@ -252,11 +238,6 @@ def simplex_max(
     primal x, dual y), the triple of Bland's rule. The all-slack basis is
     feasible because b >= 0; the objective must be bounded on the feasible
     region (always the case for the game LPs built here).
-
-    ``stop(numerator, denominator)``, if given, is called with the objective
-    value after each pivot, and must stay true once true as that value
-    rises. When it holds, the current basis is returned: ``x`` is feasible
-    with that value, and ``y`` is the basis's dual, which need not be.
     """
     m = len(a)
     n = len(c)
@@ -274,24 +255,21 @@ def simplex_max(
     # objective.
     initial = [ints[i * n : (i + 1) * n] + [ints[m * n + i]] for i in range(m)]
     initial.append([-v for v in costs] + [0])
-    loop_stop = None if stop is None else (lambda top, det: stop(top, det * scale_c))
 
-    rule = _normalized_cost
-    if stop is None:
-        optimal, certified = _certified_optimum(initial, _float_support(initial), scale_ab, scale_c)
-        if certified:
-            return certified
-        if optimal:  # but not the only optimum: go straight to Bland's rule
-            rule = _bland
+    optimal, certified = _certified_optimum(initial, _float_support(initial), scale_ab, scale_c)
+    if certified:
+        return certified
+    # An optimum that may not be the only one goes straight to Bland's rule.
+    rule = _bland if optimal else _normalized_cost
 
     tableau = [row[:] for row in initial]
-    basis, nonbasic, det, stopped = _pivot_loop(tableau, rule, loop_stop)
+    basis, nonbasic, det = _pivot_loop(tableau, rule)
     # Positive reduced costs make x the only optimum, positive basic values y.
-    if rule is _normalized_cost and not stopped and not (
+    if rule is _normalized_cost and not (
         all(v > 0 for v in tableau[-1][:n]) and all(row[-1] > 0 for row in tableau[:m])
     ):
         tableau = initial
-        basis, nonbasic, det, stopped = _pivot_loop(tableau, _bland, loop_stop)
+        basis, nonbasic, det = _pivot_loop(tableau, _bland)
 
     # The scaled LP has the same x; its duals are scale_c / scale_ab times
     # the original ones and its value is scale_c times the original one. The
@@ -309,25 +287,16 @@ def simplex_max(
     return value, tuple(x), tuple(y)
 
 
-def zero_sum_value(
-    matrix: Sequence[Sequence[Fraction]], *, decision: bool = False, scale: int = 1
-) -> tuple[Fraction, Optional[Vector], Vector]:
+def zero_sum_value(matrix: Sequence[Sequence[Fraction]], *, scale: int = 1) -> tuple[Fraction, Vector, Vector]:
     """Exact minimax value of the zero-sum matrix game ``matrix / scale``
     (row player maximizes).
 
     Entries must be Fractions or ints, not bools, as in a mixture, and
     ``scale`` a positive int, not a bool; anything else is a BadParameter.
-    An int matrix over ``scale`` gives the LP the data of the matching
-    Fraction matrix, so the same result. Returns (value, optimal row
-    mixture, optimal column mixture). Strong duality (row maximin == column
-    minimax) is re-checked against every pure response before returning.
-
-    With ``decision=True`` the LP stops as soon as the value is known to be
-    <= 0, and returns (bound, None, column mixture): the bound is >= the
-    value and <= 0, and the column mixture concedes at most the bound
-    against every row. Both depend on the pivots taken before the stop,
-    not only on the matrix; they are certified as above. A positive value
-    is returned as without it.
+    An int matrix over ``scale`` gives the result of the matching Fraction
+    matrix. Returns (value, optimal row mixture, optimal column mixture).
+    Strong duality (row maximin == column minimax) is re-checked against
+    every pure response before returning.
     """
     rows = len(matrix)
     if rows == 0 or len(matrix[0]) == 0:
@@ -339,15 +308,11 @@ def zero_sum_value(
     _check_entries(entries, "payoff matrix")
     if type(scale) is not int or scale < 1:
         raise BadParameter(f"the scale of a payoff matrix must be a positive int, got {scale!r}")
-    # The integers over the lcm of the values' denominators, as the Fraction
-    # matrix gives them. A common factor left in would not change Bland's
-    # answer, but normalized pricing could take other pivots, and so a
-    # decision-mode stop return another bound.
+    # The integers over the lcm of the values' denominators. A common factor
+    # of these and the scale stays in: it scales the LP's a and b, which
+    # changes no pivot of Bland's rule and so no result.
     flat, entry_scale = integer_column(entries)
     scale *= entry_scale
-    d = math.gcd(scale, *flat)
-    if d > 1:
-        flat, scale = [v // d for v in flat], scale // d
     ints = [flat[i * cols : (i + 1) * cols] for i in range(rows)]
 
     # Shift all entries to at least 1 so the value is > 0 and the LP below is
@@ -355,16 +320,9 @@ def zero_sum_value(
     shift = scale - min(min(row) for row in ints)
     shifted = [[v + shift for v in row] for row in ints]
 
-    stop = None
-    if decision:
-        # The column objective t only rises, so the bound 1/t - shift/scale
-        # on the value only falls; once it is <= 0, so is the value.
-        def stop(top: int, den: int) -> bool:
-            return top * shift >= scale * den
-
     # Column player's normalized LP: max sum(w) s.t. shifted w <= 1, w >= 0,
-    # here with both sides times scale, which changes no pivot.
-    total, w, y = simplex_max(shifted, [scale] * rows, [1] * cols, stop=stop)
+    # here with both sides times scale, which changes no result.
+    total, w, y = simplex_max(shifted, [scale] * rows, [1] * cols)
     if total <= 0:
         raise SimplexInternalError("normalized LP returned a nonpositive optimum")
 
@@ -381,10 +339,6 @@ def zero_sum_value(
     conceded = w_den * scale - shift * total_q
     if any(sum(map(operator.mul, row, q)) > conceded for row in ints):
         raise SimplexInternalError("column strategy fails to guarantee the value")
-    value = Fraction(conceded, total_q * scale)
-    col_strategy = tuple(Fraction(v, total_q) for v in q)
-    if decision and conceded <= 0:
-        return value, None, col_strategy
 
     p, y_den = integer_column(y)
     total_p = sum(p)
@@ -394,4 +348,5 @@ def zero_sum_value(
         raise SimplexInternalError("row strategy is not a distribution")
     if any(total_q * sum(map(operator.mul, p, column)) < conceded * total_p for column in zip(*ints)):
         raise SimplexInternalError("row strategy fails to guarantee the value")
-    return value, tuple(Fraction(v, total_p) for v in p), col_strategy
+    value = Fraction(conceded, total_q * scale)
+    return value, tuple(Fraction(v, total_p) for v in p), tuple(Fraction(v, total_q) for v in q)

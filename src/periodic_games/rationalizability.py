@@ -66,10 +66,10 @@ def _find_dominator(
             return ("pure", b)
     if mode is DominanceMode.ALLOW_MIXED and len(others_alive) >= 2:
         # action is dominated by a mixture iff the row player of the gain
-        # matrix can guarantee a strictly positive value; the LP stops once
-        # the value is known to be <= 0.
+        # matrix can guarantee a strictly positive value; its optimal row
+        # mixture is then the dominator.
         gains = [[matrix[b][k] - base[k] for k in columns] for b in others_alive]
-        value, row_strategy, _ = zero_sum_value(gains, decision=True)
+        value, row_strategy, _ = zero_sum_value(gains)
         if value > 0:
             mixture = tuple(
                 (b, w) for b, w in zip(others_alive, row_strategy) if w > 0

@@ -166,28 +166,21 @@ def test_pivot_raises_on_inexact_division():
 
 
 @pytest.mark.parametrize(
-    "check, decision",
+    "check",
     [
-        pytest.param("primal and dual", False, id="primal and dual"),
-        pytest.param("row strategy", False, id="row strategy"),
-        pytest.param("column strategy", False, id="column strategy"),
-        pytest.param("column strategy", True, id="column strategy at a decision stop"),
-        pytest.param("column strategy is not a distribution", False, id="total off sum(w)"),
-        pytest.param("column strategy is not a distribution", True, id="total off sum(w) at a decision stop"),
-        pytest.param("row strategy is not a distribution", False, id="negative row entry"),
+        pytest.param("primal and dual", id="primal and dual"),
+        pytest.param("row strategy", id="row strategy"),
+        pytest.param("column strategy", id="column strategy"),
+        pytest.param("column strategy is not a distribution", id="total off sum(w)"),
+        pytest.param("row strategy is not a distribution", id="negative row entry"),
     ],
 )
-def test_zero_sum_value_certificate_failures_are_typed(monkeypatch, check, decision):
-    # Value 1 runs each LP to its optimum; the negated matrix has value -1,
-    # where decision mode stops and certifies with the column mixture alone.
+def test_zero_sum_value_certificate_failures_are_typed(monkeypatch, check):
     matrix = [[F(3), F(-1)], [F(-2), F(4)]]
-    if decision:
-        matrix = [[-v for v in row] for row in matrix]
-        assert zero_sum_value(matrix, decision=True)[:2] == (F(-1), None)
     true_simplex = lp.simplex_max
 
-    def broken(a, b, c, **kwargs):
-        total, w, y = true_simplex(a, b, c, **kwargs)
+    def broken(a, b, c):
+        total, w, y = true_simplex(a, b, c)
         if check == "primal and dual":
             return total, w, tuple(2 * v for v in y)
         if check == "row strategy":  # a pure row mixture cannot hold the value
@@ -200,4 +193,4 @@ def test_zero_sum_value_certificate_failures_are_typed(monkeypatch, check, decis
 
     monkeypatch.setattr(lp, "simplex_max", broken)
     with pytest.raises(SimplexInternalError, match=check):
-        zero_sum_value(matrix, decision=decision)
+        zero_sum_value(matrix)

@@ -680,9 +680,9 @@ def test_simplex_reruns_blands_rule_exactly_when_the_optimum_may_not_be_unique(m
     rules = []
     loop = lp._pivot_loop
 
-    def counted(tableau, rule, stop):
+    def counted(tableau, rule):
         rules.append(rule)
-        return loop(tableau, rule, stop)
+        return loop(tableau, rule)
 
     monkeypatch.setattr(lp, "_pivot_loop", counted)
     rng = random.Random(2020)
@@ -792,9 +792,9 @@ def _recorded_pivot_loops(monkeypatch):
     rules = []
     loop = lp._pivot_loop
 
-    def recorded(tableau, rule, stop):
+    def recorded(tableau, rule):
         rules.append(rule)
-        return loop(tableau, rule, stop)
+        return loop(tableau, rule)
 
     monkeypatch.setattr(lp, "_pivot_loop", recorded)
     return rules
@@ -927,47 +927,36 @@ def test_a_guessed_optimum_that_may_not_be_unique_goes_straight_to_blands_rule(m
     assert sorted(runs) == [()] * 3 + [(lp._bland,)] * 7
 
 
-def test_decision_mode_never_guesses(monkeypatch):
-    def refused(tableau):
-        raise AssertionError("a decision-mode LP guessed a support")
-
-    rng = random.Random(2033)
+def test_permuting_actions_permutes_a_unique_zero_sum_optimum(monkeypatch):
+    """k/d matrices up to 20x20 whose optimum the guess certifies as unique,
+    with no pivot loop: relabelling the rows and the columns relabels both
+    optimal strategies the same way and leaves the value as it is."""
+    rules = _recorded_pivot_loops(monkeypatch)
+    rng = random.Random(2034)
     entry = _entry_maker(rng, "rational")
-    matrix = [[entry() for _ in range(8)] for _ in range(8)]
-    expected = zero_sum_value(matrix, decision=True)
-    monkeypatch.setattr(lp, "_float_support", refused)
-    assert zero_sum_value(matrix, decision=True) == expected
-
-
-def test_decision_mode_keeps_the_sign_and_every_positive_value():
-    """On seeded matrices whose values fall on both sides of 0: the decided
-    sign is the value's, a positive value comes with the full triple, and
-    a stop comes with a column mixture conceding at most its bound <= 0."""
-    rng = random.Random(1955)
-    seen = {"positive": 0, "stopped early": 0, "stopped at the value": 0}
-    for _ in range(400):
-        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
-        entry = _entry_maker(rng, rng.choice(("int", "binary", "rational")))
-        offset = F(rng.randint(-2, 2), rng.randint(1, 3))
-        matrix = [[entry() + offset for _ in range(cols)] for _ in range(rows)]
-        full = zero_sum_value(matrix)
-        decided = zero_sum_value(matrix, decision=True)
-        assert (decided[0] > 0) == (full[0] > 0), matrix
-        if full[0] > 0:
-            assert decided == full
-            seen["positive"] += 1
+    certified = 0
+    for k in range(60):
+        rows, cols = rng.randint(2, 20), rng.randint(2, 20)
+        matrix = [[entry() for _ in range(cols)] for _ in range(rows)]
+        rules.clear()
+        value, row, col = zero_sum_value(matrix)
+        if rules:
             continue
-        bound, row, col = decided
-        assert row is None and full[0] <= bound <= 0
-        assert min(col) >= 0 and sum(col) == 1
-        assert all(sum(v * q for v, q in zip(line, col)) <= bound for line in matrix)
-        seen["stopped early" if bound > full[0] else "stopped at the value"] += 1
-    assert min(seen.values()) > 20, seen
+        certified += 1
+        row_order, col_order = rng.sample(range(rows), rows), rng.sample(range(cols), cols)
+        permuted = [[matrix[i][j] for j in col_order] for i in row_order]
+        assert zero_sum_value(permuted) == (
+            value,
+            tuple(row[i] for i in row_order),
+            tuple(col[j] for j in col_order),
+        ), matrix
+    assert certified > 50, certified
 
 
-# Int matrices over a scale whose decision-mode bound differs from the
-# Fraction matrix's when the common factor of entries and scale is left in
-# the LP data: normalized pricing then takes other pivots before the stop.
+# Int matrices over a scale whose entries and scale share a common factor.
+# ``zero_sum_value`` leaves it in the LP data, with no gcd to divide it out;
+# with the float guess off, normalized pricing then takes other pivots than
+# on the data of the matching Fraction matrix, to the same unique optimum.
 COMMON_FACTOR_CASES = [
     (100, 1, [[9, -11, -2, 0, -5, 2], [-10, -7, 8, 6, 3, -8], [1, 0, 2, -3, -7, -12], [-8, 10, -1, -2, -6, -5]]),
     (3, 3, [[-4, 2, -5, 6, -7, -1], [-2, 2, -8, 0, 6, -2], [-1, -9, 7, -8, -1, 4], [-8, 9, 7, 9, 9, -5],
@@ -975,32 +964,44 @@ COMMON_FACTOR_CASES = [
 ]
 
 
-def test_an_int_matrix_over_a_scale_has_the_value_of_its_fraction_matrix():
+def test_an_int_matrix_over_a_scale_has_the_value_of_its_fraction_matrix(monkeypatch):
     """``zero_sum_value(ints, scale=s)`` returns what the matching Fraction
-    matrix gives, in both modes, a common factor of the entries and the
-    scale included; so does a Fraction matrix over a scale."""
-    for factor, scale, ints in COMMON_FACTOR_CASES:
-        fractions = [[F(v, scale) for v in row] for row in ints]
-        scaled = [[factor * v for v in row] for row in ints]
-        for decision in (False, True):
-            expected = zero_sum_value(fractions, decision=decision)
-            assert zero_sum_value(scaled, scale=factor * scale, decision=decision) == expected
-    rng = random.Random(1956)
-    stopped = 0
-    for k in range(300):
-        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
-        low, high = ((0, 1), (-9, 9), (-12, 12))[k % 3]
-        factor = rng.choice((1, 1, 2, 6))
-        ints = tuple(tuple(factor * rng.randint(low, high) for _ in range(cols)) for _ in range(rows))
-        scale = rng.choice((1, 2, 3, 4, 6, 12, 24))
-        fractions = [[F(v, scale) for v in row] for row in ints]
-        for decision in (False, True):
-            expected = zero_sum_value(fractions, decision=decision)
-            assert zero_sum_value(ints, scale=scale, decision=decision) == expected, (ints, scale)
-            stopped += expected[1] is None
-        halves = [[v / 2 for v in row] for row in fractions]
-        assert zero_sum_value(fractions, scale=2) == zero_sum_value(halves)
-    assert stopped > 50, stopped
+    matrix gives, with the float guess on and off, a common factor of the
+    entries and the scale included; so does a Fraction matrix over a
+    scale."""
+    entering = []
+    exchange = lp.exchange
+
+    def recorded(rows, r, c, det):
+        entering.append(c)
+        return exchange(rows, r, c, det)
+
+    monkeypatch.setattr(lp, "exchange", recorded)
+    guess = lp._float_support
+    for guessed in (True, False):
+        monkeypatch.setattr(lp, "_float_support", guess if guessed else lambda tableau: None)
+        for factor, scale, ints in COMMON_FACTOR_CASES:
+            entering.clear()
+            expected = zero_sum_value([[F(v, scale) for v in row] for row in ints])
+            pivots = entering[:]
+            entering.clear()
+            assert zero_sum_value([[factor * v for v in row] for row in ints], scale=factor * scale) == expected
+            assert (entering != pivots) == (not guessed), (factor, scale, entering, pivots)
+        rng = random.Random(1956)
+        common = 0
+        for k in range(300):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            low, high = ((0, 1), (-9, 9), (-12, 12))[k % 3]
+            factor = rng.choice((1, 1, 2, 6))
+            ints = tuple(tuple(factor * rng.randint(low, high) for _ in range(cols)) for _ in range(rows))
+            scale = rng.choice((1, 2, 3, 4, 6, 12, 24))
+            fractions = [[F(v, scale) for v in row] for row in ints]
+            expected = zero_sum_value(fractions)
+            assert zero_sum_value(ints, scale=scale) == expected, (ints, scale)
+            common += math.gcd(scale, *(v for row in ints for v in row)) > 1
+            halves = [[v / 2 for v in row] for row in fractions]
+            assert zero_sum_value(fractions, scale=2) == zero_sum_value(halves)
+        assert common > 100, common
 
 
 @pytest.mark.parametrize("scale", [0, -1, True, 2.0, F(2), F(1, 2), "2", None])
@@ -1067,12 +1068,39 @@ def reference_find_dominator(g, i, action, alive, mode):
     return None
 
 
+def _random_binary_game(rng):
+    """A seeded game of 2-3 players with 3-5 actions each and {0,1} payoffs,
+    so many zero-sum LPs of its dominance checks are degenerate. A mixed
+    dominator needs three actions, and is rarer with more opponent
+    profiles."""
+    n = rng.randint(2, 3)
+    shape = [rng.randint(3, 5) for _ in range(n)]
+
+    def table(depth):
+        if depth == n:
+            return [rng.randint(0, 1) for _ in range(n)]
+        return [table(depth + 1) for _ in range(shape[depth])]
+
+    return make_game([f"P{i + 1}" for i in range(n)], [[f"s{k + 1}" for k in range(size)] for size in shape], table(0))
+
+
+def _huge_payoff_game():
+    """A seeded 4x4 game of payoffs k * 2**1100 + j: every zero-sum LP of its
+    mixed dominance checks overflows the float guess, so the normalized-cost
+    run answers it."""
+    rng = random.Random(1100)
+    big = 2**1100
+    rows = [[rng.randint(-9, 9) * big + rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
+    table = [[(rows[r][c], rng.randint(-9, 9) * big) for c in range(4)] for r in range(4)]
+    return make_game(["R", "C"], [[f"r{k}" for k in range(4)], [f"c{k}" for k in range(4)]], table)
+
+
 def _random_survivor_sets():
-    """300 seeded games, integer payoffs then k/d with d <= 12, each with
-    a random nonempty set of surviving actions per player."""
+    """400 seeded games, integer payoffs, then k/d with d <= 12, then {0,1},
+    each with a random nonempty set of surviving actions per player."""
     rng = random.Random(1996)
-    for k in range(300):
-        g = random_game(rng) if k < 150 else random_rational_game(rng)
+    for k in range(400):
+        g = random_game(rng) if k < 150 else random_rational_game(rng) if k < 300 else _random_binary_game(rng)
         yield g, [frozenset(a for a in range(n) if rng.random() < 0.8) or frozenset({0}) for n in g.shape]
 
 
@@ -1093,12 +1121,17 @@ def reference_is_best_response(g, i, action, alive):
     return False
 
 
-def test_find_dominator_matches_reference_on_random_survivor_sets():
+def test_find_dominator_matches_reference_on_random_survivor_sets(monkeypatch):
     """Integer payoffs, then payoffs k/d with d <= 12, where the integer
-    view's common scale is rarely 1: the dominators, mixed ones with their
-    weights, equal those of the Fraction reference."""
-    found = {"pure": 0, "mixed": 0}
-    for g, alive in _random_survivor_sets():
+    view's common scale is rarely 1, then {0,1} payoffs, and last payoffs
+    of 2**1100 scale, whose LPs the float guess gives up on: the
+    dominators, mixed ones with their weights, equal those of the Fraction
+    reference."""
+    rules = _recorded_pivot_loops(monkeypatch)
+    huge = _huge_payoff_game()
+    found = {"pure": 0, "mixed": 0, "mixed {0,1}": 0}
+    for g, alive in itertools.chain(_random_survivor_sets(), [(huge, [frozenset(range(n)) for n in huge.shape])]):
+        binary = {v for u in g.payoffs for v in u} <= {0, 1}
         for i in range(g.num_players):
             for action in sorted(alive[i]):
                 for mode in DominanceMode:
@@ -1106,7 +1139,12 @@ def test_find_dominator_matches_reference_on_random_survivor_sets():
                     assert got == reference_find_dominator(g, i, action, alive, mode)
                     if got is not None:
                         found[got[0]] += 1
-    assert found["pure"] > 300 and found["mixed"] > 30
+                        found["mixed {0,1}"] += binary and got[0] == "mixed"
+    assert found["pure"] > 300 and found["mixed"] > 30 and found["mixed {0,1}"] > 5, found
+    # The last game's mixed dominator comes from the normalized-cost run.
+    rules.clear()
+    dominator = _find_dominator(huge, 1, 2, [frozenset(range(4))] * 2, DominanceMode.ALLOW_MIXED)
+    assert dominator == ("mixed", ((0, F(17, 23)), (1, F(6, 23)))) and rules == [lp._normalized_cost], rules
 
 
 def test_best_response_filter_skips_checks_and_no_dominated_action(monkeypatch):
@@ -1240,6 +1278,54 @@ def test_rationalizable_periodic_of_a_graph_matches_the_game_level_reference(pol
     assert any(any(o) for o in sets) and any(not all(o) for o in sets)
     raised = len(outcomes) - len(sets)
     assert raised == 0 if policy is TiePolicy.LEX else 30 < raised < 90, raised
+
+
+def test_mixed_iesds_matches_the_fraction_reference():
+    """Survivors and traces of IESDS with mixed dominators, on {0,1},
+    integer and k/d games of 2-4 players, on {0,1} games with up to 5
+    actions and on payoffs of 2**1100 scale, equal those of the
+    every-player loop on the Fraction dominance check."""
+    rng = random.Random(1960)
+    games = list(_rationalizability_test_games(rng, 120))
+    games += [_random_binary_game(rng) for _ in range(60)] + [_huge_payoff_game()]
+    mixed = []
+    for g in games:
+        want = reference_iesds(g, DominanceMode.ALLOW_MIXED, reference_find_dominator)
+        assert iesds(g, DominanceMode.ALLOW_MIXED) == want, g
+        mixed.append(sum(e.dominator[0] == "mixed" for e in want.trace))
+    assert sum(mixed[:120]) > 5 and sum(mixed[120:-1]) > 5 and mixed[-1] > 0, mixed
+
+
+def _bench_shaped_game(rng, size):
+    """A 2-player size x size game of payoffs k/d in [-9, 9] with d <= 12,
+    as the benchmark's ``analyze`` inputs are drawn."""
+
+    def payoff():
+        d = rng.randint(1, 12)
+        return F(rng.randint(-9 * d, 9 * d), d)
+
+    labels = [f"s{k}" for k in range(size)]
+    return make_game(["R", "C"], [labels, labels], [[(payoff(), payoff()) for _ in range(size)] for _ in range(size)])
+
+
+def test_mixed_iesds_on_bench_shaped_games_runs_no_normalized_cost_loop(monkeypatch):
+    """Steps, not time: on seeded 8x8 and 10x10 games with k/d payoffs, every
+    dominance LP is answered from the float guess, or by Bland's rule at
+    once when the guessed optimum may not be unique. That is what keeps
+    solving each of them to its optimum cheap."""
+    rules = _recorded_pivot_loops(monkeypatch)
+    lps = []
+    solve = rationalizability.zero_sum_value
+
+    def counted(matrix):
+        lps.append(matrix)
+        return solve(matrix)
+
+    monkeypatch.setattr(rationalizability, "zero_sum_value", counted)
+    rng = random.Random(2036)
+    for size in (8,) * 12 + (10,) * 4:
+        iesds(_bench_shaped_game(rng, size), DominanceMode.ALLOW_MIXED)
+    assert lp._normalized_cost not in rules and len(lps) > 100, (rules, len(lps))
 
 
 def _action_labels(g, sets):
