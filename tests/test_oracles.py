@@ -935,7 +935,7 @@ def test_permuting_actions_permutes_a_unique_zero_sum_optimum(monkeypatch):
     rng = random.Random(2034)
     entry = _entry_maker(rng, "rational")
     certified = 0
-    for k in range(60):
+    for _ in range(60):
         rows, cols = rng.randint(2, 20), rng.randint(2, 20)
         matrix = [[entry() for _ in range(cols)] for _ in range(rows)]
         rules.clear()
