@@ -19,29 +19,21 @@ The result is the one Bland's rule gives: of the variables with a negative
 reduced cost, the smallest enters, and the ratio test, done by
 cross-multiplication, breaks ties by the smallest basis variable. Positive
 scaling of the data changes no pivot, so the results equal those of the
-textbook Fraction tableau. Bland's rule is slow, though, so ``simplex_max``
-first enters the column of the most negative reduced cost per unit of l1
-length, normalized pricing in the style of steepest edge (Goldfarb and Reid
-1977), with the same ratio test; on 20x20 game LPs with k/d payoffs it
-takes about 40% fewer pivots than the most negative reduced cost (Dantzig's
-rule). After the first degenerate pivot, one that leaves the objective
-unchanged, that run goes on by Bland's rule, which cannot cycle. At its
-optimum an integer test decides whether the optimum is unique: every
-nonbasic reduced cost > 0 makes ``x`` the only primal optimum, and every
-basic value > 0 makes ``y`` the only dual one. Bland's rule ends at an
-optimum too, so then both rules return the same ``(value, x, y)``.
-Otherwise ``simplex_max`` reruns Bland's rule from the all-slack basis.
-Both runs are the one pivot loop ``_pivot_loop``, with the rule as a
-parameter.
+textbook Fraction tableau. Bland's rule cannot cycle, and it is the one
+rule of the pivot loop ``_pivot_loop``.
 
-Before any of that, ``simplex_max`` guesses the optimal basis with a small
+Before pivoting, ``simplex_max`` guesses the optimal basis with a small
 float simplex (``_float_support``) and checks it in integers
-(``_certified_optimum``, with ``linalg.solve_square``). A basis that passes
-the uniqueness test is the only optimal one, so its triple is Bland's and
-no pivot is taken; an optimal basis that fails it sends the LP straight to
-Bland's rule; anything else runs the pivot path above. Floats only pick
-which system to solve: every returned value is computed and checked in
-integers.
+(``_certified_optimum``, with ``linalg.solve_square``). The guess is
+scale-free: each row is divided by its right-hand side and each column by a
+power of two, the objective by one more, all chosen from bit lengths and
+divided in integers before any float is formed, so no float entry reaches
+2 in size whatever the size of the data. A basis whose every basic value
+and reduced cost is > 0 in integers is the LP's only optimal basis, which
+every simplex run ends at, Bland's rule among them, so its triple is
+returned with no pivot. Every other LP runs Bland's rule once from the
+all-slack basis. Floats only pick which system to solve: every returned
+value is computed and checked in integers.
 
 ``zero_sum_value`` solves every LP to its optimum, reads integers once off
 the triple, checks its certificates on them and forms ``Fraction``s only
@@ -52,7 +44,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import BadParameter, CertificateError
 from .linalg import exchange, integer_column, solve_square
@@ -77,40 +69,17 @@ def _check_entries(values: list, what: str) -> None:
         raise BadParameter(f"{what} entries must be Fractions or ints")
 
 
-def _bland(tableau: list[list[int]], nonbasic: list[int]) -> Optional[int]:
-    """The column of the smallest variable with a negative reduced cost."""
-    objective = tableau[-1]
-    return min((j for j in range(len(nonbasic)) if objective[j] < 0), key=nonbasic.__getitem__, default=None)
-
-
-def _normalized_cost(tableau: list[list[int]], nonbasic: list[int]) -> Optional[int]:
-    """The column of the most negative reduced cost per unit of l1 length,
-    objective row included, ties to the smallest variable."""
-    objective = tableau[-1]
-    best = None
-    for j in sorted((j for j in range(len(nonbasic)) if objective[j] < 0), key=nonbasic.__getitem__):
-        length = sum(abs(row[j]) for row in tableau)
-        # Lengths are positive, so the ratios compare by cross-multiplication.
-        if best is None or objective[j] * best_length < objective[best] * length:
-            best, best_length = j, length
-    return best
-
-
-def _pivot_loop(
-    tableau: list[list[int]], rule: Callable[[list[list[int]], list[int]], Optional[int]]
-) -> tuple[list[int], list[int], int]:
-    """Pivot ``tableau`` in place from the all-slack basis to an optimum.
-
-    ``rule`` picks the entering column; it is Bland's rule from the first
-    degenerate pivot on. Returns (basis, nonbasic, det).
-    """
+def _pivot_loop(tableau: list[list[int]]) -> tuple[list[int], list[int], int]:
+    """Pivot ``tableau`` in place by Bland's rule from the all-slack basis to
+    an optimum. Returns (basis, nonbasic, det)."""
     m = len(tableau) - 1
     n = len(tableau[-1]) - 1
     nonbasic = list(range(n))
     basis = list(range(n, n + m))
     det = 1
     while True:
-        entering = rule(tableau, nonbasic)
+        objective = tableau[-1]
+        entering = min((j for j in range(n) if objective[j] < 0), key=nonbasic.__getitem__, default=None)
         if entering is None:
             return basis, nonbasic, det
         # Ratio test rhs_i / coef_i by cross-multiplication (coefficients are
@@ -129,9 +98,6 @@ def _pivot_loop(
                 leaving = i
         if leaving is None:
             raise SimplexInternalError("objective unbounded")
-        if tableau[leaving][-1] == 0:
-            # A zero ratio leaves the objective unchanged: a degenerate pivot.
-            rule = _bland
         det = exchange(tableau, leaving, entering, det)
         nonbasic[entering], basis[leaving] = basis[leaving], nonbasic[entering]
 
@@ -140,22 +106,39 @@ def _float_support(tableau: list[list[int]]) -> Optional[tuple[list[int], list[i
     """A floating-point guess at the optimal basis of the integer dictionary
     ``tableau``: (the rows whose slack is nonbasic, the structural columns
     that are basic), at a nondegenerate optimum the rows of positive dual
-    and the columns of positive value. None when the guess gives up: a zero
-    right-hand side or a zero objective, an entry too large for a float, an
-    unbounded column or more than ``_FLOAT_PIVOTS`` pivots.
+    and the columns of positive value. None when the guess gives up: no row
+    or a zero right-hand side, an unbounded column or more than
+    ``_FLOAT_PIVOTS`` pivots.
 
-    It pivots a float copy in which each row is divided by its right-hand
-    side and the objective by its largest entry, so values and reduced
-    costs compare with one tolerance whatever the scale of the data, and
-    prices columns by normalized cost, as ``_normalized_cost`` does.
+    It pivots a float copy of the data scaled in integers. Row i is divided
+    by its right-hand side b_i and column j by 2**e_j, with e_j the largest
+    bit_length(a_ij) - bit_length(b_i) over the rows, so that |a_ij| <
+    b_i 2**(e_j + 1). Cost c_j is divided by 2**(e_j + e), with e the
+    largest bit_length(c_j) - e_j, so that |c_j| < 2**(e_j + e). Each entry
+    is then one int over another, which Python rounds correctly, and below
+    2 in size: no entry overflows, and values and reduced costs compare
+    with one tolerance whatever the scale of the data. An entry far smaller
+    than its column's largest may round to 0; the integer check then
+    rejects a wrong guess. Columns are priced by the most negative reduced
+    cost per unit of l1 length, objective row included (normalized pricing
+    in the style of steepest edge, Goldfarb and Reid 1977).
     """
-    m = len(tableau) - 1
-    n = len(tableau[-1]) - 1
-    try:
-        top = max(map(abs, tableau[-1]))
-        rows = [[v / row[-1] for v in row] for row in tableau[:m]] + [[v / top for v in tableau[-1]]]
-    except (ZeroDivisionError, OverflowError):
+    a, costs = tableau[:-1], tableau[-1]
+    m, n = len(a), len(costs) - 1
+    if not a or not all(row[-1] for row in a):
         return None
+    columns = list(zip(*a))
+    rhs = columns.pop()
+    rhs_bits = list(map(int.bit_length, rhs))
+    shifts = [max(map(operator.sub, map(int.bit_length, column), rhs_bits)) for column in columns]
+    e = max(map(operator.sub, map(int.bit_length, costs), shifts), default=0)  # so each e_j + e >= 0
+    # A column of entries all shorter than their b_i has e_j < 0; then every
+    # numerator is shifted up by k, so that each denominator is an int.
+    k = max(0, -min(shifts, default=0))
+    numerators = [[v << k for v in row] for row in a] if k else a
+    denominators = {b: [b << (e_j + k) for e_j in shifts] for b in set(rhs)}
+    rows = [list(map(operator.truediv, row, denominators[b])) + [1.0] for row, b in zip(numerators, rhs)]
+    rows.append(list(map(operator.truediv, costs, [1 << (e_j + e) for e_j in shifts])) + [0.0])
     nonbasic = list(range(n))
     basis = list(range(n, n + m))
     for _ in range(_FLOAT_PIVOTS):
@@ -183,27 +166,26 @@ def _float_support(tableau: list[list[int]]) -> Optional[tuple[list[int], list[i
 
 def _certified_optimum(
     tableau: list[list[int]], support: Optional[tuple[list[int], list[int]]], scale_ab: int, scale_c: int
-) -> tuple[bool, Optional[tuple[Fraction, Vector, Vector]]]:
-    """Whether ``support`` (rows, columns), if any, proves in integers an
-    optimal basis, and the triple of Bland's rule when it proves the only one.
+) -> Optional[tuple[Fraction, Vector, Vector]]:
+    """The triple of Bland's rule when ``support`` (rows, columns), if any,
+    proves in integers the LP's only optimal basis; else None.
 
     ``x`` solves the support's rows with equality on its columns, ``y``
     solves the transposed system with the costs. The basis of the columns
-    and of the slacks of the other rows is optimal when that square system
-    is nonsingular and every basic value and reduced cost is >= 0: x and y
-    on the support, the slack of every other row and the reduced cost of
-    every other column. When all are > 0 it is the LP's only optimal basis,
-    which every simplex run, Bland's rule among them, ends at; when one is
-    0, no optimal basis passes the uniqueness test of ``simplex_max``.
+    and of the slacks of the other rows is the only optimal one when that
+    square system is nonsingular and every basic value and reduced cost is
+    > 0: x and y on the support, the slack of every other row and the
+    reduced cost of every other column. Every simplex run, Bland's rule
+    among them, ends at that basis.
     """
     rows, cols = support or ([], [])
     if not cols or len(rows) != len(cols):
-        return False, None
+        return None
     a = tableau[:-1]
     costs = [-v for v in tableau[-1][:-1]]
     primal = solve_square([[a[i][j] for j in cols] for i in rows], [a[i][-1] for i in rows])
     if primal is None:
-        return False, None
+        return None
     # The transposed matrix is nonsingular too.
     dual = solve_square([[a[i][j] for i in rows] for j in cols], [costs[j] for j in cols])
     (xs, x_den), (ys, y_den) = primal, dual
@@ -215,9 +197,8 @@ def _certified_optimum(
         sum(a[i][j] * v for i, v in zip(rows, ys)) - costs[j] * y_den
         for j in set(range(len(costs))).difference(cols)
     ]
-    least = min(xs + ys + slacks + reduced)
-    if least <= 0:
-        return least == 0, None
+    if min(xs + ys + slacks + reduced) <= 0:
+        return None
     x = [Fraction(0)] * len(costs)
     for j, v in zip(cols, xs):
         x[j] = Fraction(v, x_den)
@@ -225,7 +206,7 @@ def _certified_optimum(
     for i, v in zip(rows, ys):
         y[i] = Fraction(v * scale_ab, y_den * scale_c)
     value = Fraction(sum(costs[j] * v for j, v in zip(cols, xs)), x_den * scale_c)
-    return True, (value, tuple(x), tuple(y))
+    return value, tuple(x), tuple(y)
 
 
 def simplex_max(
@@ -253,23 +234,13 @@ def simplex_max(
     costs, scale_c = integer_column(c)
     # One column per nonbasic variable, then the rhs; the last row is the
     # objective.
-    initial = [ints[i * n : (i + 1) * n] + [ints[m * n + i]] for i in range(m)]
-    initial.append([-v for v in costs] + [0])
+    tableau = [ints[i * n : (i + 1) * n] + [ints[m * n + i]] for i in range(m)]
+    tableau.append([-v for v in costs] + [0])
 
-    optimal, certified = _certified_optimum(initial, _float_support(initial), scale_ab, scale_c)
+    certified = _certified_optimum(tableau, _float_support(tableau), scale_ab, scale_c)
     if certified:
         return certified
-    # An optimum that may not be the only one goes straight to Bland's rule.
-    rule = _bland if optimal else _normalized_cost
-
-    tableau = [row[:] for row in initial]
-    basis, nonbasic, det = _pivot_loop(tableau, rule)
-    # Positive reduced costs make x the only optimum, positive basic values y.
-    if rule is _normalized_cost and not (
-        all(v > 0 for v in tableau[-1][:n]) and all(row[-1] > 0 for row in tableau[:m])
-    ):
-        tableau = initial
-        basis, nonbasic, det = _pivot_loop(tableau, _bland)
+    basis, nonbasic, det = _pivot_loop(tableau)
 
     # The scaled LP has the same x; its duals are scale_c / scale_ab times
     # the original ones and its value is scale_c times the original one. The

@@ -138,6 +138,40 @@ def test_simplex_max_reports_unbounded_objective_as_certificate_error():
         simplex_max([[F(-1)]], [F(1)], [F(1)])
 
 
+ZERO = F(0)
+
+
+@pytest.mark.parametrize(
+    "a, b, c, expected",
+    [
+        ([], [], [1], "unbounded"),
+        ([], [], [F(1, 2), -1], "unbounded"),
+        ([], [], [-1], (ZERO, (ZERO,), ())),
+        ([], [], [0, -2], (ZERO, (ZERO, ZERO), ())),
+        ([], [], [], (ZERO, (), ())),
+        ([[]], [1], [], (ZERO, (), (ZERO,))),
+        ([[], []], [0, 3], [], (ZERO, (), (ZERO, ZERO))),
+        ([[1, 1]], [1], [0, 0], (ZERO, (ZERO, ZERO), (ZERO,))),
+        ([[0, 0]], [1], [0, 0], (ZERO, (ZERO, ZERO), (ZERO,))),
+        ([[1, 2], [3, 4]], [0, 5], [0, 0], (ZERO, (ZERO, ZERO), (ZERO, ZERO))),
+        ([[1, 1]], [0], [1, 1], (ZERO, (ZERO, ZERO), (F(1),))),
+        ([[0]], [0], [1], "unbounded"),
+        ([[1, 0]], [1], [0, 1], "unbounded"),
+    ],
+)
+def test_simplex_max_on_lps_with_no_rows_zero_costs_or_a_zero_rhs(monkeypatch, a, b, c, expected):
+    # With the float guess on and off: no row, no column, zero costs and a
+    # zero right-hand side each give the zero triple or an unbounded column.
+    for guessed in (True, False):
+        if not guessed:
+            monkeypatch.setattr(lp, "_float_support", lambda tableau: None)
+        if expected == "unbounded":
+            with pytest.raises(SimplexInternalError, match="objective unbounded"):
+                simplex_max(a, b, c)
+        else:
+            assert simplex_max(a, b, c) == expected
+
+
 @pytest.mark.parametrize(
     "matrix",
     [[], [[]], [[F(1), F(2)], [F(3)]], [[F(1), 0.5]], [[F(1)], [True]], [[False, 2]], [["1", 2]], [[Index(1), True]]],

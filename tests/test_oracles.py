@@ -670,96 +670,42 @@ def test_simplex_matches_reference_on_bench_sized_game_lps():
         assert simplex_max(shifted, ones_b, ones_c) == reference_simplex(shifted, ones_b, ones_c), matrix
 
 
-def test_simplex_reruns_blands_rule_exactly_when_the_optimum_may_not_be_unique(monkeypatch):
-    # The normalized-cost optimum of a 20x20 LP with k/d payoffs is unique;
-    # the degenerate {0,1} LPs fail the test and rerun Bland's rule, whose
-    # result is the reference's. (The test above pins the results of LPs
-    # with k/d payoffs; their Fraction reference is slow at 20x20.) The
-    # float support guess is off, so every LP takes the exact pivot path.
+def test_simplex_runs_blands_rule_once_with_the_guess_off(monkeypatch):
+    # 20x20 game LPs with k/d payoffs, whose optimum is unique, and with
+    # {0,1} payoffs, whose LPs are degenerate. With the float support guess
+    # off, every LP runs the pivot loop once, from the all-slack basis, and
+    # ends on the reference's result.
     monkeypatch.setattr(lp, "_float_support", lambda tableau: None)
-    rules = []
-    loop = lp._pivot_loop
-
-    def counted(tableau, rule):
-        rules.append(rule)
-        return loop(tableau, rule)
-
-    monkeypatch.setattr(lp, "_pivot_loop", counted)
+    runs = _recorded_pivot_loops(monkeypatch)
     rng = random.Random(2020)
-    for kind, expected in (("rational", [lp._normalized_cost]), ("binary", [lp._normalized_cost, lp._bland])):
+    for kind in ("rational", "binary"):
         entry = _entry_maker(rng, kind)
         for _ in range(3):
             matrix = [[entry() for _ in range(20)] for _ in range(20)]
             shift = 1 - min(min(row) for row in matrix)
             shifted = [[v + shift for v in row] for row in matrix]
             ones = [F(1)] * 20
-            rules.clear()
-            result = simplex_max(shifted, ones, ones)
-            assert rules == expected, (kind, matrix)
-            if kind == "binary":
-                assert result == reference_simplex(shifted, ones, ones), matrix
-
-
-def reference_largest_coefficient(tableau, nonbasic):
-    """Dantzig's rule: the column of the most negative reduced cost, ties to
-    the smallest variable."""
-    objective = tableau[-1]
-    n = len(nonbasic)
-    best = min(objective[:n], default=0)
-    if best >= 0:
-        return None
-    return min((j for j in range(n) if objective[j] == best), key=nonbasic.__getitem__)
-
-
-def test_normalized_cost_takes_fewer_pivots_than_dantzigs_rule(monkeypatch):
-    # Steps, not wall time: linalg.exchange calls over the 20x20 game LPs
-    # with k/d payoffs, first-run rule and any rerun of Bland's rule both,
-    # with the float support guess off so that the pivot loop runs.
-    monkeypatch.setattr(lp, "_float_support", lambda tableau: None)
-    pivots = [0]
-    exchange = lp.exchange
-
-    def counted(*args):
-        pivots[0] += 1
-        return exchange(*args)
-
-    monkeypatch.setattr(lp, "exchange", counted)
-    rng = random.Random(2023)
-    entry = _entry_maker(rng, "rational")
-    lps = []
-    for _ in range(12):
-        matrix = [[entry() for _ in range(20)] for _ in range(20)]
-        shift = 1 - min(min(row) for row in matrix)
-        lps.append([[v + shift for v in row] for row in matrix])
-    ones = [F(1)] * 20
-    results, totals = {}, {}
-    for name, rule in (("normalized", lp._normalized_cost), ("largest", reference_largest_coefficient)):
-        monkeypatch.setattr(lp, "_normalized_cost", rule)
-        pivots[0] = 0
-        results[name] = [simplex_max(a, ones, ones) for a in lps]
-        totals[name] = pivots[0]
-    assert results["normalized"] == results["largest"]
-    assert totals["normalized"] < totals["largest"], totals
+            runs.clear()
+            assert simplex_max(shifted, ones, ones) == reference_simplex(shifted, ones, ones), matrix
+            assert runs == [(20, 20)], (kind, matrix)
 
 
 def test_simplex_ends_on_beales_cycling_lp(monkeypatch):
-    # Beale (1955): Dantzig's rule alone, with the same ratio test, cycles
-    # through six bases without moving off the origin. The normalized rule
-    # alone would end in 3 pivots, but its first pivot is degenerate too, so
-    # Bland's rule, which cannot cycle, picks every later entering column.
+    # Beale (1955): Dantzig's rule, with the same ratio test, cycles through
+    # six bases without moving off the origin. Bland's rule picks every
+    # entering column from the first pivot on, degenerate pivots included,
+    # and ends at the optimum.
+    n = 4
+    nonbasic = list(range(n))
+    basis = list(range(n, n + 3))
     events = []
-    for name in ("_bland", "_normalized_cost"):
-        rule = getattr(lp, name)
-
-        def recorded(tableau, nonbasic, name=name, rule=rule):
-            events.append(name)
-            return rule(tableau, nonbasic)
-
-        monkeypatch.setattr(lp, name, recorded)
     exchange = lp.exchange
 
     def pivot(rows, r, c, det):
+        objective = rows[-1]
+        assert c == min((j for j in range(n) if objective[j] < 0), key=nonbasic.__getitem__)
         events.append("degenerate" if rows[r][-1] == 0 else "pivot")
+        nonbasic[c], basis[r] = basis[r], nonbasic[c]
         return exchange(rows, r, c, det)
 
     monkeypatch.setattr(lp, "exchange", pivot)
@@ -769,9 +715,7 @@ def test_simplex_ends_on_beales_cycling_lp(monkeypatch):
     result = simplex_max(a, b, c)
     assert result == reference_simplex(a, b, c)
     assert result[:2] == (F(5, 4), (F(1), F(0), F(1), F(0)))
-    first = events.index("degenerate")
-    assert set(events[:first]) == {"_normalized_cost"}
-    assert set(events[first + 1 :]) == {"_bland", "degenerate", "pivot"}
+    assert events[0] == "degenerate" and "pivot" in events, events
 
 
 def _unguessed_outcome(monkeypatch, a, b, c):
@@ -788,16 +732,17 @@ def _assert_fraction_triple(outcome):
 
 
 def _recorded_pivot_loops(monkeypatch):
-    """The rule of each run of ``lp._pivot_loop`` from here on."""
-    rules = []
+    """One entry per run of ``lp._pivot_loop`` from here on: the (rows,
+    columns) of the LP it pivots."""
+    runs = []
     loop = lp._pivot_loop
 
-    def recorded(tableau, rule):
-        rules.append(rule)
-        return loop(tableau, rule)
+    def recorded(tableau):
+        runs.append((len(tableau) - 1, len(tableau[-1]) - 1))
+        return loop(tableau)
 
     monkeypatch.setattr(lp, "_pivot_loop", recorded)
-    return rules
+    return runs
 
 
 def test_the_support_guess_changes_no_triple(monkeypatch):
@@ -805,7 +750,7 @@ def test_the_support_guess_changes_no_triple(monkeypatch):
     # general ones (some unbounded), some with a zero in b, which the guess
     # gives up on. Both kinds of LP end both ways: certified from the guess,
     # with no pivot, and by the pivot loop.
-    rules = _recorded_pivot_loops(monkeypatch)
+    runs = _recorded_pivot_loops(monkeypatch)
     rng = random.Random(2030)
     seen = {"certified": 0, "pivoted": 0, "zero in b": 0, "unbounded": 0}
     for k in range(600):
@@ -820,9 +765,9 @@ def test_the_support_guess_changes_no_triple(monkeypatch):
             b = [abs(entry()) for _ in range(rows)]
             c = [entry() for _ in range(cols)]
         seen["zero in b"] += 0 in b
-        rules.clear()
+        runs.clear()
         guessed = _kernel_outcome(a, b, c)
-        seen["pivoted" if rules else "certified"] += 1
+        seen["pivoted" if runs else "certified"] += 1
         assert guessed == _unguessed_outcome(monkeypatch, a, b, c), (a, b, c)
         _assert_fraction_triple(guessed)
         seen["unbounded"] += guessed == "unbounded"
@@ -861,7 +806,7 @@ def test_a_perturbed_support_guess_changes_no_result(monkeypatch):
             assert simplex_max(a, b, c) == expected, (matrix, wrong)
 
 
-def test_entries_too_large_for_a_float_take_the_exact_path(monkeypatch):
+def test_entries_too_large_for_a_float_take_the_scaled_guess(monkeypatch):
     big = 2**1100
     guesses = []
     guess = lp._float_support
@@ -871,76 +816,149 @@ def test_entries_too_large_for_a_float_take_the_exact_path(monkeypatch):
         return guesses[-1]
 
     monkeypatch.setattr(lp, "_float_support", recorded)
-    # A row entry over its right-hand side overflows a float, so the first
-    # two LPs take the pivot path; the guess divides the costs by the
-    # largest, and so it runs on the third and fourth.
+    runs = _recorded_pivot_loops(monkeypatch)
+    # Every entry over its right-hand side would overflow a float, and every
+    # LP gets a guess from the scaled data. In the first, x0's column scaled
+    # to its largest entry leaves its other entry and its cost below the
+    # least float, so the guess misses the optimal basis, which needs x0;
+    # the second's optimum is not unique. Each runs Bland's rule once. The
+    # others, and the zero-sum game, are certified with no pivot; in the
+    # last LP every entry is too small for a float over its right-hand side,
+    # and the scaling shifts each numerator up.
     cases = [
-        ([[F(big), F(1)], [F(1), F(2)]], [F(1), F(1)], [F(1), F(1)], [None]),
-        ([[F(1), F(1)], [F(1), F(2)]], [F(1, big), F(1)], [F(1), F(1)], [None]),
-        ([[F(1), F(2)], [F(3), F(1)]], [F(1), F(1)], [F(big), F(1)], [([1], [0])]),
-        ([[F(1), F(2)], [F(3), F(1)]], [F(1), F(1)], [F(big), F(big - 1)], [([0, 1], [0, 1])]),
+        ([[F(big), F(1)], [F(1), F(2)]], [F(1), F(1)], [F(1), F(1)], [([1], [1])], 1),
+        ([[F(1), F(1)], [F(1), F(2)]], [F(1, big), F(1)], [F(1), F(1)], [([0], [0])], 1),
+        ([[F(1), F(2)], [F(3), F(1)]], [F(1), F(1)], [F(big), F(1)], [([1], [0])], 0),
+        ([[F(1), F(2)], [F(3), F(1)]], [F(1), F(1)], [F(big), F(big - 1)], [([0, 1], [0, 1])], 0),
+        ([[F(1), F(2)], [F(3), F(1)]], [F(big), F(big)], [F(1), F(1)], [([0, 1], [0, 1])], 0),
     ]
-    for a, b, c, expected in cases:
+    for a, b, c, expected, pivoted in cases:
         guesses.clear()
+        runs.clear()
         guessed = _kernel_outcome(a, b, c)
-        assert guesses == expected
+        assert guesses == expected and len(runs) == pivoted, (guesses, runs)
         assert guessed == _unguessed_outcome(monkeypatch, a, b, c) == reference_simplex(a, b, c)
         _assert_fraction_triple(guessed)
     matrix = [[F(big), F(-1)], [F(-big), F(2)], [F(3), F(big, 7)]]
     guesses.clear()
+    runs.clear()
     assert zero_sum_value(matrix) == reference_zero_sum_value(matrix)
-    assert guesses == [None]
+    assert guesses == [([0, 2], [0, 1])] and runs == []
+
+
+def _huge_matrix(rng, kind, rows, cols):
+    """Random integers of 300 or 400 digits, k * 2**1100 + j with k and j in
+    [-9, 9], or {0,1} times 2**1100, whose LPs are degenerate."""
+    if kind == "binary":
+        return [[rng.randint(0, 1) * 2**1100 for _ in range(cols)] for _ in range(rows)]
+    if kind == "2**1100":
+        return [[rng.randint(-9, 9) * 2**1100 + rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+    bound = 10**kind
+    return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+
+
+def test_zero_sum_lps_of_huge_entries_always_get_a_guess(monkeypatch):
+    """Whatever the size of the entries, the scaled float guess gives a basis
+    for every zero-sum LP. Where the optimum is unique (random dense
+    entries), the integer check accepts it and no pivot loop runs; the
+    degenerate {0,1} LPs run Bland's rule at most once. A 20x20 LP of
+    400-digit entries is certified with no pivot."""
+    guesses = []
+    guess = lp._float_support
+
+    def recorded(tableau):
+        guesses.append(guess(tableau))
+        return guesses[-1]
+
+    monkeypatch.setattr(lp, "_float_support", recorded)
+    runs = _recorded_pivot_loops(monkeypatch)
+    rng = random.Random(2037)
+    pivoted = 0
+    for kind in (300, 400, "2**1100", "binary"):
+        for _ in range(8):
+            rows, cols = rng.randint(2, 6), rng.randint(2, 6)
+            matrix = _huge_matrix(rng, kind, rows, cols)
+            guesses.clear()
+            runs.clear()
+            assert zero_sum_value(matrix) == reference_zero_sum_value([[F(v) for v in row] for row in matrix])
+            assert guesses != [None] and len(runs) <= (kind == "binary"), (kind, matrix, guesses, runs)
+            pivoted += len(runs)
+    assert pivoted > 0, pivoted
+    matrix = _huge_matrix(rng, 400, 20, 20)
+    guesses.clear()
+    runs.clear()
+    zero_sum_value(matrix)
+    assert guesses != [None] and runs == [], runs
+
+
+def test_mixed_magnitude_lps_the_guess_cannot_see_run_blands_rule_once(monkeypatch):
+    """Game LPs whose entries are k * 10**-300, k or k * 10**300: scaled to
+    its largest entry, a column's smaller entries round to 0 or below the
+    tolerance, so many guesses fail the integer check. Each LP then runs
+    Bland's rule exactly once, and every result is the reference's."""
+    runs = _recorded_pivot_loops(monkeypatch)
+    rng = random.Random(2038)
+    uncertified = 0
+    for _ in range(30):
+        size = rng.randint(3, 6)
+        a = [[F(rng.randint(1, 9)) * F(10) ** (300 * rng.choice((-1, 0, 1))) for _ in range(size)] for _ in range(size)]
+        ones = [F(1)] * size
+        runs.clear()
+        assert simplex_max(a, ones, ones) == reference_simplex(a, ones, ones), a
+        assert len(runs) <= 1, runs
+        uncertified += len(runs)
+    assert uncertified > 5, uncertified
 
 
 def test_bench_shaped_game_lps_are_certified_without_a_pivot(monkeypatch):
     # The 20x20 and 25x25 zero-sum LPs of CO-CO on k/d payoffs (d <= 12):
     # every optimum is unique, and the guess finds its support.
-    rules = _recorded_pivot_loops(monkeypatch)
+    runs = _recorded_pivot_loops(monkeypatch)
     rng = random.Random(2032)
     entry = _entry_maker(rng, "rational")
     for size in (20,) * 8 + (25,) * 2:
         matrix = [[entry() for _ in range(size)] for _ in range(size)]
         result = zero_sum_value(matrix, scale=2)
-        assert rules == [], matrix
+        assert runs == [], matrix
         if size == 20:
             with monkeypatch.context() as patch:
                 patch.setattr(lp, "_float_support", lambda tableau: None)
                 assert zero_sum_value(matrix, scale=2) == result
-            rules.clear()
+            runs.clear()
 
 
 def test_a_guessed_optimum_that_may_not_be_unique_goes_straight_to_blands_rule(monkeypatch):
-    # {0,1} 20x20 games: the guess proves the basis it found optimal, with a
-    # zero value or reduced cost, so no optimal basis passes the uniqueness
-    # test and the normalized-cost run would be thrown away.
-    rules = _recorded_pivot_loops(monkeypatch)
+    # {0,1} 20x20 games: the guess proves the basis it found optimal, but
+    # with a zero value or reduced cost, so it may not be the only optimal
+    # basis and Bland's rule runs once, at once.
+    loops = _recorded_pivot_loops(monkeypatch)
     rng = random.Random(7)
     runs = []
     for _ in range(10):
         matrix = [[F(rng.randint(0, 1)) for _ in range(20)] for _ in range(20)]
-        rules.clear()
+        loops.clear()
         result = zero_sum_value(matrix)
-        runs.append(tuple(rules))
+        runs.append(len(loops))
         with monkeypatch.context() as patch:
             patch.setattr(lp, "_float_support", lambda tableau: None)
             assert zero_sum_value(matrix) == result
-    assert sorted(runs) == [()] * 3 + [(lp._bland,)] * 7
+    assert sorted(runs) == [0] * 3 + [1] * 7
 
 
 def test_permuting_actions_permutes_a_unique_zero_sum_optimum(monkeypatch):
     """k/d matrices up to 20x20 whose optimum the guess certifies as unique,
     with no pivot loop: relabelling the rows and the columns relabels both
     optimal strategies the same way and leaves the value as it is."""
-    rules = _recorded_pivot_loops(monkeypatch)
+    runs = _recorded_pivot_loops(monkeypatch)
     rng = random.Random(2034)
     entry = _entry_maker(rng, "rational")
     certified = 0
     for _ in range(60):
         rows, cols = rng.randint(2, 20), rng.randint(2, 20)
         matrix = [[entry() for _ in range(cols)] for _ in range(rows)]
-        rules.clear()
+        runs.clear()
         value, row, col = zero_sum_value(matrix)
-        if rules:
+        if runs:
             continue
         certified += 1
         row_order, col_order = rng.sample(range(rows), rows), rng.sample(range(cols), cols)
@@ -955,8 +973,9 @@ def test_permuting_actions_permutes_a_unique_zero_sum_optimum(monkeypatch):
 
 # Int matrices over a scale whose entries and scale share a common factor.
 # ``zero_sum_value`` leaves it in the LP data, with no gcd to divide it out;
-# with the float guess off, normalized pricing then takes other pivots than
-# on the data of the matching Fraction matrix, to the same unique optimum.
+# with the float guess off, Bland's rule, which positive scaling does not
+# change, takes the same pivots as on the data of the matching Fraction
+# matrix; with it on, the guess certifies both with no pivot.
 COMMON_FACTOR_CASES = [
     (100, 1, [[9, -11, -2, 0, -5, 2], [-10, -7, 8, 6, 3, -8], [1, 0, 2, -3, -7, -12], [-8, 10, -1, -2, -6, -5]]),
     (3, 3, [[-4, 2, -5, 6, -7, -1], [-2, 2, -8, 0, 6, -2], [-1, -9, 7, -8, -1, 4], [-8, 9, 7, 9, 9, -5],
@@ -986,7 +1005,7 @@ def test_an_int_matrix_over_a_scale_has_the_value_of_its_fraction_matrix(monkeyp
             pivots = entering[:]
             entering.clear()
             assert zero_sum_value([[factor * v for v in row] for row in ints], scale=factor * scale) == expected
-            assert (entering != pivots) == (not guessed), (factor, scale, entering, pivots)
+            assert entering == pivots and bool(pivots) == (not guessed), (factor, scale, entering, pivots)
         rng = random.Random(1956)
         common = 0
         for k in range(300):
@@ -1085,9 +1104,9 @@ def _random_binary_game(rng):
 
 
 def _huge_payoff_game():
-    """A seeded 4x4 game of payoffs k * 2**1100 + j: every zero-sum LP of its
-    mixed dominance checks overflows the float guess, so the normalized-cost
-    run answers it."""
+    """A seeded 4x4 game of payoffs k * 2**1100 + j: every entry of the
+    zero-sum LPs of its mixed dominance checks is too large for a float, and
+    the float guess reads them scaled."""
     rng = random.Random(1100)
     big = 2**1100
     rows = [[rng.randint(-9, 9) * big + rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
@@ -1124,10 +1143,10 @@ def reference_is_best_response(g, i, action, alive):
 def test_find_dominator_matches_reference_on_random_survivor_sets(monkeypatch):
     """Integer payoffs, then payoffs k/d with d <= 12, where the integer
     view's common scale is rarely 1, then {0,1} payoffs, and last payoffs
-    of 2**1100 scale, whose LPs the float guess gives up on: the
+    of 2**1100 scale, whose LPs the float guess reads scaled: the
     dominators, mixed ones with their weights, equal those of the Fraction
     reference."""
-    rules = _recorded_pivot_loops(monkeypatch)
+    runs = _recorded_pivot_loops(monkeypatch)
     huge = _huge_payoff_game()
     found = {"pure": 0, "mixed": 0, "mixed {0,1}": 0}
     for g, alive in itertools.chain(_random_survivor_sets(), [(huge, [frozenset(range(n)) for n in huge.shape])]):
@@ -1141,10 +1160,10 @@ def test_find_dominator_matches_reference_on_random_survivor_sets(monkeypatch):
                         found[got[0]] += 1
                         found["mixed {0,1}"] += binary and got[0] == "mixed"
     assert found["pure"] > 300 and found["mixed"] > 30 and found["mixed {0,1}"] > 5, found
-    # The last game's mixed dominator comes from the normalized-cost run.
-    rules.clear()
+    # The last game's mixed dominator comes from a certified guess.
+    runs.clear()
     dominator = _find_dominator(huge, 1, 2, [frozenset(range(4))] * 2, DominanceMode.ALLOW_MIXED)
-    assert dominator == ("mixed", ((0, F(17, 23)), (1, F(6, 23)))) and rules == [lp._normalized_cost], rules
+    assert dominator == ("mixed", ((0, F(17, 23)), (1, F(6, 23)))) and runs == [], runs
 
 
 def test_best_response_filter_skips_checks_and_no_dominated_action(monkeypatch):
@@ -1309,11 +1328,11 @@ def _bench_shaped_game(rng, size):
 
 
 def test_mixed_iesds_on_bench_shaped_games_runs_no_normalized_cost_loop(monkeypatch):
-    """Steps, not time: on seeded 8x8 and 10x10 games with k/d payoffs, every
-    dominance LP is answered from the float guess, or by Bland's rule at
-    once when the guessed optimum may not be unique. That is what keeps
-    solving each of them to its optimum cheap."""
-    rules = _recorded_pivot_loops(monkeypatch)
+    """Steps, not time: on seeded 8x8 and 10x10 games with k/d payoffs, the
+    float guess certifies every dominance LP, so none runs a pivot loop of
+    any rule. That is what keeps solving each of them to its optimum
+    cheap."""
+    runs = _recorded_pivot_loops(monkeypatch)
     lps = []
     solve = rationalizability.zero_sum_value
 
@@ -1325,7 +1344,7 @@ def test_mixed_iesds_on_bench_shaped_games_runs_no_normalized_cost_loop(monkeypa
     rng = random.Random(2036)
     for size in (8,) * 12 + (10,) * 4:
         iesds(_bench_shaped_game(rng, size), DominanceMode.ALLOW_MIXED)
-    assert lp._normalized_cost not in rules and len(lps) > 100, (rules, len(lps))
+    assert runs == [] and len(lps) > 100, (runs, len(lps))
 
 
 def _action_labels(g, sets):
