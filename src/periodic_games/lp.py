@@ -2,42 +2,41 @@
 
 ``simplex_max`` scales ``a`` and ``b`` by one lcm of their denominators and
 ``c`` by the lcm of its own (two calls of ``linalg.integer_column``), then
-pivots on an integer tableau that shares one
-positive denominator ``det`` with ``linalg.pivot``, the fraction-free step
-that ``rref`` also uses (integer pivoting, as in Edmonds 1967 and Avis's
-lrs). Every entry stays an integer, a minor of the scaled data, so each
-division by ``det`` is exact. Fractions are formed once, from the final
-tableau.
+finds an optimal basis and reads the answer off it in integers: the value,
+primal x and dual y as numerators over one positive denominator. No
+``Fraction`` is formed.
 
-The tableau is a dictionary, as in lrs: one column per nonbasic variable
-plus the right-hand side, since each basic column would only be ``det``
-times a unit vector. A pivot is ``linalg.exchange``: ``linalg.pivot`` on
-these columns, then the leaving variable's column written where the
-entering one was. ``mixed`` walks best-response polytopes with the same step.
-
-The result is the one Bland's rule gives: of the variables with a negative
-reduced cost, the smallest enters, and the ratio test, done by
-cross-multiplication, breaks ties by the smallest basis variable. Positive
-scaling of the data changes no pivot, so the results equal those of the
-textbook Fraction tableau. Bland's rule cannot cycle, and it is the one
-rule of the pivot loop ``_pivot_loop``.
+Bland's rule pivots on an integer tableau that shares one positive
+denominator ``det`` with ``linalg.pivot``, the fraction-free step that
+``rref`` also uses (integer pivoting, as in Edmonds 1967 and Avis's lrs).
+Every entry stays an integer, a minor of the scaled data, so each division
+by ``det`` is exact. The tableau is a dictionary, as in lrs: one column per
+nonbasic variable plus the right-hand side, since each basic column would
+only be ``det`` times a unit vector. A pivot is ``linalg.exchange``:
+``linalg.pivot`` on these columns, then the leaving variable's column
+written where the entering one was. ``mixed`` walks best-response polytopes
+with the same step. Of the variables with a negative reduced cost, the
+smallest enters, and the ratio test, done by cross-multiplication, breaks
+ties by the smallest basis variable. Positive scaling of the data changes
+no pivot, so the basis is that of the textbook Fraction tableau, and
+Bland's rule cannot cycle.
 
 Before pivoting, ``simplex_max`` guesses the optimal basis with a small
-float simplex (``_float_support``) and checks it in integers
-(``_certified_optimum``, with ``linalg.solve_square``). The guess is
-scale-free: each row is divided by its right-hand side and each column by a
-power of two, the objective by one more, all chosen from bit lengths and
-divided in integers before any float is formed, so no float entry reaches
-2 in size whatever the size of the data. A basis whose every basic value
-and reduced cost is > 0 in integers is the LP's only optimal basis, which
-every simplex run ends at, Bland's rule among them, so its triple is
-returned with no pivot. Every other LP runs Bland's rule once from the
-all-slack basis. Floats only pick which system to solve: every returned
-value is computed and checked in integers.
+float simplex (``_float_support``). The guess is scale-free: each row is
+divided by its right-hand side and each column by a power of two, the
+objective by one more, all chosen from bit lengths and divided in integers
+before any float is formed, so no float entry reaches 2 in size whatever
+the size of the data. One reader, ``_read_basis``, solves a basis and its
+transpose with ``linalg.solve_square`` and checks every margin in
+integers. A guessed basis whose every margin is > 0 is the LP's only
+optimal basis, which every simplex run ends at, Bland's rule among them, so
+it is read with no pivot. Every other LP runs Bland's rule once from the
+all-slack basis, and the same reader reads and checks its final basis.
+Floats only pick which system to solve.
 
-``zero_sum_value`` solves every LP to its optimum, reads integers once off
-the triple, checks its certificates on them and forms ``Fraction``s only
-for what it returns.
+``zero_sum_value`` solves every LP to its optimum, checks its certificates
+on ``simplex_max``'s integers and forms ``Fraction``s only for what it
+returns.
 """
 
 from __future__ import annotations
@@ -50,6 +49,7 @@ from .errors import BadParameter, CertificateError
 from .linalg import exchange, integer_column, solve_square
 
 Vector = tuple[Fraction, ...]
+Optimum = tuple[int, tuple[int, ...], tuple[int, ...], int]
 
 # The float guess of ``_float_support``: a reduced cost or pivot entry within
 # ``_TOLERANCE`` of 0 counts as 0, and it gives up after ``_FLOAT_PIVOTS``.
@@ -69,9 +69,10 @@ def _check_entries(values: list, what: str) -> None:
         raise BadParameter(f"{what} entries must be Fractions or ints")
 
 
-def _pivot_loop(tableau: list[list[int]]) -> tuple[list[int], list[int], int]:
+def _pivot_loop(tableau: list[list[int]]) -> tuple[list[int], list[int]]:
     """Pivot ``tableau`` in place by Bland's rule from the all-slack basis to
-    an optimum. Returns (basis, nonbasic, det)."""
+    an optimum. Returns its basis as ``_float_support`` does: (the rows whose
+    slack is nonbasic, the structural columns that are basic)."""
     m = len(tableau) - 1
     n = len(tableau[-1]) - 1
     nonbasic = list(range(n))
@@ -81,7 +82,7 @@ def _pivot_loop(tableau: list[list[int]]) -> tuple[list[int], list[int], int]:
         objective = tableau[-1]
         entering = min((j for j in range(n) if objective[j] < 0), key=nonbasic.__getitem__, default=None)
         if entering is None:
-            return basis, nonbasic, det
+            return sorted(v - n for v in nonbasic if v >= n), sorted(v for v in basis if v < n)
         # Ratio test rhs_i / coef_i by cross-multiplication (coefficients are
         # positive), ties broken by smallest basis variable (Bland).
         leaving = None
@@ -164,22 +165,21 @@ def _float_support(tableau: list[list[int]]) -> Optional[tuple[list[int], list[i
     return None
 
 
-def _certified_optimum(
-    tableau: list[list[int]], support: Optional[tuple[list[int], list[int]]], scale_ab: int, scale_c: int
-) -> Optional[tuple[Fraction, Vector, Vector]]:
-    """The triple of Bland's rule when ``support`` (rows, columns), if any,
-    proves in integers the LP's only optimal basis; else None.
+def _read_basis(
+    tableau: list[list[int]], basis: tuple[list[int], list[int]], scale_ab: int, scale_c: int
+) -> Optional[tuple[Optimum, bool]]:
+    """The LP's answer at ``basis`` (rows, columns), and whether it is the
+    LP's only optimum; None when the basis is singular or not optimal.
 
-    ``x`` solves the support's rows with equality on its columns, ``y``
-    solves the transposed system with the costs. The basis of the columns
-    and of the slacks of the other rows is the only optimal one when that
-    square system is nonsingular and every basic value and reduced cost is
-    > 0: x and y on the support, the slack of every other row and the
-    reduced cost of every other column. Every simplex run, Bland's rule
-    among them, ends at that basis.
+    ``x`` solves the basis's rows with equality on its columns and ``y`` the
+    transposed system with the costs, over one denominator: a matrix and its
+    transpose have one determinant. The basis is optimal when every margin
+    is >= 0 (x and y on the basis, the slack of every other row, the reduced
+    cost of every other column), and the only optimal basis, which every
+    simplex run ends at, Bland's rule among them, when every margin is > 0.
     """
-    rows, cols = support or ([], [])
-    if not cols or len(rows) != len(cols):
+    rows, cols = basis
+    if len(rows) != len(cols):
         return None
     a = tableau[:-1]
     costs = [-v for v in tableau[-1][:-1]]
@@ -188,37 +188,43 @@ def _certified_optimum(
         return None
     # The transposed matrix is nonsingular too.
     dual = solve_square([[a[i][j] for i in rows] for j in cols], [costs[j] for j in cols])
-    (xs, x_den), (ys, y_den) = primal, dual
+    (xs, det), (ys, dual_det) = primal, dual
+    if dual_det != det:
+        raise SimplexInternalError(f"a basis and its transpose have determinants {det} and {dual_det}")
     slacks = [
-        a[i][-1] * x_den - sum(a[i][j] * v for j, v in zip(cols, xs))
+        a[i][-1] * det - sum(a[i][j] * v for j, v in zip(cols, xs))
         for i in set(range(len(a))).difference(rows)
     ]
     reduced = [
-        sum(a[i][j] * v for i, v in zip(rows, ys)) - costs[j] * y_den
+        sum(a[i][j] * v for i, v in zip(rows, ys)) - costs[j] * det
         for j in set(range(len(costs))).difference(cols)
     ]
-    if min(xs + ys + slacks + reduced) <= 0:
+    margin = min(xs + ys + slacks + reduced, default=1)
+    if margin < 0:
         return None
-    x = [Fraction(0)] * len(costs)
+    # The scaled LP has the same x; its duals are scale_c / scale_ab times
+    # the original ones and its value is scale_c times the original one.
+    x = [0] * len(costs)
     for j, v in zip(cols, xs):
-        x[j] = Fraction(v, x_den)
-    y = [Fraction(0)] * len(a)
+        x[j] = v * scale_c
+    y = [0] * len(a)
     for i, v in zip(rows, ys):
-        y[i] = Fraction(v * scale_ab, y_den * scale_c)
-    value = Fraction(sum(costs[j] * v for j, v in zip(cols, xs)), x_den * scale_c)
-    return value, tuple(x), tuple(y)
+        y[i] = v * scale_ab
+    value = sum(costs[j] * v for j, v in zip(cols, xs))
+    return (value, tuple(x), tuple(y), det * scale_c), margin > 0
 
 
 def simplex_max(
     a: Sequence[Sequence[Fraction]], b: Sequence[Fraction], c: Sequence[Fraction]
-) -> tuple[Fraction, Vector, Vector]:
+) -> Optimum:
     """Maximize c.x subject to a x <= b, x >= 0, with all b >= 0.
 
     Entries may be Fractions or ints, not bools; ``a`` has one row per entry
-    of ``b`` and one column per entry of ``c``. Returns (optimal value,
-    primal x, dual y), the triple of Bland's rule. The all-slack basis is
-    feasible because b >= 0; the objective must be bounded on the feasible
-    region (always the case for the game LPs built here).
+    of ``b`` and one column per entry of ``c``. Returns (value, x, y, den):
+    the optimal value, primal x and dual y of Bland's rule, as integers over
+    one positive denominator ``den``. The all-slack basis is feasible
+    because b >= 0; the objective must be bounded on the feasible region
+    (always the case for the game LPs built here).
     """
     m = len(a)
     n = len(c)
@@ -237,25 +243,14 @@ def simplex_max(
     tableau = [ints[i * n : (i + 1) * n] + [ints[m * n + i]] for i in range(m)]
     tableau.append([-v for v in costs] + [0])
 
-    certified = _certified_optimum(tableau, _float_support(tableau), scale_ab, scale_c)
-    if certified:
-        return certified
-    basis, nonbasic, det = _pivot_loop(tableau)
-
-    # The scaled LP has the same x; its duals are scale_c / scale_ab times
-    # the original ones and its value is scale_c times the original one. The
-    # dual y_i is the reduced cost of slack n + i, and 0 while it is basic.
-    objective = tableau[-1]
-    x = [Fraction(0)] * n
-    for i, var in enumerate(basis):
-        if var < n:
-            x[var] = Fraction(tableau[i][-1], det)
-    y = [Fraction(0)] * m
-    for j, var in enumerate(nonbasic):
-        if var >= n:
-            y[var - n] = Fraction(objective[j] * scale_ab, det * scale_c)
-    value = Fraction(objective[-1], det * scale_c)
-    return value, tuple(x), tuple(y)
+    support = _float_support(tableau)
+    guessed = support and _read_basis(tableau, support, scale_ab, scale_c)
+    if guessed and guessed[1]:
+        return guessed[0]
+    pivoted = _read_basis(tableau, _pivot_loop([row[:] for row in tableau]), scale_ab, scale_c)
+    if pivoted is None:
+        raise SimplexInternalError("Bland's rule ended on a basis that is not optimal")
+    return pivoted[0]
 
 
 def zero_sum_value(matrix: Sequence[Sequence[Fraction]], *, scale: int = 1) -> tuple[Fraction, Vector, Vector]:
@@ -293,27 +288,25 @@ def zero_sum_value(matrix: Sequence[Sequence[Fraction]], *, scale: int = 1) -> t
 
     # Column player's normalized LP: max sum(w) s.t. shifted w <= 1, w >= 0,
     # here with both sides times scale, which changes no result.
-    total, w, y = simplex_max(shifted, [scale] * rows, [1] * cols)
+    total, q, p, den = simplex_max(shifted, [scale] * rows, [1] * cols)
     if total <= 0:
         raise SimplexInternalError("normalized LP returned a nonpositive optimum")
 
-    # Certify in integers, read off w = q / w_den and y = p / y_den. Once
-    # total = total_q / w_den, the column mixture is q / total_q, the row
-    # mixture p / total_p and the value conceded / (total_q * scale). Each
-    # mixture is a distribution that concedes <= the value against every
-    # row, or guarantees >= it against every column: in integers, times the
-    # positive total_q * scale, and total_p for the rows.
-    q, w_den = integer_column(w)
+    # Certify in integers: w = q / den, y = p / den and sum(w) = total / den.
+    # The column mixture is q / total_q, the row mixture p / total_p and the
+    # value conceded / (total_q * scale). Each mixture is a distribution that
+    # concedes <= the value against every row, or guarantees >= it against
+    # every column: in integers, times the positive total_q * scale, and
+    # total_p for the rows.
     total_q = sum(q)
-    if min(q) < 0 or total * w_den != total_q:
+    if min(q) < 0 or total != total_q:
         raise SimplexInternalError("column strategy is not a distribution")
-    conceded = w_den * scale - shift * total_q
+    conceded = den * scale - shift * total_q
     if any(sum(map(operator.mul, row, q)) > conceded for row in ints):
         raise SimplexInternalError("column strategy fails to guarantee the value")
 
-    p, y_den = integer_column(y)
     total_p = sum(p)
-    if scale * total_p * w_den != total_q * y_den:
+    if scale * total_p != total_q:
         raise SimplexInternalError("primal and dual optima differ")
     if min(p) < 0:  # total_p > 0 now, as total_q is
         raise SimplexInternalError("row strategy is not a distribution")

@@ -190,6 +190,16 @@ def literal_outcome(parse, token):
         return str(exc)
 
 
+def simplex_fractions(outcome):
+    """``simplex_max``'s (value, x, y, den) as the Fraction triple (value,
+    x, y) of the reference simplex; any other outcome, such as
+    "unbounded", as it is."""
+    if not isinstance(outcome, tuple):
+        return outcome
+    value, x, y, den = outcome
+    return Fraction(value, den), tuple(Fraction(v, den) for v in x), tuple(Fraction(v, den) for v in y)
+
+
 @pytest.fixture
 def coordination():
     return load_game("coordination_2x2.game.json")

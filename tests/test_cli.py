@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import periodic_games
-from periodic_games import Game, cli, game, lp, periodicity, rationalizability
+from periodic_games import Game, bayes, cli, game, linalg, lp, periodicity, rationalizability
 from periodic_games.bayes import interim_game
 from periodic_games.cli import main
 from periodic_games.io import parse_bayes, parse_game
@@ -392,8 +392,8 @@ def test_failed_certificate_is_an_error_not_a_traceback(capsys, monkeypatch):
     true_simplex = lp.simplex_max
 
     def broken(a, b, c, **kwargs):
-        total, w, y = true_simplex(a, b, c, **kwargs)
-        return total, w, tuple(2 * v for v in y)
+        total, w, y, den = true_simplex(a, b, c, **kwargs)
+        return total, w, tuple(2 * v for v in y), den
 
     monkeypatch.setattr(lp, "simplex_max", broken)
     assert main(["coco", PD]) == 2
@@ -567,12 +567,16 @@ def test_a_deeply_nested_document_is_invalid_input_not_a_traceback(tmp_path, cap
 
 
 @pytest.mark.parametrize("to", ["interim", "interim-correlated", "ex-ante"])
-def test_an_oversized_companion_game_is_an_error_not_a_traceback(tmp_path, capsys, to):
+def test_an_oversized_companion_game_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch, to):
     path = tmp_path / "many_types.bayes.json"
     path.write_text(many_types_bayes(12))
+    expectations = []
+    expect = bayes._integer_expectation
+    monkeypatch.setattr(bayes, "_integer_expectation", lambda *args: expectations.append(args) or expect(*args))
     start = time.perf_counter()
     assert main(["bayes", str(path), "--to", to]) == 2
     assert time.perf_counter() - start < 1
+    assert expectations == []  # the size check comes before any payoff is summed
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "profiles" in captured.err
@@ -762,7 +766,7 @@ def test_duplicate_bayesian_labels_exit_code(tmp_path, capsys, key, labels):
         assert "Traceback" not in captured.err
 
 
-def test_a_tall_mixed_document_is_an_error_not_unbounded_work(tmp_path, capsys):
+def test_a_tall_mixed_document_is_an_error_not_unbounded_work(tmp_path, capsys, monkeypatch):
     # Player A's mixture would solve C(30, 15), about 1.6e8, bases.
     doc = {
         "players": ["A", "B"],
@@ -771,9 +775,13 @@ def test_a_tall_mixed_document_is_an_error_not_unbounded_work(tmp_path, capsys):
     }
     path = tmp_path / "tall.game.json"
     path.write_text(json.dumps(doc))
+    solves = []
+    solve = linalg.solve_exact
+    monkeypatch.setattr(linalg, "solve_exact", lambda *args: solves.append(args) or solve(*args))
     start = time.perf_counter()
     assert main(["mixed", str(path), "--format", "machine"]) == 2
     assert time.perf_counter() - start < 1
+    assert solves == []  # the limit is checked before any basis is solved
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: vertex enumeration of")

@@ -13,6 +13,8 @@ from periodic_games.linalg import (
 )
 from periodic_games.lp import SimplexInternalError, simplex_max, zero_sum_value
 
+from conftest import simplex_fractions
+
 F = Fraction
 
 
@@ -62,10 +64,12 @@ def test_polytope_vertices_point():
 
 def test_simplex_max_basic():
     # max x + y subject to x <= 2, y <= 3, x + y <= 4.
-    value, x, _ = simplex_max(
-        [[F(1), F(0)], [F(0), F(1)], [F(1), F(1)]],
-        [F(2), F(3), F(4)],
-        [F(1), F(1)],
+    value, x, _ = simplex_fractions(
+        simplex_max(
+            [[F(1), F(0)], [F(0), F(1)], [F(1), F(1)]],
+            [F(2), F(3), F(4)],
+            [F(1), F(1)],
+        )
     )
     assert value == 4
     assert sum(x) == 4
@@ -100,8 +104,8 @@ def test_zero_sum_shift_invariance():
 def test_simplex_max_duals_and_scaled_inputs():
     # max (2x + 3y) / 5 subject to (x + y) / 2 <= 2, (x + 3y) / 3 <= 2:
     # optimum (3, 1); the duals of x + y <= 4, x + 3y <= 6 are (3/2, 1/2).
-    value, x, y = simplex_max(
-        [[F(1, 2), F(1, 2)], [F(1, 3), F(1)]], [F(2), F(2)], [F(2, 5), F(3, 5)]
+    value, x, y = simplex_fractions(
+        simplex_max([[F(1, 2), F(1, 2)], [F(1, 3), F(1)]], [F(2), F(2)], [F(2, 5), F(3, 5)])
     )
     assert value == F(9, 5)
     assert x == (F(3), F(1))
@@ -138,6 +142,44 @@ def test_simplex_max_reports_unbounded_objective_as_certificate_error():
         simplex_max([[F(-1)]], [F(1)], [F(1)])
 
 
+@pytest.mark.parametrize(
+    "basis",
+    [([], []), ([0], [0]), ([1], [0]), ([0, 1], [0, 0])],
+    ids=["all-slack", "a negative reduced cost", "a negative slack", "singular"],
+)
+def test_a_wrong_basis_from_blands_rule_is_a_certificate_error(monkeypatch, basis):
+    # max 2x + 3y subject to x + y <= 4, x + 3y <= 6 has the one optimal
+    # basis ([0, 1], [0, 1]). With the guess off, the reader checks the
+    # basis the pivot loop returns in integers, under python -O too.
+    a, b, c = [[1, 1], [1, 3]], [4, 6], [2, 3]
+    monkeypatch.setattr(lp, "_float_support", lambda tableau: None)
+    monkeypatch.setattr(lp, "_pivot_loop", lambda tableau: ([0, 1], [0, 1]))
+    assert simplex_fractions(simplex_max(a, b, c)) == (F(9), (F(3), F(1)), (F(3, 2), F(1, 2)))
+    monkeypatch.setattr(lp, "_pivot_loop", lambda tableau: basis)
+    with pytest.raises(SimplexInternalError, match="not optimal"):
+        simplex_max(a, b, c)
+
+
+def test_a_basis_and_its_transpose_over_two_denominators_is_a_certificate_error(monkeypatch):
+    # The transposed solve returns the same rationals over twice the
+    # denominator: the reader's one-denominator check raises a typed error,
+    # under python -O too, on the guessed basis and on Bland's.
+    solves = []
+    solve = lp.solve_square
+
+    def doubled(a, b):
+        solves.append(a)
+        xs, den = solve(a, b)
+        return ([2 * v for v in xs], 2 * den) if len(solves) % 2 == 0 else (xs, den)
+
+    monkeypatch.setattr(lp, "solve_square", doubled)
+    for guessed in (True, False):
+        if not guessed:
+            monkeypatch.setattr(lp, "_float_support", lambda tableau: None)
+        with pytest.raises(SimplexInternalError, match="a basis and its transpose have determinants"):
+            simplex_max([[1, 1], [1, 3]], [4, 6], [2, 3])
+
+
 ZERO = F(0)
 
 
@@ -161,7 +203,7 @@ ZERO = F(0)
 )
 def test_simplex_max_on_lps_with_no_rows_zero_costs_or_a_zero_rhs(monkeypatch, a, b, c, expected):
     # With the float guess on and off: no row, no column, zero costs and a
-    # zero right-hand side each give the zero triple or an unbounded column.
+    # zero right-hand side each give the zero result or an unbounded column.
     for guessed in (True, False):
         if not guessed:
             monkeypatch.setattr(lp, "_float_support", lambda tableau: None)
@@ -169,7 +211,7 @@ def test_simplex_max_on_lps_with_no_rows_zero_costs_or_a_zero_rhs(monkeypatch, a
             with pytest.raises(SimplexInternalError, match="objective unbounded"):
                 simplex_max(a, b, c)
         else:
-            assert simplex_max(a, b, c) == expected
+            assert simplex_fractions(simplex_max(a, b, c)) == expected
 
 
 @pytest.mark.parametrize(
@@ -214,16 +256,16 @@ def test_zero_sum_value_certificate_failures_are_typed(monkeypatch, check):
     true_simplex = lp.simplex_max
 
     def broken(a, b, c):
-        total, w, y = true_simplex(a, b, c)
+        total, w, y, den = true_simplex(a, b, c)
         if check == "primal and dual":
-            return total, w, tuple(2 * v for v in y)
+            return total, w, tuple(2 * v for v in y), den
         if check == "row strategy":  # a pure row mixture cannot hold the value
-            return total, w, (sum(y), F(0))
+            return total, w, (sum(y), 0), den
         if check == "column strategy is not a distribution":
-            return 2 * total, w, y
+            return 2 * total, w, y, den
         if check == "row strategy is not a distribution":  # same sum, one entry < 0
-            return total, w, (2 * sum(y), -sum(y))
-        return total, (sum(w), F(0)), y
+            return total, w, (2 * sum(y), -sum(y)), den
+        return total, (sum(w), 0), y, den
 
     monkeypatch.setattr(lp, "simplex_max", broken)
     with pytest.raises(SimplexInternalError, match=check):

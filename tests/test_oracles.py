@@ -67,7 +67,7 @@ from periodic_games.mixed import (
 from periodic_games.periodicity import Cycle, all_cycles
 from periodic_games.rationalizability import DominanceMode, Elimination, SurvivorSet, _find_dominator
 
-from conftest import FIXTURES, assert_same_as_public, own_payoff_matrix, random_rational_game
+from conftest import FIXTURES, assert_same_as_public, own_payoff_matrix, random_rational_game, simplex_fractions
 
 F = Fraction
 
@@ -638,7 +638,8 @@ def test_simplex_matches_reference_on_random_lps():
         b = [abs(entry()) for _ in range(rows)]  # zeros make degenerate vertices
         c = [entry() for _ in range(cols)]
         got = _kernel_outcome(a, b, c)
-        assert got == _reference_outcome(a, b, c), (a, b, c)
+        _assert_integer_result(got)
+        assert simplex_fractions(got) == _reference_outcome(a, b, c), (a, b, c)
         outcomes.add(got == "unbounded")
     assert outcomes == {True, False}
 
@@ -652,7 +653,7 @@ def test_simplex_matches_reference_on_game_lps():
         shift = 1 - min(min(row) for row in matrix)
         shifted = [[v + shift for v in row] for row in matrix]
         ones_b, ones_c = [F(1)] * rows, [F(1)] * cols
-        assert simplex_max(shifted, ones_b, ones_c) == reference_simplex(shifted, ones_b, ones_c)
+        assert simplex_fractions(simplex_max(shifted, ones_b, ones_c)) == reference_simplex(shifted, ones_b, ones_c)
         assert zero_sum_value(matrix) == reference_zero_sum_value(matrix), matrix
 
 
@@ -667,7 +668,7 @@ def test_simplex_matches_reference_on_bench_sized_game_lps():
         shift = 1 - min(min(row) for row in matrix)
         shifted = [[v + shift for v in row] for row in matrix]
         ones_b, ones_c = [F(1)] * rows, [F(1)] * cols
-        assert simplex_max(shifted, ones_b, ones_c) == reference_simplex(shifted, ones_b, ones_c), matrix
+        assert simplex_fractions(simplex_max(shifted, ones_b, ones_c)) == reference_simplex(shifted, ones_b, ones_c), matrix
 
 
 def test_simplex_runs_blands_rule_once_with_the_guess_off(monkeypatch):
@@ -686,7 +687,7 @@ def test_simplex_runs_blands_rule_once_with_the_guess_off(monkeypatch):
             shifted = [[v + shift for v in row] for row in matrix]
             ones = [F(1)] * 20
             runs.clear()
-            assert simplex_max(shifted, ones, ones) == reference_simplex(shifted, ones, ones), matrix
+            assert simplex_fractions(simplex_max(shifted, ones, ones)) == reference_simplex(shifted, ones, ones), matrix
             assert runs == [(20, 20)], (kind, matrix)
 
 
@@ -712,7 +713,7 @@ def test_simplex_ends_on_beales_cycling_lp(monkeypatch):
     a = [[F(1, 4), F(-8), F(-1), F(9)], [F(1, 2), F(-12), F(-1, 2), F(3)], [F(0), F(0), F(1), F(0)]]
     b = [F(0), F(0), F(1)]
     c = [F(3, 4), F(-20), F(1, 2), F(-6)]
-    result = simplex_max(a, b, c)
+    result = simplex_fractions(simplex_max(a, b, c))
     assert result == reference_simplex(a, b, c)
     assert result[:2] == (F(5, 4), (F(1), F(0), F(1), F(0)))
     assert events[0] == "degenerate" and "pivot" in events, events
@@ -725,10 +726,12 @@ def _unguessed_outcome(monkeypatch, a, b, c):
         return _kernel_outcome(a, b, c)
 
 
-def _assert_fraction_triple(outcome):
+def _assert_integer_result(outcome):
+    """An outcome of ``simplex_max`` is "unbounded" or ints over one
+    positive denominator."""
     if outcome != "unbounded":
-        value, x, y = outcome
-        assert {type(v) for v in (value, *x, *y)} == {F}
+        value, x, y, den = outcome
+        assert {type(v) for v in (value, *x, *y, den)} == {int} and den > 0, outcome
 
 
 def _recorded_pivot_loops(monkeypatch):
@@ -769,7 +772,7 @@ def test_the_support_guess_changes_no_triple(monkeypatch):
         guessed = _kernel_outcome(a, b, c)
         seen["pivoted" if runs else "certified"] += 1
         assert guessed == _unguessed_outcome(monkeypatch, a, b, c), (a, b, c)
-        _assert_fraction_triple(guessed)
+        _assert_integer_result(guessed)
         seen["unbounded"] += guessed == "unbounded"
     assert min(seen.values()) > 30, seen
 
@@ -837,8 +840,9 @@ def test_entries_too_large_for_a_float_take_the_scaled_guess(monkeypatch):
         runs.clear()
         guessed = _kernel_outcome(a, b, c)
         assert guesses == expected and len(runs) == pivoted, (guesses, runs)
-        assert guessed == _unguessed_outcome(monkeypatch, a, b, c) == reference_simplex(a, b, c)
-        _assert_fraction_triple(guessed)
+        assert guessed == _unguessed_outcome(monkeypatch, a, b, c)
+        assert simplex_fractions(guessed) == reference_simplex(a, b, c)
+        _assert_integer_result(guessed)
     matrix = [[F(big), F(-1)], [F(-big), F(2)], [F(3), F(big, 7)]]
     guesses.clear()
     runs.clear()
@@ -904,7 +908,7 @@ def test_mixed_magnitude_lps_the_guess_cannot_see_run_blands_rule_once(monkeypat
         a = [[F(rng.randint(1, 9)) * F(10) ** (300 * rng.choice((-1, 0, 1))) for _ in range(size)] for _ in range(size)]
         ones = [F(1)] * size
         runs.clear()
-        assert simplex_max(a, ones, ones) == reference_simplex(a, ones, ones), a
+        assert simplex_fractions(simplex_max(a, ones, ones)) == reference_simplex(a, ones, ones), a
         assert len(runs) <= 1, runs
         uncertified += len(runs)
     assert uncertified > 5, uncertified
@@ -1327,7 +1331,7 @@ def _bench_shaped_game(rng, size):
     return make_game(["R", "C"], [labels, labels], [[(payoff(), payoff()) for _ in range(size)] for _ in range(size)])
 
 
-def test_mixed_iesds_on_bench_shaped_games_runs_no_normalized_cost_loop(monkeypatch):
+def test_mixed_iesds_on_bench_shaped_games_runs_no_pivot_loop(monkeypatch):
     """Steps, not time: on seeded 8x8 and 10x10 games with k/d payoffs, the
     float guess certifies every dominance LP, so none runs a pivot loop of
     any rule. That is what keeps solving each of them to its optimum
