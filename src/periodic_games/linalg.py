@@ -12,14 +12,14 @@ of ``lp`` and the best-response polytope walk of ``mixed`` (Nash
 equilibria) both step with it.
 
 Desk-scale only: systems here have at most a handful of variables. Each row
-is scaled to integers by the lcm of its denominators and eliminated
-Gauss-Jordan with ``pivot`` (``_eliminate``), so entries stay integers,
-bounded by minors of the scaled matrix. Fractions are formed once, when a
-pivot row is divided by its pivot at the end. ``solve_square`` forms none:
-it eliminates forward only, with the same ``pivot`` on the rows below each
-pivot row (half the rows Gauss-Jordan reduces), back-substitutes in
-integers and hands ``lp`` a square system's solution as integers over one
-denominator.
+is scaled to integers by the lcm of its denominators and eliminated forward
+only with ``pivot`` on the rows below each pivot row (``_eliminate``,
+Bareiss; half the rows Gauss-Jordan reduces), so entries stay integers,
+minors of the scaled matrix. One integer back substitution
+(``_back_substitute``) then reads ``d x`` off the echelon rows, ``d`` the
+last pivot. ``solve_square`` hands ``lp`` that as integers over one
+denominator; ``solve_exact`` and ``rref`` form Fractions once, dividing by
+``d`` at the end.
 
 Vertex enumeration (``polytope_vertices``, for periodic mixtures)
 eliminates ``[a | b]`` once and solves only the bases: the column subsets
@@ -113,26 +113,48 @@ def _integer_rows(matrix) -> list[list[int]]:
     return [ints for ints, _ in map(integer_column, matrix) if any(ints)]
 
 
-def _eliminate(m: list[list[int]], cols: int) -> list[int]:
-    """Gauss-Jordan elimination of integer rows in place with ``pivot``,
-    over the first ``cols`` columns; returns the pivot columns.
+def _eliminate(m: list[list[int]], cols: int) -> tuple[list[int], int]:
+    """Bareiss elimination of integer rows in place, forward only, over the
+    first ``cols`` columns; returns the pivot columns and the last pivot.
 
-    Row k ends up holding the k-th pivot, and every pivot entry equals the
-    last pivot, a minor of the input.
+    ``pivot`` reduces only the rows below each pivot row. Row k ends up
+    holding the k-th pivot with zeros left of it, the rows past the last
+    pivot row are zero on those columns, and every entry is a minor of the
+    input: the last pivot is the one of the pivot rows and columns.
     """
     pivots: list[int] = []
     det = 1
     for c in range(cols):
         r = len(pivots)
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot_row is None:
+        below = m[r:]
+        i = next((i for i, row in enumerate(below) if row[c]), None)
+        if i is None:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        det = pivot(m, r, c, det)
+        below[0], below[i] = below[i], below[0]
+        det = pivot(below, 0, c, det)
+        m[r:] = below
         pivots.append(c)
-        if r + 1 == len(m):
-            break
-    return pivots
+    return pivots, det
+
+
+def _back_substitute(rows: list[list[int]], pivots: list[int], det: int, j: int) -> list[int]:
+    """``X = det x`` for the pivot variables of the echelon ``rows`` of
+    ``_eliminate``, with ``det`` its last pivot, solving against column
+    ``j`` with every other variable at 0.
+
+    From the last pivot row up, ``X_i = (det u_ij - sum_{i' > i} u_ic' X_i')
+    / u_ic`` over the rows ``u``, with ``c`` and ``c'`` the pivot columns
+    of rows ``i`` and ``i'``. Each ``X_i`` is an integer (Cramer), so a
+    remainder would mean a broken kernel and raises ``ArithmeticError``.
+    """
+    xs = [0] * len(pivots)
+    for i in reversed(range(len(pivots))):
+        row = rows[i]
+        known = sum(map(operator.mul, map(row.__getitem__, pivots[i + 1 :]), xs[i + 1 :]))
+        xs[i], rem = divmod(det * row[j] - known, row[pivots[i]])
+        if rem:
+            raise ArithmeticError(f"inexact division by {row[pivots[i]]} in an integer back substitution step")
+    return xs
 
 
 def solve_square(a: list[list[int]], b: list[int]) -> Optional[tuple[list[int], int]]:
@@ -140,32 +162,15 @@ def solve_square(a: list[list[int]], b: list[int]) -> Optional[tuple[list[int], 
     over one positive denominator, or None when ``a`` is singular; a 0x0
     system has the solution ``([], 1)``.
 
-    Bareiss elimination of ``[a | b]``, forward only: ``pivot`` reduces the
-    rows below each pivot row, with the row swaps of ``_eliminate``, so the
-    last pivot ``d`` is the same minor. Then ``X = d x`` is an integer
-    vector (Cramer), found from the last row up as
-    ``X_i = (d u_ik - sum_{i<j<k} u_ij X_j) / u_ii`` over the triangular
-    rows ``u`` of ``[a | b]``; each division is exact, and a remainder
-    raises ``ArithmeticError``.
+    ``_eliminate`` on ``[a | b]``, then ``_back_substitute`` of ``b``'s
+    column: ``X = d x`` is an integer vector for the last pivot ``d``.
     """
     k = len(a)
     rows = [row + [v] for row, v in zip(a, b)]
-    upper = []
-    det = 1
-    for c in range(k):
-        r = next((i for i, row in enumerate(rows) if row[c]), None)
-        if r is None:
-            return None
-        rows[0], rows[r] = rows[r], rows[0]
-        det = pivot(rows, 0, c, det)
-        upper.append(rows.pop(0))
-    xs = [0] * k
-    for i in reversed(range(k)):
-        row = upper[i]
-        known = sum(map(operator.mul, row[i + 1 : k], xs[i + 1 :]))
-        xs[i], rem = divmod(det * row[k] - known, row[i])
-        if rem:
-            raise ArithmeticError(f"inexact division by {row[i]} in an integer back substitution step")
+    pivots, det = _eliminate(rows, k)
+    if len(pivots) < k:
+        return None
+    xs = _back_substitute(rows, pivots, det, k)
     if det < 0:
         return [-v for v in xs], -det
     return xs, det
@@ -177,9 +182,11 @@ def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
     cols = len(matrix[0]) if rows else 0
     # Zero rows stay zero and end up at the bottom.
     m = _integer_rows(matrix)
-    pivots = _eliminate(m, cols)
+    pivots, det = _eliminate(m, cols)
+    # Column j of the reduced form solves the pivot columns against column j.
+    columns = [_back_substitute(m, pivots, det, j) for j in range(cols)]
     zero = Fraction(0)
-    out = [[Fraction(v, m[k][c]) if v else zero for v in m[k]] for k, c in enumerate(pivots)]
+    out = [[Fraction(v, det) if v else zero for v in row] for row in zip(*columns)]
     out.extend([zero] * cols for _ in range(rows - len(pivots)))
     return out, pivots
 
@@ -188,17 +195,17 @@ def solve_exact(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> tuple
     """Solve ``a x = b`` exactly.
 
     Returns ('unique', x), ('none', None) for inconsistent systems, or
-    ('many', particular_solution) when underdetermined.
+    ('many', particular_solution) when underdetermined, with the free
+    variables at 0.
     """
     n = len(a[0]) if a else 0
     m = _integer_rows([list(row) + [rhs] for row, rhs in zip(a, b)])
-    pivots = _eliminate(m, n + 1)
+    pivots, det = _eliminate(m, n + 1)
     if n in pivots:
         return ("none", None)  # pivot in augmented column: 0 = nonzero
-    # Only the right-hand side of each pivot row is divided out.
     x = [Fraction(0)] * n
-    for k, c in enumerate(pivots):
-        x[c] = Fraction(m[k][-1], m[k][c])
+    for c, v in zip(pivots, _back_substitute(m, pivots, det, n)):
+        x[c] = Fraction(v, det)
     status = "unique" if len(pivots) == n else "many"
     return (status, tuple(x))
 
@@ -222,7 +229,7 @@ def polytope_vertices(
     and no vertex. More than ``MAX_WORK`` estimated work is a SizeLimit.
     """
     rows = _integer_rows([list(row) + [rhs] for row, rhs in zip(a, b)])
-    pivots = _eliminate(rows, n + 1)
+    pivots, _ = _eliminate(rows, n + 1)
     if not pivots or pivots[-1] == n:  # rank 0, or a row reading 0 = nonzero
         return []
     r = len(pivots)

@@ -8,7 +8,8 @@ primal x and dual y as numerators over one positive denominator. No
 
 Bland's rule pivots on an integer tableau that shares one positive
 denominator ``det`` with ``linalg.pivot``, the fraction-free step that
-``rref`` also uses (integer pivoting, as in Edmonds 1967 and Avis's lrs).
+``linalg``'s one forward elimination also takes, behind ``solve_square``
+(integer pivoting, as in Edmonds 1967 and Avis's lrs).
 Every entry stays an integer, a minor of the scaled data, so each division
 by ``det`` is exact. The tableau is a dictionary, as in lrs: one column per
 nonbasic variable plus the right-hand side, since each basic column would

@@ -836,14 +836,23 @@ def test_analyze_runs_no_dominance_lp_when_every_action_is_a_best_response(tmp_p
     assert report["iesds_survivors"] == {"A": sorted(f"a{k}" for k in range(120)), "B": sorted(f"b{k}" for k in range(120))}
 
 
-def test_mixed_on_a_tall_one_column_document_is_quick(tmp_path, capsys):
+def test_mixed_on_a_tall_one_column_document_is_quick(tmp_path, capsys, monkeypatch):
     # Each of A's 300 pure actions is a vertex of A's equalizer polytope;
     # its dimension is read off their joint support in one rank.
     path = tmp_path / "tall.game.json"
     path.write_text(tall_game(300, 1), encoding="utf-8")
+    steps = []
+    pivot = linalg.pivot
+
+    def counted(rows, r, c, det):
+        steps.append(len(rows) - 1)  # the rows this step reduces
+        return pivot(rows, r, c, det)
+
+    monkeypatch.setattr(linalg, "pivot", counted)
     start = time.perf_counter()
     assert main(["mixed", str(path), "--format", "machine"]) == 0
     assert time.perf_counter() - start < 1
+    assert (len(steps), sum(steps)) == (304, 577)
     report = json.loads(capsys.readouterr().out)
     assert report["periodic_mixed"]["A"]["solution_dimension"] == 299
     assert report["periodic_mixed"]["B"] is None

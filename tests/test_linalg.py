@@ -14,7 +14,7 @@ import pytest
 
 from periodic_games import linalg
 from periodic_games.errors import SizeLimit
-from periodic_games.linalg import common_scale, integer_column, pivot, polytope_vertices, solve_exact, solve_square
+from periodic_games.linalg import common_scale, integer_column, pivot, polytope_vertices, rref, solve_exact, solve_square
 
 F = Fraction
 
@@ -258,7 +258,8 @@ def test_solve_square_of_a_0x0_system_is_empty_over_1():
 
 def test_solve_square_eliminates_forward_only(monkeypatch):
     # Each pivot reduces only the rows below its pivot row: k(k-1)/2 rows
-    # in all, where Gauss-Jordan elimination reduces k(k-1).
+    # in all, where Gauss-Jordan elimination reduces k(k-1). rref and
+    # solve_exact run the same elimination.
     reduced = []
 
     def counted(rows, r, c, det):
@@ -269,9 +270,12 @@ def test_solve_square_eliminates_forward_only(monkeypatch):
     rng = random.Random(1968)
     for k in range(1, 15):
         a = [[rng.randint(-3, 3) + 9 * (i == j) for j in range(k)] for i in range(k)]
-        reduced.clear()
-        assert solve_square(a, [rng.randint(-9, 9) for _ in range(k)]) is not None
-        assert sum(reduced) == k * (k - 1) // 2, k
+        b = [rng.randint(-9, 9) for _ in range(k)]
+        for solve, args in ((solve_square, (a, b)), (rref, (a,)), (solve_exact, (a, b))):
+            reduced.clear()
+            solve(*args)
+            assert sum(reduced) == k * (k - 1) // 2, (solve.__name__, k)
+        assert solve_square(a, b) is not None and solve_exact(a, b)[0] == "unique"
 
 
 def test_solve_square_raises_on_a_wrong_back_substitution_divisor(monkeypatch):

@@ -211,14 +211,20 @@ def test_rref_pivots_are_leading_minors(monkeypatch):
 
 
 def reference_solve_square(a, b):
-    """Gauss-Jordan elimination of ``[a | b]`` with ``linalg._eliminate``:
-    every pivot entry ends up equal to the last pivot, the denominator."""
+    """Gauss-Jordan elimination of ``[a | b]``, ``linalg.pivot`` reducing
+    every other row: every pivot entry ends up equal to the last pivot, the
+    denominator."""
     k = len(a)
     m = [list(row) + [v] for row, v in zip(a, b)]
-    if len(linalg._eliminate(m, k)) < k:
-        return None
-    sign = 1 if m[0][0] > 0 else -1
-    return [sign * row[-1] for row in m], sign * m[0][0]
+    det = 1
+    for c in range(k):
+        r = next((i for i in range(c, k) if m[i][c]), None)
+        if r is None:
+            return None
+        m[c], m[r] = m[r], m[c]
+        det = linalg.pivot(m, c, c, det)
+    sign = 1 if det > 0 else -1
+    return [sign * row[-1] for row in m], sign * det
 
 
 def _square_system_variants(a, b):
@@ -246,6 +252,9 @@ def test_forward_solve_matches_gauss_jordan_on_square_systems():
             for system in _square_system_variants(a, b):
                 expected = reference_solve_square(*system)
                 assert linalg.solve_square(*system) == expected, system
+                if k <= 10:  # the Fraction references grow fast with k
+                    assert rref(system[0]) == reference_rref(system[0]), system
+                    assert solve_exact(*system) == reference_solve(*system), system
                 if expected is None:
                     seen["singular"] += 1
                     continue
