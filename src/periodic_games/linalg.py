@@ -120,7 +120,7 @@ def _eliminate(m: list[list[int]], cols: int) -> tuple[list[int], int]:
     ``pivot`` reduces only the rows below each pivot row. Row k ends up
     holding the k-th pivot with zeros left of it, the rows past the last
     pivot row are zero on those columns, and every entry is a minor of the
-    input: the last pivot is the one of the pivot rows and columns.
+    input: the last pivot is the minor of the pivot rows and columns.
     """
     pivots: list[int] = []
     det = 1
